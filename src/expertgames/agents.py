@@ -1,13 +1,27 @@
 """Episodic learners and opponent policies.
 
-Every learner follows the same protocol driven by the simulator:
+The simulator drives a learner through one of two protocols, chosen by
+whether the learner has an ``act_episode`` method.
+
+Episode strategy (OFULinMat, fixed, uniform). The learner commits to one
+mixed strategy per episode, exposed as ``current_strategy``, and draws all
+of the episode's rows at once:
+
+    begin_episode(ensemble) -> act_episode(n_rounds)
+        -> observe_episode(rows, cols, rewards) -> end_episode()
+
+Per-round policy (Exp3). The policy reacts to every reward, so the learner
+is stepped one round at a time and exposes the policy it just sampled from
+as ``last_strategy``:
 
     begin_episode(ensemble) -> act(t) / observe(i, j, r) per round -> end_episode()
 
 Learners never see the true payoff matrix, only rewards (and, for the
 optimistic learner, the expert ensemble revealed each episode). Opponents are
-episode-level policies that may read the true game; they expose the mixed
-strategy they play so the simulator can compute expectation-form metrics.
+episode-level policies that may read the true game; each commits to one mixed
+strategy per episode (``current_strategy``), and the simulator draws all of
+an episode's columns with ``act_episode`` before play starts. The exposed
+strategies let the simulator compute expectation-form metrics exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +42,32 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-class OFULinMatAgent:
+class _EpisodeStrategyPlayer:
+    """Sampling shared by every player that commits to one mixed strategy
+    per episode. Subclasses set ``rng`` and ``current_strategy``."""
+
+    rng: np.random.Generator
+    current_strategy: MixedStrategy | None
+
+    @property
+    def last_strategy(self) -> np.ndarray | None:
+        return None if self.current_strategy is None else self.current_strategy.probs
+
+    def _committed(self) -> MixedStrategy:
+        if self.current_strategy is None:
+            raise AgentProtocolError(f"{type(self).__name__}: act before begin_episode()")
+        return self.current_strategy
+
+    def act(self, t: int | None = None) -> int:
+        """Draw one action; the per-round form of :meth:`act_episode`."""
+        return self._committed().sample(self.rng)
+
+    def act_episode(self, n_rounds: int) -> np.ndarray:
+        """Draw all of an episode's actions from the committed strategy."""
+        return self._committed().sample_many(self.rng, n_rounds)
+
+
+class OFULinMatAgent(_EpisodeStrategyPlayer):
     """Optimistic episodic learner for games that mix revealed expert games.
 
     At each episode boundary it refits the ridge estimate of the mixing
@@ -52,11 +91,7 @@ class OFULinMatAgent:
         self.cap_episodes = 0
         self._ensemble = None
         self._buffer_features: list[np.ndarray] = []
-        self._buffer_rewards: list[float] = []
-
-    @property
-    def last_strategy(self) -> np.ndarray | None:
-        return None if self.current_strategy is None else self.current_strategy.probs
+        self._buffer_rewards: list[np.ndarray] = []
 
     def begin_episode(self, ensemble) -> None:
         cfg = self.estimator.config
@@ -89,21 +124,20 @@ class OFULinMatAgent:
         self._buffer_features.clear()
         self._buffer_rewards.clear()
 
-    def act(self, t: int) -> int:
-        if self.current_strategy is None:
-            raise AgentProtocolError("act() called before begin_episode()")
-        return self.current_strategy.sample(self.rng)
-
-    def observe(self, own_action: int, opponent_action: int, reward: float) -> None:
+    def observe_episode(self, rows, cols, rewards) -> None:
+        """Buffer the expert readings of the played cells and their rewards."""
         if self._ensemble is None:
             raise AgentProtocolError("observe() called before begin_episode()")
-        self._buffer_features.append(self._ensemble.features(own_action, opponent_action))
-        self._buffer_rewards.append(reward)
+        self._buffer_features.append(self._ensemble.matrices[:, rows, cols].T)
+        self._buffer_rewards.append(np.asarray(rewards, dtype=float))
+
+    def observe(self, own_action: int, opponent_action: int, reward: float) -> None:
+        self.observe_episode([own_action], [opponent_action], [reward])
 
     def end_episode(self) -> None:
         if self._buffer_features:
             self.estimator.absorb_batch(
-                np.array(self._buffer_features), np.array(self._buffer_rewards)
+                np.concatenate(self._buffer_features), np.concatenate(self._buffer_rewards)
             )
         self._buffer_features.clear()
         self._buffer_rewards.clear()
@@ -181,7 +215,7 @@ class Exp3Agent:
         self._awaiting_feedback = False
 
 
-class FixedStrategyAgent:
+class FixedStrategyAgent(_EpisodeStrategyPlayer):
     """Learner that plays one fixed mixed strategy every round."""
 
     def __init__(self, strategy, seed=None):
@@ -195,15 +229,11 @@ class FixedStrategyAgent:
     def uniform(cls, n_actions: int, seed=None) -> "FixedStrategyAgent":
         return cls(MixedStrategy.uniform(n_actions), seed)
 
-    @property
-    def last_strategy(self) -> np.ndarray:
-        return self.current_strategy.probs
-
     def begin_episode(self, ensemble=None) -> None:
         pass
 
-    def act(self, t: int) -> int:
-        return self.current_strategy.sample(self.rng)
+    def observe_episode(self, rows, cols, rewards) -> None:
+        pass
 
     def observe(self, own_action, opponent_action, reward) -> None:
         pass
@@ -212,20 +242,12 @@ class FixedStrategyAgent:
         pass
 
 
-class _ColumnOpponent:
-    """Shared sampling machinery for episode-level column policies."""
+class _ColumnOpponent(_EpisodeStrategyPlayer):
+    """Episode-level column policy: ``begin_episode`` sets the column mix."""
 
     def __init__(self, seed=None):
         self.rng = _rng(seed)
         self.current_strategy: MixedStrategy | None = None
-
-    def act(self) -> int:
-        if self.current_strategy is None:
-            raise AgentProtocolError("opponent act() called before begin_episode()")
-        return self.current_strategy.sample(self.rng)
-
-    def observe(self, row_action, col_action, reward) -> None:
-        pass
 
 
 class SaddleOracleOpponent(_ColumnOpponent):

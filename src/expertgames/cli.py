@@ -123,7 +123,7 @@ def _cmd_plot_data(args) -> int:
         return 1
     try:
         written = emit_plot_data(args.run, args.out, series)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:

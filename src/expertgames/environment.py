@@ -150,7 +150,6 @@ class EpisodeTrace:
     theta_hat: np.ndarray | None = None
     beta: float | None = None
     theta_error: float | None = None
-    strategies_known: bool = True
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
@@ -177,6 +176,65 @@ def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tu
             return theta, rejections
         rejections += 1
     raise RuntimeError("rejection sampling of the mixing weights did not terminate")
+
+
+def _episode_strategy(player, role: str, episode: int) -> np.ndarray:
+    """The mixed strategy a player committed to for this episode."""
+    strategy = getattr(player, "current_strategy", None)
+    if strategy is None:
+        raise SimulationError(f"{role} exposes no mixed strategy at episode {episode}")
+    return strategy.probs
+
+
+def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: str, episode: int):
+    """An episode's drawn actions as an int array; anything but n_rounds legal
+    indices aborts the episode."""
+    actions = np.asarray(actions, dtype=int)
+    if actions.shape != (n_rounds,):
+        raise SimulationError(
+            f"{role} drew {actions.shape} actions for a {n_rounds}-round episode {episode}"
+        )
+    bad = np.flatnonzero((actions < 0) | (actions >= n_actions))
+    if bad.size:
+        t = int(bad[0])
+        raise SimulationError(
+            f"{role} produced {kind} {actions[t]} outside [0, {n_actions}) "
+            f"at episode {episode}, round {t + 1}"
+        )
+    return actions
+
+
+def _play_rounds(learner, m: np.ndarray, cols: np.ndarray, noise: np.ndarray, episode: int):
+    """Step a per-round learner through an episode against drawn columns.
+
+    Returns the rows, the rewards and the (n_rounds, n_rows) stack of the
+    policies the rows were sampled from.
+    """
+    n_rows = m.shape[0]
+    # Python floats add exactly like numpy float64 and index faster.
+    payoffs = m.tolist()
+    round_noise = noise.tolist()
+    rows = np.empty(cols.size, dtype=int)
+    rewards = np.empty(cols.size)
+    policies = np.empty((cols.size, n_rows))
+    for t, j in enumerate(cols.tolist()):
+        i = int(learner.act(t + 1))
+        if not 0 <= i < n_rows:
+            raise SimulationError(
+                f"learner produced row {i} outside [0, {n_rows}) "
+                f"at episode {episode}, round {t + 1}"
+            )
+        r = payoffs[i][j] + round_noise[t]
+        learner.observe(i, j, r)
+        policy = learner.last_strategy
+        if policy is None:
+            raise SimulationError(
+                f"learner exposes no strategy at episode {episode}, round {t + 1}"
+            )
+        rows[t] = i
+        rewards[t] = r
+        policies[t] = policy
+    return rows, rewards, policies
 
 
 class Environment:
@@ -223,17 +281,16 @@ class Environment:
             self._saddles[episode] = solve_saddle_point(self.true_game(episode))
         return self._saddles[episode]
 
-    def episodes(self):
-        for k in range(self.config.n_episodes):
-            yield k, self.ensemble(k), self.true_game(k)
-
     def run_episode(self, learner, opponent, episode: int, learner_previous_strategy=None) -> EpisodeTrace:
         """Play one episode and return its trace.
 
-        Both players move simultaneously each round: the opponent's policy is
-        fixed before the round from history and the true game only, so it
-        never conditions on the learner's current action. Both then observe
-        the executed action pair and the noisy reward.
+        Both players move simultaneously each round. The opponent commits to
+        its episode mix from history and the true game only, so it never
+        conditions on the learner's current action, and all of its columns
+        are drawn before play starts. A learner with an episode strategy
+        draws its rows the same way; a per-round learner is stepped through
+        the rounds against the drawn columns. Either way both the actions
+        and the rewards equal those of round-by-round play.
         """
         cfg = self.config
         ensemble = self.ensemble(episode)
@@ -241,88 +298,38 @@ class Environment:
         value = self.true_saddle(episode).value
         m = game.entries
         n_rounds = cfg.rounds_per_episode
+        noise = self.noise[episode]
 
         learner.begin_episode(ensemble)
         opponent.begin_episode(game, learner_previous_strategy)
-        episode_mu = getattr(learner, "current_strategy", None)
-        episode_nu = getattr(opponent, "current_strategy", None)
+        nu = _episode_strategy(opponent, "opponent", episode)
+        cols = _checked_actions(
+            opponent.act_episode(n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode
+        )
 
-        rows = np.empty(n_rounds, dtype=int)
-        cols = np.empty(n_rounds, dtype=int)
-        rewards = np.empty(n_rounds)
-        sums = dict.fromkeys(metrics.METRIC_KEYS, 0.0)
-        row_totals = np.zeros(cfg.n_rows)
-        strategies_known = True
-        cached_mu = None
-        mu_payoffs = None  # mu' M, reused while the learner's policy is unchanged
-        cached_nu = None
-        game_nu = None  # M nu, reused while the opponent mix is unchanged
-        br_row = None
-
-        for t in range(1, n_rounds + 1):
-            i = int(learner.act(t))
-            if not 0 <= i < cfg.n_rows:
-                raise SimulationError(
-                    f"learner produced row {i} outside [0, {cfg.n_rows}) "
-                    f"at episode {episode}, round {t}"
-                )
-            j = int(opponent.act())
-            if not 0 <= j < cfg.n_cols:
-                raise SimulationError(
-                    f"opponent produced column {j} outside [0, {cfg.n_cols}) "
-                    f"at episode {episode}, round {t}"
-                )
-            r = float(m[i, j] + self.noise[episode, t - 1])
-            learner.observe(i, j, r)
-            opponent.observe(i, j, r)
-
-            mu_t = getattr(learner, "last_strategy", None)
-            nu_strategy = getattr(opponent, "current_strategy", None)
-            if nu_strategy is None:
-                # Opponent declared no mix: use the played column as a basis vector.
-                strategies_known = False
-                game_nu_t = m[:, j]
-                br_row_t = float(game_nu_t.max())
-            else:
-                nu_t = nu_strategy.probs
-                if nu_t is not cached_nu:
-                    cached_nu = nu_t
-                    game_nu = m @ nu_t
-                    br_row = float(game_nu.max())
-                game_nu_t = game_nu
-                br_row_t = br_row
-            if mu_t is None:
-                strategies_known = False
-                expected = float(game_nu_t[i])
-                br_col_t = float(m[i].min())
-            else:
-                if mu_t is not cached_mu:
-                    cached_mu = mu_t
-                    mu_payoffs = mu_t @ m
-                expected = float(mu_t @ game_nu_t)
-                br_col_t = float(mu_payoffs.min())
-
-            sums["saddle_realized"] += value - r
-            sums["saddle_pseudo"] += value - expected
-            sums["best_response_p1_realized"] += br_row_t - r
-            sums["best_response_p1_expected"] += br_row_t - expected
-            sums["best_response_p2_realized"] += r - br_col_t
-            sums["best_response_p2_expected"] += expected - br_col_t
-            row_totals += m[:, j]
-            rows[t - 1] = i
-            cols[t - 1] = j
-            rewards[t - 1] = r
-
-        sums["external"] = float(row_totals.max() - rewards.sum())
+        if hasattr(learner, "act_episode"):
+            mu = _episode_strategy(learner, "learner", episode)
+            rows = _checked_actions(
+                learner.act_episode(n_rounds), n_rounds, cfg.n_rows, "learner", "row", episode
+            )
+            rewards = m[rows, cols] + noise
+            learner.observe_episode(rows, cols, rewards)
+            row_strategies = mu
+        else:
+            mu = None
+            rows, rewards, row_strategies = _play_rounds(learner, m, cols, noise, episode)
+        sums, row_totals = metrics.episode_metrics(
+            m, value, rows, cols, rewards, row_strategies, nu
+        )
 
         diagnostics: dict[str, float] = {}
         theta_hat = getattr(learner, "planned_theta", None)
         beta = getattr(learner, "planned_beta", None)
+        estimator = getattr(learner, "estimator", None)
         theta_error = None
         if theta_hat is not None:
             theta_hat = np.asarray(theta_hat, dtype=float)
             theta_error = float(np.linalg.norm(theta_hat - self.theta_star))
-            estimator = getattr(learner, "estimator", None)
             if estimator is not None and beta is not None:
                 err_norm = estimator.mahalanobis_norm(self.theta_star - theta_hat)
                 diagnostics["coverage"] = float(err_norm <= math.sqrt(beta))
@@ -338,7 +345,6 @@ class Environment:
             if getattr(learner, "cap_active", None) is not None:
                 diagnostics["cap_active"] = float(learner.cap_active)
 
-        estimator = getattr(learner, "estimator", None)
         log_det_before = estimator.log_det() if estimator is not None else None
         learner.end_episode()
         if estimator is not None:
@@ -355,12 +361,11 @@ class Environment:
             true_value=value,
             metrics=sums,
             hindsight_row_totals=row_totals,
-            learner_strategy=None if episode_mu is None else episode_mu.probs,
-            opponent_strategy=None if episode_nu is None else episode_nu.probs,
+            learner_strategy=mu,
+            opponent_strategy=nu,
             theta_hat=theta_hat,
             beta=None if beta is None else float(beta),
             theta_error=theta_error,
-            strategies_known=strategies_known,
             diagnostics=diagnostics,
         )
 

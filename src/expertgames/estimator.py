@@ -83,23 +83,37 @@ class RidgeEstimator:
             )
         if not (np.all(np.isfinite(z)) and math.isfinite(reward)):
             raise ValueError("features and reward must be finite")
+        self._absorb_row(z, float(reward))
+
+    def absorb_batch(self, features, rewards) -> None:
+        """Absorb a whole episode of observations, one at a time, in order.
+
+        The batch is validated once; each row then takes exactly the update
+        of :meth:`absorb`, so the state equals sequential absorption bit for
+        bit.
+        """
+        z = np.asarray(features, dtype=float)
+        r = np.asarray(rewards, dtype=float)
+        dim = self.config.n_experts
+        if z.ndim != 2 or z.shape[1] != dim or r.shape != (z.shape[0],):
+            raise ValueError(
+                f"features must be (n, {dim}) with one reward per row, "
+                f"got {z.shape} and {r.shape}"
+            )
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(r))):
+            raise ValueError("features and rewards must be finite")
+        for row, reward in zip(z, r.tolist()):
+            self._absorb_row(row, reward)
+
+    def _absorb_row(self, z: np.ndarray, reward: float) -> None:
         # Pre-update exploration weight; a direct solve avoids refactoring
         # the Gram matrix on every absorption inside a batch.
         bonus_sq = float(z @ np.linalg.solve(self.gram, z))
         self.potential_sum += min(1.0, bonus_sq)
-        self.gram += np.outer(z, z)
+        self.gram += z[:, None] * z  # np.outer's arithmetic, without its call overhead
         self.xty += z * reward
         self.n_obs += 1
         self._chol = None
-
-    def absorb_batch(self, features, rewards) -> None:
-        """Absorb a whole episode of observations, one at a time, in order."""
-        z = np.asarray(features, dtype=float)
-        r = np.asarray(rewards, dtype=float)
-        if z.ndim != 2 or z.shape[0] != r.shape[0]:
-            raise ValueError("features must be (n, dim) with one reward per row")
-        for row, reward in zip(z, r):
-            self.absorb(row, float(reward))
 
     def point_estimate(self) -> np.ndarray:
         """Ridge estimate gram^-1 xty via the cached SPD factorization."""

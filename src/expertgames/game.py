@@ -86,6 +86,16 @@ class MixedStrategy:
         idx = int(np.searchsorted(self._cumulative, rng.random(), side="right"))
         return min(idx, self.n_actions - 1)
 
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw ``n`` pure action indices at once.
+
+        One ``rng.random(n)`` call consumes the generator exactly like ``n``
+        calls of :meth:`sample`, so the result equals them bit for bit. The
+        clip covers a cumulative sum that rounds to just below 1.
+        """
+        idx = np.searchsorted(self._cumulative, rng.random(n), side="right")
+        return np.minimum(idx, self.n_actions - 1)
+
     @classmethod
     def uniform(cls, n: int) -> "MixedStrategy":
         return cls(np.full(n, 1.0 / n))

@@ -40,6 +40,7 @@ from .agents import (
 )
 from .environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
 from .estimator import EstimatorConfig
+from .game import MixedStrategy
 from .metrics import build_report
 
 OUTPUT_FORMATS = ("csv", "jsonl")
@@ -57,6 +58,25 @@ def _require_keys(section: dict, allowed: set[str], where: str):
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError([f"{where}: unknown key {key!r}" for key in unknown])
+
+
+def _integer(value, where: str) -> int:
+    """A JSON count or seed: an integral number, never a bool (JSON true is 1)."""
+    integral = isinstance(value, (int, float)) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigError([f"{where}: must be an integer, got {value!r}"])
+    return int(value)
+
+
+def _strategy(values, n_actions: int, where: str) -> tuple[float, ...]:
+    """A fixed mixed strategy over ``n_actions`` actions."""
+    if not isinstance(values, (list, tuple)) or len(values) != n_actions:
+        raise ConfigError([f"{where}: must list {n_actions} probabilities, got {values!r}"])
+    try:
+        MixedStrategy(np.array(values, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -208,13 +228,18 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _parse_theta(section: dict) -> ThetaSpec:
+def _parse_theta(section: dict, n_experts: int) -> ThetaSpec:
     _require_keys(section, {"type", "values", "mean", "norm_bound"}, "environment.theta_star")
     kind = section.get("type", "gaussian")
     if kind == "fixed":
         if "values" not in section:
             raise ConfigError(["environment.theta_star: fixed weights need 'values'"])
-        return ThetaSpec(kind="fixed", values=tuple(section["values"]))
+        values = section["values"]
+        if not isinstance(values, (list, tuple)) or len(values) != n_experts:
+            raise ConfigError(
+                [f"environment.theta_star.values: must list {n_experts} weights, got {values!r}"]
+            )
+        return ThetaSpec(kind="fixed", values=tuple(values))
     return ThetaSpec(
         kind="gaussian",
         mean=float(section.get("mean", 0.5)),
@@ -244,21 +269,21 @@ def _parse_environment(section: dict) -> EnvironmentConfig:
         "experts",
     }
     _require_keys(section, allowed, "environment")
-    missing = [k for k in ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode") if k not in section]
+    counts = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
+    missing = [k for k in counts if k not in section]
     if missing:
         raise ConfigError([f"environment: missing key {k!r}" for k in missing])
+    sizes = {k: _integer(section[k], f"environment.{k}") for k in counts}
     try:
         return EnvironmentConfig(
-            n_rows=int(section["n_rows"]),
-            n_cols=int(section["n_cols"]),
-            n_experts=int(section["n_experts"]),
-            n_episodes=int(section["n_episodes"]),
-            rounds_per_episode=int(section["rounds_per_episode"]),
+            **sizes,
             noise_variance=float(section.get("noise_variance", 0.0)),
-            theta=_parse_theta(section.get("theta_star", {})),
+            theta=_parse_theta(section.get("theta_star", {}), sizes["n_experts"]),
             experts=_parse_experts(section.get("experts", {})),
             seed=0,  # per-trial seeds come from the master seed
         )
+    except ConfigError:
+        raise  # already names its field
     except ValueError as exc:
         raise ConfigError([f"environment: {exc}"]) from exc
 
@@ -291,7 +316,9 @@ def _parse_learner(section: dict, index: int, env: EnvironmentConfig) -> Learner
         if "strategy" not in section:
             raise ConfigError([f"{where}: fixed learner needs 'strategy'"])
         return LearnerSpec(
-            kind=kind, name=section.get("name", "fixed"), strategy=tuple(section["strategy"])
+            kind=kind,
+            name=section.get("name", "fixed"),
+            strategy=_strategy(section["strategy"], env.n_rows, f"{where}.strategy"),
         )
     if kind == "uniform":
         _require_keys(section, {"type", "name"}, where)
@@ -299,7 +326,7 @@ def _parse_learner(section: dict, index: int, env: EnvironmentConfig) -> Learner
     raise ConfigError([f"{where}: unknown or missing learner type {kind!r}"])
 
 
-def _parse_opponent(section: dict) -> OpponentSpec:
+def _parse_opponent(section: dict, env: EnvironmentConfig) -> OpponentSpec:
     _require_keys(section, {"type", "strategy"}, "opponent")
     kind = section.get("type")
     if kind in ("saddle_oracle", "uniform", "best_responder"):
@@ -307,7 +334,9 @@ def _parse_opponent(section: dict) -> OpponentSpec:
     if kind == "fixed":
         if "strategy" not in section:
             raise ConfigError(["opponent: fixed opponent needs 'strategy'"])
-        return OpponentSpec(kind=kind, strategy=tuple(section["strategy"]))
+        return OpponentSpec(
+            kind=kind, strategy=_strategy(section["strategy"], env.n_cols, "opponent.strategy")
+        )
     raise ConfigError([f"opponent: unknown or missing type {kind!r}"])
 
 
@@ -329,12 +358,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     names = [spec.name for spec in learners]
     if len(set(names)) != len(names):
         raise ConfigError(["learners: names must be unique (set 'name' to disambiguate)"])
+    master_seed = _integer(raw.get("master_seed", 0), "master_seed")
+    if master_seed < 0:
+        raise ConfigError([f"master_seed: must be nonnegative, got {master_seed}"])
     return ExperimentConfig(
         environment=env,
         learners=learners,
-        opponent=_parse_opponent(raw["opponent"]),
-        trials=int(raw.get("trials", 1)),
-        master_seed=int(raw.get("master_seed", 0)),
+        opponent=_parse_opponent(raw["opponent"], env),
+        trials=_integer(raw.get("trials", 1), "trials"),
+        master_seed=master_seed,
         output_format=str(raw.get("output_format", "csv")),
     )
 
@@ -461,9 +493,14 @@ def _write_trace_jsonl(path: Path, traces) -> None:
 
 def aggregate_series(reports) -> dict[str, np.ndarray]:
     """Stack (series, episode) -> values across trials into mean and stderr."""
+    return _aggregate_rows(report.series_rows() for report in reports)
+
+
+def _aggregate_rows(trials) -> dict[str, np.ndarray]:
+    """Mean and stderr per (series, episode) over trials of (series, episode, value) rows."""
     table: dict[str, dict[int, list[float]]] = {}
-    for report in reports:
-        for name, episode, value in report.series_rows():
+    for rows in trials:
+        for name, episode, value in rows:
             table.setdefault(name, {}).setdefault(episode, []).append(value)
     out = {}
     for name, by_episode in table.items():
@@ -550,8 +587,9 @@ def replay_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
 def _read_metrics_csv(path: Path):
     rows = []
     with path.open() as handle:
-        header = handle.readline().strip().split(",")
-        assert header == ["series", "episode", "value"]
+        header = handle.readline().rstrip("\n")
+        if header != "series,episode,value":
+            raise ValueError(f"{path}: unexpected header {header!r}")
         for line in handle:
             name, episode, value = line.rstrip("\n").split(",")
             rows.append((name, int(episode), float(value)))
@@ -592,27 +630,15 @@ def emit_plot_data(run_dir, out_dir=None, series: list[str] | None = None) -> li
 
     written = []
     for learner, trials in sorted(by_learner.items()):
-        table: dict[str, dict[int, list[float]]] = {}
-        for rows in trials:
-            for name, episode, value in rows:
-                table.setdefault(name, {}).setdefault(episode, []).append(value)
+        aggregated = _aggregate_rows(trials)
         if series is not None:
-            missing = sorted(set(series) - set(table))
+            missing = sorted(set(series) - set(aggregated))
             if missing:
                 raise KeyError(f"series not present in run outputs: {', '.join(missing)}")
-            table = {name: table[name] for name in series}
-        if not table:
+            aggregated = {name: aggregated[name] for name in series}
+        if not aggregated:
             raise KeyError("no series selected")
-        lines = ["series,episode,mean,stderr"]
-        for name in sorted(table):
-            for episode in sorted(table[name]):
-                values = np.array(table[name][episode])
-                mean = float(values.mean())
-                stderr = (
-                    float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-                )
-                lines.append(f"{name},{episode},{_fmt(mean)},{_fmt(stderr)}")
         path = out / f"{learner}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_aggregate_csv(path, aggregated)
         written.append(path)
     return written

@@ -9,13 +9,11 @@ realized forms do not (noise breaks it) and are reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .game import best_response_value, expected_payoff
-
-# Per-episode metric keys produced by the simulator and consumed here.
+# Per-episode metric keys, in the order episode_metrics produces them.
 METRIC_KEYS = (
     "saddle_realized",
     "saddle_pseudo",
@@ -27,32 +25,36 @@ METRIC_KEYS = (
 )
 
 
-def saddle_regret_increment(true_value: float, reward: float) -> float:
-    """Realized saddle-point regret for one round: val(M) - r."""
-    return true_value - reward
+def episode_metrics(matrix, value: float, rows, cols, rewards, row_strategy, col_strategy):
+    """The seven per-episode metric sums and the hindsight row totals.
 
+    ``row_strategy`` is either the learner's episode mix, shape (n_rows,),
+    or its per-round policies stacked to shape (n_rounds, n_rows);
+    ``col_strategy`` is the opponent's episode mix. Realized forms subtract
+    the rewards, expectation forms the bilinear payoff mu_t' M nu of each
+    round. ``row_totals[i]`` is sum_t M[i, j_t], the payoff row i would have
+    collected against the played columns.
 
-def pseudo_saddle_regret_increment(true_value, row_strategy, matrix, col_strategy) -> float:
-    """Expectation-form increment: val(M) - mu' M nu."""
-    return true_value - expected_payoff(matrix, row_strategy, col_strategy)
-
-
-def best_response_regret_increment(matrix, col_strategy, reward: float) -> float:
-    """Row player's realized best-response regret: max_mu mu' M nu - r."""
-    return best_response_value(matrix, col_strategy, "row") - reward
-
-
-def best_response_regret_increment_p2(matrix, row_strategy, reward: float) -> float:
-    """Column player's realized best-response regret: r - min_nu mu' M nu."""
-    return reward - best_response_value(matrix, row_strategy, "col")
-
-
-def hindsight_best_row_regret(matrix, col_actions, rewards) -> float:
-    """Within-episode external regret: max_i sum_t M[i, j_t] - sum_t r_t."""
-    m = np.asarray(matrix, dtype=float) if not hasattr(matrix, "entries") else matrix.entries
-    cols = np.asarray(col_actions, dtype=int)
-    row_totals = m[:, cols].sum(axis=1)
-    return float(row_totals.max() - np.sum(rewards))
+    Returns (sums keyed by ``METRIC_KEYS``, row_totals).
+    """
+    m = np.asarray(matrix, dtype=float)
+    rewards = np.asarray(rewards, dtype=float)
+    n_rounds = rewards.size
+    game_nu = m @ col_strategy
+    best_row = game_nu.max()
+    expected = np.broadcast_to(row_strategy @ game_nu, (n_rounds,))
+    best_col = np.broadcast_to((row_strategy @ m).min(axis=-1), (n_rounds,))
+    row_totals = m @ np.bincount(cols, minlength=m.shape[1])
+    sums = {
+        "saddle_realized": float(np.sum(value - rewards)),
+        "saddle_pseudo": float(np.sum(value - expected)),
+        "best_response_p1_realized": float(np.sum(best_row - rewards)),
+        "best_response_p1_expected": float(np.sum(best_row - expected)),
+        "best_response_p2_realized": float(np.sum(rewards - best_col)),
+        "best_response_p2_expected": float(np.sum(expected - best_col)),
+        "external": float(row_totals.max() - rewards.sum()),
+    }
+    return sums, row_totals
 
 
 @dataclass
@@ -62,8 +64,6 @@ class RegretReport:
     per_episode: dict[str, np.ndarray]
     theta_error: np.ndarray
     external_single_row: float
-    expectation_form_exact: bool = True
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_episodes(self) -> int:
@@ -107,17 +107,8 @@ def build_report(traces) -> RegretReport:
     )
     totals = np.sum([trace.hindsight_row_totals for trace in traces], axis=0)
     realized = sum(float(np.sum(trace.rewards)) for trace in traces)
-    exact = all(trace.strategies_known for trace in traces)
-    warnings = []
-    if not exact:
-        warnings.append(
-            "expectation-form metrics use empirical pure-action strategies "
-            "for at least one player"
-        )
     return RegretReport(
         per_episode=per_episode,
         theta_error=theta_error,
         external_single_row=float(totals.max() - realized),
-        expectation_form_exact=exact,
-        warnings=warnings,
     )

@@ -4,7 +4,8 @@ Everything in here deliberately avoids the code paths under test: the game
 oracle enumerates equilibrium supports and solves small linear systems, the
 ridge oracles rebuild their answers from scratch with dense solves, and the
 adversarial-bandit oracle is a straight-line transcription of the two policy
-formulas.
+formulas, and the regret increments score one round at a time, the way the
+simulator's vectorized episode metrics must add up.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 import math
 
 import numpy as np
+
+from expertgames.game import best_response_value, expected_payoff
 
 _FEAS_TOL = 1e-8
 
@@ -157,3 +160,31 @@ def exp3_policy_trace(
         clipped = min(max((reward - reward_min) / (reward_max - reward_min), 0.0), 1.0)
         cumulative[action] += clipped / policy[action]
     return policies
+
+
+def saddle_regret_increment(true_value: float, reward: float) -> float:
+    """Realized saddle-point regret for one round: val(M) - r."""
+    return true_value - reward
+
+
+def pseudo_saddle_regret_increment(true_value, row_strategy, matrix, col_strategy) -> float:
+    """Expectation-form increment: val(M) - mu' M nu."""
+    return true_value - expected_payoff(matrix, row_strategy, col_strategy)
+
+
+def best_response_regret_increment(matrix, col_strategy, reward: float) -> float:
+    """Row player's realized best-response regret: max_mu mu' M nu - r."""
+    return best_response_value(matrix, col_strategy, "row") - reward
+
+
+def best_response_regret_increment_p2(matrix, row_strategy, reward: float) -> float:
+    """Column player's realized best-response regret: r - min_nu mu' M nu."""
+    return reward - best_response_value(matrix, row_strategy, "col")
+
+
+def hindsight_best_row_regret(matrix, col_actions, rewards) -> float:
+    """Within-episode external regret: max_i sum_t M[i, j_t] - sum_t r_t."""
+    m = np.asarray(matrix, dtype=float) if not hasattr(matrix, "entries") else matrix.entries
+    cols = np.asarray(col_actions, dtype=int)
+    row_totals = m[:, cols].sum(axis=1)
+    return float(row_totals.max() - np.sum(rewards))

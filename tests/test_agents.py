@@ -159,9 +159,11 @@ class TestStrategyConstantWithinEpisode:
                 super().__init__(*args, **kwargs)
                 self.fingerprints = []
 
-            def act(self, t):
-                self.fingerprints.append(self.current_strategy.probs.tobytes())
-                return super().act(t)
+            def act_episode(self, n_rounds):
+                # One fingerprint per drawn action: the strategy it came from.
+                actions = super().act_episode(n_rounds)
+                self.fingerprints += [self.current_strategy.probs.tobytes()] * len(actions)
+                return actions
 
         env = Environment(
             EnvironmentConfig(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expertgames.agents import FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
+from expertgames.agents import Exp3Agent, FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
 from expertgames.environment import (
     Environment,
     EnvironmentConfig,
@@ -190,12 +190,43 @@ class TestRunEpisode:
 
     def test_out_of_range_action_aborts(self):
         class RogueAgent(FixedStrategyAgent):
-            def act(self, t):
-                return 99
+            def act_episode(self, n_rounds):
+                return np.full(n_rounds, 99)
 
         env = Environment(config())
         with pytest.raises(SimulationError):
             env.run_episode(RogueAgent.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+
+    def test_out_of_range_per_round_action_aborts(self):
+        class RogueExp3(Exp3Agent):
+            def act(self, t):
+                super().act(t)
+                return 99 if t == 3 else 0
+
+        env = Environment(config())
+        with pytest.raises(SimulationError, match="round 3"):
+            env.run_episode(RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+
+    def test_out_of_range_opponent_column_aborts(self):
+        class RogueOpponent(FixedOpponent):
+            def act_episode(self, n_rounds):
+                return np.full(n_rounds, -1)
+
+        env = Environment(config())
+        with pytest.raises(SimulationError, match="opponent produced column -1"):
+            env.run_episode(
+                FixedStrategyAgent.uniform(3, seed=0), RogueOpponent(np.array([1.0, 0, 0])), 0
+            )
+
+    def test_agent_without_strategy_aborts(self):
+        class Blind(Exp3Agent):
+            @property
+            def last_strategy(self):
+                return None
+
+        env = Environment(config())
+        with pytest.raises(SimulationError, match="exposes no strategy"):
+            env.run_episode(Blind(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
 
     def test_noise_shared_across_learners(self):
         # Two different learners replayed on the same environment draw the

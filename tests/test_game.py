@@ -47,6 +47,36 @@ class TestTypes:
         draws_b = [strategy.sample(np.random.default_rng(7)) for _ in range(1)]
         assert draws_a == draws_b
 
+    @pytest.mark.parametrize(
+        "probs", [[0.3, 0.5, 0.2], [0.1] * 10, [0.0, 1.0, 0.0], [1.0 / 3] * 3]
+    )
+    def test_sample_many_equals_repeated_sample(self, probs):
+        strategy = MixedStrategy(np.array(probs))
+        many = strategy.sample_many(np.random.default_rng(7), 500)
+        rng = np.random.default_rng(7)
+        assert many.tolist() == [strategy.sample(rng) for _ in range(500)]
+
+    def test_sample_many_clips_draws_above_a_short_cumulative_sum(self):
+        # Ten 0.1s add up to the largest double below 1, so the top draw
+        # lands past the last cutoff and must be clipped to the last action.
+        strategy = MixedStrategy(np.full(10, 0.1))
+        assert strategy._cumulative[-1] < 1.0
+        draws = [0.0, 0.55, np.nextafter(1.0, 0.0)]
+
+        class ScriptedDraws:
+            def __init__(self):
+                self.queue = list(draws)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.queue.pop(0)
+                out, self.queue = np.array(self.queue[:size]), self.queue[size:]
+                return out
+
+        many = strategy.sample_many(ScriptedDraws(), 3)
+        rng = ScriptedDraws()
+        assert many.tolist() == [strategy.sample(rng) for _ in range(3)] == [0, 5, 9]
+
     def test_pure_and_uniform_helpers(self):
         assert MixedStrategy.pure(4, 2).probs[2] == 1.0
         assert np.allclose(MixedStrategy.uniform(5).probs, 0.2)

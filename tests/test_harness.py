@@ -264,6 +264,15 @@ class TestAggregation:
         with pytest.raises(KeyError, match="no_such_series"):
             emit_plot_data(tmp_path / "run", tmp_path / "missing", ["no_such_series"])
 
+    def test_plot_data_rejects_bad_metrics_header(self, tmp_path, capsys):
+        run_experiment(tiny_config(trials=1), tmp_path / "run")
+        bad = tmp_path / "run/trials/trial_000/exp3/metrics.csv"
+        bad.write_text("name,ep,val\n" + bad.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="exp3/metrics.csv"):
+            emit_plot_data(tmp_path / "run")
+        assert cli_main(["plot-data", "--run", str(tmp_path / "run")]) == 1
+        assert str(bad) in capsys.readouterr().err
+
     def test_aggregate_series_helper(self):
         config = tiny_config(trials=2)
         reports = [run_trial(config, n)["learners"]["exp3"]["report"] for n in range(2)]
@@ -308,6 +317,55 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, mutate",
+        [
+            ("trials", lambda raw: raw.update(trials=True)),
+            ("master_seed", lambda raw: raw.update(master_seed=2.5)),
+            ("master_seed", lambda raw: raw.update(master_seed=-1)),
+            ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=10.7)),
+            (
+                "environment.rounds_per_episode",
+                lambda raw: raw["environment"].update(rounds_per_episode=False),
+            ),
+            (
+                "learners[1].strategy",
+                lambda raw: raw["learners"].__setitem__(
+                    1, {"type": "fixed", "strategy": [0.5, 0.5]}
+                ),
+            ),
+            (
+                "opponent.strategy",
+                lambda raw: raw.update(opponent={"type": "fixed", "strategy": [0.5, 0.5]}),
+            ),
+            (
+                "environment.theta_star.values",
+                lambda raw: raw["environment"].update(
+                    theta_star={"type": "fixed", "values": [1.0]}
+                ),
+            ),
+        ],
+        ids=[
+            "bool-trials",
+            "fractional-seed",
+            "negative-seed",
+            "fractional-rows",
+            "bool-rounds",
+            "short-learner-strategy",
+            "short-opponent-strategy",
+            "short-theta",
+        ],
+    )
+    def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
+        raw = config_to_dict(tiny_config())
+        mutate(raw)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path):
         config_path = tmp_path / "config.json"

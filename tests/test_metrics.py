@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from expertgames.agents import FixedStrategyAgent, OFULinMatAgent, SaddleOracleOpponent
+from expertgames.agents import (
+    BestResponderOpponent,
+    Exp3Agent,
+    FixedStrategyAgent,
+    OFULinMatAgent,
+    SaddleOracleOpponent,
+)
 from expertgames.environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
 from expertgames.estimator import EstimatorConfig
-from expertgames.game import best_response_value, solve_saddle_point
-from expertgames.metrics import (
+from expertgames.game import expected_payoff, solve_saddle_point
+from expertgames.metrics import METRIC_KEYS, build_report
+
+from oracles import (
     best_response_regret_increment,
     best_response_regret_increment_p2,
-    build_report,
+    exp3_policy_trace,
     hindsight_best_row_regret,
     pseudo_saddle_regret_increment,
     saddle_regret_increment,
@@ -188,6 +196,66 @@ class TestReport:
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
             build_report([])
+
+
+def round_by_round_sums(matrix, value, rows, cols, rewards, policies, nu):
+    """The seven episode sums added up one round at a time from the oracles."""
+    sums = dict.fromkeys(METRIC_KEYS, 0.0)
+    for r, mu in zip(rewards, policies):
+        expected = expected_payoff(matrix, mu, nu)
+        sums["saddle_realized"] += saddle_regret_increment(value, r)
+        sums["saddle_pseudo"] += pseudo_saddle_regret_increment(value, mu, matrix, nu)
+        sums["best_response_p1_realized"] += best_response_regret_increment(matrix, nu, r)
+        sums["best_response_p1_expected"] += best_response_regret_increment(matrix, nu, expected)
+        sums["best_response_p2_realized"] += best_response_regret_increment_p2(matrix, mu, r)
+        sums["best_response_p2_expected"] += best_response_regret_increment_p2(matrix, mu, expected)
+    sums["external"] = hindsight_best_row_regret(matrix, cols, rewards)
+    return sums
+
+
+class TestEpisodeMetricsMatchRoundByRound:
+    LEARNERS = {
+        "ofulinmat": lambda: OFULinMatAgent(
+            4, EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=3), seed=1
+        ),
+        "exp3": lambda: Exp3Agent(4, seed=1, reward_min=-5.0, reward_max=5.0),
+        "uniform": lambda: FixedStrategyAgent.uniform(4, seed=1),
+    }
+    OPPONENTS = {"saddle_oracle": SaddleOracleOpponent, "best_responder": BestResponderOpponent}
+
+    @pytest.mark.parametrize("opponent", sorted(OPPONENTS))
+    @pytest.mark.parametrize("learner", sorted(LEARNERS))
+    def test_trace_metrics_equal_oracle_sums(self, learner, opponent):
+        env = small_env(seed=3)
+        traces = env.run_trial(self.LEARNERS[learner](), self.OPPONENTS[opponent](seed=2))
+        for trace in traces:
+            m = env.true_game(trace.episode).entries
+            if learner == "exp3":
+                # Exp3's per-round policies are replayed from its actions and rewards.
+                policies = exp3_policy_trace(
+                    4, trace.row_actions.tolist(), trace.rewards.tolist(), -5.0, 5.0
+                )
+            else:
+                policies = [trace.learner_strategy] * trace.rewards.size
+            oracle = round_by_round_sums(
+                m,
+                trace.true_value,
+                trace.row_actions,
+                trace.col_actions,
+                trace.rewards,
+                policies,
+                trace.opponent_strategy,
+            )
+            for key in METRIC_KEYS:
+                np.testing.assert_allclose(
+                    trace.metrics[key], oracle[key], rtol=1e-12, atol=1e-12, err_msg=key
+                )
+            np.testing.assert_allclose(
+                trace.hindsight_row_totals,
+                m[:, trace.col_actions].sum(axis=1),
+                rtol=1e-12,
+                atol=1e-12,
+            )
 
 
 class TestThetaErrorMonotoneNoiseless:
