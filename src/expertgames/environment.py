@@ -318,9 +318,7 @@ class Environment:
         else:
             mu = None
             rows, rewards, row_strategies = _play_rounds(learner, m, cols, noise, episode)
-        sums, row_totals = metrics.episode_metrics(
-            m, value, rows, cols, rewards, row_strategies, nu
-        )
+        sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, row_strategies, nu)
 
         diagnostics: dict[str, float] = {}
         theta_hat = getattr(learner, "planned_theta", None)

@@ -25,7 +25,7 @@ METRIC_KEYS = (
 )
 
 
-def episode_metrics(matrix, value: float, rows, cols, rewards, row_strategy, col_strategy):
+def episode_metrics(matrix, value: float, cols, rewards, row_strategy, col_strategy):
     """The seven per-episode metric sums and the hindsight row totals.
 
     ``row_strategy`` is either the learner's episode mix, shape (n_rows,),
