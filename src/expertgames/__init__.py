@@ -1,5 +1,13 @@
 """Online learning in episodic zero-sum matrix games built from expert ensembles."""
 
+import os
+
+# Every BLAS operand here is d-dimensional (one coordinate per expert, d ~ 10), so
+# threads cannot help, and an OpenBLAS worker woken once per episode spins between calls.
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["MKL_NUM_THREADS"] = "1"
+
 __version__ = "0.1.0"
 
 from .agents import (

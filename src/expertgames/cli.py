@@ -71,7 +71,16 @@ def _check_writable(out_dir: Path) -> None:
         raise SystemExit(2)
 
 
+def _workers_invalid(workers: int) -> bool:
+    if workers < 1:
+        print(f"error: --workers must be at least 1, got {workers}", file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _workers_invalid(args.workers):
+        return 1
     try:
         config = load_config(args.config)
         overrides = {}
@@ -98,6 +107,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if _workers_invalid(args.workers):
+        return 1
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         print(f"error: manifest not found: {manifest_path}", file=sys.stderr)

@@ -61,14 +61,6 @@ class RidgeEstimator:
         self.potential_sum = 0.0
         self._chol: np.ndarray | None = None
 
-    def copy(self) -> "RidgeEstimator":
-        dup = RidgeEstimator(self.config)
-        dup.gram = self.gram.copy()
-        dup.xty = self.xty.copy()
-        dup.n_obs = self.n_obs
-        dup.potential_sum = self.potential_sum
-        return dup
-
     def _factor(self) -> np.ndarray:
         if self._chol is None:
             self._chol = np.linalg.cholesky(self.gram)
@@ -148,14 +140,6 @@ class RidgeEstimator:
             2.0 * math.log(1.0 / cfg.delta) + growth
         )
         return root**2
-
-    def ellipsoid_norm(self, x) -> float:
-        """sqrt(x' gram^-1 x) through one triangular solve."""
-        vec = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("vector must be finite")
-        half = solve_triangular(self._factor(), vec, lower=True)
-        return float(np.sqrt(half @ half))
 
     def ellipsoid_norms(self, columns: np.ndarray) -> np.ndarray:
         """Column-wise sqrt(z' gram^-1 z) for a (dim, n) stack of vectors."""

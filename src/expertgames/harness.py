@@ -247,13 +247,37 @@ def _parse_theta(section: dict, n_experts: int) -> ThetaSpec:
     )
 
 
-def _parse_experts(section: dict) -> ExpertSpec:
+def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
+    """Fixed expert matrices: a finite numeric stack of ``shape``, entries in [0, 1]."""
+    try:
+        stack = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError([f"{where}: {exc}"]) from exc
+    if stack.dtype.kind not in "iuf":
+        raise ConfigError([f"{where}: must be a nested list of numbers"])
+    if stack.shape != shape:
+        raise ConfigError(
+            [f"{where}: must have shape {shape} (n_episodes, n_experts, n_rows, n_cols), "
+             f"got {stack.shape}"]
+        )
+    if not np.all(np.isfinite(stack)):
+        raise ConfigError([f"{where}: entries must be finite"])
+    if stack.min() < 0.0 or stack.max() > 1.0:
+        raise ConfigError(
+            [f"{where}: entries must lie in [0, 1], got range "
+             f"[{float(stack.min())}, {float(stack.max())}]"]
+        )
+    return tuple(values)
+
+
+def _parse_experts(section: dict, shape: tuple[int, ...]) -> ExpertSpec:
     _require_keys(section, {"type", "matrices"}, "environment.experts")
     kind = section.get("type", "uniform")
     if kind == "fixed":
         if "matrices" not in section:
             raise ConfigError(["environment.experts: fixed experts need 'matrices'"])
-        return ExpertSpec(kind="fixed", matrices=tuple(section["matrices"]))
+        matrices = _expert_stack(section["matrices"], shape, "environment.experts.matrices")
+        return ExpertSpec(kind="fixed", matrices=matrices)
     return ExpertSpec(kind="uniform")
 
 
@@ -279,7 +303,10 @@ def _parse_environment(section: dict) -> EnvironmentConfig:
             **sizes,
             noise_variance=float(section.get("noise_variance", 0.0)),
             theta=_parse_theta(section.get("theta_star", {}), sizes["n_experts"]),
-            experts=_parse_experts(section.get("experts", {})),
+            experts=_parse_experts(
+                section.get("experts", {}),
+                tuple(sizes[k] for k in ("n_episodes", "n_experts", "n_rows", "n_cols")),
+            ),
             seed=0,  # per-trial seeds come from the master seed
         )
     except ConfigError:
@@ -524,11 +551,18 @@ def _write_aggregate_csv(path: Path, aggregated: dict[str, np.ndarray]) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
-    """Run all trials, persist per-trial and aggregate outputs, return the manifest."""
+    """Run all trials, persist per-trial and aggregate outputs, return the manifest.
+
+    Trials run in a pool of ``min(workers, trials)`` processes when that is
+    more than one; the pool starts all of its workers up front.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    workers = min(workers, config.trials)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(run_trial, config, n): n for n in range(config.trials)}

@@ -14,7 +14,9 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
+from expertgames.estimator import RidgeEstimator
 from expertgames.game import best_response_value, expected_payoff
 
 _FEAS_TOL = 1e-8
@@ -117,6 +119,25 @@ def confidence_radius_from_scratch(
     assert sign > 0
     inner = 0.5 * (log_det - dim * math.log(ridge)) + math.log(1.0 / delta)
     return (math.sqrt(2.0 * inner) + math.sqrt(ridge) * bound) ** 2
+
+
+def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:
+    """An independent estimator holding the same sufficient statistics."""
+    dup = RidgeEstimator(estimator.config)
+    dup.gram = estimator.gram.copy()
+    dup.xty = estimator.xty.copy()
+    dup.n_obs = estimator.n_obs
+    dup.potential_sum = estimator.potential_sum
+    return dup
+
+
+def ellipsoid_norm(estimator: RidgeEstimator, x) -> float:
+    """sqrt(x' gram^-1 x) of one vector, through a fresh Cholesky factor."""
+    vec = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("vector must be finite")
+    half = solve_triangular(np.linalg.cholesky(estimator.gram), vec, lower=True)
+    return float(np.sqrt(half @ half))
 
 
 def entrywise_optimistic_matrix(

@@ -17,7 +17,7 @@ from expertgames.estimator import EstimatorConfig
 from expertgames.environment import ExpertEnsemble
 from expertgames.game import GameMatrix, MixedStrategy, solve_saddle_point
 
-from oracles import entrywise_optimistic_matrix, exp3_policy_trace
+from oracles import entrywise_optimistic_matrix, estimator_copy, exp3_policy_trace
 
 
 def case_study_estimator_config(n_experts=10):
@@ -137,7 +137,7 @@ class TestOFULinMatActObserve:
         stack = rng.uniform(size=(2, 3, 3))
         agent = self.make_agent()
         agent.begin_episode(ExpertEnsemble(stack))
-        mirror = agent.estimator.copy()
+        mirror = estimator_copy(agent.estimator)
         plays = [(rng.integers(3), rng.integers(3), rng.normal()) for _ in range(200)]
         for i, j, r in plays:
             agent.observe(int(i), int(j), float(r))

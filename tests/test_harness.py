@@ -1,3 +1,4 @@
+import concurrent.futures
 import filecmp
 import json
 from pathlib import Path
@@ -53,6 +54,13 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def fixed_experts(shape, last=0.5) -> list:
+    """A JSON expert stack of 0.5 entries whose final entry is ``last``."""
+    stack = np.full(shape, 0.5)
+    stack.flat[-1] = last
+    return stack.tolist()
 
 
 def tree_files(root: Path) -> dict[str, bytes]:
@@ -207,6 +215,25 @@ class TestRunExperiment:
                 continue
             assert files_seq[key] == files_par[key]
 
+    @pytest.mark.parametrize("workers, trials, pool_size", [(8, 2, 2), (8, 1, None)])
+    def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers, trials, pool_size):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(tiny_config(trials=trials), tmp_path / "run", workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(list((tmp_path / "run/trials").iterdir())) == trials
+
+    def test_workers_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(tiny_config(trials=1), tmp_path / "run", workers=0)
+        assert not (tmp_path / "run").exists()
+
     def test_jsonl_output_format(self, tmp_path):
         config = tiny_config(output_format="jsonl")
         run_experiment(config, tmp_path / "run")
@@ -345,6 +372,18 @@ class TestCli:
                     theta_star={"type": "fixed", "values": [1.0]}
                 ),
             ),
+            (
+                "environment.experts.matrices",
+                lambda raw: raw["environment"].update(
+                    experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=1.9)}
+                ),
+            ),
+            (
+                "environment.experts.matrices",
+                lambda raw: raw["environment"].update(
+                    experts={"type": "fixed", "matrices": fixed_experts((2, 3, 3))}
+                ),
+            ),
         ],
         ids=[
             "bool-trials",
@@ -355,6 +394,8 @@ class TestCli:
             "short-learner-strategy",
             "short-opponent-strategy",
             "short-theta",
+            "expert-entry-above-one",
+            "expert-stack-wrong-shape",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
@@ -366,6 +407,27 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(tiny_config(trials=1))))
+        out = tmp_path / "run"
+        argv = ["run", "--config", str(config_path), "--out", str(out), "--workers", workers]
+        assert cli_main(argv) == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_rejects_workers_below_one(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(tiny_config(trials=1))))
+        cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        replay_out = tmp_path / "replayed"
+        argv = ["replay", "--manifest", str(tmp_path / "run/manifest.json"),
+                "--out", str(replay_out), "--workers", "0"]
+        assert cli_main(argv) == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not replay_out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path):
         config_path = tmp_path / "config.json"
