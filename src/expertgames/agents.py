@@ -22,9 +22,6 @@ episode-level policies that may read the true game; each commits to one mixed
 strategy per episode (``current_strategy``), and the simulator draws all of
 an episode's columns with ``act_episode`` before play starts. The exposed
 strategies let the simulator compute expectation-form metrics exactly.
-Opponents start an episode with ``begin_episode(true_game,
-learner_previous_strategy, saddle=...)``, where ``saddle`` is the
-environment's already solved ``SaddlePoint`` of the true game.
 """
 
 from __future__ import annotations
@@ -255,17 +252,14 @@ class _ColumnOpponent(_EpisodeStrategyPlayer):
 
 class SaddleOracleOpponent(_ColumnOpponent):
     """Omniscient attacker: plays the true game's saddle-point column mix,
-    taken from the environment's solve of the episode's true matrix, or
-    solved here when none is passed."""
+    recomputed from the revealed true matrix at every episode."""
 
-    def begin_episode(self, true_game, learner_previous_strategy=None, saddle=None) -> None:
-        if saddle is None:
-            saddle = solve_saddle_point(true_game)
-        self.current_strategy = saddle.col_strategy
+    def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
+        self.current_strategy = solve_saddle_point(true_game).col_strategy
 
 
 class UniformOpponent(_ColumnOpponent):
-    def begin_episode(self, true_game, learner_previous_strategy=None, saddle=None) -> None:
+    def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
         self.current_strategy = MixedStrategy.uniform(true_game.cols)
 
 
@@ -274,7 +268,7 @@ class FixedOpponent(_ColumnOpponent):
         super().__init__(seed)
         self._strategy = strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)
 
-    def begin_episode(self, true_game, learner_previous_strategy=None, saddle=None) -> None:
+    def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
         if self._strategy.n_actions != true_game.cols:
             raise ValueError("fixed opponent strategy does not match the game's column count")
         self.current_strategy = self._strategy
@@ -288,7 +282,7 @@ class BestResponderOpponent(_ColumnOpponent):
     it falls back to uniform play.
     """
 
-    def begin_episode(self, true_game, learner_previous_strategy=None, saddle=None) -> None:
+    def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
         if learner_previous_strategy is None:
             self.current_strategy = MixedStrategy.uniform(true_game.cols)
             return

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .harness import (
     ConfigError,
+    check_workers,
     config_from_dict,
     config_to_dict,
     default_paper_config,
@@ -26,6 +27,17 @@ from .harness import (
     replay_manifest,
     run_experiment,
 )
+
+
+def _worker_count(text: str) -> int:
+    """``--workers`` type: a count ``run_experiment`` rejects exits 1 while parsing,
+    before any output exists."""
+    workers = int(text)  # argparse reports a non-integer itself
+    try:
+        return check_workers(workers)
+    except ValueError as exc:
+        print(f"error: --workers: {exc}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,12 +52,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the master seed")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
     run.add_argument("--out", default="runs/latest", help="output directory")
-    run.add_argument("--workers", type=int, default=1, help="concurrent trial workers")
+    run.add_argument("--workers", type=_worker_count, default=1, help="concurrent trial workers")
 
     replay = sub.add_parser("replay", help="re-run the experiment stored in a manifest")
     replay.add_argument("--manifest", required=True, help="path to a manifest.json")
     replay.add_argument("--out", default=None, help="output directory (default: <run>_replay)")
-    replay.add_argument("--workers", type=int, default=1)
+    replay.add_argument("--workers", type=_worker_count, default=1)
 
     plot = sub.add_parser("plot-data", help="emit plot-ready aggregate tables")
     plot.add_argument("--run", required=True, help="directory of a completed run")
@@ -71,16 +83,7 @@ def _check_writable(out_dir: Path) -> None:
         raise SystemExit(2)
 
 
-def _workers_invalid(workers: int) -> bool:
-    if workers < 1:
-        print(f"error: --workers must be at least 1, got {workers}", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_run(args) -> int:
-    if _workers_invalid(args.workers):
-        return 1
     try:
         config = load_config(args.config)
         overrides = {}
@@ -107,8 +110,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    if _workers_invalid(args.workers):
-        return 1
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         print(f"error: manifest not found: {manifest_path}", file=sys.stderr)

@@ -295,14 +295,13 @@ class Environment:
         cfg = self.config
         ensemble = self.ensemble(episode)
         game = self.true_game(episode)
-        saddle = self.true_saddle(episode)
-        value = saddle.value
+        value = self.true_saddle(episode).value
         m = game.entries
         n_rounds = cfg.rounds_per_episode
         noise = self.noise[episode]
 
         learner.begin_episode(ensemble)
-        opponent.begin_episode(game, learner_previous_strategy, saddle=saddle)
+        opponent.begin_episode(game, learner_previous_strategy)
         nu = _episode_strategy(opponent, "opponent", episode)
         cols = _checked_actions(
             opponent.act_episode(n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode

@@ -253,8 +253,11 @@ def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
         stack = np.asarray(values)
     except ValueError as exc:  # ragged nesting
         raise ConfigError([f"{where}: {exc}"]) from exc
-    if stack.dtype.kind not in "iuf":
-        raise ConfigError([f"{where}: must be a nested list of numbers"])
+    # A bool beside a number would be cast to 0.0/1.0, so look at the leaves too.
+    if stack.dtype.kind not in "iuf" or any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise ConfigError([f"{where}: must be a nested list of numbers, not booleans"])
     if stack.shape != shape:
         raise ConfigError(
             [f"{where}: must have shape {shape} (n_episodes, n_experts, n_rows, n_cols), "
@@ -550,14 +553,20 @@ def _write_aggregate_csv(path: Path, aggregated: dict[str, np.ndarray]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def check_workers(workers: int) -> int:
+    """Return ``workers`` if ``run_experiment`` accepts it (at least 1), else raise ValueError."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     """Run all trials, persist per-trial and aggregate outputs, return the manifest.
 
     Trials run in a pool of ``min(workers, trials)`` processes when that is
     more than one; the pool starts all of its workers up front.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_workers(workers)
     start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

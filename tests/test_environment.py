@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from expertgames import agents
-from expertgames.agents import (
-    Exp3Agent,
-    FixedOpponent,
-    FixedStrategyAgent,
-    OFULinMatAgent,
-    SaddleOracleOpponent,
-)
+from expertgames.agents import Exp3Agent, FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
 from expertgames.environment import (
     Environment,
     EnvironmentConfig,
@@ -20,8 +13,6 @@ from expertgames.environment import (
     ThetaSpec,
     emit_reward,
 )
-from expertgames.estimator import EstimatorConfig
-from expertgames.game import GameMatrix
 
 
 def config(**overrides):
@@ -259,25 +250,6 @@ class TestRunTrial:
         env = Environment(config())
         traces = env.run_trial(FixedStrategyAgent.uniform(3, seed=0), SaddleOracleOpponent(seed=1))
         assert [t.episode for t in traces] == [0, 1, 2, 3]
-
-    def test_saddle_oracle_reuses_the_environment_solve(self, monkeypatch):
-        # Only OFULinMat plans call the solver in agents; the oracle takes the
-        # saddle point the environment already solved for the episode.
-        calls = []
-        real_solve = agents.solve_saddle_point
-
-        def counting_solve(matrix):
-            calls.append(matrix)
-            return real_solve(matrix)
-
-        monkeypatch.setattr(agents, "solve_saddle_point", counting_solve)
-        env = Environment(config())
-        learner = OFULinMatAgent(3, EstimatorConfig(0.1, 2.0, 0.01, 2), seed=0)
-        traces = env.run_trial(learner, SaddleOracleOpponent(seed=1))
-        assert len(calls) == env.config.n_episodes
-        assert all(not isinstance(m, GameMatrix) for m in calls)  # optimistic plans
-        for k, trace in enumerate(traces):
-            assert np.array_equal(trace.opponent_strategy, env.true_saddle(k).col_strategy.probs)
 
     def test_best_responder_sees_previous_strategy(self):
         from expertgames.agents import BestResponderOpponent

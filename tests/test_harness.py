@@ -58,9 +58,12 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 def fixed_experts(shape, last=0.5) -> list:
     """A JSON expert stack of 0.5 entries whose final entry is ``last``."""
-    stack = np.full(shape, 0.5)
-    stack.flat[-1] = last
-    return stack.tolist()
+    stack = np.full(shape, 0.5).tolist()
+    row = stack
+    for _ in shape[:-1]:
+        row = row[-1]
+    row[-1] = last
+    return stack
 
 
 def tree_files(root: Path) -> dict[str, bytes]:
@@ -384,6 +387,12 @@ class TestCli:
                     experts={"type": "fixed", "matrices": fixed_experts((2, 3, 3))}
                 ),
             ),
+            (
+                "environment.experts.matrices",
+                lambda raw: raw["environment"].update(
+                    experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=True)}
+                ),
+            ),
         ],
         ids=[
             "bool-trials",
@@ -396,6 +405,7 @@ class TestCli:
             "short-theta",
             "expert-entry-above-one",
             "expert-stack-wrong-shape",
+            "expert-entry-true",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
@@ -414,8 +424,10 @@ class TestCli:
         config_path.write_text(json.dumps(config_to_dict(tiny_config(trials=1))))
         out = tmp_path / "run"
         argv = ["run", "--config", str(config_path), "--out", str(out), "--workers", workers]
-        assert cli_main(argv) == 1
-        assert "--workers must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 1
+        assert "error: --workers: workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_replay_rejects_workers_below_one(self, tmp_path, capsys):
@@ -425,8 +437,10 @@ class TestCli:
         replay_out = tmp_path / "replayed"
         argv = ["replay", "--manifest", str(tmp_path / "run/manifest.json"),
                 "--out", str(replay_out), "--workers", "0"]
-        assert cli_main(argv) == 1
-        assert "--workers must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 1
+        assert "error: --workers: workers must be at least 1" in capsys.readouterr().err
         assert not replay_out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path):
