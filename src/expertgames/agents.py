@@ -49,22 +49,11 @@ class _EpisodeStrategyPlayer:
     rng: np.random.Generator
     current_strategy: MixedStrategy | None
 
-    @property
-    def last_strategy(self) -> np.ndarray | None:
-        return None if self.current_strategy is None else self.current_strategy.probs
-
-    def _committed(self) -> MixedStrategy:
-        if self.current_strategy is None:
-            raise AgentProtocolError(f"{type(self).__name__}: act before begin_episode()")
-        return self.current_strategy
-
-    def act(self, t: int | None = None) -> int:
-        """Draw one action; the per-round form of :meth:`act_episode`."""
-        return self._committed().sample(self.rng)
-
     def act_episode(self, n_rounds: int) -> np.ndarray:
         """Draw all of an episode's actions from the committed strategy."""
-        return self._committed().sample_many(self.rng, n_rounds)
+        if self.current_strategy is None:
+            raise AgentProtocolError(f"{type(self).__name__}: act_episode before begin_episode()")
+        return self.current_strategy.sample_many(self.rng, n_rounds)
 
 
 class OFULinMatAgent(_EpisodeStrategyPlayer):
@@ -127,12 +116,9 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
     def observe_episode(self, rows, cols, rewards) -> None:
         """Buffer the expert readings of the played cells and their rewards."""
         if self._ensemble is None:
-            raise AgentProtocolError("observe() called before begin_episode()")
+            raise AgentProtocolError("observe_episode() called before begin_episode()")
         self._buffer_features.append(self._ensemble.matrices[:, rows, cols].T)
         self._buffer_rewards.append(np.asarray(rewards, dtype=float))
-
-    def observe(self, own_action: int, opponent_action: int, reward: float) -> None:
-        self.observe_episode([own_action], [opponent_action], [reward])
 
     def end_episode(self) -> None:
         if self._buffer_features:
@@ -168,7 +154,6 @@ class Exp3Agent:
         self.reward_max = float(reward_max)
         self.cumulative_estimates = np.zeros(n_actions)
         self._last_policy: np.ndarray | None = None
-        self._last_action: int | None = None
         self._awaiting_feedback = False
 
     @property
@@ -189,7 +174,6 @@ class Exp3Agent:
     def begin_episode(self, ensemble=None) -> None:
         self.cumulative_estimates[:] = 0.0
         self._last_policy = None
-        self._last_action = None
         self._awaiting_feedback = False
 
     def act(self, t: int) -> int:
@@ -199,7 +183,6 @@ class Exp3Agent:
         cutoffs = np.cumsum(policy)
         action = min(int(np.searchsorted(cutoffs, self.rng.random(), side="right")), self.n_actions - 1)
         self._last_policy = policy
-        self._last_action = action
         self._awaiting_feedback = True
         return action
 
@@ -233,9 +216,6 @@ class FixedStrategyAgent(_EpisodeStrategyPlayer):
         pass
 
     def observe_episode(self, rows, cols, rewards) -> None:
-        pass
-
-    def observe(self, own_action, opponent_action, reward) -> None:
         pass
 
     def end_episode(self) -> None:

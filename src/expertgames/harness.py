@@ -8,22 +8,30 @@ ground truth, expert reveals, and noise stream within a trial.
 
 Outputs under the run directory:
 
-    manifest.json                           resolved config + per-trial seeds
+    manifest.json                           resolved config + per-trial seeds (written last)
     trials/trial_<n>/<learner>/metrics.csv  long format: series,episode,value
     trials/trial_<n>/<learner>/trace.jsonl  one JSON object per episode
     aggregate/<learner>.csv                 series,episode,mean,stderr
 
 All floats are written with ``repr`` so replaying a manifest reproduces the
-metric files byte for byte.
+metric files byte for byte. Each trial's files are written as soon as the
+trial finishes; ``manifest.json`` is written last, through a rename, so a run
+directory without it is an incomplete run.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import dataclasses
+import itertools
 import json
 import math
+import os
+import re
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +52,8 @@ from .game import MixedStrategy
 from .metrics import build_report
 
 OUTPUT_FORMATS = ("csv", "jsonl")
+# A learner's name becomes a directory and a file name under the run directory.
+_LEARNER_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 class ConfigError(ValueError):
@@ -66,6 +76,15 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError([f"{where}: must be an integer, got {value!r}"])
     return int(value)
+
+
+def _number(value, where: str) -> float:
+    """A JSON real: a finite number, never a bool (JSON true is 1)."""
+    # NaN fails the comparison; an int beyond the float range never reaches float().
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if real and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError([f"{where}: must be a finite number, got {value!r}"])
 
 
 def _strategy(values, n_actions: int, where: str) -> tuple[float, ...]:
@@ -135,44 +154,36 @@ class ExperimentConfig:
             raise ConfigError([f"output_format: must be one of {OUTPUT_FORMATS}"])
         if not self.learners:
             raise ConfigError(["learners: at least one learner is required"])
+        names = [spec.name for spec in self.learners]
+        for index, name in enumerate(names):
+            where = f"learners[{index}].name"
+            if not isinstance(name, str) or not _LEARNER_NAME.fullmatch(name):
+                raise ConfigError([f"{where}: must be letters, digits, '_' or '-', got {name!r}"])
+            if name in names[:index]:
+                raise ConfigError(
+                    [f"{where}: names must be unique, {name!r} is also "
+                     f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
+                )
+
+
+# The paper's case study, where it differs from the parser's defaults.
+_CASE_STUDY = {
+    "environment": {
+        "n_rows": 10, "n_cols": 10, "n_experts": 10, "n_episodes": 15, "rounds_per_episode": 200,
+        "noise_variance": 0.5, "theta_star": {"mean": 0.5, "norm_bound": 3.0},
+    },
+    "learners": [{"type": "ofulinmat"}, {"type": "exp3"}],
+    "opponent": {"type": "saddle_oracle"},
+}
 
 
 def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentConfig:
     """Case-study defaults: 10x10 games, 10 experts, 15 episodes of 200
     rounds, N(0, 0.5) reward noise, mixing weights drawn from N(0.5, I)
-    rejected into the norm-3 ball, optimistic learner with ridge 0.1,
-    confidence 3e-3, bound 3, plus the adversarial-bandit baseline, both
-    against the saddle-point oracle opponent."""
-    n_experts = 10
-    bound = 3.0
-    clip = bound * math.sqrt(n_experts) * n_experts  # loose payoff range for Exp3
-    return ExperimentConfig(
-        environment=EnvironmentConfig(
-            n_rows=10,
-            n_cols=10,
-            n_experts=n_experts,
-            n_episodes=15,
-            rounds_per_episode=200,
-            noise_variance=0.5,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=bound),
-            experts=ExpertSpec(kind="uniform"),
-            seed=0,
-        ),
-        learners=(
-            LearnerSpec(
-                kind="ofulinmat",
-                name="ofulinmat",
-                estimator=EstimatorConfig(
-                    ridge=0.1, param_bound=bound, delta=3e-3, n_experts=n_experts
-                ),
-            ),
-            LearnerSpec(kind="exp3", name="exp3", reward_min=-clip, reward_max=clip),
-        ),
-        opponent=OpponentSpec(kind="saddle_oracle"),
-        trials=trials,
-        master_seed=master_seed,
-        output_format="csv",
-    )
+    rejected into the norm-3 ball, the optimistic learner and the
+    adversarial-bandit baseline, both against the saddle-point oracle
+    opponent."""
+    return config_from_dict(dict(_CASE_STUDY, trials=trials, master_seed=master_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +250,21 @@ def _parse_theta(section: dict, n_experts: int) -> ThetaSpec:
             raise ConfigError(
                 [f"environment.theta_star.values: must list {n_experts} weights, got {values!r}"]
             )
-        return ThetaSpec(kind="fixed", values=tuple(values))
+        where = "environment.theta_star.values"
+        return ThetaSpec(
+            kind="fixed", values=tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(values))
+        )
+    norm_bound = section.get("norm_bound")
+    if norm_bound is not None:
+        norm_bound = _number(norm_bound, "environment.theta_star.norm_bound")
+        if norm_bound <= 0:
+            raise ConfigError(
+                [f"environment.theta_star.norm_bound: must be positive, got {norm_bound}"]
+            )
     return ThetaSpec(
         kind="gaussian",
-        mean=float(section.get("mean", 0.5)),
-        norm_bound=None if section.get("norm_bound") is None else float(section["norm_bound"]),
+        mean=_number(section.get("mean", 0.5), "environment.theta_star.mean"),
+        norm_bound=norm_bound,
     )
 
 
@@ -304,7 +325,7 @@ def _parse_environment(section: dict) -> EnvironmentConfig:
     try:
         return EnvironmentConfig(
             **sizes,
-            noise_variance=float(section.get("noise_variance", 0.0)),
+            noise_variance=_number(section.get("noise_variance", 0.0), "environment.noise_variance"),
             theta=_parse_theta(section.get("theta_star", {}), sizes["n_experts"]),
             experts=_parse_experts(
                 section.get("experts", {}),
@@ -323,21 +344,18 @@ def _parse_learner(section: dict, index: int, env: EnvironmentConfig) -> Learner
     kind = section.get("type")
     if kind == "ofulinmat":
         _require_keys(section, {"type", "name", "ridge", "param_bound", "delta"}, where)
+        defaults = {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3}
+        numbers = {k: _number(section.get(k, v), f"{where}.{k}") for k, v in defaults.items()}
         try:
-            estimator = EstimatorConfig(
-                ridge=float(section.get("ridge", 0.1)),
-                param_bound=float(section.get("param_bound", 3.0)),
-                delta=float(section.get("delta", 3e-3)),
-                n_experts=env.n_experts,
-            )
+            estimator = EstimatorConfig(**numbers, n_experts=env.n_experts)
         except ValueError as exc:
             raise ConfigError([f"{where}: {exc}"]) from exc
         return LearnerSpec(kind=kind, name=section.get("name", "ofulinmat"), estimator=estimator)
     if kind == "exp3":
         _require_keys(section, {"type", "name", "reward_min", "reward_max"}, where)
         default_clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
-        lo = float(section.get("reward_min", -default_clip))
-        hi = float(section.get("reward_max", default_clip))
+        lo = _number(section.get("reward_min", -default_clip), f"{where}.reward_min")
+        hi = _number(section.get("reward_max", default_clip), f"{where}.reward_max")
         if not lo < hi:
             raise ConfigError([f"{where}: reward_min must be strictly below reward_max"])
         return LearnerSpec(kind=kind, name=section.get("name", "exp3"), reward_min=lo, reward_max=hi)
@@ -385,9 +403,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     learners = tuple(
         _parse_learner(section, i, env) for i, section in enumerate(learner_sections)
     )
-    names = [spec.name for spec in learners]
-    if len(set(names)) != len(names):
-        raise ConfigError(["learners: names must be unique (set 'name' to disambiguate)"])
     master_seed = _integer(raw.get("master_seed", 0), "master_seed")
     if master_seed < 0:
         raise ConfigError([f"master_seed: must be nonnegative, got {master_seed}"])
@@ -422,30 +437,9 @@ class RunManifest:
     created_at: str
     elapsed_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "trial_seeds": self.trial_seeds,
-            "version": self.version,
-            "created_at": self.created_at,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 def trial_environment(config: ExperimentConfig, trial: int) -> Environment:
-    env_cfg = config.environment
-    seeded = EnvironmentConfig(
-        n_rows=env_cfg.n_rows,
-        n_cols=env_cfg.n_cols,
-        n_experts=env_cfg.n_experts,
-        n_episodes=env_cfg.n_episodes,
-        rounds_per_episode=env_cfg.rounds_per_episode,
-        noise_variance=env_cfg.noise_variance,
-        theta=env_cfg.theta,
-        experts=env_cfg.experts,
-        seed=[config.master_seed, trial, 0],
-    )
-    return Environment(seeded)
+    return Environment(dataclasses.replace(config.environment, seed=[config.master_seed, trial, 0]))
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
@@ -564,41 +558,42 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     """Run all trials, persist per-trial and aggregate outputs, return the manifest.
 
     Trials run in a pool of ``min(workers, trials)`` processes when that is
-    more than one; the pool starts all of its workers up front.
+    more than one; the pool starts all of its workers up front. Either way
+    results arrive in trial order, and each trial's files are written as its
+    result arrives, so only the reports of finished trials stay in memory.
+    ``manifest.json`` is written last, through a rename.
     """
     check_workers(workers)
     start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    workers = min(workers, config.trials)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_trial, config, n): n for n in range(config.trials)}
-            by_trial = {futures[f]: f.result() for f in concurrent.futures.as_completed(futures)}
-        trial_results = [by_trial[n] for n in range(config.trials)]
-    else:
-        trial_results = [run_trial(config, n) for n in range(config.trials)]
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)  # a stale manifest would mark this run complete
 
     write_metrics = _write_metrics_csv if config.output_format == "csv" else _write_metrics_jsonl
     suffix = "csv" if config.output_format == "csv" else "jsonl"
-    for n, results in enumerate(trial_results):
-        trial_root = out / "trials" / f"trial_{n:03d}"
-        trial_root.mkdir(parents=True, exist_ok=True)
-        (trial_root / "env.json").write_text(
-            json.dumps(results["environment"], sort_keys=True) + "\n"
-        )
-        for name, payload in results["learners"].items():
-            learner_dir = trial_root / name
-            learner_dir.mkdir(exist_ok=True)
-            write_metrics(learner_dir / f"metrics.{suffix}", payload["report"])
-            _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
+    reports: dict[str, list] = {spec.name: [] for spec in config.learners}
+    workers = min(workers, config.trials)
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        mapper = pool.map if pool else map
+        for n, result in enumerate(mapper(run_trial, itertools.repeat(config), range(config.trials))):
+            trial_root = out / "trials" / f"trial_{n:03d}"
+            trial_root.mkdir(parents=True, exist_ok=True)
+            (trial_root / "env.json").write_text(
+                json.dumps(result["environment"], sort_keys=True) + "\n"
+            )
+            for name, payload in result["learners"].items():
+                learner_dir = trial_root / name
+                learner_dir.mkdir(exist_ok=True)
+                write_metrics(learner_dir / f"metrics.{suffix}", payload["report"])
+                _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
+                reports[name].append(payload["report"])
 
     aggregate_dir = out / "aggregate"
     aggregate_dir.mkdir(exist_ok=True)
-    for spec in config.learners:
-        reports = [results["learners"][spec.name]["report"] for results in trial_results]
-        _write_aggregate_csv(aggregate_dir / f"{spec.name}.csv", aggregate_series(reports))
+    for name, learner_reports in reports.items():
+        _write_aggregate_csv(aggregate_dir / f"{name}.csv", aggregate_series(learner_reports))
 
     manifest = RunManifest(
         config=config_to_dict(config),
@@ -607,7 +602,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(start)),
         elapsed_seconds=time.time() - start,
     )
-    (out / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    partial = out / "manifest.json.tmp"
+    partial.write_text(json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n")
+    os.replace(partial, manifest_path)
     return manifest
 
 

@@ -101,17 +101,17 @@ class TestOFULinMatActObserve:
 
     def test_act_before_planning_raises(self):
         with pytest.raises(AgentProtocolError):
-            self.make_agent().act(1)
+            self.make_agent().act_episode(1)
 
     def test_degenerate_strategy_always_first_action(self):
         agent = self.make_agent()
         agent.current_strategy = MixedStrategy.pure(3, 0)
-        assert all(agent.act(t) == 0 for t in range(1, 50))
+        assert all(agent.act_episode(49) == 0)
 
     def test_uniform_sampling_frequencies(self):
         agent = OFULinMatAgent(10, case_study_estimator_config(n_experts=1), seed=7)
         agent.current_strategy = MixedStrategy.uniform(10)
-        draws = np.array([agent.act(1) for _ in range(10_000)])
+        draws = agent.act_episode(10_000)
         freqs = np.bincount(draws, minlength=10) / 10_000
         se = math.sqrt(0.1 * 0.9 / 10_000)
         assert np.all(np.abs(freqs - 0.1) < 3 * se + 1e-12)
@@ -122,7 +122,7 @@ class TestOFULinMatActObserve:
         for _ in range(2):
             agent = self.make_agent(seed=11)
             agent.current_strategy = strategy
-            seq.append([agent.act(t) for t in range(1, 40)])
+            seq.append(agent.act_episode(39).tolist())
         assert seq[0] == seq[1]
 
     def test_end_episode_empty_buffer_is_noop(self):
@@ -140,7 +140,7 @@ class TestOFULinMatActObserve:
         mirror = estimator_copy(agent.estimator)
         plays = [(rng.integers(3), rng.integers(3), rng.normal()) for _ in range(200)]
         for i, j, r in plays:
-            agent.observe(int(i), int(j), float(r))
+            agent.observe_episode([int(i)], [int(j)], [float(r)])
         agent.end_episode()
         for i, j, r in plays:
             mirror.absorb(stack[:, i, j], float(r))
@@ -196,8 +196,7 @@ class TestExp3:
         agent = Exp3Agent(10, seed=1)
         agent.begin_episode()
         for t in range(1, 60):
-            agent.act(t)
-            agent.observe(agent._last_action, 0, 0.0)
+            agent.observe(agent.act(t), 0, 0.0)
             assert np.allclose(agent.policy(t), 1.0 / 10)
 
     def test_scripted_trace_matches_reference(self):
@@ -211,7 +210,6 @@ class TestExp3:
             seen.append(agent.policy(t))
             agent._last_policy = seen[-1]
             agent._awaiting_feedback = True
-            agent._last_action = action
             agent.observe(action, 0, reward)
         reference = exp3_policy_trace(4, actions, rewards, -2.0, 2.0)
         for ours, theirs in zip(seen, reference):
@@ -225,14 +223,12 @@ class TestExp3:
             alpha = min(1.0, math.sqrt(5 * math.log(5) / t))
             assert policy.min() >= alpha / 5 - 1e-15
             assert policy.sum() == pytest.approx(1.0)
-            agent.act(t)
-            agent.observe(agent._last_action, 0, 1.0)
+            agent.observe(agent.act(t), 0, 1.0)
 
     def test_estimates_reset_each_episode(self):
         agent = Exp3Agent(3, seed=5)
         agent.begin_episode()
-        agent.act(1)
-        agent.observe(agent._last_action, 0, 1.0)
+        agent.observe(agent.act(1), 0, 1.0)
         assert agent.cumulative_estimates.max() > 0
         agent.begin_episode()
         assert np.array_equal(agent.cumulative_estimates, np.zeros(3))
@@ -273,12 +269,12 @@ class TestOpponents:
         opponent = SaddleOracleOpponent(seed=0)
         opponent.begin_episode(GameMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
         assert np.allclose(opponent.current_strategy.probs, [0.5, 0.5], atol=1e-7)
-        assert opponent.act() in (0, 1)
+        assert opponent.act_episode(1)[0] in (0, 1)
 
     def test_fixed_opponent_always_plays_stored_column(self):
         opponent = FixedOpponent(np.array([0.0, 1.0]), seed=1)
         opponent.begin_episode(GameMatrix(np.zeros((2, 2))))
-        assert all(opponent.act() == 1 for _ in range(20))
+        assert all(opponent.act_episode(20) == 1)
 
     def test_fixed_opponent_dimension_check(self):
         opponent = FixedOpponent(np.array([0.5, 0.5]), seed=1)
@@ -303,18 +299,18 @@ class TestOpponents:
 
     def test_act_before_begin_raises(self):
         with pytest.raises(AgentProtocolError):
-            UniformOpponent(seed=5).act()
+            UniformOpponent(seed=5).act_episode(1)
 
 
 class TestFixedStrategyAgent:
     def test_uniform_constructor(self):
         agent = FixedStrategyAgent.uniform(4, seed=0)
-        assert np.allclose(agent.last_strategy, 0.25)
+        assert np.allclose(agent.current_strategy.probs, 0.25)
 
     def test_protocol_is_inert(self):
         agent = FixedStrategyAgent(np.array([1.0, 0.0]), seed=1)
         agent.begin_episode(None)
-        assert agent.act(1) == 0
-        agent.observe(0, 0, 1.0)
+        assert agent.act_episode(1)[0] == 0
+        agent.observe_episode([0], [0], [1.0])
         agent.end_episode()
-        assert np.array_equal(agent.last_strategy, [1.0, 0.0])
+        assert np.array_equal(agent.current_strategy.probs, [1.0, 0.0])

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expertgames import harness
 from expertgames.cli import main as cli_main
 from expertgames.harness import (
     ConfigError,
@@ -120,6 +121,13 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="names must be unique"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("name", ["../escaped", "", 5, "env.json", "ofulinmat"])
+    def test_learner_names_checked_on_direct_construction(self, name):
+        learners = tiny_config().learners
+        bad = LearnerSpec(kind="uniform", name=name)
+        with pytest.raises(ConfigError, match=r"learners\[2\]\.name: "):
+            tiny_config(learners=learners + (bad,))
+
     def test_invalid_field_values_are_reported(self):
         raw = config_to_dict(tiny_config())
         raw["learners"][0]["delta"] = 2.0
@@ -231,6 +239,24 @@ class TestRunExperiment:
         run_experiment(tiny_config(trials=trials), tmp_path / "run", workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(list((tmp_path / "run/trials").iterdir())) == trials
+
+    def test_crashed_run_has_trial_files_but_no_manifest(self, tmp_path, monkeypatch):
+        def crash_on_second(config, trial):
+            if trial == 1:
+                raise RuntimeError("trial 1 failed")
+            return run_trial(config, trial)
+
+        monkeypatch.setattr(harness, "run_trial", crash_on_second)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")  # left by an earlier run
+        with pytest.raises(RuntimeError, match="trial 1 failed"):
+            run_experiment(tiny_config(trials=2), out)
+        assert (out / "trials/trial_000/env.json").is_file()
+        assert (out / "trials/trial_000/exp3/trace.jsonl").is_file()
+        assert not (out / "trials/trial_001").exists()
+        assert not (out / "manifest.json").exists()
+        assert not (out / "aggregate").exists()
 
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
@@ -393,6 +419,30 @@ class TestCli:
                     experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=True)}
                 ),
             ),
+            ("learners[0].name", lambda raw: raw["learners"][0].update(name=5)),
+            ("learners[1].name", lambda raw: raw["learners"][1].update(name="../escaped")),
+            ("learners[0].name", lambda raw: raw["learners"][0].update(name="env.json")),
+            (
+                "environment.noise_variance",
+                lambda raw: raw["environment"].update(noise_variance="x"),
+            ),
+            ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=True)),
+            ("learners[0].delta", lambda raw: raw["learners"][0].update(delta="0.01")),
+            ("learners[1].reward_max", lambda raw: raw["learners"][1].update(reward_max=True)),
+            (
+                "environment.theta_star.mean",
+                lambda raw: raw["environment"]["theta_star"].update(mean=float("nan")),
+            ),
+            (
+                "environment.theta_star.norm_bound",
+                lambda raw: raw["environment"]["theta_star"].update(norm_bound=-1),
+            ),
+            (
+                "environment.theta_star.values[1]",
+                lambda raw: raw["environment"].update(
+                    theta_star={"type": "fixed", "values": [1.0, float("inf")]}
+                ),
+            ),
         ],
         ids=[
             "bool-trials",
@@ -406,6 +456,16 @@ class TestCli:
             "expert-entry-above-one",
             "expert-stack-wrong-shape",
             "expert-entry-true",
+            "integer-name",
+            "escaping-name",
+            "file-name",
+            "string-noise",
+            "bool-ridge",
+            "string-delta",
+            "bool-reward-max",
+            "nan-theta-mean",
+            "negative-norm-bound",
+            "infinite-theta-value",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
