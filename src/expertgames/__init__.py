@@ -26,17 +26,9 @@ from .environment import (
     ExpertEnsemble,
     ExpertSpec,
     ThetaSpec,
-    emit_reward,
 )
 from .estimator import EstimatorConfig, RidgeEstimator
-from .game import (
-    GameMatrix,
-    MixedStrategy,
-    SaddlePoint,
-    best_response_value,
-    expected_payoff,
-    solve_saddle_point,
-)
+from .game import GameMatrix, MixedStrategy, SaddlePoint, solve_saddle_point
 from .harness import (
     ExperimentConfig,
     LearnerSpec,
@@ -72,12 +64,9 @@ __all__ = [
     "SaddlePoint",
     "ThetaSpec",
     "UniformOpponent",
-    "best_response_value",
     "build_report",
     "default_paper_config",
     "emit_plot_data",
-    "emit_reward",
-    "expected_payoff",
     "load_config",
     "replay_manifest",
     "run_experiment",

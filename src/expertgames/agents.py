@@ -77,7 +77,6 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.planned_theta: np.ndarray | None = None
         self.planned_beta: float | None = None
         self.cap_active = False
-        self.cap_episodes = 0
         self._ensemble = None
         self._buffer_features: list[np.ndarray] = []
         self._buffer_rewards: list[np.ndarray] = []
@@ -101,7 +100,6 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
             # Fall back to the norm-ball payoff cap on every entry.
             cap = mean + cfg.param_bound * np.linalg.norm(feats, axis=0)
             optimistic = np.minimum(optimistic, cap)
-            self.cap_episodes += 1
         matrix = optimistic.reshape(ensemble.rows, ensemble.cols)
         saddle = solve_saddle_point(matrix)
         self.current_strategy = saddle.row_strategy

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 unwritable output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     check_workers,
-    config_from_dict,
     config_to_dict,
     default_paper_config,
     emit_plot_data,
@@ -85,16 +85,10 @@ def _check_writable(out_dir: Path) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if overrides:
-            raw = config_to_dict(config)
-            raw.update(overrides)
-            config = config_from_dict(raw)
+        overrides = {"master_seed": args.seed, "trials": args.trials}
+        config = dataclasses.replace(
+            load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
+        )
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -35,7 +35,6 @@ class ExpertEnsemble:
     """
 
     matrices: np.ndarray
-    episode: int = 0
 
     def __post_init__(self):
         stack = np.asarray(self.matrices, dtype=float)
@@ -59,12 +58,6 @@ class ExpertEnsemble:
     @property
     def cols(self) -> int:
         return self.matrices.shape[2]
-
-    def features(self, i: int, j: int) -> np.ndarray:
-        """Expert readings of entry (i, j); components in [0,1], norm <= sqrt(S)."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} game")
-        return self.matrices[:, i, j].copy()
 
     def feature_matrix(self) -> np.ndarray:
         """All entries' features as an (n_experts, rows*cols) column stack."""
@@ -124,14 +117,14 @@ class EnvironmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("both action counts must be at least 1")
-        if self.n_experts < 1:
-            raise ValueError("n_experts must be at least 1")
-        if self.n_episodes < 1 or self.rounds_per_episode < 1:
-            raise ValueError("n_episodes and rounds_per_episode must be at least 1")
+        for name in ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name}: must be at least 1, got {value}")
         if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
-            raise ValueError("noise_variance must be finite and nonnegative")
+            raise ValueError(
+                f"noise_variance: must be finite and nonnegative, got {self.noise_variance}"
+            )
 
 
 @dataclass
@@ -151,14 +144,6 @@ class EpisodeTrace:
     beta: float | None = None
     theta_error: float | None = None
     diagnostics: dict[str, float] = field(default_factory=dict)
-
-
-def emit_reward(matrix, i: int, j: int, noise_variance: float, rng: np.random.Generator) -> float:
-    """One noisy payoff observation: M[i, j] + N(0, noise_variance)."""
-    game = matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)
-    if not (0 <= i < game.rows and 0 <= j < game.cols):
-        raise IndexError(f"entry ({i}, {j}) outside a {game.rows}x{game.cols} game")
-    return float(game.entries[i, j] + rng.normal(0.0, math.sqrt(noise_variance)))
 
 
 def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -271,7 +256,7 @@ class Environment:
         self._saddles: dict[int, SaddlePoint] = {}
 
     def ensemble(self, episode: int) -> ExpertEnsemble:
-        return ExpertEnsemble(self._expert_stacks[episode], episode=episode)
+        return ExpertEnsemble(self._expert_stacks[episode])
 
     def true_game(self, episode: int) -> GameMatrix:
         return GameMatrix(self._true_games[episode])
@@ -329,8 +314,7 @@ class Environment:
             theta_hat = np.asarray(theta_hat, dtype=float)
             theta_error = float(np.linalg.norm(theta_hat - self.theta_star))
             if estimator is not None and beta is not None:
-                err_norm = estimator.mahalanobis_norm(self.theta_star - theta_hat)
-                diagnostics["coverage"] = float(err_norm <= math.sqrt(beta))
+                diagnostics["coverage"] = float(estimator.covers(self.theta_star))
             optimistic = getattr(learner, "optimistic_matrix", None)
             if optimistic is not None:
                 true_mean = ensemble.mix(self.theta_star)

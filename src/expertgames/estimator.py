@@ -33,14 +33,14 @@ class EstimatorConfig:
     n_experts: int
 
     def __post_init__(self):
-        if not (self.ridge > 0 and math.isfinite(self.ridge)):
-            raise ValueError("ridge must be a positive finite number")
-        if not (self.param_bound > 0 and math.isfinite(self.param_bound)):
-            raise ValueError("param_bound must be a positive finite number")
+        for name in ("ridge", "param_bound"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name}: must be a positive finite number, got {value}")
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie strictly between 0 and 1")
+            raise ValueError(f"delta: must lie strictly between 0 and 1, got {self.delta}")
         if self.n_experts < 1:
-            raise ValueError("n_experts must be at least 1")
+            raise ValueError(f"n_experts: must be at least 1, got {self.n_experts}")
 
 
 class RidgeEstimator:
@@ -127,19 +127,6 @@ class RidgeEstimator:
         log_ratio = 0.5 * (self.log_det() - cfg.n_experts * math.log(cfg.ridge))
         inner = log_ratio + math.log(1.0 / cfg.delta)
         return (math.sqrt(2.0 * inner) + math.sqrt(cfg.ridge) * cfg.param_bound) ** 2
-
-    def beta_radius_closed_form(self) -> float:
-        """Looser closed-form radius bound, exposed as a diagnostic only.
-
-        Replaces the determinant ratio by its dimension-based upper bound
-        with n absorbed unit-norm-bounded features.
-        """
-        cfg = self.config
-        growth = cfg.n_experts * math.log((cfg.ridge + self.n_obs) / cfg.ridge)
-        root = math.sqrt(cfg.ridge) * cfg.param_bound + math.sqrt(
-            2.0 * math.log(1.0 / cfg.delta) + growth
-        )
-        return root**2
 
     def ellipsoid_norms(self, columns: np.ndarray) -> np.ndarray:
         """Column-wise sqrt(z' gram^-1 z) for a (dim, n) stack of vectors."""

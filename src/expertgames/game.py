@@ -81,17 +81,14 @@ class MixedStrategy:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(self.probs)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw a pure action index from this distribution."""
-        idx = int(np.searchsorted(self._cumulative, rng.random(), side="right"))
-        return min(idx, self.n_actions - 1)
-
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` pure action indices at once.
 
-        One ``rng.random(n)`` call consumes the generator exactly like ``n``
-        calls of :meth:`sample`, so the result equals them bit for bit. The
-        clip covers a cumulative sum that rounds to just below 1.
+        Each action is the first index whose cumulative probability exceeds
+        a uniform draw. One ``rng.random(n)`` call consumes the generator
+        exactly like ``n`` calls of ``rng.random()``, so the result equals
+        ``n`` single draws bit for bit. The clip covers a cumulative sum that
+        rounds to just below 1.
         """
         idx = np.searchsorted(self._cumulative, rng.random(n), side="right")
         return np.minimum(idx, self.n_actions - 1)
@@ -118,12 +115,6 @@ class SaddlePoint:
 
 def _coerce_game(matrix) -> GameMatrix:
     return matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)
-
-
-def _coerce_strategy(strategy) -> np.ndarray:
-    if isinstance(strategy, MixedStrategy):
-        return strategy.probs
-    return MixedStrategy(strategy).probs
 
 
 def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -202,35 +193,3 @@ def solve_saddle_point(matrix) -> SaddlePoint:
         value=value,
     )
 
-
-def expected_payoff(matrix, row_strategy, col_strategy) -> float:
-    """Bilinear payoff mu' M nu to the row player."""
-    game = _coerce_game(matrix)
-    mu = _coerce_strategy(row_strategy)
-    nu = _coerce_strategy(col_strategy)
-    if mu.size != game.rows or nu.size != game.cols:
-        raise ValueError(
-            f"strategy dimensions ({mu.size}, {nu.size}) do not match "
-            f"game shape {game.rows}x{game.cols}"
-        )
-    return float(mu @ game.entries @ nu)
-
-
-def best_response_value(matrix, opponent, side: str) -> float:
-    """Value of the best pure response against an opponent mixed strategy.
-
-    side="row": the row player responds, so the value is the maximum over
-    pure rows of (M @ opponent). side="col": the column player responds, so
-    the value is the minimum over pure columns of (opponent @ M).
-    """
-    game = _coerce_game(matrix)
-    probs = _coerce_strategy(opponent)
-    if side == "row":
-        if probs.size != game.cols:
-            raise ValueError("opponent strategy length must equal the column count")
-        return float((game.entries @ probs).max())
-    if side == "col":
-        if probs.size != game.rows:
-            raise ValueError("opponent strategy length must equal the row count")
-        return float((probs @ game.entries).min())
-    raise ValueError(f"side must be 'row' or 'col', got {side!r}")

@@ -70,12 +70,21 @@ def _require_keys(section: dict, allowed: set[str], where: str):
         raise ConfigError([f"{where}: unknown key {key!r}" for key in unknown])
 
 
+def _object(section, where: str) -> dict:
+    """A JSON object; checked before anything else reads the section."""
+    if not isinstance(section, dict):
+        raise ConfigError([f"{where}: must be an object"])
+    return section
+
+
 def _integer(value, where: str) -> int:
     """A JSON count or seed: an integral number, never a bool (JSON true is 1)."""
-    integral = isinstance(value, (int, float)) and float(value).is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ConfigError([f"{where}: must be an integer, got {value!r}"])
-    return int(value)
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if real and abs(value) > sys.float_info.max:  # float() would overflow
+        raise ConfigError([f"{where}: must be at most {sys.float_info.max:.4g} in magnitude"])
+    if real and float(value).is_integer():
+        return int(value)
+    raise ConfigError([f"{where}: must be an integer, got {value!r}"])
 
 
 def _number(value, where: str) -> float:
@@ -107,7 +116,7 @@ class LearnerSpec:
     reward_max: float | None = None
     strategy: tuple[float, ...] | None = None
 
-    def build(self, n_actions: int, n_experts: int, seed):
+    def build(self, n_actions: int, seed):
         if self.kind == "ofulinmat":
             return OFULinMatAgent(n_actions, self.estimator, seed=seed)
         if self.kind == "exp3":
@@ -150,6 +159,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError(["trials: must be at least 1"])
+        if self.master_seed < 0:
+            raise ConfigError([f"master_seed: must be nonnegative, got {self.master_seed}"])
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError([f"output_format: must be one of {OUTPUT_FORMATS}"])
         if not self.learners:
@@ -239,33 +250,30 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _parse_theta(section: dict, n_experts: int) -> ThetaSpec:
-    _require_keys(section, {"type", "values", "mean", "norm_bound"}, "environment.theta_star")
-    kind = section.get("type", "gaussian")
+def _parse_theta(section, n_experts: int) -> ThetaSpec:
+    where = "environment.theta_star"
+    kind = _object(section, where).get("type", "gaussian")
     if kind == "fixed":
+        _require_keys(section, {"type", "values"}, where)
         if "values" not in section:
-            raise ConfigError(["environment.theta_star: fixed weights need 'values'"])
+            raise ConfigError([f"{where}: fixed weights need 'values'"])
         values = section["values"]
         if not isinstance(values, (list, tuple)) or len(values) != n_experts:
-            raise ConfigError(
-                [f"environment.theta_star.values: must list {n_experts} weights, got {values!r}"]
-            )
-        where = "environment.theta_star.values"
+            raise ConfigError([f"{where}.values: must list {n_experts} weights, got {values!r}"])
         return ThetaSpec(
-            kind="fixed", values=tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(values))
+            kind="fixed",
+            values=tuple(_number(v, f"{where}.values[{k}]") for k, v in enumerate(values)),
         )
+    if kind != "gaussian":
+        raise ConfigError([f"{where}.type: must be 'gaussian' or 'fixed', got {kind!r}"])
+    _require_keys(section, {"type", "mean", "norm_bound"}, where)
     norm_bound = section.get("norm_bound")
     if norm_bound is not None:
-        norm_bound = _number(norm_bound, "environment.theta_star.norm_bound")
+        norm_bound = _number(norm_bound, f"{where}.norm_bound")
         if norm_bound <= 0:
-            raise ConfigError(
-                [f"environment.theta_star.norm_bound: must be positive, got {norm_bound}"]
-            )
-    return ThetaSpec(
-        kind="gaussian",
-        mean=_number(section.get("mean", 0.5), "environment.theta_star.mean"),
-        norm_bound=norm_bound,
-    )
+            raise ConfigError([f"{where}.norm_bound: must be positive, got {norm_bound}"])
+    mean = _number(section.get("mean", 0.5), f"{where}.mean")
+    return ThetaSpec(kind="gaussian", mean=mean, norm_bound=norm_bound)
 
 
 def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
@@ -294,18 +302,22 @@ def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
     return tuple(values)
 
 
-def _parse_experts(section: dict, shape: tuple[int, ...]) -> ExpertSpec:
-    _require_keys(section, {"type", "matrices"}, "environment.experts")
-    kind = section.get("type", "uniform")
+def _parse_experts(section, shape: tuple[int, ...]) -> ExpertSpec:
+    where = "environment.experts"
+    kind = _object(section, where).get("type", "uniform")
     if kind == "fixed":
+        _require_keys(section, {"type", "matrices"}, where)
         if "matrices" not in section:
-            raise ConfigError(["environment.experts: fixed experts need 'matrices'"])
-        matrices = _expert_stack(section["matrices"], shape, "environment.experts.matrices")
+            raise ConfigError([f"{where}: fixed experts need 'matrices'"])
+        matrices = _expert_stack(section["matrices"], shape, f"{where}.matrices")
         return ExpertSpec(kind="fixed", matrices=matrices)
+    if kind != "uniform":
+        raise ConfigError([f"{where}.type: must be 'uniform' or 'fixed', got {kind!r}"])
+    _require_keys(section, {"type"}, where)
     return ExpertSpec(kind="uniform")
 
 
-def _parse_environment(section: dict) -> EnvironmentConfig:
+def _parse_environment(section) -> EnvironmentConfig:
     allowed = {
         "n_rows",
         "n_cols",
@@ -316,40 +328,37 @@ def _parse_environment(section: dict) -> EnvironmentConfig:
         "theta_star",
         "experts",
     }
-    _require_keys(section, allowed, "environment")
+    _require_keys(_object(section, "environment"), allowed, "environment")
     counts = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
     missing = [k for k in counts if k not in section]
     if missing:
         raise ConfigError([f"environment: missing key {k!r}" for k in missing])
     sizes = {k: _integer(section[k], f"environment.{k}") for k in counts}
+    noise_variance = _number(section.get("noise_variance", 0.0), "environment.noise_variance")
     try:
-        return EnvironmentConfig(
-            **sizes,
-            noise_variance=_number(section.get("noise_variance", 0.0), "environment.noise_variance"),
-            theta=_parse_theta(section.get("theta_star", {}), sizes["n_experts"]),
-            experts=_parse_experts(
-                section.get("experts", {}),
-                tuple(sizes[k] for k in ("n_episodes", "n_experts", "n_rows", "n_cols")),
-            ),
-            seed=0,  # per-trial seeds come from the master seed
-        )
-    except ConfigError:
-        raise  # already names its field
-    except ValueError as exc:
-        raise ConfigError([f"environment: {exc}"]) from exc
+        env = EnvironmentConfig(**sizes, noise_variance=noise_variance)
+    except ValueError as exc:  # the message starts with the field's name
+        raise ConfigError([f"environment.{exc}"]) from exc
+    return dataclasses.replace(
+        env,
+        theta=_parse_theta(section.get("theta_star", {}), env.n_experts),
+        experts=_parse_experts(
+            section.get("experts", {}), (env.n_episodes, env.n_experts, env.n_rows, env.n_cols)
+        ),
+    )
 
 
-def _parse_learner(section: dict, index: int, env: EnvironmentConfig) -> LearnerSpec:
+def _parse_learner(section, index: int, env: EnvironmentConfig) -> LearnerSpec:
     where = f"learners[{index}]"
-    kind = section.get("type")
+    kind = _object(section, where).get("type")
     if kind == "ofulinmat":
         _require_keys(section, {"type", "name", "ridge", "param_bound", "delta"}, where)
         defaults = {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3}
         numbers = {k: _number(section.get(k, v), f"{where}.{k}") for k, v in defaults.items()}
         try:
             estimator = EstimatorConfig(**numbers, n_experts=env.n_experts)
-        except ValueError as exc:
-            raise ConfigError([f"{where}: {exc}"]) from exc
+        except ValueError as exc:  # the message starts with the field's name
+            raise ConfigError([f"{where}.{exc}"]) from exc
         return LearnerSpec(kind=kind, name=section.get("name", "ofulinmat"), estimator=estimator)
     if kind == "exp3":
         _require_keys(section, {"type", "name", "reward_min", "reward_max"}, where)
@@ -374,8 +383,8 @@ def _parse_learner(section: dict, index: int, env: EnvironmentConfig) -> Learner
     raise ConfigError([f"{where}: unknown or missing learner type {kind!r}"])
 
 
-def _parse_opponent(section: dict, env: EnvironmentConfig) -> OpponentSpec:
-    _require_keys(section, {"type", "strategy"}, "opponent")
+def _parse_opponent(section, env: EnvironmentConfig) -> OpponentSpec:
+    _require_keys(_object(section, "opponent"), {"type", "strategy"}, "opponent")
     kind = section.get("type")
     if kind in ("saddle_oracle", "uniform", "best_responder"):
         return OpponentSpec(kind=kind)
@@ -389,10 +398,8 @@ def _parse_opponent(section: dict, env: EnvironmentConfig) -> OpponentSpec:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(["config: top level must be an object"])
     allowed = {"environment", "learners", "opponent", "trials", "master_seed", "output_format"}
-    _require_keys(raw, allowed, "config")
+    _require_keys(_object(raw, "config"), allowed, "config")
     for key in ("environment", "learners", "opponent"):
         if key not in raw:
             raise ConfigError([f"config: missing section {key!r}"])
@@ -403,15 +410,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     learners = tuple(
         _parse_learner(section, i, env) for i, section in enumerate(learner_sections)
     )
-    master_seed = _integer(raw.get("master_seed", 0), "master_seed")
-    if master_seed < 0:
-        raise ConfigError([f"master_seed: must be nonnegative, got {master_seed}"])
     return ExperimentConfig(
         environment=env,
         learners=learners,
         opponent=_parse_opponent(raw["opponent"], env),
         trials=_integer(raw.get("trials", 1), "trials"),
-        master_seed=master_seed,
+        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
         output_format=str(raw.get("output_format", "csv")),
     )
 
@@ -449,9 +453,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     for index, spec in enumerate(config.learners):
         learner_seed = np.random.SeedSequence([config.master_seed, trial, 1, index])
         opponent_seed = np.random.SeedSequence([config.master_seed, trial, 2, index])
-        learner = spec.build(
-            config.environment.n_rows, config.environment.n_experts, np.random.default_rng(learner_seed)
-        )
+        learner = spec.build(config.environment.n_rows, np.random.default_rng(learner_seed))
         opponent = config.opponent.build(np.random.default_rng(opponent_seed))
         traces = env.run_trial(learner, opponent)
         learners[spec.name] = {"traces": traces, "report": build_report(traces)}

@@ -5,7 +5,10 @@ oracle enumerates equilibrium supports and solves small linear systems, the
 ridge oracles rebuild their answers from scratch with dense solves, and the
 adversarial-bandit oracle is a straight-line transcription of the two policy
 formulas, and the regret increments score one round at a time, the way the
-simulator's vectorized episode metrics must add up.
+simulator's vectorized episode metrics must add up. The reference helpers
+(bilinear payoffs, best responses, single draws and rewards, expert readings,
+the closed-form radius) score one entry or one draw at a time; no simulator
+code path calls them.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from expertgames.environment import ExpertEnsemble
 from expertgames.estimator import RidgeEstimator
-from expertgames.game import best_response_value, expected_payoff
+from expertgames.game import GameMatrix, MixedStrategy
 
 _FEAS_TOL = 1e-8
 
@@ -96,6 +100,68 @@ def _solve_support_pair(m, rows, cols):
     return value, mu, nu
 
 
+def _payoffs(matrix) -> np.ndarray:
+    return (matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)).entries
+
+
+def _probs(strategy) -> np.ndarray:
+    return (strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)).probs
+
+
+def expected_payoff(matrix, row_strategy, col_strategy) -> float:
+    """Bilinear payoff mu' M nu to the row player."""
+    m = _payoffs(matrix)
+    mu = _probs(row_strategy)
+    nu = _probs(col_strategy)
+    if (mu.size, nu.size) != m.shape:
+        raise ValueError(
+            f"strategy dimensions ({mu.size}, {nu.size}) do not match game shape {m.shape}"
+        )
+    return float(mu @ m @ nu)
+
+
+def best_response_value(matrix, opponent, side: str) -> float:
+    """Value of the best pure response against an opponent mixed strategy.
+
+    side="row": the row player responds, so the value is the maximum over
+    pure rows of (M @ opponent). side="col": the column player responds, so
+    the value is the minimum over pure columns of (opponent @ M).
+    """
+    m = _payoffs(matrix)
+    probs = _probs(opponent)
+    if side == "row":
+        if probs.size != m.shape[1]:
+            raise ValueError("opponent strategy length must equal the column count")
+        return float((m @ probs).max())
+    if side == "col":
+        if probs.size != m.shape[0]:
+            raise ValueError("opponent strategy length must equal the row count")
+        return float((probs @ m).min())
+    raise ValueError(f"side must be 'row' or 'col', got {side!r}")
+
+
+def sample_action(strategy: MixedStrategy, rng) -> int:
+    """One inverse-CDF draw: the first action whose cumulative probability
+    exceeds one ``rng.random()``, clipped to the last action."""
+    idx = int(np.searchsorted(np.cumsum(strategy.probs), rng.random(), side="right"))
+    return min(idx, strategy.n_actions - 1)
+
+
+def emit_reward(matrix, i: int, j: int, noise_variance: float, rng: np.random.Generator) -> float:
+    """One noisy payoff observation: M[i, j] + N(0, noise_variance)."""
+    m = _payoffs(matrix)
+    if not (0 <= i < m.shape[0] and 0 <= j < m.shape[1]):
+        raise IndexError(f"entry ({i}, {j}) outside a {m.shape[0]}x{m.shape[1]} game")
+    return float(m[i, j] + rng.normal(0.0, math.sqrt(noise_variance)))
+
+
+def expert_features(ensemble: ExpertEnsemble, i: int, j: int) -> np.ndarray:
+    """Expert readings of entry (i, j); components in [0,1], norm <= sqrt(S)."""
+    if not (0 <= i < ensemble.rows and 0 <= j < ensemble.cols):
+        raise IndexError(f"entry ({i}, {j}) outside a {ensemble.rows}x{ensemble.cols} game")
+    return ensemble.matrices[:, i, j].copy()
+
+
 def ridge_solution(features: np.ndarray, rewards: np.ndarray, ridge: float) -> np.ndarray:
     """Closed-form ridge estimate from scratch: (lam I + Z'Z)^-1 Z'r."""
     z = np.asarray(features, dtype=float)
@@ -119,6 +185,17 @@ def confidence_radius_from_scratch(
     assert sign > 0
     inner = 0.5 * (log_det - dim * math.log(ridge)) + math.log(1.0 / delta)
     return (math.sqrt(2.0 * inner) + math.sqrt(ridge) * bound) ** 2
+
+
+def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
+    """Looser closed-form radius: the determinant ratio replaced by its
+    dimension-based upper bound for n absorbed unit-norm-bounded features."""
+    cfg = estimator.config
+    growth = cfg.n_experts * math.log((cfg.ridge + estimator.n_obs) / cfg.ridge)
+    root = math.sqrt(cfg.ridge) * cfg.param_bound + math.sqrt(
+        2.0 * math.log(1.0 / cfg.delta) + growth
+    )
+    return root**2
 
 
 def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:

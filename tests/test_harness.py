@@ -134,6 +134,28 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=r"learners\[0\]"):
             config_from_dict(raw)
 
+    def test_master_seed_checked_on_direct_construction(self):
+        with pytest.raises(ConfigError, match="^master_seed: must be nonnegative, got -1$"):
+            tiny_config(master_seed=-1)
+
+    @pytest.mark.parametrize(
+        "path, mutate",
+        [
+            ("environment", lambda raw: raw.update(environment=[])),
+            ("environment.theta_star", lambda raw: raw["environment"].update(theta_star=[1])),
+            ("environment.experts", lambda raw: raw["environment"].update(experts="uniform")),
+            ("learners[0]", lambda raw: raw.update(learners=["ofulinmat"])),
+            ("opponent", lambda raw: raw.update(opponent="saddle_oracle")),
+        ],
+        ids=["environment", "theta-star", "experts", "learner", "opponent"],
+    )
+    def test_sections_must_be_objects(self, path, mutate):
+        raw = config_to_dict(tiny_config())
+        mutate(raw)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == [f"{path}: must be an object"]
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -443,6 +465,38 @@ class TestCli:
                     theta_star={"type": "fixed", "values": [1.0, float("inf")]}
                 ),
             ),
+            (
+                "environment.theta_star.type",
+                lambda raw: raw["environment"].update(theta_star={"type": "bogus"}),
+            ),
+            (
+                "environment.experts.type",
+                lambda raw: raw["environment"].update(experts={"type": "unifrom"}),
+            ),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"].update(
+                    theta_star={"type": "fixed", "values": [1.0, 0.0], "norm_bound": 2.0}
+                ),
+            ),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"]["theta_star"].update(values=[1.0, 0.0]),
+            ),
+            (
+                "environment.experts",
+                lambda raw: raw["environment"]["experts"].update(
+                    matrices=fixed_experts((2, 2, 3, 3))
+                ),
+            ),
+            ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=10**400)),
+            ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=0)),
+            (
+                "environment.noise_variance",
+                lambda raw: raw["environment"].update(noise_variance=-1),
+            ),
+            ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=0)),
+            ("learners[0].delta", lambda raw: raw["learners"][0].update(delta=2)),
         ],
         ids=[
             "bool-trials",
@@ -466,6 +520,16 @@ class TestCli:
             "nan-theta-mean",
             "negative-norm-bound",
             "infinite-theta-value",
+            "unknown-theta-type",
+            "unknown-expert-type",
+            "norm-bound-on-fixed-theta",
+            "values-on-gaussian-theta",
+            "matrices-on-uniform-experts",
+            "huge-rows",
+            "zero-rows",
+            "negative-noise",
+            "zero-ridge",
+            "delta-above-one",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):

@@ -10,13 +10,14 @@ from expertgames.agents import (
 )
 from expertgames.environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
 from expertgames.estimator import EstimatorConfig
-from expertgames.game import expected_payoff, solve_saddle_point
+from expertgames.game import solve_saddle_point
 from expertgames.metrics import METRIC_KEYS, build_report
 
 from oracles import (
     best_response_regret_increment,
     best_response_regret_increment_p2,
     exp3_policy_trace,
+    expected_payoff,
     hindsight_best_row_regret,
     pseudo_saddle_regret_increment,
     saddle_regret_increment,
