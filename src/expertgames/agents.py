@@ -26,6 +26,8 @@ strategies let the simulator compute expectation-form metrics exactly.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -141,7 +143,19 @@ class Exp3Agent:
     [reward_min, reward_max] into [0, 1] and clipped (the softmax estimator
     needs bounded nonnegative rewards). Estimates reset at every episode
     boundary.
+
+    A round touches n numbers, so it runs on Python floats, which round
+    exactly like float64; only the exponentials and their total go through
+    numpy, whose ``exp`` and pairwise ``sum`` can differ from ``math.exp``
+    and a running sum in the last bit. Each action is the first one whose
+    cumulative policy mass exceeds one ``rng.random()`` draw. The draws are
+    taken in blocks of ``_UNIFORM_BLOCK`` that carry over from one episode
+    to the next. A block holds the same numbers as that many single draws,
+    so the actions equal one draw per round as long as nothing else draws
+    from the agent's generator; the harness gives each learner its own.
     """
+
+    _UNIFORM_BLOCK = 256
 
     def __init__(self, n_actions: int, seed=None, reward_min: float = 0.0, reward_max: float = 1.0):
         if not reward_min < reward_max:
@@ -150,27 +164,33 @@ class Exp3Agent:
         self.rng = _rng(seed)
         self.reward_min = float(reward_min)
         self.reward_max = float(reward_max)
-        self.cumulative_estimates = np.zeros(n_actions)
-        self._last_policy: np.ndarray | None = None
+        self.cumulative_estimates = [0.0] * n_actions
+        self._last_policy: list[float] | None = None
         self._awaiting_feedback = False
+        self._uniforms: list[float] = []
+        self._next_uniform = 0
 
     @property
-    def last_strategy(self) -> np.ndarray | None:
+    def last_strategy(self) -> list[float] | None:
         return self._last_policy
 
-    def policy(self, t: int) -> np.ndarray:
+    def policy(self, t: int) -> list[float]:
         if t < 1:
             raise ValueError("round index must be >= 1")
         n = self.n_actions
         log_n = math.log(n)
         alpha = min(1.0, math.sqrt(n * log_n / t))
         gamma = math.sqrt(2.0 * log_n / (n * t))
-        scores = gamma * self.cumulative_estimates
-        weights = np.exp(scores - scores.max())
-        return alpha / n + (1.0 - alpha) * weights / weights.sum()
+        scores = [gamma * g for g in self.cumulative_estimates]
+        top = max(scores)
+        weights = np.exp([s - top for s in scores])
+        total = float(weights.sum())
+        floor = alpha / n
+        mix = 1.0 - alpha
+        return [floor + mix * w / total for w in weights.tolist()]
 
     def begin_episode(self, ensemble=None) -> None:
-        self.cumulative_estimates[:] = 0.0
+        self.cumulative_estimates = [0.0] * self.n_actions
         self._last_policy = None
         self._awaiting_feedback = False
 
@@ -178,8 +198,12 @@ class Exp3Agent:
         if self._awaiting_feedback:
             raise AgentProtocolError("act() called twice without observe()")
         policy = self.policy(t)
-        cutoffs = np.cumsum(policy)
-        action = min(int(np.searchsorted(cutoffs, self.rng.random(), side="right")), self.n_actions - 1)
+        if self._next_uniform == len(self._uniforms):
+            self._uniforms = self.rng.random(self._UNIFORM_BLOCK).tolist()
+            self._next_uniform = 0
+        u = self._uniforms[self._next_uniform]
+        self._next_uniform += 1
+        action = min(bisect.bisect_right(list(itertools.accumulate(policy)), u), self.n_actions - 1)
         self._last_policy = policy
         self._awaiting_feedback = True
         return action

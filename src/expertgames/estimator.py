@@ -3,8 +3,15 @@
 Tracks the regularized Gram matrix and the reward-weighted feature sum, and
 exposes the point estimate, the confidence-ball radius, and Mahalanobis-type
 norms. All inverse applications go through a Cholesky factor of the Gram
-matrix; the factor is cached and only rebuilt after new observations, so a
-whole planning step reuses a single factorization.
+matrix, refreshed whenever observations are folded in, so a whole planning
+step reuses a single factorization.
+
+New observations wait in a pending buffer. ``absorb_batch`` and every read
+fold them in together: one small Cholesky factorization per block of rows
+yields each row's exploration-potential term against the Gram matrix of all
+rows before it, where a per-row update would need one linear solve per row.
+A fold that would leave the Gram matrix not finite or not positive definite
+raises ``ValueError`` and leaves the state as it was.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+
+# Rows per potential-term factorization when folding pending observations in.
+_FLUSH_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -55,19 +65,40 @@ class RidgeEstimator:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         dim = config.n_experts
-        self.gram = config.ridge * np.eye(dim)
-        self.xty = np.zeros(dim)
-        self.n_obs = 0
-        self.potential_sum = 0.0
-        self._chol: np.ndarray | None = None
+        self._gram = config.ridge * np.eye(dim)
+        self._xty = np.zeros(dim)
+        self._n_obs = 0
+        self._potential_sum = 0.0
+        self._chol = np.linalg.cholesky(self._gram)  # always the factor of _gram
+        self._pending_features: list[np.ndarray] = []
+        self._pending_rewards: list[np.ndarray] = []
+
+    @property
+    def gram(self) -> np.ndarray:
+        self._flush()
+        return self._gram
+
+    @property
+    def xty(self) -> np.ndarray:
+        self._flush()
+        return self._xty
+
+    @property
+    def n_obs(self) -> int:
+        self._flush()
+        return self._n_obs
+
+    @property
+    def potential_sum(self) -> float:
+        self._flush()
+        return self._potential_sum
 
     def _factor(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol = np.linalg.cholesky(self.gram)
+        self._flush()
         return self._chol
 
     def absorb(self, features, reward: float) -> None:
-        """Fold one (feature vector, reward) observation into the state."""
+        """Queue one (feature vector, reward) observation for the next read."""
         z = np.asarray(features, dtype=float)
         if z.shape != (self.config.n_experts,):
             raise ValueError(
@@ -75,14 +106,17 @@ class RidgeEstimator:
             )
         if not (np.all(np.isfinite(z)) and math.isfinite(reward)):
             raise ValueError("features and reward must be finite")
-        self._absorb_row(z, float(reward))
+        self._pending_features.append(z[None])
+        self._pending_rewards.append(np.array([reward], dtype=float))
 
     def absorb_batch(self, features, rewards) -> None:
-        """Absorb a whole episode of observations, one at a time, in order.
+        """Absorb a whole episode of observations, in order, and fold them in now.
 
-        The batch is validated once; each row then takes exactly the update
-        of :meth:`absorb`, so the state equals sequential absorption bit for
-        bit.
+        The batch is validated once and joins any rows queued by
+        :meth:`absorb`. The fold gives every row the exploration term it
+        would get if absorbed alone, against the Gram matrix of all earlier
+        rows, and adds the rows to the Gram matrix and ``xty`` in order, so
+        those two equal sequential absorption bit for bit.
         """
         z = np.asarray(features, dtype=float)
         r = np.asarray(rewards, dtype=float)
@@ -94,18 +128,57 @@ class RidgeEstimator:
             )
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(r))):
             raise ValueError("features and rewards must be finite")
-        for row, reward in zip(z, r.tolist()):
-            self._absorb_row(row, reward)
+        self._pending_features.append(z)
+        self._pending_rewards.append(r)
+        self._flush()
 
-    def _absorb_row(self, z: np.ndarray, reward: float) -> None:
-        # Pre-update exploration weight; a direct solve avoids refactoring
-        # the Gram matrix on every absorption inside a batch.
-        bonus_sq = float(z @ np.linalg.solve(self.gram, z))
-        self.potential_sum += min(1.0, bonus_sq)
-        self.gram += z[:, None] * z  # np.outer's arithmetic, without its call overhead
-        self.xty += z * reward
-        self.n_obs += 1
-        self._chol = None
+    def _flush(self) -> None:
+        """Fold the pending rows into the state, or discard them and raise.
+
+        For a block of rows Z against the Gram factor L_G, let W = L_G^-1 Z'
+        and L_M the Cholesky factor of I + W'W. Then L_M[t, t]^2 - 1 equals
+        z_t' (G + sum_{s<t} z_s z_s')^-1 z_t (Woodbury and the Schur
+        complement), so one small factorization gives every row's sequential
+        potential term. Blocks of at most _FLUSH_ROWS rows keep that
+        factorization's cubic cost and memory small.
+        """
+        if not self._pending_features:
+            return
+        z_all = np.concatenate(self._pending_features)
+        r_all = np.concatenate(self._pending_rewards)
+        self._pending_features.clear()
+        self._pending_rewards.clear()
+        gram, xty, chol = self._gram, self._xty, self._chol
+        potential = self._potential_sum
+        for start in range(0, len(z_all), _FLUSH_ROWS):
+            z = z_all[start : start + _FLUSH_ROWS]
+            r = r_all[start : start + _FLUSH_ROWS]
+            w = solve_triangular(chol, z.T, lower=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                inner = np.eye(len(z)) + w.T @ w
+                # One sum along the stacking axis adds the rows in order,
+                # exactly like a per-row `gram += outer(z, z)`.
+                gram = np.concatenate([gram[None], z[:, :, None] * z[:, None, :]]).sum(axis=0)
+                xty = np.concatenate([xty[None], z * r[:, None]]).sum(axis=0)
+            if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(inner))):
+                raise self._fold_error(len(z_all))
+            try:
+                terms = np.diag(np.linalg.cholesky(inner)) ** 2 - 1.0
+                chol = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError:
+                raise self._fold_error(len(z_all)) from None
+            for term in terms.tolist():
+                potential += min(1.0, term)
+        self._gram, self._xty, self._chol = gram, xty, chol
+        self._potential_sum = potential
+        self._n_obs += len(z_all)
+
+    def _fold_error(self, n_rows: int) -> ValueError:
+        return ValueError(
+            f"absorbing {n_rows} observation(s) into an estimator holding {self._n_obs}: "
+            "the Gram matrix update is not finite and positive definite; "
+            "the observations were discarded"
+        )
 
     def point_estimate(self) -> np.ndarray:
         """Ridge estimate gram^-1 xty via the cached SPD factorization."""

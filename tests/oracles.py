@@ -2,10 +2,12 @@
 
 Everything in here deliberately avoids the code paths under test: the game
 oracle enumerates equilibrium supports and solves small linear systems, the
-ridge oracles rebuild their answers from scratch with dense solves, and the
-adversarial-bandit oracle is a straight-line transcription of the two policy
-formulas, and the regret increments score one round at a time, the way the
-simulator's vectorized episode metrics must add up. The reference helpers
+ridge oracles rebuild their answers from scratch with dense solves (one per
+row for the exploration potential), the adversarial-bandit oracles are a
+straight-line transcription of the two policy formulas and a numpy round
+that draws one uniform per action, and the regret increments score one
+round at a time, the way the simulator's vectorized episode metrics must
+add up. The reference helpers
 (bilinear payoffs, best responses, single draws and rewards, expert readings,
 the closed-form radius) score one entry or one draw at a time; no simulator
 code path calls them.
@@ -199,13 +201,29 @@ def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
 
 
 def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:
-    """An independent estimator holding the same sufficient statistics."""
+    """An independent estimator holding the same sufficient statistics and
+    the same pending (not yet folded-in) observations."""
     dup = RidgeEstimator(estimator.config)
-    dup.gram = estimator.gram.copy()
-    dup.xty = estimator.xty.copy()
-    dup.n_obs = estimator.n_obs
-    dup.potential_sum = estimator.potential_sum
+    dup._gram = estimator._gram.copy()
+    dup._xty = estimator._xty.copy()
+    dup._chol = estimator._chol.copy()
+    dup._n_obs = estimator._n_obs
+    dup._potential_sum = estimator._potential_sum
+    dup._pending_features = [z.copy() for z in estimator._pending_features]
+    dup._pending_rewards = [r.copy() for r in estimator._pending_rewards]
     return dup
+
+
+def potential_sum_from_scratch(features: np.ndarray, ridge: float) -> float:
+    """Exploration potential sum_t min(1, z_t' G_t^-1 z_t), with G_t the
+    regularized Gram matrix of the rows before t, one dense solve per row."""
+    z = np.asarray(features, dtype=float)
+    gram = ridge * np.eye(z.shape[1])
+    total = 0.0
+    for row in z:
+        total += min(1.0, float(row @ np.linalg.solve(gram, row)))
+        gram += np.outer(row, row)
+    return total
 
 
 def ellipsoid_norm(estimator: RidgeEstimator, x) -> float:
@@ -258,6 +276,39 @@ def exp3_policy_trace(
         clipped = min(max((reward - reward_min) / (reward_max - reward_min), 0.0), 1.0)
         cumulative[action] += clipped / policy[action]
     return policies
+
+
+class NumpyExp3:
+    """Exp3 rounds on numpy arrays: the policy of ``exp3_policy_trace``, then
+    one ``rng.random()`` per action through ``np.cumsum`` and
+    ``searchsorted``. The reference for the agent's action and policy stream."""
+
+    def __init__(self, n_actions: int, seed, reward_min: float, reward_max: float):
+        self.n_actions = n_actions
+        self.rng = np.random.default_rng(seed)
+        self.reward_min = reward_min
+        self.reward_max = reward_max
+        self.cumulative_estimates = np.zeros(n_actions)
+        self.last_strategy: np.ndarray | None = None
+
+    def begin_episode(self) -> None:
+        self.cumulative_estimates[:] = 0.0
+
+    def act(self, t: int) -> int:
+        n = self.n_actions
+        log_n = math.log(n)
+        alpha = min(1.0, math.sqrt(n * log_n / t))
+        gamma = math.sqrt(2.0 * log_n / (n * t))
+        scores = gamma * self.cumulative_estimates
+        weights = np.exp(scores - scores.max())
+        self.last_strategy = alpha / n + (1.0 - alpha) * weights / weights.sum()
+        cutoffs = np.cumsum(self.last_strategy)
+        return min(int(np.searchsorted(cutoffs, self.rng.random(), side="right")), n - 1)
+
+    def observe(self, action: int, reward: float) -> None:
+        span = self.reward_max - self.reward_min
+        clipped = min(max((reward - self.reward_min) / span, 0.0), 1.0)
+        self.cumulative_estimates[action] += clipped / self.last_strategy[action]
 
 
 def saddle_regret_increment(true_value: float, reward: float) -> float:

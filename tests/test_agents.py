@@ -17,7 +17,7 @@ from expertgames.estimator import EstimatorConfig
 from expertgames.environment import ExpertEnsemble
 from expertgames.game import GameMatrix, MixedStrategy, solve_saddle_point
 
-from oracles import entrywise_optimistic_matrix, estimator_copy, exp3_policy_trace
+from oracles import NumpyExp3, entrywise_optimistic_matrix, estimator_copy, exp3_policy_trace
 
 
 def case_study_estimator_config(n_experts=10):
@@ -215,23 +215,44 @@ class TestExp3:
         for ours, theirs in zip(seen, reference):
             assert np.allclose(ours, theirs, atol=1e-12)
 
+    @pytest.mark.parametrize("n_actions", [2, 4, 10])
+    def test_stream_equals_numpy_reference(self, n_actions):
+        # Three 300-round episodes cross the agent's block refills of its
+        # uniform draws and two episode boundaries mid-block.
+        for seed in range(50):
+            agent = Exp3Agent(n_actions, seed=seed, reward_min=-1.0, reward_max=1.0)
+            reference = NumpyExp3(n_actions, seed, reward_min=-1.0, reward_max=1.0)
+            table = np.random.default_rng([seed, 99]).uniform(-1.5, 1.5, size=(900, n_actions))
+            ours, theirs = [], []
+            for episode in range(3):
+                agent.begin_episode()
+                reference.begin_episode()
+                for t, rewards in enumerate(table[300 * episode : 300 * (episode + 1)].tolist(), 1):
+                    action = agent.act(t)
+                    expected = reference.act(t)
+                    ours.append((action, agent.last_strategy))
+                    theirs.append((expected, reference.last_strategy.tolist()))
+                    agent.observe(action, 0, rewards[action])
+                    reference.observe(expected, rewards[expected])
+            assert ours == theirs, f"seed {seed}"
+
     def test_policy_respects_uniform_floor(self):
         agent = Exp3Agent(5, seed=4, reward_min=-1.0, reward_max=1.0)
         agent.begin_episode()
         for t in range(1, 200):
             policy = agent.policy(t)
             alpha = min(1.0, math.sqrt(5 * math.log(5) / t))
-            assert policy.min() >= alpha / 5 - 1e-15
-            assert policy.sum() == pytest.approx(1.0)
+            assert min(policy) >= alpha / 5 - 1e-15
+            assert sum(policy) == pytest.approx(1.0)
             agent.observe(agent.act(t), 0, 1.0)
 
     def test_estimates_reset_each_episode(self):
         agent = Exp3Agent(3, seed=5)
         agent.begin_episode()
         agent.observe(agent.act(1), 0, 1.0)
-        assert agent.cumulative_estimates.max() > 0
+        assert max(agent.cumulative_estimates) > 0
         agent.begin_episode()
-        assert np.array_equal(agent.cumulative_estimates, np.zeros(3))
+        assert agent.cumulative_estimates == [0.0, 0.0, 0.0]
 
     def test_observe_before_act_raises(self):
         agent = Exp3Agent(3, seed=6)

@@ -10,6 +10,7 @@ from oracles import (
     confidence_radius_from_scratch,
     ellipsoid_norm,
     gram_from_scratch,
+    potential_sum_from_scratch,
     ridge_solution,
 )
 
@@ -90,6 +91,19 @@ class TestAbsorb:
         assert np.allclose(batch.xty, seq.xty, rtol=1e-12)
         assert batch.potential_sum == seq.potential_sum
 
+    def test_gram_and_xty_add_rows_in_order_exactly(self):
+        rng = np.random.default_rng(13)
+        feats = rng.uniform(size=(150, 4))
+        rewards = rng.normal(size=150)
+        est = make(ridge=0.3, dim=4)
+        est.absorb_batch(feats, rewards)
+        gram, xty = 0.3 * np.eye(4), np.zeros(4)
+        for z, r in zip(feats, rewards):
+            gram += np.outer(z, z)
+            xty += z * r
+        assert np.array_equal(est.gram, gram)
+        assert np.array_equal(est.xty, xty)
+
     def test_rejects_non_finite(self):
         est = make(dim=2)
         with pytest.raises(ValueError):
@@ -110,6 +124,40 @@ class TestAbsorb:
             current = est.log_det()
             assert current >= previous - 1e-12
             previous = current
+
+
+class TestFoldErrors:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e200, 1.0], [1.0, 1e200]],  # the outer products overflow to inf
+            [[1e100, 1e100]],  # swamps the ridge: the Gram matrix turns singular
+        ],
+    )
+    def test_bad_batch_raises_and_leaves_the_state(self, rows):
+        rng = np.random.default_rng(11)
+        est = make(ridge=0.1, dim=2)
+        est.absorb_batch(rng.uniform(size=(5, 2)), rng.normal(size=5))
+        gram, xty, potential = est.gram.copy(), est.xty.copy(), est.potential_sum
+        with pytest.raises(
+            ValueError, match=rf"absorbing {len(rows)} observation\(s\) into an estimator holding 5"
+        ):
+            est.absorb_batch(rows, [0.0] * len(rows))
+        assert np.array_equal(est.gram, gram)
+        assert np.array_equal(est.xty, xty)
+        assert est.potential_sum == potential
+        assert est.n_obs == 5
+        est.absorb(np.array([0.5, 0.5]), 1.0)
+        assert est.n_obs == 6
+
+    def test_bad_single_absorb_raises_at_the_next_read(self):
+        est = make(ridge=1.0, dim=2)
+        est.absorb(np.array([1e200, 1.0]), 0.0)
+        with pytest.raises(ValueError, match="not finite and positive definite"):
+            est.point_estimate()
+        assert est.n_obs == 0
+        assert np.array_equal(est.gram, np.eye(2))
+        assert est.potential_sum == 0.0
 
 
 class TestPointEstimate:
@@ -209,6 +257,33 @@ class TestNorms:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ellipsoid_norm(make(dim=2), np.array([1.0, np.inf]))
+
+
+class TestPotentialSum:
+    @pytest.mark.parametrize("dim", [1, 10])
+    def test_matches_per_row_dense_solves_under_any_split(self, dim):
+        # "one" queues a single row and an integer absorbs a batch of that
+        # many rows: singles with reads between them, pending singles folded
+        # in by a batch, and batches of 1, 7 and 200 rows (several fold blocks).
+        plan = ["one", "one", "read", 1, "one", "one", 7, "read", 200, "read",
+                "one", 7, "one", "one", "one", "read"]
+        n_rows = sum(1 if step == "one" else step for step in plan if step != "read")
+        rng = np.random.default_rng(12 + dim)
+        feats = rng.uniform(size=(n_rows, dim))
+        rewards = rng.normal(size=n_rows)
+        est = make(ridge=0.1, bound=3.0, delta=0.003, dim=dim)
+        done = 0
+        for step in plan:
+            if step == "read":
+                oracle = potential_sum_from_scratch(feats[:done], 0.1)
+                assert est.potential_sum == pytest.approx(oracle, rel=1e-10)
+            elif step == "one":
+                est.absorb(feats[done], rewards[done])
+                done += 1
+            else:
+                est.absorb_batch(feats[done : done + step], rewards[done : done + step])
+                done += step
+        assert done == n_rows == est.n_obs
 
 
 class TestPotentialInequality:
