@@ -146,6 +146,37 @@ class EpisodeTrace:
     diagnostics: dict[str, float] = field(default_factory=dict)
 
 
+def check_theta_reachable(mean: float, norm_bound: float, n_experts: int) -> None:
+    """Raise ``ValueError`` when ``_THETA_DRAW_LIMIT`` Gaussian draws of the
+    mixing weights would all miss the norm ball with probability above 1e-9.
+
+    With theta ~ N(mean * 1, I) in d = ``n_experts`` dimensions, the squared
+    norm X is noncentral chi-square with noncentrality d * mean**2, so for
+    every t > 0 the Chernoff bound gives P(X <= B**2) <= exp(t B**2) E[e^(-tX)]
+    = exp(t B**2 - (d/2) log(1 + 2t) - d mean**2 t / (1 + 2t)). The smallest
+    of these over t = 2**k bounds the chance p that one draw lands in the
+    ball from above, so a config whose draws can land is never rejected. The
+    exponent is convex in t and 0 at t = 0, so the scan over the grid stops
+    at the first t that does not lower it.
+    """
+    d = n_experts
+    radius_sq, shift_sq = norm_bound * norm_bound, d * mean * mean  # inf, never OverflowError
+    log_bound = 0.0
+    for k in range(-64, 1024):
+        t = 2.0**k
+        exponent = t * radius_sq - 0.5 * d * math.log1p(2.0 * t) - shift_sq * t / (1.0 + 2.0 * t)
+        if not exponent < log_bound:  # also stops on nan
+            break
+        log_bound = exponent
+    bound = math.exp(log_bound)
+    if bound < 1.0 and _THETA_DRAW_LIMIT * math.log1p(-bound) > math.log(1e-9):
+        raise ValueError(
+            f"N({mean}, I) draws in {d} dimensions land in the ball of radius {norm_bound} "
+            f"with probability at most {bound:.3g}, so all {_THETA_DRAW_LIMIT} rejection "
+            "draws miss it with probability above 1e-9"
+        )
+
+
 def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     if spec.kind == "fixed":
         theta = np.asarray(spec.values, dtype=float)

@@ -125,6 +125,14 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     Bland's rule (lowest eligible index), so the pivot sequence cannot cycle
     and is fully deterministic.
 
+    Each pivot is one in-place rank-1 update of the dense tableau: the pivot
+    row is divided by the pivot, every row's multiple of it is written into a
+    buffer allocated once per solve, the buffer is subtracted from the whole
+    tableau, and the pivot row is then stored. Every other row gets exactly
+    ``x - c * r``, one product and one difference per entry, so the tableau,
+    the pivot sequence and the result are the same bits a row-by-row
+    elimination gives.
+
     Returns (q, dual multipliers of the row constraints, objective value).
     """
     m, n = a.shape
@@ -134,29 +142,35 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     tab[:m, -1] = 1.0
     tab[-1, :n] = -1.0
     basis = np.arange(n, n + m)
+    update = np.empty_like(tab)
+    ratios = np.empty(m)
+    rhs = tab[:m, -1]
+    reduced_costs = tab[-1, :-1]
 
     for _ in range(_MAX_PIVOTS):
-        negative = np.flatnonzero(tab[-1, :-1] < -SIMPLEX_TOL)
-        if negative.size == 0:
+        below = reduced_costs < -SIMPLEX_TOL
+        enter = int(below.argmax())
+        if not below[enter]:
             break
-        enter = int(negative[0])
         col = tab[:m, enter]
         eligible = col > SIMPLEX_TOL
         if not eligible.any():
             raise RuntimeError("LP unbounded; positivity shift violated")
-        ratios = np.where(eligible, tab[:m, -1] / np.where(eligible, col, 1.0), np.inf)
-        tied = np.flatnonzero(ratios <= ratios.min() + SIMPLEX_TOL)
-        leave = int(tied[np.argmin(basis[tied])])
-        tab[leave] /= tab[leave, enter]
-        others = np.arange(m + 1) != leave
-        tab[others] -= np.outer(tab[others, enter], tab[leave])
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=eligible)
+        tied = ratios <= ratios.min() + SIMPLEX_TOL
+        leave = int(np.where(tied, basis, n + m).argmin())
+        pivot_row = tab[leave] / tab[leave, enter]
+        np.multiply(tab[:, enter, None], pivot_row, out=update)
+        tab -= update
+        tab[leave] = pivot_row
         basis[leave] = enter
     else:
         raise RuntimeError("simplex exceeded the pivot budget")
 
     q = np.zeros(n)
     from_q = basis < n
-    q[basis[from_q]] = tab[:m, -1][from_q]
+    q[basis[from_q]] = rhs[from_q]
     duals = tab[-1, n : n + m].copy()
     return q, duals, float(tab[-1, -1])
 
@@ -177,6 +191,10 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     player's maximin LP is solved in its standard positive form, the column
     strategy is recovered from the dual, and the shift is subtracted from the
     reported value. Deterministic: identical input yields identical output.
+
+    Every result is certified before it is returned: the duality gap
+    ``max_i (M nu)_i - min_j (mu' M)_j`` of the two strategies must be at most
+    ``VALUE_TOL * max(1, max |M|)``, or a ``RuntimeError`` states the gap.
     """
     game = _coerce_game(matrix)
     entries = game.entries
@@ -186,10 +204,18 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     # comfortably above the solver tolerance.
     shift = max(0.0, 1.0 - low)
     q, duals, objective = _solve_positive_lp(entries + shift)
-    value = 1.0 / objective - shift
+    mu = _normalized(duals)
+    nu = _normalized(q)
+    gap = float((entries @ nu).max() - (mu @ entries).min())
+    tol = VALUE_TOL * max(1.0, float(np.abs(entries).max()))
+    if not gap <= tol:
+        raise RuntimeError(
+            f"saddle point failed its certificate: duality gap {gap:.3g} exceeds {tol:.3g} "
+            f"on a {game.rows}x{game.cols} game"
+        )
     return SaddlePoint(
-        row_strategy=MixedStrategy(_normalized(duals)),
-        col_strategy=MixedStrategy(_normalized(q)),
-        value=value,
+        row_strategy=MixedStrategy(mu),
+        col_strategy=MixedStrategy(nu),
+        value=1.0 / objective - shift,
     )
 

@@ -46,7 +46,13 @@ from .agents import (
     SaddleOracleOpponent,
     UniformOpponent,
 )
-from .environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
+from .environment import (
+    Environment,
+    EnvironmentConfig,
+    ExpertSpec,
+    ThetaSpec,
+    check_theta_reachable,
+)
 from .estimator import EstimatorConfig
 from .game import MixedStrategy
 from .metrics import build_report
@@ -273,6 +279,11 @@ def _parse_theta(section, n_experts: int) -> ThetaSpec:
         if norm_bound <= 0:
             raise ConfigError([f"{where}.norm_bound: must be positive, got {norm_bound}"])
     mean = _number(section.get("mean", 0.5), f"{where}.mean")
+    if norm_bound is not None:
+        try:
+            check_theta_reachable(mean, norm_bound, n_experts)
+        except ValueError as exc:
+            raise ConfigError([f"{where}: {exc}"]) from exc
     return ThetaSpec(kind="gaussian", mean=mean, norm_bound=norm_bound)
 
 

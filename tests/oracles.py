@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check library output.
 
 Everything in here deliberately avoids the code paths under test: the game
-oracle enumerates equilibrium supports and solves small linear systems, the
+oracles enumerate equilibrium supports and solve small linear systems, or
+run the solver's simplex with plain row-by-row elimination pivots, the
 ridge oracles rebuild their answers from scratch with dense solves (one per
 row for the exploration potential), the adversarial-bandit oracles are a
 straight-line transcription of the two policy formulas and a numpy round
@@ -23,7 +24,7 @@ from scipy.linalg import solve_triangular
 
 from expertgames.environment import ExpertEnsemble
 from expertgames.estimator import RidgeEstimator
-from expertgames.game import GameMatrix, MixedStrategy
+from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, GameMatrix, MixedStrategy
 
 _FEAS_TOL = 1e-8
 
@@ -100,6 +101,46 @@ def _solve_support_pair(m, rows, cols):
     if (m @ nu).max() > value + _FEAS_TOL:
         return None
     return value, mu, nu
+
+
+def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The saddle solver's Bland simplex with the pivot as row-by-row elimination.
+
+    The same LP, tolerances and Bland rule as ``game._solve_positive_lp``,
+    written the plain way: the pivot row is divided in place, every other row
+    subtracts its outer-product share, and the leaving row is the tied row
+    of lowest basis index. The library's in-place rank-1 pivot must return
+    these bits exactly.
+    """
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = 1.0
+    tab[-1, :n] = -1.0
+    basis = np.arange(n, n + m)
+    for _ in range(_MAX_PIVOTS):
+        negative = np.flatnonzero(tab[-1, :-1] < -SIMPLEX_TOL)
+        if negative.size == 0:
+            break
+        enter = int(negative[0])
+        col = tab[:m, enter]
+        eligible = col > SIMPLEX_TOL
+        if not eligible.any():
+            raise RuntimeError("LP unbounded; positivity shift violated")
+        ratios = np.where(eligible, tab[:m, -1] / np.where(eligible, col, 1.0), np.inf)
+        tied = np.flatnonzero(ratios <= ratios.min() + SIMPLEX_TOL)
+        leave = int(tied[np.argmin(basis[tied])])
+        tab[leave] /= tab[leave, enter]
+        others = np.arange(m + 1) != leave
+        tab[others] -= np.outer(tab[others, enter], tab[leave])
+        basis[leave] = enter
+    else:
+        raise RuntimeError("simplex exceeded the pivot budget")
+    q = np.zeros(n)
+    from_q = basis < n
+    q[basis[from_q]] = tab[:m, -1][from_q]
+    return q, tab[-1, n : n + m].copy(), float(tab[-1, -1])
 
 
 def _payoffs(matrix) -> np.ndarray:

@@ -5,12 +5,14 @@ import pytest
 
 from expertgames.agents import Exp3Agent, FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
 from expertgames.environment import (
+    _THETA_DRAW_LIMIT,
     Environment,
     EnvironmentConfig,
     ExpertEnsemble,
     ExpertSpec,
     SimulationError,
     ThetaSpec,
+    check_theta_reachable,
 )
 
 from oracles import emit_reward, expert_features
@@ -127,6 +129,32 @@ class TestGroundTruth:
         series = env._expert_stacks[:, 0, 0, 0]
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.15
+
+
+class TestThetaReachable:
+    @pytest.mark.parametrize(
+        "mean, norm_bound, n_experts",
+        [(0.5, 1e-9, 10), (50.0, 3.0, 10), (0.5, 1e-9, 2), (0.0, 0.5, 10), (1e308, 3.0, 2)],
+    )
+    def test_unreachable_balls_are_rejected(self, mean, norm_bound, n_experts):
+        with pytest.raises(ValueError, match="miss it with probability above 1e-9"):
+            check_theta_reachable(mean, norm_bound, n_experts)
+
+    def test_never_rejects_a_ball_the_draws_reach(self):
+        # The exact chance that one draw lands: ||theta||^2 is noncentral chi-square.
+        from scipy.special import chndtr
+
+        rejected = 0
+        for d in (1, 2, 3, 10, 30):
+            for mean in (0.0, 0.5, 1.0, 3.0):
+                for bound in np.geomspace(0.05, 30.0, 40):
+                    p = chndtr(bound * bound, d, d * mean * mean)
+                    try:
+                        check_theta_reachable(mean, float(bound), d)
+                    except ValueError:
+                        rejected += 1
+                        assert _THETA_DRAW_LIMIT * math.log1p(-p) > math.log(1e-9)
+        assert rejected > 0
 
 
 class TestEmitReward:

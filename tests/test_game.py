@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expertgames import game
 from expertgames.game import (
     GameMatrix,
     MixedStrategy,
@@ -11,6 +12,7 @@ from expertgames.game import (
 from oracles import (
     best_response_value,
     expected_payoff,
+    row_elimination_positive_lp,
     sample_action,
     support_enumeration_saddle,
 )
@@ -188,6 +190,77 @@ class TestSolverProperties:
                 expected = (a * d - b * c) / (a - b - c + d)
             assert abs(saddle.value - expected) < VALUE_TOL
             assert_saddle_invariants(m, saddle)
+
+
+def _positive(m):
+    """The strictly positive matrix ``solve_saddle_point`` hands the LP."""
+    m = np.asarray(m, dtype=float)
+    return m + max(0.0, 1.0 - float(m.min()))
+
+
+def _seeded_games():
+    rng = np.random.default_rng(2024)
+    for n in [1, 2, 3, 5, 10, 17, 30, 45, 60]:
+        yield f"uniform-{n}x{n}", rng.uniform(0.0, 1.0, size=(n, n))
+        yield f"normal-{n}x{n}", rng.normal(size=(n, n))
+    for shape in [(1, 7), (7, 1), (3, 12), (12, 3), (20, 60), (60, 20)]:
+        yield f"rect-{shape[0]}x{shape[1]}", rng.normal(size=shape)
+
+
+def _tied_games():
+    """Symmetric and degenerate games. The constant, duplicated-row and
+    integer games tie in the ratio test, where Bland's lowest-basis
+    tie-break decides."""
+    base = np.random.default_rng(5).uniform(size=(4, 3))
+    yield "matching-pennies", np.array([[1.0, -1.0], [-1.0, 1.0]])
+    yield "rock-paper-scissors", np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+    yield "constant", np.full((4, 5), 3.0)
+    yield "duplicated-rows", np.vstack([base, base[[2, 0]]])
+    yield "duplicated-cols", base[:, [0, 1, 1, 2, 0]]
+    yield "duplicated-both", np.vstack([base, base])[:, [0, 0, 1, 2, 2]]
+    # Ties where the lowest tied row and the lowest tied basis index differ.
+    yield "integer-2x5", np.array([[1.0, 1.0, 0.0, 2.0, 1.0], [2.0, 1.0, 1.0, 0.0, 1.0]])
+    yield "integer-5x4", np.array(
+        [[1.0, 0, 0, 0], [0, 0, 0, 2], [1, 2, 1, 1], [2, 2, 1, 1], [1, 2, 0, 2]]
+    )
+
+
+class TestInPlacePivot:
+    @pytest.mark.parametrize(
+        "m", [pytest.param(m, id=name) for name, m in [*_seeded_games(), *_tied_games()]]
+    )
+    def test_bits_equal_row_elimination(self, m):
+        a = _positive(m)
+        q, duals, objective = game._solve_positive_lp(a)
+        ref_q, ref_duals, ref_objective = row_elimination_positive_lp(a)
+        assert q.tobytes() == ref_q.tobytes()
+        assert duals.tobytes() == ref_duals.tobytes()
+        assert objective == ref_objective
+
+
+class TestSolverErrors:
+    def test_pivot_budget(self, monkeypatch):
+        monkeypatch.setattr(game, "_MAX_PIVOTS", 1)
+        m = np.random.default_rng(3).normal(size=(5, 5))
+        with pytest.raises(RuntimeError, match="pivot budget"):
+            solve_saddle_point(m)
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 0.0], [1e-12, 0.0]])
+    def test_zero_strategy_mass(self, weights):
+        with pytest.raises(RuntimeError, match="zero strategy mass"):
+            game._normalized(np.array(weights))
+
+    def test_certificate_rejects_a_corrupted_solution(self, monkeypatch):
+        solve = game._solve_positive_lp
+
+        def swapped_columns(a):
+            q, duals, objective = solve(a)
+            return q[::-1].copy(), duals, objective
+
+        m = np.array([[3.0, 0.0], [0.0, 1.0]])  # unique mixed saddle (1/4, 3/4)
+        monkeypatch.setattr(game, "_solve_positive_lp", swapped_columns)
+        with pytest.raises(RuntimeError, match=r"duality gap 1\.5 exceeds 3e-07 on a 2x2 game"):
+            solve_saddle_point(m)
 
 
 class TestBestResponseValue:

@@ -24,7 +24,12 @@ from expertgames.harness import (
     run_trial,
     trial_environment,
 )
-from expertgames.environment import EnvironmentConfig, ExpertSpec, ThetaSpec
+from expertgames.environment import (
+    EnvironmentConfig,
+    ExpertSpec,
+    ThetaSpec,
+    check_theta_reachable,
+)
 from expertgames.estimator import EstimatorConfig
 
 
@@ -77,6 +82,10 @@ class TestConfigRoundTrip:
     def test_paper_default_round_trips(self):
         config = default_paper_config()
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_paper_default_theta_ball_is_reachable(self):
+        env = default_paper_config().environment
+        check_theta_reachable(env.theta.mean, env.theta.norm_bound, env.n_experts)
 
     def test_paper_default_fields(self):
         config = default_paper_config()
@@ -497,6 +506,14 @@ class TestCli:
             ),
             ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=0)),
             ("learners[0].delta", lambda raw: raw["learners"][0].update(delta=2)),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"]["theta_star"].update(norm_bound=1e-9),
+            ),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"]["theta_star"].update(mean=50.0, norm_bound=3.0),
+            ),
         ],
         ids=[
             "bool-trials",
@@ -530,6 +547,8 @@ class TestCli:
             "negative-noise",
             "zero-ridge",
             "delta-above-one",
+            "unreachable-tiny-ball",
+            "unreachable-far-mean",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
