@@ -4,7 +4,10 @@ Tracks the regularized Gram matrix and the reward-weighted feature sum, and
 exposes the point estimate, the confidence-ball radius, and Mahalanobis-type
 norms. All inverse applications go through a Cholesky factor of the Gram
 matrix, refreshed whenever observations are folded in, so a whole planning
-step reuses a single factorization.
+step reuses a single factorization. They are plain forward and back
+substitution in numpy: d steps per triangular solve for d experts, each one
+vectorized over every right-hand side, so the package needs no linear-algebra
+library beyond numpy.
 
 New observations wait in a pending buffer. ``absorb_batch`` and every read
 fold them in together: one small Cholesky factorization per block of rows
@@ -20,10 +23,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 # Rows per potential-term factorization when folding pending observations in.
 _FLUSH_ROWS = 64
+
+
+def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower @ x = rhs by forward substitution, one row of x per step."""
+    x = np.array(rhs, dtype=float)
+    for i in range(len(lower)):
+        x[i] -= lower[i, :i] @ x[:i]
+        x[i] /= lower[i, i]
+    return x
+
+
+def _back_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower.T @ x = rhs by back substitution, one row of x per step."""
+    x = np.array(rhs, dtype=float)
+    for i in reversed(range(len(lower))):
+        x[i] -= lower[i + 1 :, i] @ x[i + 1 :]
+        x[i] /= lower[i, i]
+    return x
 
 
 @dataclass(frozen=True)
@@ -51,6 +71,15 @@ class EstimatorConfig:
             raise ValueError(f"delta: must lie strictly between 0 and 1, got {self.delta}")
         if self.n_experts < 1:
             raise ValueError(f"n_experts: must be at least 1, got {self.n_experts}")
+        # The confidence radius only grows with data; its data-free value must be a float.
+        root = math.sqrt(2.0 * math.log(1.0 / self.delta))
+        root += math.sqrt(self.ridge) * self.param_bound
+        if not math.isfinite(root * root):
+            raise ValueError(
+                f"param_bound: the confidence radius (sqrt(2 ln(1/delta)) + sqrt(ridge) * "
+                f"param_bound)^2 overflows with param_bound {self.param_bound} and "
+                f"ridge {self.ridge}"
+            )
 
 
 class RidgeEstimator:
@@ -153,7 +182,7 @@ class RidgeEstimator:
         for start in range(0, len(z_all), _FLUSH_ROWS):
             z = z_all[start : start + _FLUSH_ROWS]
             r = r_all[start : start + _FLUSH_ROWS]
-            w = solve_triangular(chol, z.T, lower=True)
+            w = _forward_solve(chol, z.T)
             with np.errstate(over="ignore", invalid="ignore"):
                 inner = np.eye(len(z)) + w.T @ w
                 # One sum along the stacking axis adds the rows in order,
@@ -184,7 +213,8 @@ class RidgeEstimator:
         """Ridge estimate gram^-1 xty via the cached SPD factorization."""
         if self.n_obs == 0:
             return np.zeros(self.config.n_experts)
-        return cho_solve((self._factor(), True), self.xty)
+        chol = self._factor()
+        return _back_solve(chol, _forward_solve(chol, self._xty))
 
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._factor()))))
@@ -203,7 +233,7 @@ class RidgeEstimator:
 
     def ellipsoid_norms(self, columns: np.ndarray) -> np.ndarray:
         """Column-wise sqrt(z' gram^-1 z) for a (dim, n) stack of vectors."""
-        half = solve_triangular(self._factor(), columns, lower=True)
+        half = _forward_solve(self._factor(), columns)
         return np.sqrt(np.sum(half * half, axis=0))
 
     def mahalanobis_norm(self, x) -> float:

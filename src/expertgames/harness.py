@@ -489,13 +489,25 @@ def _write_metrics_csv(path: Path, report) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_float(value: float) -> str:
+    """A float spelled as ``json.dumps`` spells it: its repr, or NaN/Infinity/-Infinity."""
+    if math.isfinite(value):
+        return repr(value)
+    if math.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
 def _write_metrics_jsonl(path: Path, report) -> None:
-    with path.open("w") as handle:
-        for name, episode, value in report.series_rows():
-            handle.write(
-                json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
-                + "\n"
-            )
+    """One ``json.dumps(row, sort_keys=True)`` line per row, formatted without the encoder."""
+    names: dict[str, str] = {}  # each series name repeats once per episode; encode it once
+    lines = []
+    for name, episode, value in report.series_rows():
+        if name not in names:
+            names[name] = json.dumps(name)
+        value_json = _json_float(value)
+        lines.append(f'{{"episode": {episode}, "series": {names[name]}, "value": {value_json}}}')
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _jsonable(value):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from expertgames.estimator import EstimatorConfig, RidgeEstimator
+from scipy.linalg import cho_solve, solve_triangular
+
+from expertgames.estimator import EstimatorConfig, RidgeEstimator, _back_solve, _forward_solve
 
 from oracles import (
     beta_radius_closed_form,
@@ -36,6 +38,54 @@ class TestConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             EstimatorConfig(**base)
+
+    @pytest.mark.parametrize("kwargs", [{"param_bound": 1e300}, {"ridge": 1e308}])
+    def test_rejects_overflowing_radius(self, kwargs):
+        base = dict(ridge=0.1, param_bound=3.0, delta=0.003, n_experts=10)
+        base.update(kwargs)
+        with pytest.raises(ValueError, match=r"^param_bound: .*overflows.* ridge "):
+            EstimatorConfig(**base)
+
+    def test_large_finite_radius_is_accepted(self):
+        est = make(ridge=0.1, bound=1e150, delta=0.003, dim=2)
+        assert math.isfinite(est.beta_radius())
+
+
+def spd_factor(dim: int, seed: int) -> np.ndarray:
+    """Cholesky factor of a ridge Gram matrix of uniform features, as the estimator holds."""
+    rng = np.random.default_rng(seed)
+    feats = rng.uniform(size=(3 * dim, dim))
+    return np.linalg.cholesky(0.1 * np.eye(dim) + feats.T @ feats)
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestTriangularSolves:
+    """The numpy substitutions agree with scipy's LAPACK solves."""
+
+    @pytest.mark.parametrize("n_rhs", [1, 64, 3600])
+    @pytest.mark.parametrize("dim", [1, 3, 10, 60])
+    def test_match_scipy(self, dim, n_rhs):
+        lower = spd_factor(dim, seed=10 * dim + n_rhs)
+        rng = np.random.default_rng(dim + n_rhs)
+        # One right-hand side is a vector, as in point_estimate.
+        rhs = rng.normal(size=dim) if n_rhs == 1 else rng.normal(size=(dim, n_rhs))
+        assert_close_relative(_forward_solve(lower, rhs), solve_triangular(lower, rhs, lower=True))
+        assert_close_relative(
+            _back_solve(lower, rhs), solve_triangular(lower, rhs, lower=True, trans="T")
+        )
+        assert_close_relative(
+            _back_solve(lower, _forward_solve(lower, rhs)), cho_solve((lower, True), rhs)
+        )
+
+    def test_leaves_the_right_hand_side_alone(self):
+        lower = spd_factor(4, seed=0)
+        rhs = np.arange(8.0).reshape(4, 2)
+        _back_solve(lower, _forward_solve(lower, rhs))
+        assert np.array_equal(rhs, np.arange(8.0).reshape(4, 2))
 
 
 class TestInit:

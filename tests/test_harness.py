@@ -31,6 +31,7 @@ from expertgames.environment import (
     check_theta_reachable,
 )
 from expertgames.estimator import EstimatorConfig
+from expertgames.metrics import RegretReport
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -301,6 +302,24 @@ class TestRunExperiment:
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) == {"series", "episode", "value"}
 
+    def test_jsonl_rows_are_the_bytes_of_json_dumps(self, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, 0.1, -0.0, 1e-310, 2.5e300, 1 / 3])
+        report = RegretReport(
+            per_episode={"saddle_pseudo": special, "external": special[::-1].copy()},
+            theta_error=np.full(special.size, np.nan),
+            external_single_row=-np.inf,
+        )
+        path = tmp_path / "metrics.jsonl"
+        with np.errstate(invalid="ignore"):  # the cumulative series add inf to -inf
+            harness._write_metrics_jsonl(path, report)
+            expected = "".join(
+                json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
+                + "\n"
+                for name, episode, value in report.series_rows()
+            )
+        assert path.read_text() == expected
+        assert "NaN" in expected and "-Infinity" in expected and "e-310" in expected
+
 
 class TestAggregation:
     def test_aggregate_matches_per_trial_mean(self, tmp_path):
@@ -506,6 +525,8 @@ class TestCli:
             ),
             ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=0)),
             ("learners[0].delta", lambda raw: raw["learners"][0].update(delta=2)),
+            ("learners[0].param_bound", lambda raw: raw["learners"][0].update(param_bound=1e300)),
+            ("learners[0].param_bound", lambda raw: raw["learners"][0].update(ridge=1e308)),
             (
                 "environment.theta_star",
                 lambda raw: raw["environment"]["theta_star"].update(norm_bound=1e-9),
@@ -547,6 +568,8 @@ class TestCli:
             "negative-noise",
             "zero-ridge",
             "delta-above-one",
+            "overflowing-radius-param-bound",
+            "overflowing-radius-ridge",
             "unreachable-tiny-ball",
             "unreachable-far-mean",
         ],

@@ -1,7 +1,9 @@
-"""Importing the package pins BLAS to one thread unless the caller chose.
+"""Checks that need a fresh interpreter: the BLAS pin and the modules a run loads.
 
-Each check runs in a fresh interpreter, because this test process has
-already loaded numpy and scipy and inherited whatever the package set.
+Importing the package pins BLAS to one thread unless the caller chose, and a
+whole run loads numpy but never scipy. Each check runs in a fresh interpreter,
+because this test process has already loaded numpy and scipy and inherited
+whatever the package set.
 """
 
 import json
@@ -21,12 +23,12 @@ REPORT_VARS = (
 )
 
 
-def run_fresh(code: str, **blas) -> str:
+def run_fresh(code: str, args=(), **blas) -> str:
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(blas)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -59,3 +61,18 @@ def test_ofulinmat_episode_runs_on_one_thread():
         "print(len(os.listdir('/proc/self/task')))\n"
     )
     assert run_fresh(code).strip() == "1"
+
+
+def test_a_run_never_loads_scipy(tmp_path):
+    code = (
+        "import contextlib, json, sys\n"
+        "from expertgames.cli import main\n"
+        "with open(sys.argv[1], 'w') as handle, contextlib.redirect_stdout(handle):\n"
+        "    main(['paper-default'])\n"
+        "main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--trials', '1'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    seen = run_fresh(code, args=(str(config), str(out)))
+    assert (out / "trials/trial_000/ofulinmat/trace.jsonl").is_file()
+    assert json.loads(seen.splitlines()[-1]) == []
