@@ -106,24 +106,31 @@ class MixedStrategy:
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Mixed-strategy saddle point: optimal strategies and the game value."""
+    """Mixed-strategy saddle point: optimal strategies, the game value, and the
+    number of simplex pivots the solve took."""
 
     row_strategy: MixedStrategy
     col_strategy: MixedStrategy
     value: float
+    pivots: int
 
 
 def _coerce_game(matrix) -> GameMatrix:
     return matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)
 
 
-def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Simplex for: maximize sum(q) subject to a @ q <= 1, q >= 0.
 
     Requires a strictly positive ``a``, which makes the all-slack basis
-    feasible and the problem bounded. Entering and leaving variables follow
-    Bland's rule (lowest eligible index), so the pivot sequence cannot cycle
-    and is fully deterministic.
+    feasible and the problem bounded. The entering column is the one with the
+    most negative reduced cost (the lowest index on exact ties), and the
+    leaving row is the tied row of lowest basis index. When that column's
+    minimum ratio is at most ``SIMPLEX_TOL`` the pivot is degenerate, and the
+    column is replaced by Bland's: the lowest index with a reduced cost below
+    ``-SIMPLEX_TOL``. Every pivot that leaves the objective unchanged is then
+    a Bland pivot, and Bland's theorem rules out a cycle made only of those,
+    so the simplex terminates. The pivot sequence is fully deterministic.
 
     Each pivot is one in-place rank-1 update of the dense tableau: the pivot
     row is divided by the pivot, every row's multiple of it is written into a
@@ -133,7 +140,8 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     the pivot sequence and the result are the same bits a row-by-row
     elimination gives.
 
-    Returns (q, dual multipliers of the row constraints, objective value).
+    Returns (q, dual multipliers of the row constraints, objective value,
+    number of pivots).
     """
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
@@ -147,18 +155,26 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     rhs = tab[:m, -1]
     reduced_costs = tab[-1, :-1]
 
-    for _ in range(_MAX_PIVOTS):
-        below = reduced_costs < -SIMPLEX_TOL
-        enter = int(below.argmax())
-        if not below[enter]:
-            break
+    def min_ratio(enter: int) -> float:
         col = tab[:m, enter]
         eligible = col > SIMPLEX_TOL
         if not eligible.any():
             raise RuntimeError("LP unbounded; positivity shift violated")
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=eligible)
-        tied = ratios <= ratios.min() + SIMPLEX_TOL
+        return float(ratios.min())
+
+    for pivots in range(_MAX_PIVOTS):
+        enter = int(reduced_costs.argmin())
+        if not reduced_costs[enter] < -SIMPLEX_TOL:
+            break
+        lowest = min_ratio(enter)
+        if lowest <= SIMPLEX_TOL:
+            bland = int((reduced_costs < -SIMPLEX_TOL).argmax())
+            if bland != enter:
+                enter = bland
+                lowest = min_ratio(enter)
+        tied = ratios <= lowest + SIMPLEX_TOL
         leave = int(np.where(tied, basis, n + m).argmin())
         pivot_row = tab[leave] / tab[leave, enter]
         np.multiply(tab[:, enter, None], pivot_row, out=update)
@@ -172,7 +188,7 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     from_q = basis < n
     q[basis[from_q]] = rhs[from_q]
     duals = tab[-1, n : n + m].copy()
-    return q, duals, float(tab[-1, -1])
+    return q, duals, float(tab[-1, -1]), pivots
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
@@ -187,10 +203,13 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     """Compute an exact mixed-strategy saddle point of a zero-sum game.
 
     The payoffs are shifted by a constant so the matrix is strictly positive
-    (``1 + |min entry|`` whenever the minimum entry is nonpositive), the row
-    player's maximin LP is solved in its standard positive form, the column
-    strategy is recovered from the dual, and the shift is subtracted from the
-    reported value. Deterministic: identical input yields identical output.
+    (``1 + |min entry|`` whenever the minimum entry is nonpositive) and then
+    divided by their largest entry, so the LP sees entries in (0, 1] whatever
+    the payoff scale and the absolute ``SIMPLEX_TOL`` keeps its meaning. The
+    row player's maximin LP is solved in its standard positive form, the
+    column strategy is recovered from the dual, and the value is reported as
+    ``scale / objective - shift``. Deterministic: identical input yields
+    identical output.
 
     Every result is certified before it is returned: the duality gap
     ``max_i (M nu)_i - min_j (mu' M)_j`` of the two strategies must be at most
@@ -199,11 +218,13 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     game = _coerce_game(matrix)
     entries = game.entries
     low = float(entries.min())
-    # Shift so the smallest entry becomes 1: for low <= 0 this is the usual
-    # 1 + |min| transformation, and for 0 < low < 1 it keeps every pivot
-    # comfortably above the solver tolerance.
+    # Shift so the smallest entry becomes 1 (for low <= 0 this is the usual
+    # 1 + |min| transformation), then divide by the largest entry, so the
+    # LP's entries lie in [1 / scale, 1] and its objective is at least 1.
     shift = max(0.0, 1.0 - low)
-    q, duals, objective = _solve_positive_lp(entries + shift)
+    shifted = entries + shift
+    scale = float(shifted.max())
+    q, duals, objective, pivots = _solve_positive_lp(shifted / scale)
     mu = _normalized(duals)
     nu = _normalized(q)
     gap = float((entries @ nu).max() - (mu @ entries).min())
@@ -216,6 +237,6 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     return SaddlePoint(
         row_strategy=MixedStrategy(mu),
         col_strategy=MixedStrategy(nu),
-        value=1.0 / objective - shift,
+        value=scale / objective - shift,
+        pivots=pivots,
     )
-

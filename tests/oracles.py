@@ -2,10 +2,11 @@
 
 Everything in here deliberately avoids the code paths under test: the game
 oracles enumerate equilibrium supports and solve small linear systems, or
-run the solver's simplex with plain row-by-row elimination pivots, the
-ridge oracles rebuild their answers from scratch with dense solves (one per
-row for the exploration potential), the adversarial-bandit oracles are a
-straight-line transcription of the two policy formulas and a numpy round
+run the solver's simplex, and the Bland-only simplex it replaced, with
+plain row-by-row elimination pivots, the ridge oracles rebuild their
+answers from scratch with dense solves (one per row for the exploration
+potential), the adversarial-bandit oracles are a straight-line
+transcription of the two policy formulas and a numpy round
 that draws one uniform per action, and the regret increments score one
 round at a time, the way the simulator's vectorized episode metrics must
 add up. The reference helpers
@@ -103,15 +104,29 @@ def _solve_support_pair(m, rows, cols):
     return value, mu, nu
 
 
-def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The saddle solver's Bland simplex with the pivot as row-by-row elimination.
+def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The saddle solver's simplex with the pivot as row-by-row elimination.
 
-    The same LP, tolerances and Bland rule as ``game._solve_positive_lp``,
-    written the plain way: the pivot row is divided in place, every other row
+    The same LP, tolerances and pivot rule as ``game._solve_positive_lp``,
+    written the plain way: the most negative reduced cost enters unless its
+    minimum ratio is at most ``SIMPLEX_TOL``, where Bland's lowest eligible
+    column enters instead; the pivot row is divided in place, every other row
     subtracts its outer-product share, and the leaving row is the tied row
     of lowest basis index. The library's in-place rank-1 pivot must return
     these bits exactly.
     """
+    return _row_elimination_lp(a, most_negative=True)
+
+
+def bland_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The same simplex with Bland's lowest eligible column entering on every
+    pivot: the solver's rule before it entered on the most negative reduced
+    cost. It must reach the same optimum, in at least as many pivots on the
+    benchmark-sized games."""
+    return _row_elimination_lp(a, most_negative=False)
+
+
+def _row_elimination_lp(a: np.ndarray, most_negative: bool):
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = a
@@ -119,16 +134,23 @@ def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     tab[:m, -1] = 1.0
     tab[-1, :n] = -1.0
     basis = np.arange(n, n + m)
-    for _ in range(_MAX_PIVOTS):
-        negative = np.flatnonzero(tab[-1, :-1] < -SIMPLEX_TOL)
-        if negative.size == 0:
-            break
-        enter = int(negative[0])
+
+    def ratio_test(enter):
         col = tab[:m, enter]
         eligible = col > SIMPLEX_TOL
         if not eligible.any():
             raise RuntimeError("LP unbounded; positivity shift violated")
-        ratios = np.where(eligible, tab[:m, -1] / np.where(eligible, col, 1.0), np.inf)
+        return np.where(eligible, tab[:m, -1] / np.where(eligible, col, 1.0), np.inf)
+
+    for pivots in range(_MAX_PIVOTS):
+        negative = np.flatnonzero(tab[-1, :-1] < -SIMPLEX_TOL)
+        if negative.size == 0:
+            break
+        enter = int(np.argmin(tab[-1, :-1])) if most_negative else int(negative[0])
+        ratios = ratio_test(enter)
+        if ratios.min() <= SIMPLEX_TOL:
+            enter = int(negative[0])
+            ratios = ratio_test(enter)
         tied = np.flatnonzero(ratios <= ratios.min() + SIMPLEX_TOL)
         leave = int(tied[np.argmin(basis[tied])])
         tab[leave] /= tab[leave, enter]
@@ -140,7 +162,7 @@ def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     q = np.zeros(n)
     from_q = basis < n
     q[basis[from_q]] = tab[:m, -1][from_q]
-    return q, tab[-1, n : n + m].copy(), float(tab[-1, -1])
+    return q, tab[-1, n : n + m].copy(), float(tab[-1, -1]), pivots
 
 
 def _payoffs(matrix) -> np.ndarray:

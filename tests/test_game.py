@@ -11,6 +11,7 @@ from expertgames.game import (
 
 from oracles import (
     best_response_value,
+    bland_positive_lp,
     expected_payoff,
     row_elimination_positive_lp,
     sample_action,
@@ -191,11 +192,28 @@ class TestSolverProperties:
             assert abs(saddle.value - expected) < VALUE_TOL
             assert_saddle_invariants(m, saddle)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e12])
+    def test_scale_equivariance_across_magnitudes(self, c):
+        # The LP sees the shifted payoffs divided by their largest entry, so
+        # the absolute simplex tolerance does not depend on the payoff scale.
+        # Without that division this game fails its certificate at 1e8 and
+        # loses all strategy mass at 1e9 and 1e12.
+        m = np.random.default_rng(4).normal(size=(8, 8))
+        base = solve_saddle_point(m)
+        scaled = solve_saddle_point(c * m)
+        # Relative to the payoff scale, as the certificate measures it: below
+        # c = 1 the shift of about 1 sets the rounding, not c * value.
+        assert abs(scaled.value - c * base.value) <= 1e-12 * max(1.0, c * np.abs(m).max())
+        np.testing.assert_array_equal(
+            scaled.row_strategy.probs > 0, base.row_strategy.probs > 0
+        )
+
 
 def _positive(m):
-    """The strictly positive matrix ``solve_saddle_point`` hands the LP."""
+    """The matrix in (0, 1] that ``solve_saddle_point`` hands the LP."""
     m = np.asarray(m, dtype=float)
-    return m + max(0.0, 1.0 - float(m.min()))
+    shifted = m + max(0.0, 1.0 - float(m.min()))
+    return shifted / float(shifted.max())
 
 
 def _seeded_games():
@@ -210,7 +228,9 @@ def _seeded_games():
 def _tied_games():
     """Symmetric and degenerate games. The constant, duplicated-row and
     integer games tie in the ratio test, where Bland's lowest-basis
-    tie-break decides."""
+    tie-break decides. In integer-3x4 and integer-5x5 the most negative
+    reduced cost meets a zero ratio while a lower column is eligible, so
+    Bland's column enters instead."""
     base = np.random.default_rng(5).uniform(size=(4, 3))
     yield "matching-pennies", np.array([[1.0, -1.0], [-1.0, 1.0]])
     yield "rock-paper-scissors", np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -223,19 +243,57 @@ def _tied_games():
     yield "integer-5x4", np.array(
         [[1.0, 0, 0, 0], [0, 0, 0, 2], [1, 2, 1, 1], [2, 2, 1, 1], [1, 2, 0, 2]]
     )
+    yield "integer-3x4", np.array([[2.0, 2, 1, 0], [1, 1, 0, 2], [2, 0, 0, 2]])
+    yield "integer-5x5", np.array(
+        [[0.0, 0, 1, 1, 2], [2, 1, 0, 0, 1], [2, 1, 2, 2, 2], [2, 1, 2, 2, 1], [1, 1, 1, 0, 2]]
+    )
+    yield "identity-5x5", np.eye(5)
+
+
+_ALL_GAMES = [pytest.param(m, id=name) for name, m in [*_seeded_games(), *_tied_games()]]
 
 
 class TestInPlacePivot:
-    @pytest.mark.parametrize(
-        "m", [pytest.param(m, id=name) for name, m in [*_seeded_games(), *_tied_games()]]
-    )
+    @pytest.mark.parametrize("m", _ALL_GAMES)
     def test_bits_equal_row_elimination(self, m):
         a = _positive(m)
-        q, duals, objective = game._solve_positive_lp(a)
-        ref_q, ref_duals, ref_objective = row_elimination_positive_lp(a)
+        q, duals, objective, pivots = game._solve_positive_lp(a)
+        ref_q, ref_duals, ref_objective, ref_pivots = row_elimination_positive_lp(a)
         assert q.tobytes() == ref_q.tobytes()
         assert duals.tobytes() == ref_duals.tobytes()
         assert objective == ref_objective
+        assert pivots == ref_pivots
+
+
+class TestPivotRule:
+    @pytest.mark.parametrize("m", _ALL_GAMES)
+    def test_same_optimum_as_bland(self, m):
+        a = _positive(m)
+        q, duals, objective, _ = game._solve_positive_lp(a)
+        ref_q, ref_duals, ref_objective, _ = bland_positive_lp(a)
+        np.testing.assert_array_equal(q > 0, ref_q > 0)
+        np.testing.assert_array_equal(duals > 0, ref_duals > 0)
+        # Relative to each vector's largest entry: a strategy's small
+        # weights carry the rounding of its large ones.
+        assert np.abs(q - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
+        assert np.abs(duals - ref_duals).max() <= 1e-12 * np.abs(ref_duals).max()
+        assert abs(objective - ref_objective) <= 1e-12 * abs(ref_objective)
+
+    @pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _tied_games()])
+    def test_degenerate_games_terminate_and_certify(self, m):
+        saddle = solve_saddle_point(m)
+        assert_saddle_invariants(m, saddle)
+        assert 1 <= saddle.pivots <= sum(m.shape)
+
+    def test_pinned_pivot_counts(self):
+        games = np.random.default_rng(0).uniform(size=(5, 60, 60))
+        assert [solve_saddle_point(m).pivots for m in games] == [76, 89, 112, 130, 84]
+        assert solve_saddle_point(np.array([[1.0, -1.0], [-1.0, 1.0]])).pivots == 2
+        assert solve_saddle_point(np.random.default_rng(1).normal(size=(10, 10))).pivots == 10
+
+    def test_fewer_pivots_than_bland_on_large_games(self):
+        for m in np.random.default_rng(0).uniform(size=(5, 60, 60)):
+            assert solve_saddle_point(m).pivots < bland_positive_lp(_positive(m))[3]
 
 
 class TestSolverErrors:
@@ -254,8 +312,8 @@ class TestSolverErrors:
         solve = game._solve_positive_lp
 
         def swapped_columns(a):
-            q, duals, objective = solve(a)
-            return q[::-1].copy(), duals, objective
+            q, duals, objective, pivots = solve(a)
+            return q[::-1].copy(), duals, objective, pivots
 
         m = np.array([[3.0, 0.0], [0.0, 1.0]])  # unique mixed saddle (1/4, 3/4)
         monkeypatch.setattr(game, "_solve_positive_lp", swapped_columns)

@@ -404,6 +404,17 @@ class TestCli:
         assert (out / "manifest.json").is_file()
         assert cli_main(["plot-data", "--run", str(out)]) == 0
 
+    def test_run_completes_with_huge_noise_variance(self, tmp_path):
+        # The confidence radius makes OFULinMat's optimistic payoffs huge;
+        # the solver scales them to (0, 1] before the LP, so they still solve.
+        raw = config_to_dict(tiny_config(trials=1))
+        raw["environment"]["noise_variance"] = 1e308
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()
+
     def test_run_seed_and_trials_overrides(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_dict(tiny_config())))
