@@ -202,14 +202,14 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 def solve_saddle_point(matrix) -> SaddlePoint:
     """Compute an exact mixed-strategy saddle point of a zero-sum game.
 
-    The payoffs are shifted by a constant so the matrix is strictly positive
-    (``1 + |min entry|`` whenever the minimum entry is nonpositive) and then
-    divided by their largest entry, so the LP sees entries in (0, 1] whatever
-    the payoff scale and the absolute ``SIMPLEX_TOL`` keeps its meaning. The
-    row player's maximin LP is solved in its standard positive form, the
-    column strategy is recovered from the dual, and the value is reported as
-    ``scale / objective - shift``. Deterministic: identical input yields
-    identical output.
+    The payoffs are mapped onto [1/2, 1] by ``(1 + (M - min) / spread) / 2``,
+    where ``spread`` is their range ``max - min`` (1 for a constant game), so
+    the LP sees the same entries whatever the payoffs' scale or offset, the
+    absolute ``SIMPLEX_TOL`` keeps its meaning, and no intermediate exceeds
+    the payoff range. The row player's maximin LP is solved in its standard
+    positive form, the column strategy is recovered from the dual, and the
+    value is reported as ``min + spread * (2 / objective - 1)``.
+    Deterministic: identical input yields identical output.
 
     Every result is certified before it is returned: the duality gap
     ``max_i (M nu)_i - min_j (mu' M)_j`` of the two strategies must be at most
@@ -218,13 +218,10 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     game = _coerce_game(matrix)
     entries = game.entries
     low = float(entries.min())
-    # Shift so the smallest entry becomes 1 (for low <= 0 this is the usual
-    # 1 + |min| transformation), then divide by the largest entry, so the
-    # LP's entries lie in [1 / scale, 1] and its objective is at least 1.
-    shift = max(0.0, 1.0 - low)
-    shifted = entries + shift
-    scale = float(shifted.max())
-    q, duals, objective, pivots = _solve_positive_lp(shifted / scale)
+    # Normalised by the range, the LP's smallest entry is half its largest at
+    # every scale and offset, and its objective lies in [1, 2].
+    spread = float(entries.max()) - low or 1.0
+    q, duals, objective, pivots = _solve_positive_lp(((entries - low) / spread + 1.0) * 0.5)
     mu = _normalized(duals)
     nu = _normalized(q)
     gap = float((entries @ nu).max() - (mu @ entries).min())
@@ -237,6 +234,6 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     return SaddlePoint(
         row_strategy=MixedStrategy(mu),
         col_strategy=MixedStrategy(nu),
-        value=scale / objective - shift,
+        value=low + spread * (2.0 / objective - 1.0),
         pivots=pivots,
     )

@@ -194,26 +194,49 @@ class TestSolverProperties:
 
     @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e12])
     def test_scale_equivariance_across_magnitudes(self, c):
-        # The LP sees the shifted payoffs divided by their largest entry, so
-        # the absolute simplex tolerance does not depend on the payoff scale.
-        # Without that division this game fails its certificate at 1e8 and
-        # loses all strategy mass at 1e9 and 1e12.
+        # The LP sees payoffs shifted by their range and divided by their
+        # largest entry, so neither the absolute simplex tolerance nor the
+        # shift depends on the payoff scale. Shifted by 1 and left unscaled,
+        # this game fails its certificate at 1e8, loses all strategy mass at
+        # 1e9 and 1e12, and its value is off by 1.6e-8 of itself at 1e-6.
         m = np.random.default_rng(4).normal(size=(8, 8))
         base = solve_saddle_point(m)
         scaled = solve_saddle_point(c * m)
-        # Relative to the payoff scale, as the certificate measures it: below
-        # c = 1 the shift of about 1 sets the rounding, not c * value.
-        assert abs(scaled.value - c * base.value) <= 1e-12 * max(1.0, c * np.abs(m).max())
+        assert abs(scaled.value - c * base.value) <= 1e-12 * abs(c * base.value)
         np.testing.assert_array_equal(
             scaled.row_strategy.probs > 0, base.row_strategy.probs > 0
         )
 
+    @pytest.mark.parametrize(
+        "m, value",
+        [
+            pytest.param([[0.0, 1e10]], 0.0, id="pure-0-1e10"),
+            pytest.param([[-1e10, 0.0], [-1e10, 5.0]], -1e10, id="pure-neg1e10-5"),
+            pytest.param([[0.0, 1e10], [1e10, 0.0]], 5e9, id="mixed-0-1e10"),
+            pytest.param([[1e-300, 0.0], [0.0, 1e-300]], 5e-301, id="mixed-1e-300"),
+            pytest.param([[0.0, 1.5e308]], 0.0, id="pure-0-1.5e308"),
+            pytest.param([[-1.5e308, 0.0], [0.0, -1.5e308]], -7.5e307, id="mixed-neg1.5e308"),
+        ],
+    )
+    def test_wide_and_tiny_payoff_ranges(self, m, value):
+        # Shifted by 1 and divided by the largest entry, the smallest LP
+        # entry of the first two games falls below the simplex tolerance and
+        # the solve raises "LP unbounded". The last two have a range above
+        # half the float maximum, which a shift by the range would overflow.
+        m = np.array(m)
+        saddle = solve_saddle_point(m)
+        tol = 1e-12 * np.abs(m).max()
+        assert abs(saddle.value - value) <= 1e-12 * abs(value)
+        assert (saddle.row_strategy.probs @ m).min() >= saddle.value - tol
+        assert (m @ saddle.col_strategy.probs).max() <= saddle.value + tol
+
 
 def _positive(m):
-    """The matrix in (0, 1] that ``solve_saddle_point`` hands the LP."""
+    """The matrix in [1/2, 1] that ``solve_saddle_point`` hands the LP."""
     m = np.asarray(m, dtype=float)
-    shifted = m + max(0.0, 1.0 - float(m.min()))
-    return shifted / float(shifted.max())
+    low = float(m.min())
+    spread = float(m.max()) - low or 1.0
+    return ((m - low) / spread + 1.0) * 0.5
 
 
 def _seeded_games():
@@ -289,7 +312,7 @@ class TestPivotRule:
         games = np.random.default_rng(0).uniform(size=(5, 60, 60))
         assert [solve_saddle_point(m).pivots for m in games] == [76, 89, 112, 130, 84]
         assert solve_saddle_point(np.array([[1.0, -1.0], [-1.0, 1.0]])).pivots == 2
-        assert solve_saddle_point(np.random.default_rng(1).normal(size=(10, 10))).pivots == 10
+        assert solve_saddle_point(np.random.default_rng(1).normal(size=(10, 10))).pivots == 9
 
     def test_fewer_pivots_than_bland_on_large_games(self):
         for m in np.random.default_rng(0).uniform(size=(5, 60, 60)):

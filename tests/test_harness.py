@@ -406,7 +406,8 @@ class TestCli:
 
     def test_run_completes_with_huge_noise_variance(self, tmp_path):
         # The confidence radius makes OFULinMat's optimistic payoffs huge;
-        # the solver scales them to (0, 1] before the LP, so they still solve.
+        # the solver normalises them by their range before the LP, so they
+        # still solve.
         raw = config_to_dict(tiny_config(trials=1))
         raw["environment"]["noise_variance"] = 1e308
         config_path = tmp_path / "config.json"
