@@ -11,10 +11,14 @@ of the episode's rows at once:
         -> observe_episode(rows, cols, rewards) -> end_episode()
 
 Per-round policy (Exp3). The policy reacts to every reward, so the learner
-is stepped one round at a time and exposes the policy it just sampled from
-as ``last_strategy``:
+runs the episode's round loop itself, asking a reward closure that the
+simulator owns for the reward of each row it plays:
 
-    begin_episode(ensemble) -> act(t) / observe(i, j, r) per round -> end_episode()
+    begin_episode(ensemble) -> play_episode(reward, n_rounds) -> end_episode()
+
+``play_episode`` returns the rows, the rewards and the stack of policies the
+rows were sampled from. ``act(t)`` / ``observe(i, j, r)`` step the same
+learner one round at a time, with the same arithmetic.
 
 Learners never see the true payoff matrix, only rewards (and, for the
 optimistic learner, the expert ensemble revealed each episode). Opponents are
@@ -129,6 +133,26 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self._buffer_rewards.clear()
 
 
+def _exp3_policy(estimates: list[float], t: int, n: int, log_n: float) -> list[float]:
+    """Exp3's round-``t`` policy over ``n`` actions from the cumulative
+    estimates, on Python floats.
+
+    The total of the weights is ``math.fsum``, which is correctly rounded, so
+    it gives the same bits on every Python version (the built-in ``sum`` of
+    floats became compensated in Python 3.12) at the cost of ``sum``.
+    """
+    alpha = min(1.0, math.sqrt(n * log_n / t))
+    gamma = math.sqrt(2.0 * log_n / (n * t))
+    # Rounding is monotone and gamma > 0, so this is the largest score.
+    top = gamma * max(estimates)
+    exp = math.exp
+    weights = [exp(gamma * g - top) for g in estimates]
+    total = math.fsum(weights)
+    floor = alpha / n
+    mix = 1.0 - alpha
+    return [floor + mix * w / total for w in weights]
+
+
 class Exp3Agent:
     """Exponential-weights adversarial bandit over the row actions.
 
@@ -144,15 +168,15 @@ class Exp3Agent:
     needs bounded nonnegative rewards). Estimates reset at every episode
     boundary.
 
-    A round touches n numbers, so it runs on Python floats, which round
-    exactly like float64; only the exponentials and their total go through
-    numpy, whose ``exp`` and pairwise ``sum`` can differ from ``math.exp``
-    and a running sum in the last bit. Each action is the first one whose
-    cumulative policy mass exceeds one ``rng.random()`` draw. The draws are
-    taken in blocks of ``_UNIFORM_BLOCK`` that carry over from one episode
-    to the next. A block holds the same numbers as that many single draws,
-    so the actions equal one draw per round as long as nothing else draws
-    from the agent's generator; the harness gives each learner its own.
+    A round touches n numbers, so it runs on Python floats: ``math.exp``
+    and ``math.fsum``. ``play_episode`` runs a whole episode's loop
+    with its locals bound once; ``act``/``observe`` step the same round one
+    call at a time and give the same bits. Each action is the first one
+    whose cumulative policy mass exceeds one ``rng.random()`` draw. The
+    draws are taken in blocks of ``_UNIFORM_BLOCK`` that carry over from one
+    episode to the next. A block holds the same numbers as that many single
+    draws, so the actions equal one draw per round as long as nothing else
+    draws from the agent's generator; the harness gives each learner its own.
     """
 
     _UNIFORM_BLOCK = 256
@@ -178,21 +202,44 @@ class Exp3Agent:
         if t < 1:
             raise ValueError("round index must be >= 1")
         n = self.n_actions
-        log_n = math.log(n)
-        alpha = min(1.0, math.sqrt(n * log_n / t))
-        gamma = math.sqrt(2.0 * log_n / (n * t))
-        scores = [gamma * g for g in self.cumulative_estimates]
-        top = max(scores)
-        weights = np.exp([s - top for s in scores])
-        total = float(weights.sum())
-        floor = alpha / n
-        mix = 1.0 - alpha
-        return [floor + mix * w / total for w in weights.tolist()]
+        return _exp3_policy(self.cumulative_estimates, t, n, math.log(n))
 
     def begin_episode(self, ensemble=None) -> None:
         self.cumulative_estimates = [0.0] * self.n_actions
         self._last_policy = None
         self._awaiting_feedback = False
+
+    def play_episode(self, reward, n_rounds: int):
+        """Play rounds 1..n_rounds, where ``reward(t, i)`` is the reward of
+        row ``i`` in round ``t + 1``; only the played row's reward is asked.
+
+        Returns the rows (int array), the rewards (float array) and the
+        (n_rounds, n_actions) stack of the policies the rows were sampled from.
+        """
+        n = self.n_actions
+        log_n = math.log(n)
+        last = n - 1
+        low = self.reward_min
+        span = self.reward_max - low
+        estimates = self.cumulative_estimates
+        policy_of = _exp3_policy
+        accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
+        uniforms, k = self._uniforms, self._next_uniform
+        rows, rewards, policies = [], [], []
+        for t in range(1, n_rounds + 1):
+            policy = policy_of(estimates, t, n, log_n)
+            if k == len(uniforms):
+                uniforms, k = self.rng.random(self._UNIFORM_BLOCK).tolist(), 0
+            i = min(bisect_right(list(accumulate(policy)), uniforms[k]), last)
+            k += 1
+            r = reward(t - 1, i)
+            estimates[i] += min(max((r - low) / span, 0.0), 1.0) / policy[i]
+            rows.append(i)
+            rewards.append(r)
+            policies.append(policy)
+        self._uniforms, self._next_uniform = uniforms, k
+        self._last_policy = policies[-1] if policies else None
+        return np.array(rows, dtype=int), np.array(rewards), np.array(policies)
 
     def act(self, t: int) -> int:
         if self._awaiting_feedback:

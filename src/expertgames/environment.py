@@ -19,6 +19,15 @@ from . import metrics
 from .game import GameMatrix, SaddlePoint, solve_saddle_point
 
 _THETA_DRAW_LIMIT = 100_000
+# The largest payoff a true game may reach. A run sums payoffs over rounds,
+# the ridge estimator divides such sums by its ridge, and the aggregate's
+# standard error squares the cumulative series. The square root of the float
+# maximum is 1.3e154, so this limit leaves a factor of 1e54 for rounds,
+# trials and the ridge, more than any run that can finish needs.
+PAYOFF_LIMIT = 1e100
+# Standard normal draws are taken to stay within this many standard
+# deviations: a draw beyond it has probability below 1e-340.
+_NORMAL_REACH = 40.0
 
 
 class SimulationError(RuntimeError):
@@ -177,6 +186,27 @@ def check_theta_reachable(mean: float, norm_bound: float, n_experts: int) -> Non
         )
 
 
+def check_payoffs_bounded(spec: ThetaSpec, n_experts: int) -> None:
+    """Raise ``ValueError`` when a true game could have an entry beyond
+    ``PAYOFF_LIMIT`` in magnitude.
+
+    Expert entries lie in [0, 1], so an entry is at most ``n_experts`` times
+    the largest |theta_k|. A Gaussian weight reaches ``|mean| + 40`` at most,
+    and no further than the norm bound when one is given.
+    """
+    if spec.kind == "fixed":
+        reach = max(abs(v) for v in spec.values)
+    else:
+        reach = abs(spec.mean) + _NORMAL_REACH
+        if spec.norm_bound is not None:
+            reach = min(reach, spec.norm_bound)
+    if not n_experts * reach <= PAYOFF_LIMIT:
+        raise ValueError(
+            f"weights up to {reach:.3g} in magnitude over {n_experts} experts reach payoffs "
+            f"of {n_experts * reach:.3g}, beyond the limit of {PAYOFF_LIMIT:.3g}"
+        )
+
+
 def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     if spec.kind == "fixed":
         theta = np.asarray(spec.values, dtype=float)
@@ -218,39 +248,6 @@ def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: st
             f"at episode {episode}, round {t + 1}"
         )
     return actions
-
-
-def _play_rounds(learner, m: np.ndarray, cols: np.ndarray, noise: np.ndarray, episode: int):
-    """Step a per-round learner through an episode against drawn columns.
-
-    Returns the rows, the rewards and the (n_rounds, n_rows) stack of the
-    policies the rows were sampled from.
-    """
-    n_rows = m.shape[0]
-    # Python floats add exactly like numpy float64 and index faster.
-    payoffs = m.tolist()
-    round_noise = noise.tolist()
-    rows = np.empty(cols.size, dtype=int)
-    rewards = np.empty(cols.size)
-    policies = np.empty((cols.size, n_rows))
-    for t, j in enumerate(cols.tolist()):
-        i = int(learner.act(t + 1))
-        if not 0 <= i < n_rows:
-            raise SimulationError(
-                f"learner produced row {i} outside [0, {n_rows}) "
-                f"at episode {episode}, round {t + 1}"
-            )
-        r = payoffs[i][j] + round_noise[t]
-        learner.observe(i, j, r)
-        policy = learner.last_strategy
-        if policy is None:
-            raise SimulationError(
-                f"learner exposes no strategy at episode {episode}, round {t + 1}"
-            )
-        rows[t] = i
-        rewards[t] = r
-        policies[t] = policy
-    return rows, rewards, policies
 
 
 class Environment:
@@ -304,9 +301,10 @@ class Environment:
         its episode mix from history and the true game only, so it never
         conditions on the learner's current action, and all of its columns
         are drawn before play starts. A learner with an episode strategy
-        draws its rows the same way; a per-round learner is stepped through
-        the rounds against the drawn columns. Either way both the actions
-        and the rewards equal those of round-by-round play.
+        draws its rows the same way; a per-round learner plays the rounds
+        itself against the drawn columns, through a reward closure that
+        reveals only the reward of the row it played. Either way both the
+        actions and the rewards equal those of round-by-round play.
         """
         cfg = self.config
         ensemble = self.ensemble(episode)
@@ -333,7 +331,18 @@ class Environment:
             row_strategies = mu
         else:
             mu = None
-            rows, rewards, row_strategies = _play_rounds(learner, m, cols, noise, episode)
+            # Python floats add exactly like numpy float64 and index faster.
+            payoffs, col_list, noise_list = m.tolist(), cols.tolist(), noise.tolist()
+
+            def reward(t, i):
+                return payoffs[i][col_list[t]] + noise_list[t]
+
+            rows, rewards, row_strategies = learner.play_episode(reward, n_rounds)
+            rows = _checked_actions(rows, n_rounds, cfg.n_rows, "learner", "row", episode)
+            rewards = np.asarray(rewards, dtype=float)
+            row_strategies = np.asarray(row_strategies, dtype=float)
+            if rewards.shape != (n_rounds,) or row_strategies.shape != (n_rounds, cfg.n_rows):
+                raise SimulationError(f"learner exposes no strategy at episode {episode}")
         sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, row_strategies, nu)
 
         diagnostics: dict[str, float] = {}

@@ -202,38 +202,52 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 def solve_saddle_point(matrix) -> SaddlePoint:
     """Compute an exact mixed-strategy saddle point of a zero-sum game.
 
-    The payoffs are mapped onto [1/2, 1] by ``(1 + (M - min) / spread) / 2``,
-    where ``spread`` is their range ``max - min`` (1 for a constant game), so
-    the LP sees the same entries whatever the payoffs' scale or offset, the
-    absolute ``SIMPLEX_TOL`` keeps its meaning, and no intermediate exceeds
-    the payoff range. The row player's maximin LP is solved in its standard
-    positive form, the column strategy is recovered from the dual, and the
-    value is reported as ``min + spread * (2 / objective - 1)``.
+    The payoffs are halved, which keeps the range of every finite game
+    finite, and mapped onto [1/2, 1] by ``(1 + (H - low) / spread) / 2``,
+    where ``H = M / 2``, ``low`` is its least entry and ``spread`` its range
+    (1 for a constant game). Halving is exact, so the LP gets the bits of
+    ``(M - min) / (max - min)``: it sees the same entries whatever the
+    payoffs' scale or offset, the absolute ``SIMPLEX_TOL`` keeps its meaning,
+    and no intermediate exceeds the payoff range. The row player's maximin
+    LP is solved in its standard positive form, the column strategy is
+    recovered from the dual, and the value is reported as
+    ``2 * (low + spread * (2 / objective - 1))``.
     Deterministic: identical input yields identical output.
 
-    Every result is certified before it is returned: the duality gap
-    ``max_i (M nu)_i - min_j (mu' M)_j`` of the two strategies must be at most
-    ``VALUE_TOL * max(1, max |M|)``, or a ``RuntimeError`` states the gap.
+    Every result is certified before it is returned, within
+    ``tol = VALUE_TOL * max(1, max |M|)``: the duality gap
+    ``max_i (M nu)_i - min_j (mu' M)_j`` of the two strategies must be at
+    most ``tol``, and the value must lie within ``tol`` of ``mu' M nu``, or a
+    ``RuntimeError`` states which check failed.
     """
     game = _coerce_game(matrix)
     entries = game.entries
-    low = float(entries.min())
+    half = entries * 0.5
+    low = float(half.min())
     # Normalised by the range, the LP's smallest entry is half its largest at
     # every scale and offset, and its objective lies in [1, 2].
-    spread = float(entries.max()) - low or 1.0
-    q, duals, objective, pivots = _solve_positive_lp(((entries - low) / spread + 1.0) * 0.5)
+    spread = float(half.max()) - low or 1.0
+    q, duals, objective, pivots = _solve_positive_lp(((half - low) / spread + 1.0) * 0.5)
     mu = _normalized(duals)
     nu = _normalized(q)
-    gap = float((entries @ nu).max() - (mu @ entries).min())
+    value = 2.0 * (low + spread * (2.0 / objective - 1.0))
+    col_payoffs = mu @ entries
+    gap = float((entries @ nu).max() - col_payoffs.min())
+    value_error = abs(value - float(col_payoffs @ nu))
     tol = VALUE_TOL * max(1.0, float(np.abs(entries).max()))
     if not gap <= tol:
         raise RuntimeError(
             f"saddle point failed its certificate: duality gap {gap:.3g} exceeds {tol:.3g} "
             f"on a {game.rows}x{game.cols} game"
         )
+    if not value_error <= tol:
+        raise RuntimeError(
+            f"saddle point failed its certificate: value {value:.6g} is {value_error:.3g} "
+            f"from mu' M nu, beyond {tol:.3g}, on a {game.rows}x{game.cols} game"
+        )
     return SaddlePoint(
         row_strategy=MixedStrategy(mu),
         col_strategy=MixedStrategy(nu),
-        value=low + spread * (2.0 / objective - 1.0),
+        value=value,
         pivots=pivots,
     )

@@ -51,6 +51,7 @@ from .environment import (
     EnvironmentConfig,
     ExpertSpec,
     ThetaSpec,
+    check_payoffs_bounded,
     check_theta_reachable,
 )
 from .estimator import EstimatorConfig
@@ -266,25 +267,28 @@ def _parse_theta(section, n_experts: int) -> ThetaSpec:
         values = section["values"]
         if not isinstance(values, (list, tuple)) or len(values) != n_experts:
             raise ConfigError([f"{where}.values: must list {n_experts} weights, got {values!r}"])
-        return ThetaSpec(
+        spec = ThetaSpec(
             kind="fixed",
             values=tuple(_number(v, f"{where}.values[{k}]") for k, v in enumerate(values)),
         )
-    if kind != "gaussian":
+    elif kind == "gaussian":
+        _require_keys(section, {"type", "mean", "norm_bound"}, where)
+        norm_bound = section.get("norm_bound")
+        if norm_bound is not None:
+            norm_bound = _number(norm_bound, f"{where}.norm_bound")
+            if norm_bound <= 0:
+                raise ConfigError([f"{where}.norm_bound: must be positive, got {norm_bound}"])
+        mean = _number(section.get("mean", 0.5), f"{where}.mean")
+        spec = ThetaSpec(kind="gaussian", mean=mean, norm_bound=norm_bound)
+    else:
         raise ConfigError([f"{where}.type: must be 'gaussian' or 'fixed', got {kind!r}"])
-    _require_keys(section, {"type", "mean", "norm_bound"}, where)
-    norm_bound = section.get("norm_bound")
-    if norm_bound is not None:
-        norm_bound = _number(norm_bound, f"{where}.norm_bound")
-        if norm_bound <= 0:
-            raise ConfigError([f"{where}.norm_bound: must be positive, got {norm_bound}"])
-    mean = _number(section.get("mean", 0.5), f"{where}.mean")
-    if norm_bound is not None:
-        try:
-            check_theta_reachable(mean, norm_bound, n_experts)
-        except ValueError as exc:
-            raise ConfigError([f"{where}: {exc}"]) from exc
-    return ThetaSpec(kind="gaussian", mean=mean, norm_bound=norm_bound)
+    try:
+        if spec.norm_bound is not None:
+            check_theta_reachable(spec.mean, spec.norm_bound, n_experts)
+        check_payoffs_bounded(spec, n_experts)
+    except ValueError as exc:
+        raise ConfigError([f"{where}: {exc}"]) from exc
+    return spec
 
 
 def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:

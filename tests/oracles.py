@@ -6,9 +6,9 @@ run the solver's simplex, and the Bland-only simplex it replaced, with
 plain row-by-row elimination pivots, the ridge oracles rebuild their
 answers from scratch with dense solves (one per row for the exploration
 potential), the adversarial-bandit oracles are a straight-line
-transcription of the two policy formulas and a numpy round
-that draws one uniform per action, and the regret increments score one
-round at a time, the way the simulator's vectorized episode metrics must
+transcription of the two policy formulas, a numpy round and a Python-float
+round that each draw one uniform per round, and the regret increments score
+one round at a time, the way the simulator's vectorized episode metrics must
 add up. The reference helpers
 (bilinear payoffs, best responses, single draws and rewards, expert readings,
 the closed-form radius) score one entry or one draw at a time; no simulator
@@ -372,6 +372,30 @@ class NumpyExp3:
         span = self.reward_max - self.reward_min
         clipped = min(max((reward - self.reward_min) / span, 0.0), 1.0)
         self.cumulative_estimates[action] += clipped / self.last_strategy[action]
+
+
+class FloatExp3(NumpyExp3):
+    """The same rounds on Python floats: ``math.exp`` of each score minus the
+    largest, ``math.fsum`` of the weights, and a running total of the policy
+    against one ``rng.random()`` per round. The agent must match it bit for bit."""
+
+    def act(self, t: int) -> int:
+        n = self.n_actions
+        log_n = math.log(n)
+        alpha = min(1.0, math.sqrt(n * log_n / t))
+        gamma = math.sqrt(2.0 * log_n / (n * t))
+        scores = [gamma * g for g in self.cumulative_estimates.tolist()]
+        top = max(scores)
+        weights = [math.exp(s - top) for s in scores]
+        total = math.fsum(weights)
+        self.last_strategy = [alpha / n + (1.0 - alpha) * w / total for w in weights]
+        u = self.rng.random()
+        running = 0.0
+        for action, p in enumerate(self.last_strategy):
+            running += p
+            if u < running:
+                return action
+        return n - 1
 
 
 def saddle_regret_increment(true_value: float, reward: float) -> float:

@@ -17,7 +17,13 @@ from expertgames.estimator import EstimatorConfig
 from expertgames.environment import ExpertEnsemble
 from expertgames.game import GameMatrix, MixedStrategy, solve_saddle_point
 
-from oracles import NumpyExp3, entrywise_optimistic_matrix, estimator_copy, exp3_policy_trace
+from oracles import (
+    FloatExp3,
+    NumpyExp3,
+    entrywise_optimistic_matrix,
+    estimator_copy,
+    exp3_policy_trace,
+)
 
 
 def case_study_estimator_config(n_experts=10):
@@ -218,23 +224,63 @@ class TestExp3:
     @pytest.mark.parametrize("n_actions", [2, 4, 10])
     def test_stream_equals_numpy_reference(self, n_actions):
         # Three 300-round episodes cross the agent's block refills of its
-        # uniform draws and two episode boundaries mid-block.
+        # uniform draws and two episode boundaries mid-block. The agent's
+        # Python-float round must give the float oracle's bits; np.exp and
+        # numpy's pairwise sum may differ from math.exp and math.fsum in the
+        # last bit, so against the numpy round the actions are equal and the
+        # policies agree to 1e-14 (the largest gap seen is 7.8e-16).
         for seed in range(50):
             agent = Exp3Agent(n_actions, seed=seed, reward_min=-1.0, reward_max=1.0)
-            reference = NumpyExp3(n_actions, seed, reward_min=-1.0, reward_max=1.0)
+            floats = FloatExp3(n_actions, seed, reward_min=-1.0, reward_max=1.0)
+            numpy = NumpyExp3(n_actions, seed, reward_min=-1.0, reward_max=1.0)
             table = np.random.default_rng([seed, 99]).uniform(-1.5, 1.5, size=(900, n_actions))
-            ours, theirs = [], []
             for episode in range(3):
+                episode_table = table[300 * episode : 300 * (episode + 1)].tolist()
                 agent.begin_episode()
-                reference.begin_episode()
-                for t, rewards in enumerate(table[300 * episode : 300 * (episode + 1)].tolist(), 1):
-                    action = agent.act(t)
-                    expected = reference.act(t)
-                    ours.append((action, agent.last_strategy))
-                    theirs.append((expected, reference.last_strategy.tolist()))
-                    agent.observe(action, 0, rewards[action])
-                    reference.observe(expected, rewards[expected])
-            assert ours == theirs, f"seed {seed}"
+                rows, rewards, policies = agent.play_episode(
+                    lambda t, i: episode_table[t][i], 300
+                )
+                for reference in (floats, numpy):
+                    reference.begin_episode()
+                    expected_rows, expected_policies = [], []
+                    for t, round_rewards in enumerate(episode_table, 1):
+                        action = reference.act(t)
+                        expected_rows.append(action)
+                        expected_policies.append(list(reference.last_strategy))
+                        reference.observe(action, round_rewards[action])
+                    assert rows.tolist() == expected_rows, f"seed {seed}, episode {episode}"
+                    if reference is floats:
+                        assert policies.tolist() == expected_policies, f"seed {seed}"
+                    else:
+                        np.testing.assert_allclose(policies, expected_policies, rtol=0, atol=1e-14)
+                played = [episode_table[t][i] for t, i in enumerate(expected_rows)]
+                assert rewards.tolist() == played
+
+    def test_play_episode_equals_stepping(self):
+        # 3 episodes of 200 rounds cross two refills of the 256-draw block and
+        # two episode boundaries mid-block.
+        table = np.random.default_rng(8).uniform(-1.5, 1.5, size=(600, 7)).tolist()
+        whole = Exp3Agent(7, seed=8, reward_min=-1.0, reward_max=1.0)
+        stepped = Exp3Agent(7, seed=8, reward_min=-1.0, reward_max=1.0)
+        for episode in range(3):
+            episode_table = table[200 * episode : 200 * (episode + 1)]
+            whole.begin_episode()
+            rows, rewards, policies = whole.play_episode(lambda t, i: episode_table[t][i], 200)
+            stepped.begin_episode()
+            stepped_rows, stepped_rewards, stepped_policies = [], [], []
+            for t, round_rewards in enumerate(episode_table, 1):
+                action = stepped.act(t)
+                stepped.observe(action, 0, round_rewards[action])
+                stepped_rows.append(action)
+                stepped_rewards.append(round_rewards[action])
+                stepped_policies.append(stepped.last_strategy)
+            stepped.end_episode()
+            assert rows.tolist() == stepped_rows
+            assert rewards.tolist() == stepped_rewards
+            assert policies.tolist() == stepped_policies
+            assert whole.cumulative_estimates == stepped.cumulative_estimates
+            assert whole.last_strategy == stepped.last_strategy
+            whole.end_episode()
 
     def test_policy_respects_uniform_floor(self):
         agent = Exp3Agent(5, seed=4, reward_min=-1.0, reward_max=1.0)

@@ -6,12 +6,14 @@ import pytest
 from expertgames.agents import Exp3Agent, FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
 from expertgames.environment import (
     _THETA_DRAW_LIMIT,
+    PAYOFF_LIMIT,
     Environment,
     EnvironmentConfig,
     ExpertEnsemble,
     ExpertSpec,
     SimulationError,
     ThetaSpec,
+    check_payoffs_bounded,
     check_theta_reachable,
 )
 
@@ -157,6 +159,38 @@ class TestThetaReachable:
         assert rejected > 0
 
 
+_HALF_LIMIT = PAYOFF_LIMIT / 2
+
+
+class TestPayoffsBounded:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ThetaSpec(kind="fixed", values=(_HALF_LIMIT, -_HALF_LIMIT)),
+            ThetaSpec(kind="gaussian", mean=-_HALF_LIMIT),
+            ThetaSpec(kind="gaussian", mean=0.5, norm_bound=1e300),
+            ThetaSpec(kind="gaussian", mean=1e308, norm_bound=_HALF_LIMIT),
+        ],
+        ids=["fixed-at-limit", "mean-at-limit", "huge-ball-small-mean", "huge-mean-small-ball"],
+    )
+    def test_payoffs_up_to_the_limit_pass(self, spec):
+        check_payoffs_bounded(spec, 2)
+
+    @pytest.mark.parametrize(
+        "spec, n_experts",
+        [
+            (ThetaSpec(kind="fixed", values=(0.0, math.nextafter(_HALF_LIMIT, math.inf))), 2),
+            (ThetaSpec(kind="gaussian", mean=_HALF_LIMIT), 3),
+            (ThetaSpec(kind="gaussian", mean=1e308), 2),
+            (ThetaSpec(kind="fixed", values=(1e308,) * 3), 3),
+        ],
+        ids=["fixed-past-limit", "mean-past-limit", "mean-1e308", "values-1e308"],
+    )
+    def test_payoffs_past_the_limit_are_rejected(self, spec, n_experts):
+        with pytest.raises(ValueError, match="beyond the limit of 1e\\+100"):
+            check_payoffs_bounded(spec, n_experts)
+
+
 class TestEmitReward:
     def test_noiseless_is_exact(self):
         m = np.array([[0.3, 0.7], [0.1, 0.9]])
@@ -229,12 +263,13 @@ class TestRunEpisode:
 
     def test_out_of_range_per_round_action_aborts(self):
         class RogueExp3(Exp3Agent):
-            def act(self, t):
-                super().act(t)
-                return 99 if t == 3 else 0
+            def play_episode(self, reward, n_rounds):
+                rows, rewards, policies = super().play_episode(reward, n_rounds)
+                rows[2] = 99
+                return rows, rewards, policies
 
         env = Environment(config())
-        with pytest.raises(SimulationError, match="round 3"):
+        with pytest.raises(SimulationError, match=r"learner produced row 99 .* round 3$"):
             env.run_episode(RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
 
     def test_out_of_range_opponent_column_aborts(self):
@@ -250,9 +285,9 @@ class TestRunEpisode:
 
     def test_agent_without_strategy_aborts(self):
         class Blind(Exp3Agent):
-            @property
-            def last_strategy(self):
-                return None
+            def play_episode(self, reward, n_rounds):
+                rows, rewards, _ = super().play_episode(reward, n_rounds)
+                return rows, rewards, None
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="exposes no strategy"):

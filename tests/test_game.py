@@ -230,6 +230,29 @@ class TestSolverProperties:
         assert (saddle.row_strategy.probs @ m).min() >= saddle.value - tol
         assert (m @ saddle.col_strategy.probs).max() <= saddle.value + tol
 
+    @pytest.mark.parametrize(
+        "m, value, mu, nu",
+        [
+            pytest.param([[-1e308, 1e308]], -1e308, [1.0], [1.0, 0.0], id="range-2e308"),
+            pytest.param(
+                [[1.7e308, -1.7e308], [-1.7e308, 1.7e308]], 0.0, [0.5, 0.5], [0.5, 0.5],
+                id="pennies-1.7e308",
+            ),
+        ],
+    )
+    def test_ranges_beyond_the_float_maximum_solve_and_certify(self, m, value, mu, nu):
+        # The range overflows to inf unless the payoffs are halved first;
+        # unhalved, the first game's value came back NaN with a certificate
+        # that looked only at the strategies.
+        m = np.array(m)
+        saddle = solve_saddle_point(m)
+        assert abs(saddle.value - value) <= VALUE_TOL * np.abs(m).max()
+        assert abs(saddle.value - saddle.row_strategy.probs @ m @ saddle.col_strategy.probs) <= (
+            VALUE_TOL * np.abs(m).max()
+        )
+        np.testing.assert_allclose(saddle.row_strategy.probs, mu, atol=1e-12)
+        np.testing.assert_allclose(saddle.col_strategy.probs, nu, atol=1e-12)
+
 
 def _positive(m):
     """The matrix in [1/2, 1] that ``solve_saddle_point`` hands the LP."""
@@ -341,6 +364,19 @@ class TestSolverErrors:
         m = np.array([[3.0, 0.0], [0.0, 1.0]])  # unique mixed saddle (1/4, 3/4)
         monkeypatch.setattr(game, "_solve_positive_lp", swapped_columns)
         with pytest.raises(RuntimeError, match=r"duality gap 1\.5 exceeds 3e-07 on a 2x2 game"):
+            solve_saddle_point(m)
+
+    def test_certificate_rejects_a_wrong_value(self, monkeypatch):
+        solve = game._solve_positive_lp
+
+        def shifted_objective(a):
+            q, duals, objective, pivots = solve(a)
+            return q, duals, objective * 0.9, pivots
+
+        m = np.array([[3.0, 0.0], [0.0, 1.0]])
+        monkeypatch.setattr(game, "_solve_positive_lp", shifted_objective)
+        message = r"value 1\.16667 is 0\.417 from mu' M nu, beyond 3e-07"
+        with pytest.raises(RuntimeError, match=message):
             solve_saddle_point(m)
 
 

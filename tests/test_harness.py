@@ -25,6 +25,7 @@ from expertgames.harness import (
     trial_environment,
 )
 from expertgames.environment import (
+    PAYOFF_LIMIT,
     EnvironmentConfig,
     ExpertSpec,
     ThetaSpec,
@@ -547,6 +548,18 @@ class TestCli:
                 "environment.theta_star",
                 lambda raw: raw["environment"]["theta_star"].update(mean=50.0, norm_bound=3.0),
             ),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"].update(
+                    theta_star={"mean": 1e308, "norm_bound": None}
+                ),
+            ),
+            (
+                "environment.theta_star",
+                lambda raw: raw["environment"].update(
+                    theta_star={"type": "fixed", "values": [1e308, 1e308]}
+                ),
+            ),
         ],
         ids=[
             "bool-trials",
@@ -584,6 +597,8 @@ class TestCli:
             "overflowing-radius-ridge",
             "unreachable-tiny-ball",
             "unreachable-far-mean",
+            "overflowing-theta-mean",
+            "overflowing-theta-values",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
@@ -595,6 +610,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_weights_at_the_payoff_limit_run_to_the_end(self, tmp_path):
+        # Two experts with weights of half the limit reach it exactly.
+        raw = config_to_dict(tiny_config())
+        half = PAYOFF_LIMIT / 2
+        raw["environment"]["theta_star"] = {"type": "fixed", "values": [half, -half]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_run_rejects_workers_below_one(self, tmp_path, capsys, workers):
