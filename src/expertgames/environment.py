@@ -345,33 +345,25 @@ class Environment:
                 raise SimulationError(f"learner exposes no strategy at episode {episode}")
         sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, row_strategies, nu)
 
+        # Only an optimistic learner has an estimator; begin_episode set its plan.
         diagnostics: dict[str, float] = {}
-        theta_hat = getattr(learner, "planned_theta", None)
-        beta = getattr(learner, "planned_beta", None)
+        theta_hat = beta = theta_error = None
         estimator = getattr(learner, "estimator", None)
-        theta_error = None
-        if theta_hat is not None:
-            theta_hat = np.asarray(theta_hat, dtype=float)
+        if estimator is not None:
+            theta_hat = learner.planned_theta
+            beta = float(learner.planned_beta)
             theta_error = float(np.linalg.norm(theta_hat - self.theta_star))
-            if estimator is not None and beta is not None:
-                diagnostics["coverage"] = float(estimator.covers(self.theta_star))
-            optimistic = getattr(learner, "optimistic_matrix", None)
-            if optimistic is not None:
-                true_mean = ensemble.mix(self.theta_star)
-                diagnostics["value_optimism_gap"] = float(
-                    learner.optimistic_value - value
-                )
-                diagnostics["entrywise_optimism_margin"] = float(
-                    (optimistic - true_mean).min()
-                )
-            if getattr(learner, "cap_active", None) is not None:
-                diagnostics["cap_active"] = float(learner.cap_active)
-
-        log_det_before = estimator.log_det() if estimator is not None else None
+            diagnostics["coverage"] = float(estimator.covers(self.theta_star))
+            diagnostics["value_optimism_gap"] = float(learner.optimistic_value - value)
+            true_mean = ensemble.mix(self.theta_star)
+            diagnostics["entrywise_optimism_margin"] = float(
+                (learner.optimistic_matrix - true_mean).min()
+            )
+            diagnostics["cap_active"] = float(learner.cap_active)
+            log_det_before = estimator.log_det()
         learner.end_episode()
         if estimator is not None:
-            log_det_after = estimator.log_det()
-            diagnostics["det_ratio"] = math.exp(log_det_after - log_det_before)
+            diagnostics["det_ratio"] = math.exp(estimator.log_det() - log_det_before)
             diagnostics["potential_sum"] = estimator.potential_sum
             diagnostics["potential_bound"] = estimator.potential_bound()
 
@@ -386,7 +378,7 @@ class Environment:
             learner_strategy=mu,
             opponent_strategy=nu,
             theta_hat=theta_hat,
-            beta=None if beta is None else float(beta),
+            beta=beta,
             theta_error=theta_error,
             diagnostics=diagnostics,
         )

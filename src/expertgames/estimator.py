@@ -9,12 +9,14 @@ substitution in numpy: d steps per triangular solve for d experts, each one
 vectorized over every right-hand side, so the package needs no linear-algebra
 library beyond numpy.
 
-New observations wait in a pending buffer. ``absorb_batch`` and every read
-fold them in together: one small Cholesky factorization per block of rows
-yields each row's exploration-potential term against the Gram matrix of all
-rows before it, where a per-row update would need one linear solve per row.
-A fold that would leave the Gram matrix not finite or not positive definite
-raises ``ValueError`` and leaves the state as it was.
+Observations enter only through ``absorb_batch``, which folds a whole batch
+in at once, as the learner does at the end of each episode: one small
+Cholesky factorization per block of rows yields each row's
+exploration-potential term against the Gram matrix of all rows before it,
+where a per-row update would need one linear solve per row. A batch that is
+malformed, or whose fold would leave the Gram matrix not finite or not
+positive definite, raises ``ValueError`` at that call and leaves the state as
+it was.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per potential-term factorization when folding pending observations in.
-_FLUSH_ROWS = 64
+# Rows per potential-term factorization when folding observations in.
+_FOLD_ROWS = 64
 
 
 def _forward_solve(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -88,100 +90,49 @@ class RidgeEstimator:
     Also maintains the exploration potential sum(min(1, ||z||^2 in the
     inverse-gram norm)) accumulated with the pre-update gram at every
     observation; together with the log-determinant it gives a runtime check
-    of the elliptical potential inequality.
+    of the elliptical potential inequality. Only ``absorb_batch`` changes
+    ``gram``, ``xty``, ``n_obs`` and ``potential_sum``.
     """
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
         dim = config.n_experts
-        self._gram = config.ridge * np.eye(dim)
-        self._xty = np.zeros(dim)
-        self._n_obs = 0
-        self._potential_sum = 0.0
-        self._chol = np.linalg.cholesky(self._gram)  # always the factor of _gram
-        self._pending_features: list[np.ndarray] = []
-        self._pending_rewards: list[np.ndarray] = []
-
-    @property
-    def gram(self) -> np.ndarray:
-        self._flush()
-        return self._gram
-
-    @property
-    def xty(self) -> np.ndarray:
-        self._flush()
-        return self._xty
-
-    @property
-    def n_obs(self) -> int:
-        self._flush()
-        return self._n_obs
-
-    @property
-    def potential_sum(self) -> float:
-        self._flush()
-        return self._potential_sum
-
-    def _factor(self) -> np.ndarray:
-        self._flush()
-        return self._chol
-
-    def absorb(self, features, reward: float) -> None:
-        """Queue one (feature vector, reward) observation for the next read."""
-        z = np.asarray(features, dtype=float)
-        if z.shape != (self.config.n_experts,):
-            raise ValueError(
-                f"feature vector must have shape ({self.config.n_experts},), got {z.shape}"
-            )
-        if not (np.all(np.isfinite(z)) and math.isfinite(reward)):
-            raise ValueError("features and reward must be finite")
-        self._pending_features.append(z[None])
-        self._pending_rewards.append(np.array([reward], dtype=float))
+        self.gram = config.ridge * np.eye(dim)
+        self.xty = np.zeros(dim)
+        self.n_obs = 0
+        self.potential_sum = 0.0
+        self._chol = np.linalg.cholesky(self.gram)  # always the factor of gram
 
     def absorb_batch(self, features, rewards) -> None:
-        """Absorb a whole episode of observations, in order, and fold them in now.
+        """Fold a batch of observations in, in order, or raise and keep the state.
 
-        The batch is validated once and joins any rows queued by
-        :meth:`absorb`. The fold gives every row the exploration term it
-        would get if absorbed alone, against the Gram matrix of all earlier
-        rows, and adds the rows to the Gram matrix and ``xty`` in order, so
-        those two equal sequential absorption bit for bit.
-        """
-        z = np.asarray(features, dtype=float)
-        r = np.asarray(rewards, dtype=float)
-        dim = self.config.n_experts
-        if z.ndim != 2 or z.shape[1] != dim or r.shape != (z.shape[0],):
-            raise ValueError(
-                f"features must be (n, {dim}) with one reward per row, "
-                f"got {z.shape} and {r.shape}"
-            )
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(r))):
-            raise ValueError("features and rewards must be finite")
-        self._pending_features.append(z)
-        self._pending_rewards.append(r)
-        self._flush()
-
-    def _flush(self) -> None:
-        """Fold the pending rows into the state, or discard them and raise.
+        Every row gets the exploration term it would get if absorbed alone,
+        against the Gram matrix of all earlier rows, and the rows are added
+        to the Gram matrix and ``xty`` in order, so those two equal
+        per-row absorption bit for bit.
 
         For a block of rows Z against the Gram factor L_G, let W = L_G^-1 Z'
         and L_M the Cholesky factor of I + W'W. Then L_M[t, t]^2 - 1 equals
         z_t' (G + sum_{s<t} z_s z_s')^-1 z_t (Woodbury and the Schur
         complement), so one small factorization gives every row's sequential
-        potential term. Blocks of at most _FLUSH_ROWS rows keep that
+        potential term. Blocks of at most _FOLD_ROWS rows keep that
         factorization's cubic cost and memory small.
         """
-        if not self._pending_features:
-            return
-        z_all = np.concatenate(self._pending_features)
-        r_all = np.concatenate(self._pending_rewards)
-        self._pending_features.clear()
-        self._pending_rewards.clear()
-        gram, xty, chol = self._gram, self._xty, self._chol
-        potential = self._potential_sum
-        for start in range(0, len(z_all), _FLUSH_ROWS):
-            z = z_all[start : start + _FLUSH_ROWS]
-            r = r_all[start : start + _FLUSH_ROWS]
+        z_all = np.asarray(features, dtype=float)
+        r_all = np.asarray(rewards, dtype=float)
+        dim = self.config.n_experts
+        if z_all.ndim != 2 or z_all.shape[1] != dim or r_all.shape != (z_all.shape[0],):
+            raise ValueError(
+                f"features must be (n, {dim}) with one reward per row, "
+                f"got {z_all.shape} and {r_all.shape}"
+            )
+        if not (np.all(np.isfinite(z_all)) and np.all(np.isfinite(r_all))):
+            raise ValueError("features and rewards must be finite")
+        gram, xty, chol = self.gram, self.xty, self._chol
+        potential = self.potential_sum
+        for start in range(0, len(z_all), _FOLD_ROWS):
+            z = z_all[start : start + _FOLD_ROWS]
+            r = r_all[start : start + _FOLD_ROWS]
             w = _forward_solve(chol, z.T)
             with np.errstate(over="ignore", invalid="ignore"):
                 inner = np.eye(len(z)) + w.T @ w
@@ -198,13 +149,13 @@ class RidgeEstimator:
                 raise self._fold_error(len(z_all)) from None
             for term in terms.tolist():
                 potential += min(1.0, term)
-        self._gram, self._xty, self._chol = gram, xty, chol
-        self._potential_sum = potential
-        self._n_obs += len(z_all)
+        self.gram, self.xty, self._chol = gram, xty, chol
+        self.potential_sum = potential
+        self.n_obs += len(z_all)
 
     def _fold_error(self, n_rows: int) -> ValueError:
         return ValueError(
-            f"absorbing {n_rows} observation(s) into an estimator holding {self._n_obs}: "
+            f"absorbing {n_rows} observation(s) into an estimator holding {self.n_obs}: "
             "the Gram matrix update is not finite and positive definite; "
             "the observations were discarded"
         )
@@ -213,11 +164,10 @@ class RidgeEstimator:
         """Ridge estimate gram^-1 xty via the cached SPD factorization."""
         if self.n_obs == 0:
             return np.zeros(self.config.n_experts)
-        chol = self._factor()
-        return _back_solve(chol, _forward_solve(chol, self._xty))
+        return _back_solve(self._chol, _forward_solve(self._chol, self.xty))
 
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._factor()))))
+        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
     def beta_radius(self) -> float:
         """Confidence-ball radius from the exact determinant ratio.
@@ -233,12 +183,12 @@ class RidgeEstimator:
 
     def ellipsoid_norms(self, columns: np.ndarray) -> np.ndarray:
         """Column-wise sqrt(z' gram^-1 z) for a (dim, n) stack of vectors."""
-        half = _forward_solve(self._factor(), columns)
+        half = _forward_solve(self._chol, columns)
         return np.sqrt(np.sum(half * half, axis=0))
 
     def mahalanobis_norm(self, x) -> float:
         """sqrt(x' gram x), the norm used by the confidence-ball membership test."""
-        half = self._factor().T @ np.asarray(x, dtype=float)
+        half = self._chol.T @ np.asarray(x, dtype=float)
         return float(np.sqrt(half @ half))
 
     def covers(self, theta) -> bool:

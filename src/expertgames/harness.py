@@ -363,6 +363,21 @@ def _parse_environment(section) -> EnvironmentConfig:
     )
 
 
+def ridge_floor(env: EnvironmentConfig) -> float:
+    """The smallest ridge whose estimator folds every row of a run in.
+
+    Features lie in [0, 1]^d. Over a run of T rows the Gram matrix's
+    eigenvalues lie in [ridge, ridge + T d], and a fold block of B <= T rows
+    factors I + W'W, whose eigenvalues lie in [1, 1 + B d / ridge]. Cholesky
+    needs its rounding, about d eps times the largest eigenvalue, to stay
+    below the smallest, and ridge >= d^2 T eps keeps both factorizations
+    clear. The product is taken in floats, so huge sizes give inf, not an
+    error.
+    """
+    d = float(env.n_experts)
+    return d * d * float(env.n_episodes) * float(env.rounds_per_episode) * 2.0**-52
+
+
 def _parse_learner(section, index: int, env: EnvironmentConfig) -> LearnerSpec:
     where = f"learners[{index}]"
     kind = _object(section, where).get("type")
@@ -374,6 +389,12 @@ def _parse_learner(section, index: int, env: EnvironmentConfig) -> LearnerSpec:
             estimator = EstimatorConfig(**numbers, n_experts=env.n_experts)
         except ValueError as exc:  # the message starts with the field's name
             raise ConfigError([f"{where}.{exc}"]) from exc
+        floor = ridge_floor(env)
+        if estimator.ridge < floor:
+            raise ConfigError(
+                [f"{where}.ridge: must be at least n_experts^2 * n_episodes * "
+                 f"rounds_per_episode * 2^-52 = {floor:.3g}, got {estimator.ridge:.3g}"]
+            )
         return LearnerSpec(kind=kind, name=section.get("name", "ofulinmat"), estimator=estimator)
     if kind == "exp3":
         _require_keys(section, {"type", "name", "reward_min", "reward_max"}, where)

@@ -264,17 +264,19 @@ def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
 
 
 def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:
-    """An independent estimator holding the same sufficient statistics and
-    the same pending (not yet folded-in) observations."""
+    """An independent estimator holding the same sufficient statistics."""
     dup = RidgeEstimator(estimator.config)
-    dup._gram = estimator._gram.copy()
-    dup._xty = estimator._xty.copy()
+    dup.gram = estimator.gram.copy()
+    dup.xty = estimator.xty.copy()
     dup._chol = estimator._chol.copy()
-    dup._n_obs = estimator._n_obs
-    dup._potential_sum = estimator._potential_sum
-    dup._pending_features = [z.copy() for z in estimator._pending_features]
-    dup._pending_rewards = [r.copy() for r in estimator._pending_rewards]
+    dup.n_obs = estimator.n_obs
+    dup.potential_sum = estimator.potential_sum
     return dup
+
+
+def absorb_row(estimator: RidgeEstimator, features, reward: float) -> None:
+    """Fold one observation in on its own, as a batch of one row."""
+    estimator.absorb_batch(np.asarray(features, dtype=float)[None], [reward])
 
 
 def potential_sum_from_scratch(features: np.ndarray, ridge: float) -> float:

@@ -113,18 +113,17 @@ def test_criterion_2_estimator_exactness():
     checkpoints = (1, 17, 200, 1234, 3000)
     worst_theta = 0.0
     worst_beta = 0.0
-    for n, (z, r) in enumerate(zip(features, rewards), start=1):
-        est.absorb(z, float(r))
-        if n in checkpoints:
-            oracle_theta = ridge_solution(features[:n], rewards[:n], config.ridge)
-            scale = max(1.0, float(np.linalg.norm(oracle_theta)))
-            worst_theta = max(
-                worst_theta, float(np.linalg.norm(est.point_estimate() - oracle_theta)) / scale
-            )
-            oracle_beta = confidence_radius_from_scratch(
-                features[:n], config.ridge, config.param_bound, config.delta
-            )
-            worst_beta = max(worst_beta, abs(est.beta_radius() - oracle_beta) / oracle_beta)
+    for start, n in zip((0,) + checkpoints, checkpoints):
+        est.absorb_batch(features[start:n], rewards[start:n])
+        oracle_theta = ridge_solution(features[:n], rewards[:n], config.ridge)
+        scale = max(1.0, float(np.linalg.norm(oracle_theta)))
+        worst_theta = max(
+            worst_theta, float(np.linalg.norm(est.point_estimate() - oracle_theta)) / scale
+        )
+        oracle_beta = confidence_radius_from_scratch(
+            features[:n], config.ridge, config.param_bound, config.delta
+        )
+        worst_beta = max(worst_beta, abs(est.beta_radius() - oracle_beta) / oracle_beta)
     ok = worst_theta < 1e-9 and worst_beta < 1e-9
     _report(
         "criterion 2 (estimator matches closed-form ridge and radius recompute)",
@@ -147,9 +146,12 @@ def test_criterion_3_confidence_coverage():
         )
         escaped = False
         for _episode in range(10):  # 10 episodes x 100 rounds = 1000 observations
-            for _round in range(100):
-                z = rng.uniform(size=5)
-                est.absorb(z, float(theta @ z) + rng.normal())
+            features = np.empty((100, 5))
+            rewards = np.empty(100)
+            for t in range(100):
+                z = features[t] = rng.uniform(size=5)
+                rewards[t] = float(theta @ z) + rng.normal()
+            est.absorb_batch(features, rewards)
             if not est.covers(theta):
                 escaped = True
         failures += escaped

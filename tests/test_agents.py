@@ -20,6 +20,7 @@ from expertgames.game import GameMatrix, MixedStrategy, solve_saddle_point
 from oracles import (
     FloatExp3,
     NumpyExp3,
+    absorb_row,
     entrywise_optimistic_matrix,
     estimator_copy,
     exp3_policy_trace,
@@ -53,9 +54,8 @@ class TestOFULinMatPlanning:
         config = EstimatorConfig(ridge=0.01, param_bound=3.0, delta=0.01, n_experts=1)
         agent = OFULinMatAgent(2, config, seed=1)
         rng = np.random.default_rng(2)
-        for _ in range(2000):
-            i, j = rng.integers(2), rng.integers(2)
-            agent.estimator.absorb(np.array([expert[i, j]]), 2.0 * expert[i, j])
+        readings = [expert[rng.integers(2), rng.integers(2)] for _ in range(2000)]
+        agent.estimator.absorb_batch(np.array(readings)[:, None], 2.0 * np.array(readings))
         agent.begin_episode(ensemble)
         assert agent.planned_theta[0] == pytest.approx(2.0, abs=1e-3)
         assert np.allclose(agent.optimistic_matrix / expert, agent.optimistic_matrix[0, 0] / expert[0, 0])
@@ -67,9 +67,12 @@ class TestOFULinMatPlanning:
         config = case_study_estimator_config()
         agent = OFULinMatAgent(10, config, seed=4)
         theta_star = rng.normal(0.15, 0.4, size=10)  # small norm: no payoff cap
-        for _ in range(2000):
-            z = rng.uniform(size=10)
-            agent.estimator.absorb(z, float(theta_star @ z) + rng.normal())
+        features = np.empty((2000, 10))
+        rewards = np.empty(2000)
+        for t in range(2000):
+            z = features[t] = rng.uniform(size=10)
+            rewards[t] = float(theta_star @ z) + rng.normal()
+        agent.estimator.absorb_batch(features, rewards)
         ensemble = ExpertEnsemble(rng.uniform(size=(10, 10, 10)))
         agent.begin_episode(ensemble)
         assert not agent.cap_active
@@ -149,7 +152,7 @@ class TestOFULinMatActObserve:
             agent.observe_episode([int(i)], [int(j)], [float(r)])
         agent.end_episode()
         for i, j, r in plays:
-            mirror.absorb(stack[:, i, j], float(r))
+            absorb_row(mirror, stack[:, i, j], float(r))
         assert np.allclose(agent.estimator.gram, mirror.gram, rtol=1e-12)
         assert np.allclose(agent.estimator.xty, mirror.xty, rtol=1e-12)
         assert agent.estimator.n_obs == 200

@@ -20,6 +20,7 @@ from expertgames.harness import (
     emit_plot_data,
     load_config,
     replay_manifest,
+    ridge_floor,
     run_experiment,
     run_trial,
     trial_environment,
@@ -72,6 +73,12 @@ def fixed_experts(shape, last=0.5) -> list:
         row = row[-1]
     row[-1] = last
     return stack
+
+
+def paper_with_ridge(raw: dict, ridge: float) -> None:
+    """Replace ``raw`` by the paper config with the optimistic learner's ``ridge``."""
+    raw.update(config_to_dict(default_paper_config()))
+    raw["learners"][0]["ridge"] = ridge
 
 
 def tree_files(root: Path) -> dict[str, bytes]:
@@ -560,6 +567,8 @@ class TestCli:
                     theta_star={"type": "fixed", "values": [1e308, 1e308]}
                 ),
             ),
+            ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=1e-300)),
+            ("learners[0].ridge", lambda raw: paper_with_ridge(raw, 1e-15)),
         ],
         ids=[
             "bool-trials",
@@ -599,6 +608,8 @@ class TestCli:
             "unreachable-far-mean",
             "overflowing-theta-mean",
             "overflowing-theta-values",
+            "ridge-below-floor",
+            "paper-ridge-below-floor",
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
@@ -616,6 +627,21 @@ class TestCli:
         raw = config_to_dict(tiny_config())
         half = PAYOFF_LIMIT / 2
         raw["environment"]["theta_star"] = {"type": "fixed", "values": [half, -half]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+
+    def test_ridge_at_the_floor_runs_to_the_end(self, tmp_path):
+        # All-ones experts make every feature the all-ones vector, the most
+        # ill-conditioned Gram matrix [0, 1]^d features can build.
+        raw = config_to_dict(default_paper_config())
+        env = raw["environment"]
+        env["experts"] = {"type": "fixed", "matrices": np.ones(
+            (env["n_episodes"], env["n_experts"], env["n_rows"], env["n_cols"])).tolist()}
+        raw["learners"][0]["ridge"] = ridge_floor(config_from_dict(raw).environment)
+        raw["trials"] = 1
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(raw))
         out = tmp_path / "run"

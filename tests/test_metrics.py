@@ -14,6 +14,7 @@ from expertgames.game import solve_saddle_point
 from expertgames.metrics import METRIC_KEYS, build_report
 
 from oracles import (
+    absorb_row,
     best_response_regret_increment,
     best_response_regret_increment_p2,
     exp3_policy_trace,
@@ -272,7 +273,7 @@ class TestThetaErrorMonotoneNoiseless:
         for step in range(60):
             z = np.zeros(dim)
             z[step % dim] = 1.0
-            est.absorb(z, float(theta_star @ z))
+            absorb_row(est, z, float(theta_star @ z))
             errors.append(np.linalg.norm(est.point_estimate() - theta_star))
         diffs = np.diff(errors)
         assert np.all(diffs <= 1e-12)
