@@ -3,7 +3,7 @@
 Subcommands:
     run           run an experiment from a JSON config file
     replay        re-run the exact experiment recorded in a manifest
-    plot-data     recompute tidy mean/stderr tables from a finished run
+    plot-data     filter a finished run's aggregate mean/stderr tables by series
     paper-default print the built-in case-study configuration as JSON
 
 Exit codes: 0 success, 1 invalid configuration, 2 unwritable output.
@@ -59,8 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--out", default=None, help="output directory (default: <run>_replay)")
     replay.add_argument("--workers", type=_worker_count, default=1)
 
-    plot = sub.add_parser("plot-data", help="emit plot-ready aggregate tables")
-    plot.add_argument("--run", required=True, help="directory of a completed run")
+    plot = sub.add_parser(
+        "plot-data", help="filter a finished run's aggregate tables into plot-ready tables"
+    )
+    plot.add_argument("--run", required=True, help="directory of a finished run")
     plot.add_argument("--out", default=None, help="output directory (default: <run>/plot)")
     plot.add_argument(
         "--series",

@@ -28,10 +28,26 @@ PAYOFF_LIMIT = 1e100
 # Standard normal draws are taken to stay within this many standard
 # deviations: a draw beyond it has probability below 1e-340.
 _NORMAL_REACH = 40.0
+# The most bytes a trial's arrays may take: the expert stacks, the true games
+# and the noise table, all float64. The large-game workload needs 4.3 MB.
+ARRAY_BYTE_BUDGET = 2**30
 
 
 class SimulationError(RuntimeError):
     """An agent broke the play protocol (e.g. produced an illegal action)."""
+
+
+def _unit_entries(values, name: str) -> np.ndarray:
+    """``values`` as a float array whose entries are finite and lie in [0, 1]."""
+    stack = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(stack)):
+        raise ValueError(f"{name}: entries must be finite")
+    if stack.size and (stack.min() < 0.0 or stack.max() > 1.0):
+        raise ValueError(
+            f"{name}: entries must lie in [0, 1], got range "
+            f"[{float(stack.min())}, {float(stack.max())}]"
+        )
+    return stack
 
 
 @dataclass(frozen=True)
@@ -49,10 +65,7 @@ class ExpertEnsemble:
         stack = np.asarray(self.matrices, dtype=float)
         if stack.ndim != 3 or stack.shape[0] < 1:
             raise ValueError("ensemble must be a non-empty (n_experts, rows, cols) stack")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("expert matrices must be finite")
-        if stack.min() < 0.0 or stack.max() > 1.0:
-            raise ValueError("expert matrix entries must lie in [0, 1]")
+        _unit_entries(stack, "expert matrices")
         object.__setattr__(self, "matrices", stack)
         stack.setflags(write=False)
 
@@ -96,6 +109,8 @@ class ThetaSpec:
             raise ValueError("fixed theta spec requires explicit values")
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if self.norm_bound is not None and not self.norm_bound > 0:
+            raise ValueError(f"norm_bound: must be positive, got {self.norm_bound}")
 
 
 @dataclass(frozen=True)
@@ -111,10 +126,16 @@ class ExpertSpec:
             raise ValueError(f"expert kind must be 'uniform' or 'fixed', got {self.kind!r}")
         if self.kind == "fixed" and self.matrices is None:
             raise ValueError("fixed expert spec requires matrices")
+        if self.matrices is not None:
+            _unit_entries(self.matrices, "matrices")
 
 
 @dataclass(frozen=True)
 class EnvironmentConfig:
+    """A trial's sizes, noise, mixing weights and experts. It checks every
+    rule of the config itself; each message starts with the JSON key at fault
+    (``theta_star.values: ...``), or has none when the arrays are too large."""
+
     n_rows: int
     n_cols: int
     n_experts: int
@@ -133,6 +154,31 @@ class EnvironmentConfig:
         if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
             raise ValueError(
                 f"noise_variance: must be finite and nonnegative, got {self.noise_variance}"
+            )
+        # In floats, exact far beyond the budget, so huge sizes give inf, not an error.
+        cells = float(self.n_rows) * float(self.n_cols)
+        n_bytes = 8.0 * float(self.n_episodes) * (
+            float(self.n_experts) * cells + cells + float(self.rounds_per_episode)
+        )
+        if n_bytes > ARRAY_BYTE_BUDGET:
+            raise ValueError(
+                f"the arrays take 8 * n_episodes * (n_experts * n_rows * n_cols + n_rows * n_cols "
+                f"+ rounds_per_episode) = {n_bytes:.3g} bytes, beyond the budget of "
+                f"{ARRAY_BYTE_BUDGET} bytes"
+            )
+        theta = self.theta
+        if theta.kind == "fixed" and len(theta.values) != self.n_experts:
+            raise ValueError(
+                f"theta_star.values: must list {self.n_experts} weights, got {len(theta.values)}"
+            )
+        if theta.kind == "gaussian" and theta.norm_bound is not None:
+            check_theta_reachable(theta.mean, theta.norm_bound, self.n_experts)
+        check_payoffs_bounded(theta, self.n_experts)
+        shape = (self.n_episodes, self.n_experts, self.n_rows, self.n_cols)
+        if self.experts.kind == "fixed" and np.shape(self.experts.matrices) != shape:
+            raise ValueError(
+                f"experts.matrices: must have shape {shape} (n_episodes, n_experts, n_rows, "
+                f"n_cols), got {np.shape(self.experts.matrices)}"
             )
 
 
@@ -180,8 +226,8 @@ def check_theta_reachable(mean: float, norm_bound: float, n_experts: int) -> Non
     bound = math.exp(log_bound)
     if bound < 1.0 and _THETA_DRAW_LIMIT * math.log1p(-bound) > math.log(1e-9):
         raise ValueError(
-            f"N({mean}, I) draws in {d} dimensions land in the ball of radius {norm_bound} "
-            f"with probability at most {bound:.3g}, so all {_THETA_DRAW_LIMIT} rejection "
+            f"theta_star: N({mean}, I) draws in {d} dimensions land in the ball of radius "
+            f"{norm_bound} with probability at most {bound:.3g}, so all {_THETA_DRAW_LIMIT} rejection "
             "draws miss it with probability above 1e-9"
         )
 
@@ -202,19 +248,14 @@ def check_payoffs_bounded(spec: ThetaSpec, n_experts: int) -> None:
             reach = min(reach, spec.norm_bound)
     if not n_experts * reach <= PAYOFF_LIMIT:
         raise ValueError(
-            f"weights up to {reach:.3g} in magnitude over {n_experts} experts reach payoffs "
-            f"of {n_experts * reach:.3g}, beyond the limit of {PAYOFF_LIMIT:.3g}"
+            f"theta_star: weights up to {reach:.3g} in magnitude over {n_experts} experts reach "
+            f"payoffs of {n_experts * reach:.3g}, beyond the limit of {PAYOFF_LIMIT:.3g}"
         )
 
 
 def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     if spec.kind == "fixed":
-        theta = np.asarray(spec.values, dtype=float)
-        if theta.shape != (n_experts,):
-            raise ValueError(
-                f"fixed theta has length {theta.size}, environment expects {n_experts}"
-            )
-        return theta, 0
+        return np.asarray(spec.values, dtype=float), 0
     rejections = 0
     for _ in range(_THETA_DRAW_LIMIT):
         theta = rng.normal(spec.mean, 1.0, size=n_experts)
@@ -268,12 +309,7 @@ class Environment:
         if config.experts.kind == "uniform":
             self._expert_stacks = expert_rng.uniform(0.0, 1.0, size=shape)
         else:
-            stacks = np.asarray(config.experts.matrices, dtype=float)
-            if stacks.shape != shape:
-                raise ValueError(
-                    f"fixed expert matrices must have shape {shape}, got {stacks.shape}"
-                )
-            self._expert_stacks = stacks
+            self._expert_stacks = np.asarray(config.experts.matrices, dtype=float)
         # True games never clip: only the expert matrices are [0,1]-bounded.
         self._true_games = np.tensordot(self.theta_star, self._expert_stacks, axes=(0, 1))
         self.noise = noise_rng.normal(

@@ -201,9 +201,10 @@ class RidgeEstimator:
 
         Uses the bound ||theta|| <= ||estimate|| + sqrt(radius / lambda_min(gram))
         over the ellipsoid; when it exceeds the parameter bound the caller
-        should fall back to the norm-ball payoff cap.
+        should fall back to the norm-ball payoff cap. gram = ridge*I + sum z z'
+        has no eigenvalue below ridge, though rounding can read one lower.
         """
-        lam_min = float(np.linalg.eigvalsh(self.gram)[0])
+        lam_min = max(float(np.linalg.eigvalsh(self.gram)[0]), self.config.ridge)
         reach = float(np.linalg.norm(self.point_estimate())) + math.sqrt(
             self.beta_radius() / lam_min
         )

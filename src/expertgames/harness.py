@@ -12,6 +12,7 @@ Outputs under the run directory:
     trials/trial_<n>/<learner>/metrics.csv  long format: series,episode,value
     trials/trial_<n>/<learner>/trace.jsonl  one JSON object per episode
     aggregate/<learner>.csv                 series,episode,mean,stderr
+    plot/<learner>.csv                      the aggregate, filtered by ``plot-data``
 
 All floats are written with ``repr`` so replaying a manifest reproduces the
 metric files byte for byte. Each trial's files are written as soon as the
@@ -46,14 +47,7 @@ from .agents import (
     SaddleOracleOpponent,
     UniformOpponent,
 )
-from .environment import (
-    Environment,
-    EnvironmentConfig,
-    ExpertSpec,
-    ThetaSpec,
-    check_payoffs_bounded,
-    check_theta_reachable,
-)
+from .environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
 from .estimator import EstimatorConfig
 from .game import MixedStrategy
 from .metrics import build_report
@@ -75,6 +69,20 @@ def _require_keys(section: dict, allowed: set[str], where: str):
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError([f"{where}: unknown key {key!r}" for key in unknown])
+
+
+def _build(cls, where: str, **fields):
+    """``cls(**fields)``, whose ValueError becomes a ConfigError under ``where``.
+
+    The message starts with the key at fault (``norm_bound: ...``), or, when it
+    is about the object as a whole, with no key.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        key, sep, _ = str(exc).partition(": ")
+        joined = f"{where}.{exc}" if sep and " " not in key else f"{where}: {exc}"
+        raise ConfigError([joined]) from exc
 
 
 def _object(section, where: str) -> dict:
@@ -257,7 +265,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _parse_theta(section, n_experts: int) -> ThetaSpec:
+def _parse_theta(section) -> ThetaSpec:
     where = "environment.theta_star"
     kind = _object(section, where).get("type", "gaussian")
     if kind == "fixed":
@@ -265,34 +273,21 @@ def _parse_theta(section, n_experts: int) -> ThetaSpec:
         if "values" not in section:
             raise ConfigError([f"{where}: fixed weights need 'values'"])
         values = section["values"]
-        if not isinstance(values, (list, tuple)) or len(values) != n_experts:
-            raise ConfigError([f"{where}.values: must list {n_experts} weights, got {values!r}"])
-        spec = ThetaSpec(
-            kind="fixed",
-            values=tuple(_number(v, f"{where}.values[{k}]") for k, v in enumerate(values)),
-        )
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError([f"{where}.values: must be a list of weights, got {values!r}"])
+        fields = {"values": tuple(_number(v, f"{where}.values[{k}]") for k, v in enumerate(values))}
     elif kind == "gaussian":
         _require_keys(section, {"type", "mean", "norm_bound"}, where)
-        norm_bound = section.get("norm_bound")
-        if norm_bound is not None:
-            norm_bound = _number(norm_bound, f"{where}.norm_bound")
-            if norm_bound <= 0:
-                raise ConfigError([f"{where}.norm_bound: must be positive, got {norm_bound}"])
-        mean = _number(section.get("mean", 0.5), f"{where}.mean")
-        spec = ThetaSpec(kind="gaussian", mean=mean, norm_bound=norm_bound)
+        fields = {"mean": _number(section.get("mean", 0.5), f"{where}.mean"), "norm_bound": None}
+        if section.get("norm_bound") is not None:
+            fields["norm_bound"] = _number(section["norm_bound"], f"{where}.norm_bound")
     else:
         raise ConfigError([f"{where}.type: must be 'gaussian' or 'fixed', got {kind!r}"])
-    try:
-        if spec.norm_bound is not None:
-            check_theta_reachable(spec.mean, spec.norm_bound, n_experts)
-        check_payoffs_bounded(spec, n_experts)
-    except ValueError as exc:
-        raise ConfigError([f"{where}: {exc}"]) from exc
-    return spec
+    return _build(ThetaSpec, where, kind=kind, **fields)
 
 
-def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
-    """Fixed expert matrices: a finite numeric stack of ``shape``, entries in [0, 1]."""
+def _expert_stack(values, where: str) -> tuple:
+    """Fixed expert matrices: a nested list of numbers, not booleans."""
     try:
         stack = np.asarray(values)
     except ValueError as exc:  # ragged nesting
@@ -302,30 +297,18 @@ def _expert_stack(values, shape: tuple[int, ...], where: str) -> tuple:
         isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
     ):
         raise ConfigError([f"{where}: must be a nested list of numbers, not booleans"])
-    if stack.shape != shape:
-        raise ConfigError(
-            [f"{where}: must have shape {shape} (n_episodes, n_experts, n_rows, n_cols), "
-             f"got {stack.shape}"]
-        )
-    if not np.all(np.isfinite(stack)):
-        raise ConfigError([f"{where}: entries must be finite"])
-    if stack.min() < 0.0 or stack.max() > 1.0:
-        raise ConfigError(
-            [f"{where}: entries must lie in [0, 1], got range "
-             f"[{float(stack.min())}, {float(stack.max())}]"]
-        )
     return tuple(values)
 
 
-def _parse_experts(section, shape: tuple[int, ...]) -> ExpertSpec:
+def _parse_experts(section) -> ExpertSpec:
     where = "environment.experts"
     kind = _object(section, where).get("type", "uniform")
     if kind == "fixed":
         _require_keys(section, {"type", "matrices"}, where)
         if "matrices" not in section:
             raise ConfigError([f"{where}: fixed experts need 'matrices'"])
-        matrices = _expert_stack(section["matrices"], shape, f"{where}.matrices")
-        return ExpertSpec(kind="fixed", matrices=matrices)
+        matrices = _expert_stack(section["matrices"], f"{where}.matrices")
+        return _build(ExpertSpec, where, kind="fixed", matrices=matrices)
     if kind != "uniform":
         raise ConfigError([f"{where}.type: must be 'uniform' or 'fixed', got {kind!r}"])
     _require_keys(section, {"type"}, where)
@@ -350,16 +333,13 @@ def _parse_environment(section) -> EnvironmentConfig:
         raise ConfigError([f"environment: missing key {k!r}" for k in missing])
     sizes = {k: _integer(section[k], f"environment.{k}") for k in counts}
     noise_variance = _number(section.get("noise_variance", 0.0), "environment.noise_variance")
-    try:
-        env = EnvironmentConfig(**sizes, noise_variance=noise_variance)
-    except ValueError as exc:  # the message starts with the field's name
-        raise ConfigError([f"environment.{exc}"]) from exc
-    return dataclasses.replace(
-        env,
-        theta=_parse_theta(section.get("theta_star", {}), env.n_experts),
-        experts=_parse_experts(
-            section.get("experts", {}), (env.n_episodes, env.n_experts, env.n_rows, env.n_cols)
-        ),
+    return _build(
+        EnvironmentConfig,
+        "environment",
+        **sizes,
+        noise_variance=noise_variance,
+        theta=_parse_theta(section.get("theta_star", {})),
+        experts=_parse_experts(section.get("experts", {})),
     )
 
 
@@ -385,10 +365,7 @@ def _parse_learner(section, index: int, env: EnvironmentConfig) -> LearnerSpec:
         _require_keys(section, {"type", "name", "ridge", "param_bound", "delta"}, where)
         defaults = {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3}
         numbers = {k: _number(section.get(k, v), f"{where}.{k}") for k, v in defaults.items()}
-        try:
-            estimator = EstimatorConfig(**numbers, n_experts=env.n_experts)
-        except ValueError as exc:  # the message starts with the field's name
-            raise ConfigError([f"{where}.{exc}"]) from exc
+        estimator = _build(EstimatorConfig, where, **numbers, n_experts=env.n_experts)
         floor = ridge_floor(env)
         if estimator.ridge < floor:
             raise ConfigError(
@@ -567,14 +544,9 @@ def _write_trace_jsonl(path: Path, traces) -> None:
 
 def aggregate_series(reports) -> dict[str, np.ndarray]:
     """Stack (series, episode) -> values across trials into mean and stderr."""
-    return _aggregate_rows(report.series_rows() for report in reports)
-
-
-def _aggregate_rows(trials) -> dict[str, np.ndarray]:
-    """Mean and stderr per (series, episode) over trials of (series, episode, value) rows."""
     table: dict[str, dict[int, list[float]]] = {}
-    for rows in trials:
-        for name, episode, value in rows:
+    for report in reports:
+        for name, episode, value in report.series_rows():
             table.setdefault(name, {}).setdefault(episode, []).append(value)
     out = {}
     for name, by_episode in table.items():
@@ -589,8 +561,11 @@ def _aggregate_rows(trials) -> dict[str, np.ndarray]:
     return out
 
 
+_AGGREGATE_HEADER = "series,episode,mean,stderr"
+
+
 def _write_aggregate_csv(path: Path, aggregated: dict[str, np.ndarray]) -> None:
-    lines = ["series,episode,mean,stderr"]
+    lines = [_AGGREGATE_HEADER]
     for name in sorted(aggregated):
         for episode, mean, stderr in aggregated[name]:
             lines.append(f"{name},{int(episode)},{_fmt(float(mean))},{_fmt(float(stderr))}")
@@ -674,61 +649,34 @@ def replay_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
 # Plot data
 
 
-def _read_metrics_csv(path: Path):
-    rows = []
-    with path.open() as handle:
-        header = handle.readline().rstrip("\n")
-        if header != "series,episode,value":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in handle:
-            name, episode, value = line.rstrip("\n").split(",")
-            rows.append((name, int(episode), float(value)))
-    return rows
-
-
-def _read_metrics_jsonl(path: Path):
-    rows = []
-    with path.open() as handle:
-        for line in handle:
-            record = json.loads(line)
-            rows.append((record["series"], record["episode"], record["value"]))
-    return rows
-
-
 def emit_plot_data(run_dir, out_dir=None, series: list[str] | None = None) -> list[Path]:
-    """Recompute tidy (series, episode, mean, stderr) tables from the
-    per-trial metric files of a completed run."""
+    """Write each learner's aggregate (series, episode, mean, stderr) table of a
+    finished run, keeping only the rows of ``series`` (default: all)."""
     run = Path(run_dir)
-    trials_dir = run / "trials"
-    if not trials_dir.is_dir():
-        raise FileNotFoundError(f"no trials directory under {run}")
-    out = Path(out_dir) if out_dir is not None else run / "plot"
-    out.mkdir(parents=True, exist_ok=True)
-
-    by_learner: dict[str, list] = {}
-    for trial_dir in sorted(trials_dir.iterdir()):
-        for learner_dir in sorted(p for p in trial_dir.iterdir() if p.is_dir()):
-            csv_path = learner_dir / "metrics.csv"
-            jsonl_path = learner_dir / "metrics.jsonl"
-            if csv_path.exists():
-                rows = _read_metrics_csv(csv_path)
-            elif jsonl_path.exists():
-                rows = _read_metrics_jsonl(jsonl_path)
-            else:
-                raise FileNotFoundError(f"no metrics file in {learner_dir}")
-            by_learner.setdefault(learner_dir.name, []).append(rows)
-
-    written = []
-    for learner, trials in sorted(by_learner.items()):
-        aggregated = _aggregate_rows(trials)
+    if not (run / "manifest.json").is_file():
+        raise FileNotFoundError(f"{run} is not a finished run: it has no manifest.json")
+    tables = {}
+    for path in sorted((run / "aggregate").glob("*.csv")):
+        header, _, body = path.read_text().partition("\n")
+        if header != _AGGREGATE_HEADER:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        rows = body.splitlines()
         if series is not None:
-            missing = sorted(set(series) - set(aggregated))
+            missing = sorted(set(series) - {row.split(",", 1)[0] for row in rows})
             if missing:
                 raise KeyError(f"series not present in run outputs: {', '.join(missing)}")
-            aggregated = {name: aggregated[name] for name in series}
-        if not aggregated:
+            rows = [row for row in rows if row.split(",", 1)[0] in series]
+        if not rows:
             raise KeyError("no series selected")
+        tables[path.stem] = rows
+    if not tables:
+        raise FileNotFoundError(f"no aggregate tables under {run / 'aggregate'}")
+
+    out = Path(out_dir) if out_dir is not None else run / "plot"
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for learner, rows in tables.items():
         path = out / f"{learner}.csv"
-        _write_aggregate_csv(path, aggregated)
+        path.write_text("\n".join([_AGGREGATE_HEADER, *rows]) + "\n")
         written.append(path)
     return written

@@ -103,6 +103,22 @@ class TestOFULinMatPlanning:
         with pytest.raises(ValueError):
             agent.begin_episode(ExpertEnsemble(np.ones((2, 4, 2))))
 
+    def test_plans_on_a_gram_matrix_whose_eigenvalues_round_below_ridge(self):
+        # All-ones experts make every feature the all-ones vector. With a tiny
+        # ridge, eigvalsh reads the Gram matrix's smallest eigenvalue below
+        # ridge, negative from episode 8 on, though it is at least ridge.
+        config = EstimatorConfig(ridge=2e-12, param_bound=3.0, delta=3e-3, n_experts=10)
+        agent = OFULinMatAgent(10, config, seed=0)
+        ensemble = ExpertEnsemble(np.ones((10, 10, 10)))
+        rng = np.random.default_rng(0)
+        for _ in range(15):
+            agent.begin_episode(ensemble)
+            rows = agent.act_episode(200)
+            cols = rng.integers(10, size=200)
+            agent.observe_episode(rows, cols, 5.0 + rng.normal(0.0, 0.7, size=200))
+            agent.end_episode()
+        assert agent.estimator.n_obs == 15 * 200
+
 
 class TestOFULinMatActObserve:
     def make_agent(self, n=3, seed=0):

@@ -81,6 +81,79 @@ def paper_with_ridge(raw: dict, ridge: float) -> None:
     raw["learners"][0]["ridge"] = ridge
 
 
+# Config faults that EnvironmentConfig, ThetaSpec and ExpertSpec reject
+# themselves: id -> (JSON path, mutation of the tiny config's dict).
+ENVIRONMENT_RULE_CASES = {
+    "short-theta": (
+        "environment.theta_star.values",
+        lambda raw: raw["environment"].update(theta_star={"type": "fixed", "values": [1.0]}),
+    ),
+    "expert-entry-above-one": (
+        "environment.experts.matrices",
+        lambda raw: raw["environment"].update(
+            experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=1.9)}
+        ),
+    ),
+    "expert-stack-wrong-shape": (
+        "environment.experts.matrices",
+        lambda raw: raw["environment"].update(
+            experts={"type": "fixed", "matrices": fixed_experts((2, 3, 3))}
+        ),
+    ),
+    "negative-norm-bound": (
+        "environment.theta_star.norm_bound",
+        lambda raw: raw["environment"]["theta_star"].update(norm_bound=-1),
+    ),
+    "zero-rows": ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=0)),
+    "negative-noise": (
+        "environment.noise_variance",
+        lambda raw: raw["environment"].update(noise_variance=-1),
+    ),
+    "unreachable-tiny-ball": (
+        "environment.theta_star",
+        lambda raw: raw["environment"]["theta_star"].update(norm_bound=1e-9),
+    ),
+    "unreachable-far-mean": (
+        "environment.theta_star",
+        lambda raw: raw["environment"]["theta_star"].update(mean=50.0, norm_bound=3.0),
+    ),
+    "overflowing-theta-mean": (
+        "environment.theta_star",
+        lambda raw: raw["environment"].update(theta_star={"mean": 1e308, "norm_bound": None}),
+    ),
+    "overflowing-theta-values": (
+        "environment.theta_star",
+        lambda raw: raw["environment"].update(
+            theta_star={"type": "fixed", "values": [1e308, 1e308]}
+        ),
+    ),
+    # Sizes whose arrays exceed the byte budget; no allocation is tried.
+    **{
+        f"oversized-{key}": (
+            "environment", lambda raw, key=key: raw["environment"].update({key: 1e150})
+        )
+        for key in ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
+    },
+}
+
+
+def environment_config(section: dict) -> EnvironmentConfig:
+    """The EnvironmentConfig of a JSON environment section, built without the
+    parser; real fields get floats, as the parser passes them."""
+    def real(value):
+        return float(value) if isinstance(value, int) else value
+
+    theta = {key: real(value) for key, value in section.get("theta_star", {}).items()}
+    experts = dict(section.get("experts", {}))
+    sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
+    return EnvironmentConfig(
+        **{key: section[key] for key in sizes},
+        noise_variance=real(section.get("noise_variance", 0.0)),
+        theta=ThetaSpec(kind=theta.pop("type", "gaussian"), **theta),
+        experts=ExpertSpec(kind=experts.pop("type", "uniform"), **experts),
+    )
+
+
 def tree_files(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -151,6 +224,24 @@ class TestConfigRoundTrip:
         raw["learners"][0]["delta"] = 2.0
         with pytest.raises(ConfigError, match=r"learners\[0\]"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("path, mutate", ENVIRONMENT_RULE_CASES.values(),
+                             ids=ENVIRONMENT_RULE_CASES)
+    def test_environment_rules_hold_without_the_parser(self, path, mutate):
+        raw = config_to_dict(tiny_config())
+        mutate(raw)
+        with pytest.raises(ConfigError) as parsed:
+            config_from_dict(raw)
+        with pytest.raises(ValueError) as direct:
+            environment_config(raw["environment"])
+        message = str(direct.value)
+        assert parsed.value.problems[0] in (
+            f"environment: {message}",
+            f"environment.{message}",
+            f"environment.theta_star.{message}",
+            f"environment.experts.{message}",
+        )
+        assert parsed.value.problems[0].startswith(f"{path}: ")
 
     def test_master_seed_checked_on_direct_construction(self):
         with pytest.raises(ConfigError, match="^master_seed: must be nonnegative, got -1$"):
@@ -357,8 +448,9 @@ class TestAggregation:
         for line in (tmp_path / "run/plot/ofulinmat.csv").read_text().splitlines()[1:]:
             assert line.endswith(",0.0")
 
-    def test_plot_data_recomputes_run_aggregate(self, tmp_path):
-        config = tiny_config(trials=3)
+    @pytest.mark.parametrize("output_format", ["csv", "jsonl"])
+    def test_plot_data_recomputes_run_aggregate(self, tmp_path, output_format):
+        config = tiny_config(trials=3, output_format=output_format)
         run_experiment(config, tmp_path / "run")
         emit_plot_data(tmp_path / "run")
         assert filecmp.cmp(
@@ -380,12 +472,21 @@ class TestAggregation:
 
     def test_plot_data_rejects_bad_metrics_header(self, tmp_path, capsys):
         run_experiment(tiny_config(trials=1), tmp_path / "run")
-        bad = tmp_path / "run/trials/trial_000/exp3/metrics.csv"
-        bad.write_text("name,ep,val\n" + bad.read_text().split("\n", 1)[1])
-        with pytest.raises(ValueError, match="exp3/metrics.csv"):
+        bad = tmp_path / "run/aggregate/exp3.csv"
+        bad.write_text("name,ep,mu,se\n" + bad.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="aggregate/exp3.csv"):
             emit_plot_data(tmp_path / "run")
         assert cli_main(["plot-data", "--run", str(tmp_path / "run")]) == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_plot_data_refuses_a_run_without_manifest(self, tmp_path, capsys):
+        run_experiment(tiny_config(trials=1), tmp_path / "run")
+        (tmp_path / "run/manifest.json").unlink()
+        with pytest.raises(FileNotFoundError, match="not a finished run: it has no manifest.json"):
+            emit_plot_data(tmp_path / "run")
+        assert cli_main(["plot-data", "--run", str(tmp_path / "run")]) == 1
+        assert "no manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "run/plot").exists()
 
     def test_aggregate_series_helper(self):
         config = tiny_config(trials=2)
@@ -466,24 +567,6 @@ class TestCli:
                 lambda raw: raw.update(opponent={"type": "fixed", "strategy": [0.5, 0.5]}),
             ),
             (
-                "environment.theta_star.values",
-                lambda raw: raw["environment"].update(
-                    theta_star={"type": "fixed", "values": [1.0]}
-                ),
-            ),
-            (
-                "environment.experts.matrices",
-                lambda raw: raw["environment"].update(
-                    experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=1.9)}
-                ),
-            ),
-            (
-                "environment.experts.matrices",
-                lambda raw: raw["environment"].update(
-                    experts={"type": "fixed", "matrices": fixed_experts((2, 3, 3))}
-                ),
-            ),
-            (
                 "environment.experts.matrices",
                 lambda raw: raw["environment"].update(
                     experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=True)}
@@ -502,10 +585,6 @@ class TestCli:
             (
                 "environment.theta_star.mean",
                 lambda raw: raw["environment"]["theta_star"].update(mean=float("nan")),
-            ),
-            (
-                "environment.theta_star.norm_bound",
-                lambda raw: raw["environment"]["theta_star"].update(norm_bound=-1),
             ),
             (
                 "environment.theta_star.values[1]",
@@ -538,37 +617,13 @@ class TestCli:
                 ),
             ),
             ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=10**400)),
-            ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=0)),
-            (
-                "environment.noise_variance",
-                lambda raw: raw["environment"].update(noise_variance=-1),
-            ),
             ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=0)),
             ("learners[0].delta", lambda raw: raw["learners"][0].update(delta=2)),
             ("learners[0].param_bound", lambda raw: raw["learners"][0].update(param_bound=1e300)),
             ("learners[0].param_bound", lambda raw: raw["learners"][0].update(ridge=1e308)),
-            (
-                "environment.theta_star",
-                lambda raw: raw["environment"]["theta_star"].update(norm_bound=1e-9),
-            ),
-            (
-                "environment.theta_star",
-                lambda raw: raw["environment"]["theta_star"].update(mean=50.0, norm_bound=3.0),
-            ),
-            (
-                "environment.theta_star",
-                lambda raw: raw["environment"].update(
-                    theta_star={"mean": 1e308, "norm_bound": None}
-                ),
-            ),
-            (
-                "environment.theta_star",
-                lambda raw: raw["environment"].update(
-                    theta_star={"type": "fixed", "values": [1e308, 1e308]}
-                ),
-            ),
             ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=1e-300)),
             ("learners[0].ridge", lambda raw: paper_with_ridge(raw, 1e-15)),
+            *ENVIRONMENT_RULE_CASES.values(),
         ],
         ids=[
             "bool-trials",
@@ -578,9 +633,6 @@ class TestCli:
             "bool-rounds",
             "short-learner-strategy",
             "short-opponent-strategy",
-            "short-theta",
-            "expert-entry-above-one",
-            "expert-stack-wrong-shape",
             "expert-entry-true",
             "integer-name",
             "escaping-name",
@@ -590,7 +642,6 @@ class TestCli:
             "string-delta",
             "bool-reward-max",
             "nan-theta-mean",
-            "negative-norm-bound",
             "infinite-theta-value",
             "unknown-theta-type",
             "unknown-expert-type",
@@ -598,18 +649,13 @@ class TestCli:
             "values-on-gaussian-theta",
             "matrices-on-uniform-experts",
             "huge-rows",
-            "zero-rows",
-            "negative-noise",
             "zero-ridge",
             "delta-above-one",
             "overflowing-radius-param-bound",
             "overflowing-radius-ridge",
-            "unreachable-tiny-ball",
-            "unreachable-far-mean",
-            "overflowing-theta-mean",
-            "overflowing-theta-values",
             "ridge-below-floor",
             "paper-ridge-below-floor",
+            *ENVIRONMENT_RULE_CASES,
         ],
     )
     def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
