@@ -22,10 +22,11 @@ from .harness import (
     check_workers,
     config_to_dict,
     default_paper_config,
-    emit_plot_data,
     load_config,
+    read_plot_tables,
     replay_manifest,
     run_experiment,
+    write_plot_tables,
 )
 
 
@@ -130,14 +131,17 @@ def _cmd_plot_data(args) -> int:
         print("error: empty series name in --series", file=sys.stderr)
         return 1
     try:
-        written = emit_plot_data(args.run, args.out, series)
+        tables = read_plot_tables(args.run, series)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
-    for path in written:
+    # Checked only after the run is read, so a refused run gets no directory.
+    out = Path(args.out) if args.out else Path(args.run) / "plot"
+    _check_writable(out)
+    for path in write_plot_tables(tables, out):
         print(path)
     return 0
 

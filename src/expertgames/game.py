@@ -8,6 +8,7 @@ the optimal tableau (one from the basis, one from the dual multipliers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,16 +61,22 @@ class MixedStrategy:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        given = np.asarray(self.probs, dtype=float)
+        if given.ndim != 1 or given.size == 0:
             raise ValueError("strategy must be a non-empty 1-D probability vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("strategy probabilities must be finite")
-        if arr.min() < -SIMPLEX_TOL:
+        # A NaN or -inf fails the least-entry test and any non-finite entry
+        # makes the sum non-finite, so np.isfinite runs only after a failure.
+        if not given.min() >= -SIMPLEX_TOL:
+            if not np.isfinite(given).all():
+                raise ValueError("strategy probabilities must be finite")
             raise ValueError("strategy probabilities must be nonnegative")
-        if abs(arr.sum() - 1.0) > 1e-9:
+        total = float(given.sum())
+        if not math.isfinite(total) and not np.isfinite(given).all():
+            raise ValueError("strategy probabilities must be finite")
+        if abs(total - 1.0) > 1e-9:
             raise ValueError("strategy probabilities must sum to 1")
-        arr = np.maximum(arr, 0.0)
+        # A new array, so the caller's array is neither frozen nor aliased.
+        arr = np.maximum(given, 0.0)
         object.__setattr__(self, "probs", arr)
         arr.setflags(write=False)
 
@@ -123,14 +130,22 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
     """Simplex for: maximize sum(q) subject to a @ q <= 1, q >= 0.
 
     Requires a strictly positive ``a``, which makes the all-slack basis
-    feasible and the problem bounded. The entering column is the one with the
-    most negative reduced cost (the lowest index on exact ties), and the
-    leaving row is the tied row of lowest basis index. When that column's
-    minimum ratio is at most ``SIMPLEX_TOL`` the pivot is degenerate, and the
-    column is replaced by Bland's: the lowest index with a reduced cost below
-    ``-SIMPLEX_TOL``. Every pivot that leaves the objective unchanged is then
-    a Bland pivot, and Bland's theorem rules out a cycle made only of those,
-    so the simplex terminates. The pivot sequence is fully deterministic.
+    feasible and the problem bounded. Column 0 enters first: at the slack
+    basis every structural reduced cost is exactly -1. Every later entering
+    column is priced by steepest edge: among the eligible columns, those with
+    a reduced cost ``d_j < -SIMPLEX_TOL``, the one with the largest
+    ``d_j**2 / (1 + sum_i t_ij**2)`` enters, the lowest index on exact ties.
+    The sum runs over every tableau row, the objective row included, so it
+    orders the columns exactly as ``d_j**2 / (1 + |a_j|**2)`` does. The
+    squares are added row by row in a fixed order (``np.add.reduce`` along
+    axis 0, never a BLAS product, whose summation order can depend on memory
+    alignment), so the pricing, and with it replay, is reproducible bit for
+    bit. The leaving row is the tied row of lowest basis index. When the
+    entering column's minimum ratio is at most ``SIMPLEX_TOL`` the pivot is
+    degenerate, and the column is replaced by Bland's: the lowest eligible
+    index. Every pivot that leaves the objective unchanged is then a Bland
+    pivot, and Bland's theorem rules out a cycle made only of those, so the
+    simplex terminates. The pivot sequence is fully deterministic.
 
     Each pivot is one in-place rank-1 update of the dense tableau: the pivot
     row is divided by the pivot, every row's multiple of it is written into a
@@ -138,7 +153,7 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
     tableau, and the pivot row is then stored. Every other row gets exactly
     ``x - c * r``, one product and one difference per entry, so the tableau,
     the pivot sequence and the result are the same bits a row-by-row
-    elimination gives.
+    elimination gives. The pricing squares the tableau into the same buffer.
 
     Returns (q, dual multipliers of the row constraints, objective value,
     number of pivots).
@@ -146,28 +161,40 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
+    # The slack identity: row i's 1 sits at flat index n + i * (n + m + 2).
+    tab.reshape(-1)[n : m * (n + m + 1) : n + m + 2] = 1.0
     tab[:m, -1] = 1.0
     tab[-1, :n] = -1.0
     basis = np.arange(n, n + m)
     update = np.empty_like(tab)
     ratios = np.empty(m)
+    scores = np.empty(n + m + 1)
     rhs = tab[:m, -1]
-    reduced_costs = tab[-1, :-1]
+    objective_row = tab[-1]
+    reduced_costs = objective_row[:-1]
 
     def min_ratio(enter: int) -> float:
         col = tab[:m, enter]
-        eligible = col > SIMPLEX_TOL
-        if not eligible.any():
-            raise RuntimeError("LP unbounded; positivity shift violated")
         ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=eligible)
-        return float(ratios.min())
+        np.divide(rhs, col, out=ratios, where=col > SIMPLEX_TOL)
+        lowest = float(ratios.min())
+        # Finite right-hand sides over entries above SIMPLEX_TOL give finite
+        # ratios, so an infinite minimum means no entry was eligible.
+        if lowest == np.inf:
+            raise RuntimeError("LP unbounded; positivity shift violated")
+        return lowest
 
+    enter = 0
     for pivots in range(_MAX_PIVOTS):
-        enter = int(reduced_costs.argmin())
-        if not reduced_costs[enter] < -SIMPLEX_TOL:
-            break
+        if pivots:
+            np.multiply(tab, tab, out=update)
+            np.add.reduce(update, axis=0, out=scores, initial=1.0)
+            np.divide(update[-1], scores, out=scores)
+            # The last entry is the objective value, which is never negative.
+            np.putmask(scores, objective_row >= -SIMPLEX_TOL, -1.0)
+            enter = int(scores.argmax())
+            if not reduced_costs[enter] < -SIMPLEX_TOL:
+                break
         lowest = min_ratio(enter)
         if lowest <= SIMPLEX_TOL:
             bland = int((reduced_costs < -SIMPLEX_TOL).argmax())
@@ -224,9 +251,10 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     entries = game.entries
     half = entries * 0.5
     low = float(half.min())
+    high = float(half.max())
     # Normalised by the range, the LP's smallest entry is half its largest at
     # every scale and offset, and its objective lies in [1, 2].
-    spread = float(half.max()) - low or 1.0
+    spread = high - low or 1.0
     q, duals, objective, pivots = _solve_positive_lp(((half - low) / spread + 1.0) * 0.5)
     mu = _normalized(duals)
     nu = _normalized(q)
@@ -234,7 +262,8 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     col_payoffs = mu @ entries
     gap = float((entries @ nu).max() - col_payoffs.min())
     value_error = abs(value - float(col_payoffs @ nu))
-    tol = VALUE_TOL * max(1.0, float(np.abs(entries).max()))
+    # Halving is exact, so this is max |M| itself.
+    tol = VALUE_TOL * max(1.0, 2.0 * max(-low, high))
     if not gap <= tol:
         raise RuntimeError(
             f"saddle point failed its certificate: duality gap {gap:.3g} exceeds {tol:.3g} "

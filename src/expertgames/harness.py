@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import time
 from dataclasses import dataclass
@@ -594,6 +595,11 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)  # a stale manifest would mark this run complete
+    # A previous run's trials beyond this run's count, or its plot tables,
+    # would otherwise pass for this run's outputs. Other names are left alone.
+    for stale in ("trials", "aggregate", "plot"):
+        if (out / stale).is_dir():
+            shutil.rmtree(out / stale)
 
     write_metrics = _write_metrics_csv if config.output_format == "csv" else _write_metrics_jsonl
     suffix = "csv" if config.output_format == "csv" else "jsonl"
@@ -651,7 +657,16 @@ def replay_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
 
 def emit_plot_data(run_dir, out_dir=None, series: list[str] | None = None) -> list[Path]:
     """Write each learner's aggregate (series, episode, mean, stderr) table of a
-    finished run, keeping only the rows of ``series`` (default: all)."""
+    finished run, keeping only the rows of ``series`` (default: all), to
+    ``out_dir`` (default: ``<run>/plot``)."""
+    out = Path(out_dir) if out_dir is not None else Path(run_dir) / "plot"
+    return write_plot_tables(read_plot_tables(run_dir, series), out)
+
+
+def read_plot_tables(run_dir, series: list[str] | None = None) -> dict[str, list[str]]:
+    """Each learner's aggregate table rows of a finished run, keeping only the
+    rows of ``series`` (default: all). Reads and checks every table, and
+    writes nothing."""
     run = Path(run_dir)
     if not (run / "manifest.json").is_file():
         raise FileNotFoundError(f"{run} is not a finished run: it has no manifest.json")
@@ -671,8 +686,11 @@ def emit_plot_data(run_dir, out_dir=None, series: list[str] | None = None) -> li
         tables[path.stem] = rows
     if not tables:
         raise FileNotFoundError(f"no aggregate tables under {run / 'aggregate'}")
+    return tables
 
-    out = Path(out_dir) if out_dir is not None else run / "plot"
+
+def write_plot_tables(tables: dict[str, list[str]], out: Path) -> list[Path]:
+    """Write each learner's rows from ``read_plot_tables`` to ``<out>/<learner>.csv``."""
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for learner, rows in tables.items():

@@ -2,10 +2,10 @@
 
 Everything in here deliberately avoids the code paths under test: the game
 oracles enumerate equilibrium supports and solve small linear systems, or
-run the solver's simplex, and the Bland-only simplex it replaced, with
-plain row-by-row elimination pivots, the ridge oracles rebuild their
-answers from scratch with dense solves (one per row for the exploration
-potential), the adversarial-bandit oracles are a straight-line
+run the solver's simplex, and the Dantzig and Bland-only simplexes it
+replaced, with plain row-by-row elimination pivots, the ridge oracles
+rebuild their answers from scratch with dense solves (one per row for the
+exploration potential), the adversarial-bandit oracles are a straight-line
 transcription of the two policy formulas, a numpy round and a Python-float
 round that each draw one uniform per round, and the regret increments score
 one round at a time, the way the simulator's vectorized episode metrics must
@@ -108,14 +108,23 @@ def row_elimination_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     """The saddle solver's simplex with the pivot as row-by-row elimination.
 
     The same LP, tolerances and pivot rule as ``game._solve_positive_lp``,
-    written the plain way: the most negative reduced cost enters unless its
-    minimum ratio is at most ``SIMPLEX_TOL``, where Bland's lowest eligible
-    column enters instead; the pivot row is divided in place, every other row
-    subtracts its outer-product share, and the leaving row is the tied row
-    of lowest basis index. The library's in-place rank-1 pivot must return
-    these bits exactly.
+    written the plain way: column 0 enters first, then the eligible column of
+    largest steepest-edge score ``d_j**2 / (1 + sum_i t_ij**2)`` (squares
+    added one row at a time, top to bottom), unless its minimum ratio is at
+    most ``SIMPLEX_TOL``, where Bland's lowest eligible column enters
+    instead; the pivot row is divided in place, every other row subtracts
+    its outer-product share, and the leaving row is the tied row of lowest
+    basis index. The library's in-place rank-1 pivot must return these bits
+    exactly.
     """
-    return _row_elimination_lp(a, most_negative=True)
+    return _row_elimination_lp(a, rule="steepest_edge")
+
+
+def dantzig_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """The same simplex with the most negative reduced cost entering (the
+    lowest index on exact ties), Bland's column on degenerate pivots: the
+    solver's rule before it priced by steepest edge."""
+    return _row_elimination_lp(a, rule="dantzig")
 
 
 def bland_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -123,10 +132,18 @@ def bland_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int
     pivot: the solver's rule before it entered on the most negative reduced
     cost. It must reach the same optimum, in at least as many pivots on the
     benchmark-sized games."""
-    return _row_elimination_lp(a, most_negative=False)
+    return _row_elimination_lp(a, rule="bland")
 
 
-def _row_elimination_lp(a: np.ndarray, most_negative: bool):
+def _steepest_edge_column(tab: np.ndarray, negative: np.ndarray) -> int:
+    norms = np.ones(tab.shape[1] - 1)
+    for row in tab[:, :-1]:
+        norms = norms + row * row
+    scores = tab[-1, :-1] * tab[-1, :-1] / norms
+    return int(negative[np.argmax(scores[negative])])
+
+
+def _row_elimination_lp(a: np.ndarray, rule: str):
     m, n = a.shape
     tab = np.zeros((m + 1, n + m + 1))
     tab[:m, :n] = a
@@ -146,7 +163,12 @@ def _row_elimination_lp(a: np.ndarray, most_negative: bool):
         negative = np.flatnonzero(tab[-1, :-1] < -SIMPLEX_TOL)
         if negative.size == 0:
             break
-        enter = int(np.argmin(tab[-1, :-1])) if most_negative else int(negative[0])
+        if rule == "bland" or (rule == "steepest_edge" and pivots == 0):
+            enter = int(negative[0])
+        elif rule == "steepest_edge":
+            enter = _steepest_edge_column(tab, negative)
+        else:
+            enter = int(np.argmin(tab[-1, :-1]))
         ratios = ratio_test(enter)
         if ratios.min() <= SIMPLEX_TOL:
             enter = int(negative[0])

@@ -12,6 +12,7 @@ from expertgames.game import (
 from oracles import (
     best_response_value,
     bland_positive_lp,
+    dantzig_positive_lp,
     expected_payoff,
     row_elimination_positive_lp,
     sample_action,
@@ -46,6 +47,32 @@ class TestTypes:
     def test_strategy_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             MixedStrategy(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([], "non-empty 1-D"),
+            ([[0.5, 0.5]], "non-empty 1-D"),
+            ([np.nan, 1.0], "must be finite"),
+            ([np.inf, 0.0], "must be finite"),
+            ([np.inf, -np.inf], "must be finite"),
+            ([-1e308, -1e308], "must be nonnegative"),
+            pytest.param(  # finite entries whose sum overflows
+                [1e308, 1e308], "must sum to 1", marks=pytest.mark.filterwarnings("ignore:overflow")
+            ),
+        ],
+    )
+    def test_strategy_checks_and_messages(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            MixedStrategy(np.array(probs, dtype=float))
+
+    def test_strategy_clips_a_copy(self):
+        given = np.array([0.5, 0.5 + 1e-12, -1e-12, -0.0])
+        strategy = MixedStrategy(given)
+        assert strategy.probs.tolist() == [0.5, 0.5 + 1e-12, 0.0, 0.0]
+        assert np.signbit(strategy.probs).tolist() == [False] * 4
+        assert not strategy.probs.flags.writeable
+        assert given.flags.writeable and not np.shares_memory(given, strategy.probs)
 
     def test_sample_is_reproducible(self):
         strategy = MixedStrategy(np.array([0.3, 0.5, 0.2]))
@@ -274,9 +301,9 @@ def _seeded_games():
 def _tied_games():
     """Symmetric and degenerate games. The constant, duplicated-row and
     integer games tie in the ratio test, where Bland's lowest-basis
-    tie-break decides. In integer-3x4 and integer-5x5 the most negative
-    reduced cost meets a zero ratio while a lower column is eligible, so
-    Bland's column enters instead."""
+    tie-break decides. In integer-3x4 and integer-5x5 the priced column
+    meets a zero ratio while a lower column is eligible, so Bland's column
+    enters instead."""
     base = np.random.default_rng(5).uniform(size=(4, 3))
     yield "matching-pennies", np.array([[1.0, -1.0], [-1.0, 1.0]])
     yield "rock-paper-scissors", np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -333,13 +360,20 @@ class TestPivotRule:
 
     def test_pinned_pivot_counts(self):
         games = np.random.default_rng(0).uniform(size=(5, 60, 60))
-        assert [solve_saddle_point(m).pivots for m in games] == [76, 89, 112, 130, 84]
+        assert [solve_saddle_point(m).pivots for m in games] == [56, 51, 55, 59, 64]
         assert solve_saddle_point(np.array([[1.0, -1.0], [-1.0, 1.0]])).pivots == 2
-        assert solve_saddle_point(np.random.default_rng(1).normal(size=(10, 10))).pivots == 9
+        assert solve_saddle_point(np.random.default_rng(1).normal(size=(10, 10))).pivots == 10
 
     def test_fewer_pivots_than_bland_on_large_games(self):
         for m in np.random.default_rng(0).uniform(size=(5, 60, 60)):
             assert solve_saddle_point(m).pivots < bland_positive_lp(_positive(m))[3]
+
+    def test_fewer_pivots_than_dantzig_on_expert_mixtures(self):
+        # The large-game workload's true games: theta . (10 U[0,1] experts).
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            m = np.tensordot(rng.normal(0.5, 1.0, size=10), rng.uniform(size=(10, 60, 60)), 1)
+            assert solve_saddle_point(m).pivots < dantzig_positive_lp(_positive(m))[3]
 
 
 class TestSolverErrors:
@@ -348,6 +382,11 @@ class TestSolverErrors:
         m = np.random.default_rng(3).normal(size=(5, 5))
         with pytest.raises(RuntimeError, match="pivot budget"):
             solve_saddle_point(m)
+
+    def test_unbounded_lp(self):
+        # Column 1 is all zero, so q_1 grows without bound once column 0 is in.
+        with pytest.raises(RuntimeError, match="LP unbounded"):
+            game._solve_positive_lp(np.array([[1.0, 0.0]]))
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 0.0], [1e-12, 0.0]])
     def test_zero_strategy_mass(self, weights):

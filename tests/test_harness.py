@@ -389,6 +389,22 @@ class TestRunExperiment:
         assert not (out / "manifest.json").exists()
         assert not (out / "aggregate").exists()
 
+    def test_rerun_into_a_run_directory_replaces_its_outputs(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(tiny_config(trials=3), out)
+        emit_plot_data(out)
+        (out / "notes.txt").write_text("kept\n")
+        run_experiment(tiny_config(trials=1, master_seed=5), out)
+        assert sorted(p.name for p in (out / "trials").iterdir()) == ["trial_000"]
+        assert not (out / "plot").exists()
+        assert (out / "notes.txt").read_text() == "kept\n"
+        run_experiment(tiny_config(trials=1, master_seed=5), tmp_path / "fresh")
+        rerun = tree_files(out)
+        del rerun["notes.txt"], rerun["manifest.json"]
+        fresh = tree_files(tmp_path / "fresh")
+        del fresh["manifest.json"]
+        assert rerun == fresh
+
     def test_workers_below_one_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_config(trials=1), tmp_path / "run", workers=0)
@@ -727,6 +743,21 @@ class TestCli:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["run", "--config", str(config_path), "--out", str(blocker / "sub")])
         assert excinfo.value.code == 2
+
+    def test_plot_data_unwritable_output_exits_two(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(trials=1), run)
+        blocked = run / "manifest.json" / "sub"  # a file where a directory is needed
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["plot-data", "--run", str(run), "--out", str(blocked)])
+        assert excinfo.value.code == 2
+        assert f"error: output directory {blocked} is not writable" in capsys.readouterr().err
+        # A run without a manifest is still refused first, and nothing is written.
+        (run / "manifest.json").unlink()
+        out = tmp_path / "plot"
+        assert cli_main(["plot-data", "--run", str(run), "--out", str(out)]) == 1
+        assert "no manifest.json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_cli(self, tmp_path):
         config_path = tmp_path / "config.json"
