@@ -185,16 +185,7 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
         return lowest
 
     enter = 0
-    for pivots in range(_MAX_PIVOTS):
-        if pivots:
-            np.multiply(tab, tab, out=update)
-            np.add.reduce(update, axis=0, out=scores, initial=1.0)
-            np.divide(update[-1], scores, out=scores)
-            # The last entry is the objective value, which is never negative.
-            np.putmask(scores, objective_row >= -SIMPLEX_TOL, -1.0)
-            enter = int(scores.argmax())
-            if not reduced_costs[enter] < -SIMPLEX_TOL:
-                break
+    for pivots in range(1, _MAX_PIVOTS + 1):
         lowest = min_ratio(enter)
         if lowest <= SIMPLEX_TOL:
             bland = int((reduced_costs < -SIMPLEX_TOL).argmax())
@@ -208,6 +199,16 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
         tab -= update
         tab[leave] = pivot_row
         basis[leave] = enter
+        # Priced after every pivot, the last allowed one included, so a solve
+        # that reaches its optimum within the budget returns.
+        np.multiply(tab, tab, out=update)
+        np.add.reduce(update, axis=0, out=scores, initial=1.0)
+        np.divide(update[-1], scores, out=scores)
+        # The last entry is the objective value, which is never negative.
+        np.putmask(scores, objective_row >= -SIMPLEX_TOL, -1.0)
+        enter = int(scores.argmax())
+        if not reduced_costs[enter] < -SIMPLEX_TOL:
+            break
     else:
         raise RuntimeError("simplex exceeded the pivot budget")
 

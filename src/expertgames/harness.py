@@ -48,12 +48,18 @@ from .agents import (
     SaddleOracleOpponent,
     UniformOpponent,
 )
-from .environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
+from .environment import (
+    ARRAY_BYTE_BUDGET,
+    Environment,
+    EnvironmentConfig,
+    EpisodeTrace,
+    ExpertSpec,
+    ThetaSpec,
+)
 from .estimator import EstimatorConfig
 from .game import MixedStrategy
-from .metrics import build_report
+from .metrics import METRIC_KEYS, build_report
 
-OUTPUT_FORMATS = ("csv", "jsonl")
 # A learner's name becomes a directory and a file name under the run directory.
 _LEARNER_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -177,10 +183,20 @@ class ExperimentConfig:
             raise ConfigError(["trials: must be at least 1"])
         if self.master_seed < 0:
             raise ConfigError([f"master_seed: must be nonnegative, got {self.master_seed}"])
-        if self.output_format not in OUTPUT_FORMATS:
-            raise ConfigError([f"output_format: must be one of {OUTPUT_FORMATS}"])
+        formats = tuple(_METRIC_WRITERS)  # a tuple, so an unhashable value is just not in it
+        if self.output_format not in formats:
+            raise ConfigError([f"output_format: must be one of {formats}"])
         if not self.learners:
             raise ConfigError(["learners: at least one learner is required"])
+        # The aggregate stacks each learner's rows (17 per episode, plus one)
+        # over all trials into one float64 array.
+        rows = (2 * (len(METRIC_KEYS) + 1) + 1) * self.environment.n_episodes + 1
+        max_trials = ARRAY_BYTE_BUDGET // (8 * len(self.learners) * rows)
+        if self.trials > max_trials:
+            raise ConfigError(
+                [f"trials: must be at most {max_trials}, so that the aggregate's 8 * trials * "
+                 f"len(learners) * (17 * n_episodes + 1) bytes stay within {ARRAY_BYTE_BUDGET}"]
+            )
         names = [spec.name for spec in self.learners]
         for index, name in enumerate(names):
             where = f"learners[{index}].name"
@@ -480,15 +496,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_metrics_csv(path: Path, report) -> None:
     lines = ["series,episode,value"]
-    lines += [f"{name},{episode},{_fmt(value)}" for name, episode, value in report.series_rows()]
+    lines += [f"{name},{episode},{value!r}" for name, episode, value in report.series_rows()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -513,63 +523,51 @@ def _write_metrics_jsonl(path: Path, report) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+# The metrics writer of each ``output_format``, which is also the file suffix.
+_METRIC_WRITERS = {"csv": _write_metrics_csv, "jsonl": _write_metrics_jsonl}
 
 
 def _write_trace_jsonl(path: Path, traces) -> None:
-    with path.open("w") as handle:
-        for trace in traces:
-            record = {
-                "episode": trace.episode,
-                "row_actions": trace.row_actions.tolist(),
-                "col_actions": trace.col_actions.tolist(),
-                "rewards": trace.rewards.tolist(),
-                "true_value": trace.true_value,
-                "learner_strategy": _jsonable(trace.learner_strategy),
-                "opponent_strategy": _jsonable(trace.opponent_strategy),
-                "theta_hat": _jsonable(trace.theta_hat),
-                "beta": trace.beta,
-                "theta_error": trace.theta_error,
-                "metrics": _jsonable(trace.metrics),
-                "diagnostics": _jsonable(trace.diagnostics),
-            }
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    """One ``json.dumps(record, sort_keys=True)`` line per episode, holding every
+    ``EpisodeTrace`` field but the hindsight totals; arrays become lists."""
+    fields = [f.name for f in dataclasses.fields(EpisodeTrace) if f.name != "hindsight_row_totals"]
+    lines = []
+    for trace in traces:
+        record = {}
+        for name in fields:
+            value = getattr(trace, name)
+            record[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    path.write_text("".join(lines))
 
 
-def aggregate_series(reports) -> dict[str, np.ndarray]:
-    """Stack (series, episode) -> values across trials into mean and stderr."""
-    table: dict[str, dict[int, list[float]]] = {}
-    for report in reports:
-        for name, episode, value in report.series_rows():
-            table.setdefault(name, {}).setdefault(episode, []).append(value)
-    out = {}
-    for name, by_episode in table.items():
-        episodes = sorted(by_episode)
-        values = np.array([by_episode[k] for k in episodes])
-        mean = values.mean(axis=1)
-        if values.shape[1] > 1:
-            stderr = values.std(axis=1, ddof=1) / math.sqrt(values.shape[1])
-        else:
-            stderr = np.zeros(len(episodes))
-        out[name] = np.column_stack([episodes, mean, stderr])
-    return out
+def aggregate_series(reports) -> list[tuple[str, int, float, float]]:
+    """(series, episode, mean, stderr) rows across trials, sorted stably by series.
+
+    Every report has the first one's ``series_rows`` layout. The values sit
+    in one C-contiguous (rows, trials) array and reduce along its last axis;
+    a transposed view would sum in another order and change the bits.
+    """
+    keys = [(name, episode) for name, episode, _ in reports[0].series_rows()]
+    trials = len(reports)
+    values = np.empty((len(keys), trials))
+    for trial, report in enumerate(reports):  # one report's floats at a time
+        values[:, trial] = [value for _, _, value in report.series_rows()]
+    mean = values.mean(axis=1)
+    if trials > 1:
+        stderr = values.std(axis=1, ddof=1) / math.sqrt(trials)
+    else:
+        stderr = np.zeros(len(keys))
+    rows = [(*key, m, s) for key, m, s in zip(keys, mean.tolist(), stderr.tolist())]
+    return sorted(rows, key=lambda row: row[0])
 
 
 _AGGREGATE_HEADER = "series,episode,mean,stderr"
 
 
-def _write_aggregate_csv(path: Path, aggregated: dict[str, np.ndarray]) -> None:
+def _write_aggregate_csv(path: Path, rows) -> None:
     lines = [_AGGREGATE_HEADER]
-    for name in sorted(aggregated):
-        for episode, mean, stderr in aggregated[name]:
-            lines.append(f"{name},{int(episode)},{_fmt(float(mean))},{_fmt(float(stderr))}")
+    lines += [f"{name},{episode},{mean!r},{stderr!r}" for name, episode, mean, stderr in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -601,8 +599,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
         if (out / stale).is_dir():
             shutil.rmtree(out / stale)
 
-    write_metrics = _write_metrics_csv if config.output_format == "csv" else _write_metrics_jsonl
-    suffix = "csv" if config.output_format == "csv" else "jsonl"
+    write_metrics = _METRIC_WRITERS[config.output_format]
     reports: dict[str, list] = {spec.name: [] for spec in config.learners}
     workers = min(workers, config.trials)
     pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -617,7 +614,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
             for name, payload in result["learners"].items():
                 learner_dir = trial_root / name
                 learner_dir.mkdir(exist_ok=True)
-                write_metrics(learner_dir / f"metrics.{suffix}", payload["report"])
+                write_metrics(learner_dir / f"metrics.{config.output_format}", payload["report"])
                 _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
                 reports[name].append(payload["report"])
 

@@ -382,6 +382,13 @@ class TestSolverErrors:
         m = np.random.default_rng(3).normal(size=(5, 5))
         with pytest.raises(RuntimeError, match="pivot budget"):
             solve_saddle_point(m)
+        # Matching pennies takes two pivots, so the second allowed pivot may
+        # reach the optimum, while a budget of one still runs out.
+        pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        with pytest.raises(RuntimeError, match="pivot budget"):
+            solve_saddle_point(pennies)
+        monkeypatch.setattr(game, "_MAX_PIVOTS", 2)
+        assert solve_saddle_point(pennies).pivots == 2
 
     def test_unbounded_lp(self):
         # Column 1 is all zero, so q_1 grows without bound once column 0 is in.

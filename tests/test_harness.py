@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import filecmp
 import json
 from pathlib import Path
@@ -154,6 +155,63 @@ def environment_config(section: dict) -> EnvironmentConfig:
     )
 
 
+# A small config with every optional key written out, whose every leaf the
+# mutation table replaces in turn. A strategy list is one leaf.
+MUTATION_BASE = {
+    "environment": {
+        "n_rows": 3,
+        "n_cols": 3,
+        "n_experts": 2,
+        "n_episodes": 2,
+        "rounds_per_episode": 5,
+        "noise_variance": 0.5,
+        "theta_star": {"type": "gaussian", "mean": 0.5, "norm_bound": 2.0},
+        "experts": {"type": "uniform"},
+    },
+    "learners": [
+        {"type": "ofulinmat", "name": "ofulinmat", "ridge": 0.1, "param_bound": 2.0, "delta": 0.01},
+        {"type": "exp3", "name": "exp3", "reward_min": -5.0, "reward_max": 5.0},
+        {"type": "fixed", "name": "fixed", "strategy": [0.2, 0.3, 0.5]},
+    ],
+    "opponent": {"type": "fixed", "strategy": [0.5, 0.25, 0.25]},
+    "trials": 1,
+    "master_seed": 0,
+    "output_format": "csv",
+}
+MUTATION_VALUES = [
+    0, -1, 0.5, 1e-300, 1e150, 1e308, -1e308, 2**70, True, None, "x", [], {}, [1.0]
+]
+# Fields that size the run's arrays: a value from the table must never run.
+SIZE_FIELDS = [
+    *(f"environment.{key}" for key in
+      ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")),
+    "trials",
+]
+
+
+def config_leaves(node, keys=()) -> list[tuple]:
+    """The key path of every leaf of a config dict, such as ``("learners", 0, "ridge")``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and all(isinstance(item, dict) for item in node):
+        items = enumerate(node)
+    else:
+        return [keys]
+    return [leaf for key, item in items for leaf in config_leaves(item, (*keys, key))]
+
+
+def leaf_section(raw: dict, keys) -> dict:
+    """The object that holds the leaf at ``keys``."""
+    for key in keys[:-1]:
+        raw = raw[key]
+    return raw
+
+
+def json_path(keys) -> str:
+    """``("learners", 0, "ridge")`` as the parser names it: ``learners[0].ridge``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
+
+
 def tree_files(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -272,6 +330,37 @@ class TestConfigRoundTrip:
             load_config(path)
 
 
+class TestConfigMutations:
+    @pytest.mark.parametrize("keys", config_leaves(MUTATION_BASE), ids=json_path)
+    def test_every_value_is_named_or_runs_to_the_end(self, tmp_path, keys):
+        """Each table value in this leaf is a ConfigError that names the leaf,
+        its object or a sibling (the joint checks), or a complete run. A size
+        field never parses, so no run is tried with a huge size."""
+        path, section = json_path(keys), keys[:-1]
+        named = [path]
+        if section:
+            siblings = leaf_section(MUTATION_BASE, keys)
+            named += [json_path(section), *(json_path((*section, key)) for key in siblings)]
+        prefixes = tuple(f"{name}{end}" for name in named for end in ":.[")
+        faults = []
+        for index, value in enumerate(MUTATION_VALUES):
+            raw = copy.deepcopy(MUTATION_BASE)
+            leaf_section(raw, keys)[keys[-1]] = value
+            try:
+                config = config_from_dict(raw)
+            except ConfigError as exc:
+                faults += [f"{value!r}: {p}" for p in exc.problems if not p.startswith(prefixes)]
+                continue
+            if path in SIZE_FIELDS:
+                faults.append(f"{value!r}: parsed, so a run would be tried")
+                continue
+            out = tmp_path / f"run_{index}"
+            run_experiment(config, out)
+            if not (out / "manifest.json").is_file():
+                faults.append(f"{value!r}: the run wrote no manifest.json")
+        assert not faults
+
+
 class TestRunExperiment:
     def test_trivial_single_round_run(self, tmp_path):
         expert = [[[[0.1, 0.9], [0.4, 0.6]]]]  # one episode, one expert, 2x2
@@ -295,6 +384,13 @@ class TestRunExperiment:
         trace_lines = (tmp_path / "run/trials/trial_000/fixed/trace.jsonl").read_text().splitlines()
         assert len(trace_lines) == 1
         record = json.loads(trace_lines[0])
+        # Every EpisodeTrace field but hindsight_row_totals, so a new field
+        # reaches the output only through an edit here.
+        assert list(record) == [
+            "beta", "col_actions", "diagnostics", "episode", "learner_strategy", "metrics",
+            "opponent_strategy", "rewards", "row_actions", "theta_error", "theta_hat",
+            "true_value",
+        ]
         assert record["row_actions"] == [1]
         assert record["col_actions"] == [0]
         assert record["rewards"] == [0.4]
@@ -438,24 +534,24 @@ class TestRunExperiment:
 
 class TestAggregation:
     def test_aggregate_matches_per_trial_mean(self, tmp_path):
-        config = tiny_config(trials=5)
-        run_experiment(config, tmp_path / "run")
-        values = []
-        for n in range(5):
-            path = tmp_path / f"run/trials/trial_{n:03d}/ofulinmat/metrics.csv"
-            for line in path.read_text().splitlines()[1:]:
-                name, episode, value = line.split(",")
-                if name == "cumulative_saddle_pseudo" and episode == "2":
-                    values.append(float(value))
-        agg_line = [
-            line
-            for line in (tmp_path / "run/aggregate/ofulinmat.csv").read_text().splitlines()
-            if line.startswith("cumulative_saddle_pseudo,2,")
-        ][0]
-        mean = float(agg_line.split(",")[2])
-        stderr = float(agg_line.split(",")[3])
-        assert mean == pytest.approx(np.mean(values))
-        assert stderr == pytest.approx(np.std(values, ddof=1) / np.sqrt(5))
+        # 12 trials: from 8 on, numpy's pairwise sum makes the bits depend
+        # on how the values are laid out, so every row is compared as text.
+        trials = 12
+        run_experiment(tiny_config(trials=trials), tmp_path / "run")
+        for learner in ("ofulinmat", "exp3"):
+            values: dict[str, list[float]] = {}
+            for n in range(trials):
+                path = tmp_path / f"run/trials/trial_{n:03d}/{learner}/metrics.csv"
+                for line in path.read_text().splitlines()[1:]:
+                    name, episode, value = line.split(",")
+                    values.setdefault(f"{name},{episode}", []).append(float(value))
+            expected = sorted(
+                f"{key},{float(np.mean(row))!r},{float(np.std(row, ddof=1) / np.sqrt(trials))!r}"
+                for key, row in values.items()
+            )
+            lines = (tmp_path / f"run/aggregate/{learner}.csv").read_text().splitlines()[1:]
+            assert sorted(lines) == expected
+            assert any(",nan," in line for line in lines) == (learner == "exp3")
 
     def test_single_trial_stderr_is_zero(self, tmp_path):
         config = tiny_config(trials=1)
@@ -507,12 +603,11 @@ class TestAggregation:
     def test_aggregate_series_helper(self):
         config = tiny_config(trials=2)
         reports = [run_trial(config, n)["learners"]["exp3"]["report"] for n in range(2)]
-        table = aggregate_series(reports)
+        rows = aggregate_series(reports)
+        means = [mean for name, _, mean, _ in rows if name == "cumulative_saddle_realized"]
         first = reports[0].cumulative()["saddle_realized"]
         second = reports[1].cumulative()["saddle_realized"]
-        np.testing.assert_allclose(
-            table["cumulative_saddle_realized"][:, 1], (first + second) / 2
-        )
+        np.testing.assert_allclose(means, (first + second) / 2)
 
 
 class TestCli:
@@ -565,6 +660,8 @@ class TestCli:
         "path, mutate",
         [
             ("trials", lambda raw: raw.update(trials=True)),
+            ("trials", lambda raw: raw.update(trials=1e150)),
+            ("trials", lambda raw: raw.update(trials=2**70)),
             ("master_seed", lambda raw: raw.update(master_seed=2.5)),
             ("master_seed", lambda raw: raw.update(master_seed=-1)),
             ("environment.n_rows", lambda raw: raw["environment"].update(n_rows=10.7)),
@@ -643,6 +740,8 @@ class TestCli:
         ],
         ids=[
             "bool-trials",
+            "huge-trials",
+            "trials-2-to-70",
             "fractional-seed",
             "negative-seed",
             "fractional-rows",
@@ -674,7 +773,13 @@ class TestCli:
             *ENVIRONMENT_RULE_CASES,
         ],
     )
-    def test_invalid_field_exits_one_before_any_output(self, tmp_path, capsys, path, mutate):
+    def test_invalid_field_exits_one_before_any_output(
+        self, tmp_path, capsys, monkeypatch, path, mutate
+    ):
+        def no_trial(config, trial):  # a huge trial count fails here, never hangs
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
         raw = config_to_dict(tiny_config())
         mutate(raw)
         config_path = tmp_path / "config.json"
