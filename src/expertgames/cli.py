@@ -23,8 +23,8 @@ from .harness import (
     config_to_dict,
     default_paper_config,
     load_config,
+    load_manifest_config,
     read_plot_tables,
-    replay_manifest,
     run_experiment,
     write_plot_tables,
 )
@@ -86,19 +86,20 @@ def _check_writable(out_dir: Path) -> None:
         raise SystemExit(2)
 
 
+def _config_errors(exc: ConfigError) -> int:
+    for problem in exc.problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args) -> int:
+    overrides = {"master_seed": args.seed, "trials": args.trials}
     try:
-        overrides = {"master_seed": args.seed, "trials": args.trials}
         config = dataclasses.replace(
             load_config(args.config), **{k: v for k, v in overrides.items() if v is not None}
         )
     except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return _config_errors(exc)
     out = Path(args.out)
     _check_writable(out)
     manifest = run_experiment(config, out, workers=args.workers)
@@ -108,19 +109,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     manifest_path = Path(args.manifest)
-    if not manifest_path.is_file():
-        print(f"error: manifest not found: {manifest_path}", file=sys.stderr)
-        return 1
+    try:
+        config = load_manifest_config(manifest_path)
+    except ConfigError as exc:
+        return _config_errors(exc)
     out = Path(args.out) if args.out else manifest_path.parent.with_name(
         manifest_path.parent.name + "_replay"
     )
     _check_writable(out)
-    try:
-        replay_manifest(manifest_path, out, workers=args.workers)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 1
+    run_experiment(config, out, workers=args.workers)
     print(f"replay complete -> {out}")
     return 0
 

@@ -72,12 +72,6 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-def _require_keys(section: dict, allowed: set[str], where: str):
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError([f"{where}: unknown key {key!r}" for key in unknown])
-
-
 def _build(cls, where: str, **fields):
     """``cls(**fields)``, whose ValueError becomes a ConfigError under ``where``.
 
@@ -118,15 +112,55 @@ def _number(value, where: str) -> float:
     raise ConfigError([f"{where}: must be a finite number, got {value!r}"])
 
 
-def _strategy(values, n_actions: int, where: str) -> tuple[float, ...]:
-    """A fixed mixed strategy over ``n_actions`` actions."""
-    if not isinstance(values, (list, tuple)) or len(values) != n_actions:
-        raise ConfigError([f"{where}: must list {n_actions} probabilities, got {values!r}"])
+def _optional_number(value, where: str) -> float | None:
+    return None if value is None else _number(value, where)
+
+
+def _numbers(values, where: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError([f"{where}: must be a list of numbers, got {values!r}"])
+    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(values))
+
+
+def _check_kind(kind, where: str, tables: dict) -> None:
+    kinds = tuple(tables)  # a tuple, so an unhashable value is just not in it
+    if kind not in kinds:
+        raise ConfigError([f"{where}.type: must be one of {kinds}, got {kind!r}"])
+
+
+def _check_strategy(strategy, n_actions: int, where: str) -> None:
+    """A fixed player's ``n_actions`` probabilities."""
     try:
-        MixedStrategy(np.array(values, dtype=float))
+        values = np.array(strategy, dtype=float)
+        if values.shape != (n_actions,):
+            raise ValueError(f"must list {n_actions} probabilities, got {strategy!r}")
+        MixedStrategy(values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError([f"{where}: {exc}"]) from exc
-    return tuple(float(v) for v in values)
+        raise ConfigError([f"{where}.strategy: {exc}"]) from exc
+
+
+def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
+    """The rules that join a learner of each type to the environment."""
+    _check_kind(spec.kind, where, _LEARNER_KEYS)
+    if spec.kind == "ofulinmat":
+        estimator = spec.estimator
+        if getattr(estimator, "n_experts", None) != env.n_experts:
+            raise ConfigError(
+                [f"{where}: an ofulinmat learner needs an EstimatorConfig with n_experts "
+                 f"{env.n_experts}, got {estimator!r}"]
+            )
+        floor = ridge_floor(env)
+        if estimator.ridge < floor:
+            raise ConfigError(
+                [f"{where}.ridge: must be at least n_experts^2 * n_episodes * "
+                 f"rounds_per_episode * 2^-52 = {floor:.3g}, got {estimator.ridge:.3g}"]
+            )
+    elif spec.kind == "exp3":
+        low = _number(spec.reward_min, f"{where}.reward_min")
+        if not low < _number(spec.reward_max, f"{where}.reward_max"):
+            raise ConfigError([f"{where}: reward_min must be strictly below reward_max"])
+    elif spec.kind == "fixed":
+        _check_strategy(spec.strategy, env.n_rows, where)
 
 
 @dataclass(frozen=True)
@@ -147,9 +181,7 @@ class LearnerSpec:
             )
         if self.kind == "fixed":
             return FixedStrategyAgent(np.asarray(self.strategy), seed=seed)
-        if self.kind == "uniform":
-            return FixedStrategyAgent.uniform(n_actions, seed=seed)
-        raise ConfigError([f"learner: unknown type {self.kind!r}"])
+        return FixedStrategyAgent.uniform(n_actions, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -164,13 +196,14 @@ class OpponentSpec:
             return UniformOpponent(seed=seed)
         if self.kind == "best_responder":
             return BestResponderOpponent(seed=seed)
-        if self.kind == "fixed":
-            return FixedOpponent(np.asarray(self.strategy), seed=seed)
-        raise ConfigError([f"opponent: unknown type {self.kind!r}"])
+        return FixedOpponent(np.asarray(self.strategy), seed=seed)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole run. It checks every rule that joins its parts, under the JSON
+    path the parser names, so a config built in Python fails as its JSON does."""
+
     environment: EnvironmentConfig
     learners: tuple[LearnerSpec, ...]
     opponent: OpponentSpec
@@ -199,6 +232,7 @@ class ExperimentConfig:
             )
         names = [spec.name for spec in self.learners]
         for index, name in enumerate(names):
+            _check_learner(self.learners[index], f"learners[{index}]", self.environment)
             where = f"learners[{index}].name"
             if not isinstance(name, str) or not _LEARNER_NAME.fullmatch(name):
                 raise ConfigError([f"{where}: must be letters, digits, '_' or '-', got {name!r}"])
@@ -207,6 +241,9 @@ class ExperimentConfig:
                     [f"{where}: names must be unique, {name!r} is also "
                      f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
                 )
+        _check_kind(self.opponent.kind, "opponent", _OPPONENT_KEYS)
+        if self.opponent.kind == "fixed":
+            _check_strategy(self.opponent.strategy, self.environment.n_cols, "opponent")
 
 
 # The paper's case study, where it differs from the parser's defaults.
@@ -233,76 +270,6 @@ def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentCo
 # Config (de)serialization
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    env = config.environment
-    learners = []
-    for spec in config.learners:
-        entry: dict = {"type": spec.kind, "name": spec.name}
-        if spec.kind == "ofulinmat":
-            est = spec.estimator
-            entry.update(
-                ridge=est.ridge,
-                param_bound=est.param_bound,
-                delta=est.delta,
-            )
-        elif spec.kind == "exp3":
-            entry.update(reward_min=spec.reward_min, reward_max=spec.reward_max)
-        elif spec.kind == "fixed":
-            entry.update(strategy=list(spec.strategy))
-        learners.append(entry)
-    opponent: dict = {"type": config.opponent.kind}
-    if config.opponent.strategy is not None:
-        opponent["strategy"] = list(config.opponent.strategy)
-    theta: dict = {"type": env.theta.kind}
-    if env.theta.kind == "fixed":
-        theta["values"] = list(env.theta.values)
-    else:
-        theta["mean"] = env.theta.mean
-        if env.theta.norm_bound is not None:
-            theta["norm_bound"] = env.theta.norm_bound
-    experts: dict = {"type": env.experts.kind}
-    if env.experts.kind == "fixed":
-        experts["matrices"] = np.asarray(env.experts.matrices).tolist()
-    return {
-        "environment": {
-            "n_rows": env.n_rows,
-            "n_cols": env.n_cols,
-            "n_experts": env.n_experts,
-            "n_episodes": env.n_episodes,
-            "rounds_per_episode": env.rounds_per_episode,
-            "noise_variance": env.noise_variance,
-            "theta_star": theta,
-            "experts": experts,
-        },
-        "learners": learners,
-        "opponent": opponent,
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "output_format": config.output_format,
-    }
-
-
-def _parse_theta(section) -> ThetaSpec:
-    where = "environment.theta_star"
-    kind = _object(section, where).get("type", "gaussian")
-    if kind == "fixed":
-        _require_keys(section, {"type", "values"}, where)
-        if "values" not in section:
-            raise ConfigError([f"{where}: fixed weights need 'values'"])
-        values = section["values"]
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError([f"{where}.values: must be a list of weights, got {values!r}"])
-        fields = {"values": tuple(_number(v, f"{where}.values[{k}]") for k, v in enumerate(values))}
-    elif kind == "gaussian":
-        _require_keys(section, {"type", "mean", "norm_bound"}, where)
-        fields = {"mean": _number(section.get("mean", 0.5), f"{where}.mean"), "norm_bound": None}
-        if section.get("norm_bound") is not None:
-            fields["norm_bound"] = _number(section["norm_bound"], f"{where}.norm_bound")
-    else:
-        raise ConfigError([f"{where}.type: must be 'gaussian' or 'fixed', got {kind!r}"])
-    return _build(ThetaSpec, where, kind=kind, **fields)
-
-
 def _expert_stack(values, where: str) -> tuple:
     """Fixed expert matrices: a nested list of numbers, not booleans."""
     try:
@@ -317,47 +284,103 @@ def _expert_stack(values, where: str) -> tuple:
     return tuple(values)
 
 
-def _parse_experts(section) -> ExpertSpec:
-    where = "environment.experts"
-    kind = _object(section, where).get("type", "uniform")
-    if kind == "fixed":
-        _require_keys(section, {"type", "matrices"}, where)
-        if "matrices" not in section:
-            raise ConfigError([f"{where}: fixed experts need 'matrices'"])
-        matrices = _expert_stack(section["matrices"], f"{where}.matrices")
-        return _build(ExpertSpec, where, kind="fixed", matrices=matrices)
-    if kind != "uniform":
-        raise ConfigError([f"{where}.type: must be 'uniform' or 'fixed', got {kind!r}"])
-    _require_keys(section, {"type"}, where)
-    return ExpertSpec(kind="uniform")
+# Each config object's keys, as {key: (reader, default)}. A reader takes the
+# JSON value and its path; an absent key takes its default unread, and one
+# marked _REQUIRED must be present. A tagged object has one table per "type".
+_REQUIRED = object()
+_THETA_KEYS = {
+    "gaussian": {"mean": (_number, 0.5), "norm_bound": (_optional_number, None)},
+    "fixed": {"values": (_numbers, _REQUIRED)},
+}
+_EXPERT_KEYS = {"uniform": {}, "fixed": {"matrices": (_expert_stack, _REQUIRED)}}
+# OFULinMat's keys are its estimator's fields. Exp3's absent bounds become
+# -/+ 3 * sqrt(n_experts) * n_experts once the environment is read.
+_LEARNER_KEYS = {
+    "ofulinmat": {"ridge": (_number, 0.1), "param_bound": (_number, 3.0), "delta": (_number, 3e-3)},
+    "exp3": {"reward_min": (_number, None), "reward_max": (_number, None)},
+    "fixed": {"strategy": (_numbers, _REQUIRED)},
+    "uniform": {},
+}
+_OPPONENT_KEYS = {"saddle_oracle": {}, "uniform": {}, "best_responder": {},
+                  "fixed": {"strategy": (_numbers, _REQUIRED)}}
 
 
-def _parse_environment(section) -> EnvironmentConfig:
-    allowed = {
-        "n_rows",
-        "n_cols",
-        "n_experts",
-        "n_episodes",
-        "rounds_per_episode",
-        "noise_variance",
-        "theta_star",
-        "experts",
-    }
-    _require_keys(_object(section, "environment"), allowed, "environment")
-    counts = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
-    missing = [k for k in counts if k not in section]
+def _read(section, where: str, keys: dict, other=()) -> dict:
+    """Each key of ``keys`` read from the JSON object ``section``, or its
+    default; ``other`` keys are left to the caller. ``where`` is the object's
+    JSON path, empty for the config itself, whose keys are sections."""
+    name = where or "config"
+    unknown = sorted(set(_object(section, name)) - set(keys) - set(other))
+    if unknown:
+        raise ConfigError([f"{name}: unknown key {key!r}" for key in unknown])
+    missing = [key for key, (_, default) in keys.items() if default is _REQUIRED and key not in section]
     if missing:
-        raise ConfigError([f"environment: missing key {k!r}" for k in missing])
-    sizes = {k: _integer(section[k], f"environment.{k}") for k in counts}
-    noise_variance = _number(section.get("noise_variance", 0.0), "environment.noise_variance")
-    return _build(
-        EnvironmentConfig,
-        "environment",
-        **sizes,
-        noise_variance=noise_variance,
-        theta=_parse_theta(section.get("theta_star", {})),
-        experts=_parse_experts(section.get("experts", {})),
-    )
+        noun = "key" if where else "section"
+        raise ConfigError([f"{name}: missing {noun} {key!r}" for key in missing])
+    return {
+        key: reader(section[key], f"{where}.{key}" if where else key) if key in section else default
+        for key, (reader, default) in keys.items()
+    }
+
+
+def _read_tagged(section, where: str, tables: dict, default=_REQUIRED, other=()) -> dict:
+    """``_read`` of the table that the object's ``type`` picks, as ``kind``."""
+    kind = _object(section, where).get("type", default)
+    if kind is _REQUIRED:
+        raise ConfigError([f"{where}: missing key 'type'"])
+    _check_kind(kind, where, tables)
+    return {"kind": kind, **_read(section, where, tables[kind], ("type", *other))}
+
+
+def _tagged(cls, tables: dict, default=_REQUIRED):
+    """The reader of a tagged object that builds ``cls``."""
+    return lambda section, where: _build(cls, where, **_read_tagged(section, where, tables, default))
+
+
+def _tagged_dict(spec, tables: dict, source=None) -> dict:
+    """A tagged spec's ``type`` and its table's keys that are not None in
+    ``source`` (default: the spec)."""
+    entry = {"type": spec.kind}
+    for key in tables[spec.kind]:
+        value = getattr(spec if source is None else source, key)
+        if value is not None:
+            entry[key] = np.asarray(value).tolist() if np.ndim(value) else value
+    return entry
+
+
+def config_to_dict(config: ExperimentConfig) -> dict:
+    env = config.environment
+    return {
+        "environment": {
+            **{key: getattr(env, key) for key in (*_SIZES, "noise_variance")},
+            "theta_star": _tagged_dict(env.theta, _THETA_KEYS),
+            "experts": _tagged_dict(env.experts, _EXPERT_KEYS),
+        },
+        "learners": [
+            {"name": spec.name, **_tagged_dict(
+                spec, _LEARNER_KEYS, spec.estimator if spec.kind == "ofulinmat" else None)}
+            for spec in config.learners
+        ],
+        "opponent": _tagged_dict(config.opponent, _OPPONENT_KEYS),
+        "trials": config.trials,
+        "master_seed": config.master_seed,
+        "output_format": config.output_format,
+    }
+
+
+_SIZES = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
+_ENVIRONMENT_KEYS = {
+    **{key: (_integer, _REQUIRED) for key in _SIZES},
+    "noise_variance": (_number, 0.0),
+    "theta_star": (_tagged(ThetaSpec, _THETA_KEYS, "gaussian"), ThetaSpec()),
+    "experts": (_tagged(ExpertSpec, _EXPERT_KEYS, "uniform"), ExpertSpec()),
+}
+
+
+def _environment(section, where: str) -> EnvironmentConfig:
+    fields = _read(section, where, _ENVIRONMENT_KEYS)
+    fields["theta"] = fields.pop("theta_star")
+    return _build(EnvironmentConfig, where, **fields)
 
 
 def ridge_floor(env: EnvironmentConfig) -> float:
@@ -375,88 +398,67 @@ def ridge_floor(env: EnvironmentConfig) -> float:
     return d * d * float(env.n_episodes) * float(env.rounds_per_episode) * 2.0**-52
 
 
-def _parse_learner(section, index: int, env: EnvironmentConfig) -> LearnerSpec:
-    where = f"learners[{index}]"
-    kind = _object(section, where).get("type")
+def _learner(section, where: str, env: EnvironmentConfig) -> LearnerSpec:
+    fields = _read_tagged(section, where, _LEARNER_KEYS, other=("name",))
+    kind = fields["kind"]
+    fields["name"] = section.get("name", kind)
     if kind == "ofulinmat":
-        _require_keys(section, {"type", "name", "ridge", "param_bound", "delta"}, where)
-        defaults = {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3}
-        numbers = {k: _number(section.get(k, v), f"{where}.{k}") for k, v in defaults.items()}
-        estimator = _build(EstimatorConfig, where, **numbers, n_experts=env.n_experts)
-        floor = ridge_floor(env)
-        if estimator.ridge < floor:
-            raise ConfigError(
-                [f"{where}.ridge: must be at least n_experts^2 * n_episodes * "
-                 f"rounds_per_episode * 2^-52 = {floor:.3g}, got {estimator.ridge:.3g}"]
-            )
-        return LearnerSpec(kind=kind, name=section.get("name", "ofulinmat"), estimator=estimator)
-    if kind == "exp3":
-        _require_keys(section, {"type", "name", "reward_min", "reward_max"}, where)
-        default_clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
-        lo = _number(section.get("reward_min", -default_clip), f"{where}.reward_min")
-        hi = _number(section.get("reward_max", default_clip), f"{where}.reward_max")
-        if not lo < hi:
-            raise ConfigError([f"{where}: reward_min must be strictly below reward_max"])
-        return LearnerSpec(kind=kind, name=section.get("name", "exp3"), reward_min=lo, reward_max=hi)
-    if kind == "fixed":
-        _require_keys(section, {"type", "name", "strategy"}, where)
-        if "strategy" not in section:
-            raise ConfigError([f"{where}: fixed learner needs 'strategy'"])
-        return LearnerSpec(
-            kind=kind,
-            name=section.get("name", "fixed"),
-            strategy=_strategy(section["strategy"], env.n_rows, f"{where}.strategy"),
-        )
-    if kind == "uniform":
-        _require_keys(section, {"type", "name"}, where)
-        return LearnerSpec(kind=kind, name=section.get("name", "uniform"))
-    raise ConfigError([f"{where}: unknown or missing learner type {kind!r}"])
+        numbers = {key: fields.pop(key) for key in _LEARNER_KEYS[kind]}
+        fields["estimator"] = _build(EstimatorConfig, where, **numbers, n_experts=env.n_experts)
+    elif kind == "exp3":
+        clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
+        fields["reward_min"] = -clip if fields["reward_min"] is None else fields["reward_min"]
+        fields["reward_max"] = clip if fields["reward_max"] is None else fields["reward_max"]
+    return LearnerSpec(**fields)
 
 
-def _parse_opponent(section, env: EnvironmentConfig) -> OpponentSpec:
-    _require_keys(_object(section, "opponent"), {"type", "strategy"}, "opponent")
-    kind = section.get("type")
-    if kind in ("saddle_oracle", "uniform", "best_responder"):
-        return OpponentSpec(kind=kind)
-    if kind == "fixed":
-        if "strategy" not in section:
-            raise ConfigError(["opponent: fixed opponent needs 'strategy'"])
-        return OpponentSpec(
-            kind=kind, strategy=_strategy(section["strategy"], env.n_cols, "opponent.strategy")
-        )
-    raise ConfigError([f"opponent: unknown or missing type {kind!r}"])
+def _learner_list(sections, where: str) -> list:
+    """The learner objects, which ``_learner`` reads once the environment is known."""
+    if not isinstance(sections, list) or not sections:
+        raise ConfigError([f"{where}: must be a non-empty list"])
+    return sections
+
+
+_CONFIG_KEYS = {
+    "environment": (_environment, _REQUIRED),
+    "learners": (_learner_list, _REQUIRED),
+    "opponent": (_tagged(OpponentSpec, _OPPONENT_KEYS), _REQUIRED),
+    "trials": (_integer, 1),
+    "master_seed": (_integer, 0),
+    "output_format": (lambda value, where: value, "csv"),  # ExperimentConfig checks it
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    allowed = {"environment", "learners", "opponent", "trials", "master_seed", "output_format"}
-    _require_keys(_object(raw, "config"), allowed, "config")
-    for key in ("environment", "learners", "opponent"):
-        if key not in raw:
-            raise ConfigError([f"config: missing section {key!r}"])
-    env = _parse_environment(raw["environment"])
-    learner_sections = raw["learners"]
-    if not isinstance(learner_sections, list) or not learner_sections:
-        raise ConfigError(["learners: must be a non-empty list"])
-    learners = tuple(
-        _parse_learner(section, i, env) for i, section in enumerate(learner_sections)
+    fields = _read(raw, "", _CONFIG_KEYS)
+    fields["learners"] = tuple(
+        _learner(section, f"learners[{i}]", fields["environment"])
+        for i, section in enumerate(fields["learners"])
     )
-    return ExperimentConfig(
-        environment=env,
-        learners=learners,
-        opponent=_parse_opponent(raw["opponent"], env),
-        trials=_integer(raw.get("trials", 1), "trials"),
-        master_seed=_integer(raw.get("master_seed", 0), "master_seed"),
-        output_format=str(raw.get("output_format", "csv")),
-    )
+    return ExperimentConfig(**fields)
+
+
+def _load_json(path):
+    """The JSON document in the file at ``path``; a ConfigError if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
-    return config_from_dict(raw)
+    return config_from_dict(_load_json(path))
+
+
+def load_manifest_config(path) -> ExperimentConfig:
+    """The config that the run manifest at ``path`` records."""
+    manifest = _load_json(path)
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ConfigError([f"config: {path} is not a run manifest: it has no 'config' key"])
+    return config_from_dict(manifest["config"])
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +644,7 @@ def hash_seed(master_seed: int, trial: int) -> int:
 
 
 def replay_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
-    with open(manifest_path) as handle:
-        manifest = json.load(handle)
-    config = config_from_dict(manifest["config"])
-    return run_experiment(config, out_dir, workers=workers)
+    return run_experiment(load_manifest_config(manifest_path), out_dir, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,93 @@ def json_path(keys) -> str:
     return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys).lstrip(".")
 
 
+# Every type of each tagged object of MUTATION_BASE, with every key of its
+# type written out: JSON path -> (the parser's tables, {type: object}).
+TAGGED_OBJECTS = {
+    ("environment", "theta_star"): (harness._THETA_KEYS, {
+        "gaussian": {"type": "gaussian", "mean": -0.25, "norm_bound": 2.0},
+        "fixed": {"type": "fixed", "values": [0.7, -0.2]},
+    }),
+    ("environment", "experts"): (harness._EXPERT_KEYS, {
+        "uniform": {"type": "uniform"},
+        "fixed": {"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=0.75)},
+    }),
+    ("learners", 0): (harness._LEARNER_KEYS, {
+        "ofulinmat": {"type": "ofulinmat", "name": "case", "ridge": 0.5, "param_bound": 2.5,
+                      "delta": 0.05},
+        "exp3": {"type": "exp3", "name": "case", "reward_min": -2.0, "reward_max": 3.5},
+        "fixed": {"type": "fixed", "name": "case", "strategy": [0.1, 0.0, 0.9]},
+        "uniform": {"type": "uniform", "name": "case"},
+    }),
+    ("opponent",): (harness._OPPONENT_KEYS, {
+        "saddle_oracle": {"type": "saddle_oracle"},
+        "uniform": {"type": "uniform"},
+        "best_responder": {"type": "best_responder"},
+        "fixed": {"type": "fixed", "strategy": [0.6, 0.4, 0.0]},
+    }),
+}
+ROUND_TRIP_CASES = [
+    (keys, kind) for keys, (tables, _) in TAGGED_OBJECTS.items() for kind in tables
+]
+
+
+def replace_learner(index: int, spec: LearnerSpec) -> dict:
+    """tiny_config overrides that put ``spec`` in place of learner ``index``."""
+    learners = list(tiny_config().learners)
+    learners[index] = spec
+    return {"learners": tuple(learners)}
+
+
+# Faults that join two parts of a config, which ExperimentConfig rejects
+# itself: id -> (JSON path, tiny_config overrides, the same fault as a
+# mutation of the tiny config's dict, or None when JSON cannot express it).
+JOINT_RULE_CASES = {
+    "short-learner-strategy": (
+        "learners[1].strategy",
+        lambda: replace_learner(1, LearnerSpec(kind="fixed", name="fixed", strategy=(0.5, 0.5))),
+        lambda raw: raw["learners"].__setitem__(
+            1, {"type": "fixed", "name": "fixed", "strategy": [0.5, 0.5]}
+        ),
+    ),
+    "estimator-expert-count": (
+        "learners[0]",
+        lambda: replace_learner(0, LearnerSpec(
+            kind="ofulinmat", name="ofulinmat",
+            estimator=EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=5),
+        )),
+        None,
+    ),
+    "ridge-below-floor": (
+        "learners[0].ridge",
+        lambda: replace_learner(0, LearnerSpec(
+            kind="ofulinmat", name="ofulinmat",
+            estimator=EstimatorConfig(ridge=1e-300, param_bound=2.0, delta=0.01, n_experts=2),
+        )),
+        lambda raw: raw["learners"][0].update(ridge=1e-300),
+    ),
+    "exp3-without-bounds": (
+        "learners[1].reward_min",
+        lambda: replace_learner(1, LearnerSpec(kind="exp3", name="exp3")),
+        lambda raw: raw["learners"][1].update(reward_min=None, reward_max=None),
+    ),
+    "unknown-learner-type": (
+        "learners[1].type",
+        lambda: replace_learner(1, LearnerSpec(kind="bogus", name="bogus")),
+        lambda raw: raw["learners"].__setitem__(1, {"type": "bogus", "name": "bogus"}),
+    ),
+    "ofulinmat-without-estimator": (
+        "learners[0]",
+        lambda: replace_learner(0, LearnerSpec(kind="ofulinmat", name="ofulinmat")),
+        None,
+    ),
+    "short-opponent-strategy": (
+        "opponent.strategy",
+        lambda: {"opponent": OpponentSpec(kind="fixed", strategy=(0.5, 0.5))},
+        lambda raw: raw.update(opponent={"type": "fixed", "strategy": [0.5, 0.5]}),
+    ),
+}
+
+
 def tree_files(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -300,6 +387,47 @@ class TestConfigRoundTrip:
             f"environment.experts.{message}",
         )
         assert parsed.value.problems[0].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("path, overrides, mutate", JOINT_RULE_CASES.values(),
+                             ids=JOINT_RULE_CASES)
+    def test_joint_rules_hold_without_the_parser(self, path, overrides, mutate):
+        with pytest.raises(ConfigError) as direct:
+            tiny_config(**overrides())
+        assert direct.value.problems[0].startswith(f"{path}: ")
+        if mutate is not None:
+            raw = config_to_dict(tiny_config())
+            mutate(raw)
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict(raw)
+            assert parsed.value.problems[0] == direct.value.problems[0]
+
+    @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
+                             ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
+    def test_every_type_round_trips(self, keys, kind):
+        tables, objects = TAGGED_OBJECTS[keys]
+        entry = objects[kind]
+        assert set(entry) - {"name"} == {"type", *tables[kind]}  # every key is written out
+        raw = copy.deepcopy(MUTATION_BASE)
+        leaf_section(raw, keys)[keys[-1]] = copy.deepcopy(entry)
+        assert config_to_dict(config_from_dict(raw)) == raw
+
+    def test_unknown_types_and_missing_keys_name_their_path(self):
+        raw = config_to_dict(tiny_config())
+        raw["opponent"] = {"type": "oracle"}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == [
+            "opponent.type: must be one of ('saddle_oracle', 'uniform', 'best_responder', "
+            "'fixed'), got 'oracle'"
+        ]
+        raw["opponent"] = {"type": "fixed"}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == ["opponent: missing key 'strategy'"]
+        raw["environment"]["theta_star"] = {"type": "fixed"}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == ["environment.theta_star: missing key 'values'"]
 
     def test_master_seed_checked_on_direct_construction(self):
         with pytest.raises(ConfigError, match="^master_seed: must be nonnegative, got -1$"):
@@ -862,6 +990,39 @@ class TestCli:
         out = tmp_path / "plot"
         assert cli_main(["plot-data", "--run", str(run), "--out", str(out)]) == 1
         assert "no manifest.json" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "config: not valid JSON"),
+            ("[1, 2]", "is not a run manifest"),
+            (json.dumps(config_to_dict(tiny_config())), "is not a run manifest"),
+            (
+                json.dumps({"config": {**config_to_dict(tiny_config()), "trials": 0}}),
+                "trials: must be at least 1",
+            ),
+        ],
+        ids=["not-json", "json-list", "a-config", "bad-config"],
+    )
+    def test_replay_refuses_a_bad_manifest_before_any_output(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        out = tmp_path / "replayed"
+        assert cli_main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["missing", "directory", "binary"])
+    def test_unreadable_config_exits_one_before_any_output(self, tmp_path, capsys, form):
+        path = tmp_path / "config.json"
+        if form == "directory":
+            path.mkdir()
+        elif form == "binary":
+            path.write_bytes(b"\xff\xfe\x00{\x80")
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert f"config error: config: cannot read {path}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_replay_cli(self, tmp_path):
