@@ -1,24 +1,23 @@
 """Episodic learners and opponent policies.
 
-The simulator drives a learner through one of two protocols, chosen by
-whether the learner has an ``act_episode`` method.
+Every learner plays an episode through one protocol:
 
-Episode strategy (OFULinMat, fixed, uniform). The learner commits to one
-mixed strategy per episode, exposed as ``current_strategy``, and draws all
-of the episode's rows at once:
+    begin_episode(ensemble) -> play_episode(reward, n_rounds)
+        -> end_episode(rows, cols, rewards)
 
-    begin_episode(ensemble) -> act_episode(n_rounds)
-        -> observe_episode(rows, cols, rewards) -> end_episode()
+``reward(t, i)`` is a closure that the simulator owns: the reward of row
+``i`` in round ``t + 1``. Only the played row's reward is asked, as bandit
+feedback requires, and a row outside the game raises ``SimulationError``.
+``play_episode`` returns the rows, the rewards and the strategy the rows were
+drawn from: one episode mix of shape (n_rows,), or the stack of per-round
+policies of shape (n_rounds, n_rows). ``end_episode`` takes the episode's
+record: the rows, the opponent's columns and the rewards.
 
-Per-round policy (Exp3). The policy reacts to every reward, so the learner
-runs the episode's round loop itself, asking a reward closure that the
-simulator owns for the reward of each row it plays:
-
-    begin_episode(ensemble) -> play_episode(reward, n_rounds) -> end_episode()
-
-``play_episode`` returns the rows, the rewards and the stack of policies the
-rows were sampled from. ``act(t)`` / ``observe(i, j, r)`` step the same
-learner one round at a time, with the same arithmetic.
+OFULinMat, fixed and uniform commit to one mixed strategy per episode
+(``current_strategy``) and draw all of the episode's rows at once. Exp3
+reacts to every reward, so it runs the round loop itself. Its ``act(t)`` /
+``observe(i, j, r)`` step the same arithmetic one round at a time; no run
+calls them, and they remain as the stepping API that the benchmark times.
 
 Learners never see the true payoff matrix, only rewards (and, for the
 optimistic learner, the expert ensemble revealed each episode). Opponents are
@@ -41,7 +40,7 @@ from .game import MixedStrategy, solve_saddle_point
 
 
 class AgentProtocolError(RuntimeError):
-    """Raised when the episodic begin/act/observe/end contract is violated."""
+    """Raised when a player's protocol calls come out of order."""
 
 
 def _rng(seed) -> np.random.Generator:
@@ -61,6 +60,13 @@ class _EpisodeStrategyPlayer:
             raise AgentProtocolError(f"{type(self).__name__}: act_episode before begin_episode()")
         return self.current_strategy.sample_many(self.rng, n_rounds)
 
+    def play_episode(self, reward, n_rounds: int):
+        """Draw the episode's rows, then ask ``reward`` for each row's reward.
+        Returns the rows, the rewards and the episode mix."""
+        rows = self.act_episode(n_rounds)
+        rewards = [reward(t, i) for t, i in enumerate(rows.tolist())]
+        return rows, np.array(rewards), self.current_strategy.probs
+
 
 class OFULinMatAgent(_EpisodeStrategyPlayer):
     """Optimistic episodic learner for games that mix revealed expert games.
@@ -69,8 +75,7 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
     weights, inflates every payoff entry by the confidence-scaled exploration
     bonus of that entry's expert readings, solves the optimistic game's
     saddle point, and commits to the resulting row strategy for the whole
-    episode. Rewards are buffered during the episode and absorbed into the
-    estimator at the end.
+    episode. The episode's plays are absorbed into the estimator at its end.
     """
 
     def __init__(self, n_actions: int, config: EstimatorConfig, seed=None):
@@ -84,8 +89,6 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.planned_beta: float | None = None
         self.cap_active = False
         self._ensemble = None
-        self._buffer_features: list[np.ndarray] = []
-        self._buffer_rewards: list[np.ndarray] = []
 
     def begin_episode(self, ensemble) -> None:
         cfg = self.estimator.config
@@ -114,23 +117,12 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.planned_theta = theta
         self.planned_beta = beta
         self._ensemble = ensemble
-        self._buffer_features.clear()
-        self._buffer_rewards.clear()
 
-    def observe_episode(self, rows, cols, rewards) -> None:
-        """Buffer the expert readings of the played cells and their rewards."""
+    def end_episode(self, rows, cols, rewards) -> None:
+        """Absorb the expert readings of the played cells with their rewards."""
         if self._ensemble is None:
-            raise AgentProtocolError("observe_episode() called before begin_episode()")
-        self._buffer_features.append(self._ensemble.matrices[:, rows, cols].T)
-        self._buffer_rewards.append(np.asarray(rewards, dtype=float))
-
-    def end_episode(self) -> None:
-        if self._buffer_features:
-            self.estimator.absorb_batch(
-                np.concatenate(self._buffer_features), np.concatenate(self._buffer_rewards)
-            )
-        self._buffer_features.clear()
-        self._buffer_rewards.clear()
+            raise AgentProtocolError("end_episode() called before begin_episode()")
+        self.estimator.absorb_batch(self._ensemble.matrices[:, rows, cols].T, rewards)
 
 
 def _exp3_policy(estimates: list[float], t: int, n: int, log_n: float) -> list[float]:
@@ -169,14 +161,15 @@ class Exp3Agent:
     boundary.
 
     A round touches n numbers, so it runs on Python floats: ``math.exp``
-    and ``math.fsum``. ``play_episode`` runs a whole episode's loop
-    with its locals bound once; ``act``/``observe`` step the same round one
-    call at a time and give the same bits. Each action is the first one
-    whose cumulative policy mass exceeds one ``rng.random()`` draw. The
-    draws are taken in blocks of ``_UNIFORM_BLOCK`` that carry over from one
-    episode to the next. A block holds the same numbers as that many single
-    draws, so the actions equal one draw per round as long as nothing else
-    draws from the agent's generator; the harness gives each learner its own.
+    and ``math.fsum``. ``play_episode`` runs a whole episode's loop with its
+    locals bound once. ``act``/``observe`` step the same round one call at a
+    time and give the same bits; only the benchmark calls them. Each action
+    is the first one whose cumulative policy mass exceeds one
+    ``rng.random()`` draw. The draws are taken in blocks of
+    ``_UNIFORM_BLOCK`` that carry over from one episode to the next. A block
+    holds the same numbers as that many single draws, so the actions equal
+    one draw per round as long as nothing else draws from the agent's
+    generator; the harness gives each learner its own.
     """
 
     _UNIFORM_BLOCK = 256
@@ -263,7 +256,8 @@ class Exp3Agent:
         self.cumulative_estimates[own_action] += clipped / self._last_policy[own_action]
         self._awaiting_feedback = False
 
-    def end_episode(self) -> None:
+    def end_episode(self, rows, cols, rewards) -> None:
+        """The policy needs no record: its estimates reset at the next episode."""
         self._awaiting_feedback = False
 
 
@@ -284,10 +278,7 @@ class FixedStrategyAgent(_EpisodeStrategyPlayer):
     def begin_episode(self, ensemble=None) -> None:
         pass
 
-    def observe_episode(self, rows, cols, rewards) -> None:
-        pass
-
-    def end_episode(self) -> None:
+    def end_episode(self, rows, cols, rewards) -> None:
         pass
 
 

@@ -50,6 +50,17 @@ def _unit_entries(values, name: str) -> np.ndarray:
     return stack
 
 
+def type_problem(config, counts=(), reals=()) -> str | None:
+    """The first of ``config``'s ``counts`` that is not an int, or ``reals``
+    that is neither an int nor a float (bools are neither), as a message, or
+    None. A numpy scalar would run every trial and then fail writing the manifest."""
+    for name in (*counts, *reals):
+        value, real = getattr(config, name), name in reals
+        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+            return f"{name}: must be {'an int or a float' if real else 'an int'}, got {value!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class ExpertEnsemble:
     """The expert game matrices revealed at the start of one episode.
@@ -85,11 +96,6 @@ class ExpertEnsemble:
         """All entries' features as an (n_experts, rows*cols) column stack."""
         return self.matrices.reshape(self.n_experts, -1)
 
-    def mix(self, weights) -> np.ndarray:
-        """Payoff matrix obtained by linearly combining the experts."""
-        w = np.asarray(weights, dtype=float)
-        return np.tensordot(w, self.matrices, axes=1)
-
 
 @dataclass(frozen=True)
 class ThetaSpec:
@@ -109,6 +115,10 @@ class ThetaSpec:
             raise ValueError("fixed theta spec requires explicit values")
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        bound = () if self.norm_bound is None else ("norm_bound",)
+        problem = type_problem(self, reals=("mean", *bound))
+        if problem:
+            raise ValueError(problem)
         if self.norm_bound is not None and not self.norm_bound > 0:
             raise ValueError(f"norm_bound: must be positive, got {self.norm_bound}")
 
@@ -147,7 +157,11 @@ class EnvironmentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode"):
+        sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
+        problem = type_problem(self, counts=sizes, reals=("noise_variance",))
+        if problem:
+            raise ValueError(problem)
+        for name in sizes:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name}: must be at least 1, got {value}")
@@ -265,14 +279,6 @@ def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tu
     raise RuntimeError("rejection sampling of the mixing weights did not terminate")
 
 
-def _episode_strategy(player, role: str, episode: int) -> np.ndarray:
-    """The mixed strategy a player committed to for this episode."""
-    strategy = getattr(player, "current_strategy", None)
-    if strategy is None:
-        raise SimulationError(f"{role} exposes no mixed strategy at episode {episode}")
-    return strategy.probs
-
-
 def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: str, episode: int):
     """An episode's drawn actions as an int array; anything but n_rounds legal
     indices aborts the episode."""
@@ -336,50 +342,48 @@ class Environment:
         Both players move simultaneously each round. The opponent commits to
         its episode mix from history and the true game only, so it never
         conditions on the learner's current action, and all of its columns
-        are drawn before play starts. A learner with an episode strategy
-        draws its rows the same way; a per-round learner plays the rounds
-        itself against the drawn columns, through a reward closure that
-        reveals only the reward of the row it played. Either way both the
-        actions and the rewards equal those of round-by-round play.
+        are drawn before play starts. The learner then plays the rounds
+        against the drawn columns through a reward closure that reveals only
+        the reward of the row it played, so both the actions and the rewards
+        equal those of round-by-round play.
         """
         cfg = self.config
         ensemble = self.ensemble(episode)
         game = self.true_game(episode)
         value = self.true_saddle(episode).value
         m = game.entries
-        n_rounds = cfg.rounds_per_episode
-        noise = self.noise[episode]
+        n_rounds, n_rows = cfg.rounds_per_episode, cfg.n_rows
 
         learner.begin_episode(ensemble)
         opponent.begin_episode(game, learner_previous_strategy)
-        nu = _episode_strategy(opponent, "opponent", episode)
+        committed = getattr(opponent, "current_strategy", None)
+        if committed is None:
+            raise SimulationError(f"opponent exposes no mixed strategy at episode {episode}")
+        nu = committed.probs
         cols = _checked_actions(
             opponent.act_episode(n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode
         )
 
-        if hasattr(learner, "act_episode"):
-            mu = _episode_strategy(learner, "learner", episode)
-            rows = _checked_actions(
-                learner.act_episode(n_rounds), n_rounds, cfg.n_rows, "learner", "row", episode
-            )
-            rewards = m[rows, cols] + noise
-            learner.observe_episode(rows, cols, rewards)
-            row_strategies = mu
-        else:
-            mu = None
-            # Python floats add exactly like numpy float64 and index faster.
-            payoffs, col_list, noise_list = m.tolist(), cols.tolist(), noise.tolist()
+        # Python floats add exactly like numpy float64 and index faster.
+        payoffs, col_list, noise_list = m.tolist(), cols.tolist(), self.noise[episode].tolist()
 
-            def reward(t, i):
-                return payoffs[i][col_list[t]] + noise_list[t]
+        def reward(t, i):
+            if not 0 <= i < n_rows:
+                raise SimulationError(
+                    f"learner produced row {i} outside [0, {n_rows}) "
+                    f"at episode {episode}, round {t + 1}"
+                )
+            return payoffs[i][col_list[t]] + noise_list[t]
 
-            rows, rewards, row_strategies = learner.play_episode(reward, n_rounds)
-            rows = _checked_actions(rows, n_rounds, cfg.n_rows, "learner", "row", episode)
-            rewards = np.asarray(rewards, dtype=float)
-            row_strategies = np.asarray(row_strategies, dtype=float)
-            if rewards.shape != (n_rounds,) or row_strategies.shape != (n_rounds, cfg.n_rows):
-                raise SimulationError(f"learner exposes no strategy at episode {episode}")
-        sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, row_strategies, nu)
+        rows, rewards, strategy = learner.play_episode(reward, n_rounds)
+        rows = _checked_actions(rows, n_rounds, n_rows, "learner", "row", episode)
+        rewards = np.asarray(rewards, dtype=float)
+        strategy = np.asarray(strategy, dtype=float)
+        if rewards.shape != (n_rounds,) or strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
+            raise SimulationError(f"learner exposes no strategy at episode {episode}")
+        # An episode mix is the learner's strategy; per-round policies have none.
+        mu = strategy if strategy.ndim == 1 else None
+        sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, strategy, nu)
 
         # Only an optimistic learner has an estimator; begin_episode set its plan.
         diagnostics: dict[str, float] = {}
@@ -391,13 +395,10 @@ class Environment:
             theta_error = float(np.linalg.norm(theta_hat - self.theta_star))
             diagnostics["coverage"] = float(estimator.covers(self.theta_star))
             diagnostics["value_optimism_gap"] = float(learner.optimistic_value - value)
-            true_mean = ensemble.mix(self.theta_star)
-            diagnostics["entrywise_optimism_margin"] = float(
-                (learner.optimistic_matrix - true_mean).min()
-            )
+            diagnostics["entrywise_optimism_margin"] = float((learner.optimistic_matrix - m).min())
             diagnostics["cap_active"] = float(learner.cap_active)
             log_det_before = estimator.log_det()
-        learner.end_episode()
+        learner.end_episode(rows, cols, rewards)
         if estimator is not None:
             diagnostics["det_ratio"] = math.exp(estimator.log_det() - log_det_before)
             diagnostics["potential_sum"] = estimator.potential_sum

@@ -55,6 +55,7 @@ from .environment import (
     EpisodeTrace,
     ExpertSpec,
     ThetaSpec,
+    type_problem,
 )
 from .estimator import EstimatorConfig
 from .game import MixedStrategy
@@ -149,6 +150,9 @@ def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
                 [f"{where}: an ofulinmat learner needs an EstimatorConfig with n_experts "
                  f"{env.n_experts}, got {estimator!r}"]
             )
+        problem = type_problem(estimator, reals=("ridge", "param_bound", "delta"))
+        if problem:
+            raise ConfigError([f"{where}.{problem}"])
         floor = ridge_floor(env)
         if estimator.ridge < floor:
             raise ConfigError(
@@ -212,6 +216,9 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        problem = type_problem(self, counts=("trials", "master_seed"))
+        if problem:
+            raise ConfigError([problem])
         if self.trials < 1:
             raise ConfigError(["trials: must be at least 1"])
         if self.master_seed < 0:

@@ -115,8 +115,7 @@ class TestOFULinMatPlanning:
             agent.begin_episode(ensemble)
             rows = agent.act_episode(200)
             cols = rng.integers(10, size=200)
-            agent.observe_episode(rows, cols, 5.0 + rng.normal(0.0, 0.7, size=200))
-            agent.end_episode()
+            agent.end_episode(rows, cols, 5.0 + rng.normal(0.0, 0.7, size=200))
         assert agent.estimator.n_obs == 15 * 200
 
 
@@ -154,8 +153,12 @@ class TestOFULinMatActObserve:
         agent = self.make_agent()
         agent.begin_episode(ExpertEnsemble(np.full((2, 3, 3), 0.5)))
         before = agent.estimator.gram.copy()
-        agent.end_episode()
+        agent.end_episode([], [], [])
         assert np.array_equal(agent.estimator.gram, before)
+
+    def test_end_episode_before_planning_raises(self):
+        with pytest.raises(AgentProtocolError):
+            self.make_agent().end_episode([0], [0], [1.0])
 
     def test_buffered_episode_equals_direct_absorption(self):
         rng = np.random.default_rng(8)
@@ -164,9 +167,8 @@ class TestOFULinMatActObserve:
         agent.begin_episode(ExpertEnsemble(stack))
         mirror = estimator_copy(agent.estimator)
         plays = [(rng.integers(3), rng.integers(3), rng.normal()) for _ in range(200)]
-        for i, j, r in plays:
-            agent.observe_episode([int(i)], [int(j)], [float(r)])
-        agent.end_episode()
+        rows, cols, rewards = (list(column) for column in zip(*plays))
+        agent.end_episode(rows, cols, rewards)
         for i, j, r in plays:
             absorb_row(mirror, stack[:, i, j], float(r))
         assert np.allclose(agent.estimator.gram, mirror.gram, rtol=1e-12)
@@ -293,13 +295,13 @@ class TestExp3:
                 stepped_rows.append(action)
                 stepped_rewards.append(round_rewards[action])
                 stepped_policies.append(stepped.last_strategy)
-            stepped.end_episode()
+            stepped.end_episode(stepped_rows, [0] * 200, stepped_rewards)
             assert rows.tolist() == stepped_rows
             assert rewards.tolist() == stepped_rewards
             assert policies.tolist() == stepped_policies
             assert whole.cumulative_estimates == stepped.cumulative_estimates
             assert whole.last_strategy == stepped.last_strategy
-            whole.end_episode()
+            whole.end_episode(rows, [0] * 200, rewards)
 
     def test_policy_respects_uniform_floor(self):
         agent = Exp3Agent(5, seed=4, reward_min=-1.0, reward_max=1.0)
@@ -396,7 +398,9 @@ class TestFixedStrategyAgent:
     def test_protocol_is_inert(self):
         agent = FixedStrategyAgent(np.array([1.0, 0.0]), seed=1)
         agent.begin_episode(None)
-        assert agent.act_episode(1)[0] == 0
-        agent.observe_episode([0], [0], [1.0])
-        agent.end_episode()
+        rows, rewards, strategy = agent.play_episode(lambda t, i: 10.0 * t + i, 3)
+        assert rows.tolist() == [0, 0, 0]
+        assert rewards.tolist() == [0.0, 10.0, 20.0]
+        agent.end_episode(rows, [0, 0, 0], rewards)
+        assert np.array_equal(strategy, [1.0, 0.0])
         assert np.array_equal(agent.current_strategy.probs, [1.0, 0.0])

@@ -60,13 +60,6 @@ class TestExpertEnsemble:
         with pytest.raises(IndexError):
             expert_features(ensemble, 0, -1)
 
-    def test_mix_is_linear_combination(self):
-        rng = np.random.default_rng(1)
-        stack = rng.uniform(size=(3, 2, 2))
-        ensemble = ExpertEnsemble(stack)
-        w = np.array([0.5, -1.0, 2.0])
-        assert np.allclose(ensemble.mix(w), sum(w[s] * stack[s] for s in range(3)))
-
 
 class TestGroundTruth:
     def test_basis_theta_reproduces_first_expert(self):
@@ -272,6 +265,20 @@ class TestRunEpisode:
         with pytest.raises(SimulationError, match=r"learner produced row 99 .* round 3$"):
             env.run_episode(RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
 
+    def test_reward_of_an_out_of_range_row_aborts(self):
+        # The row the learner reports is legal, so only the closure sees the
+        # -1, which would otherwise read the last payoff row.
+        class Peeker(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, rewards, strategy = super().play_episode(reward, n_rounds)
+                reward(1, -1)
+                return rows, rewards, strategy
+
+        env = Environment(config())
+        message = r"^learner produced row -1 outside \[0, 3\) at episode 0, round 2$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(Peeker.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+
     def test_out_of_range_opponent_column_aborts(self):
         class RogueOpponent(FixedOpponent):
             def act_episode(self, n_rounds):
@@ -315,6 +322,41 @@ class TestRunTrial:
         env = Environment(config())
         traces = env.run_trial(FixedStrategyAgent.uniform(3, seed=0), SaddleOracleOpponent(seed=1))
         assert [t.episode for t in traces] == [0, 1, 2, 3]
+
+    def test_learner_with_only_the_protocol_records_its_mix(self):
+        # No act_episode and no current_strategy: the episode mix that
+        # play_episode returns is the learner's strategy, and the opponent
+        # best-responds to it in the next episode.
+        class Alternator:
+            def __init__(self):
+                self.records = []
+
+            def begin_episode(self, ensemble):
+                pass
+
+            def play_episode(self, reward, n_rounds):
+                rows = [t % 2 for t in range(n_rounds)]
+                return rows, [reward(t, i) for t, i in enumerate(rows)], [0.5, 0.5, 0.0]
+
+            def end_episode(self, rows, cols, rewards):
+                self.records.append((rows.tolist(), cols.tolist(), rewards.tolist()))
+
+        from expertgames.agents import BestResponderOpponent
+
+        env = Environment(config())
+        learner = Alternator()
+        traces = env.run_trial(learner, BestResponderOpponent(seed=1))
+        assert len(learner.records) == len(traces) == 4
+        for k, (trace, record) in enumerate(zip(traces, learner.records)):
+            assert trace.learner_strategy.tolist() == [0.5, 0.5, 0.0]
+            rows, cols, rewards = record
+            assert rows == trace.row_actions.tolist() == [t % 2 for t in range(5)]
+            assert cols == trace.col_actions.tolist()
+            m = env.true_game(k).entries
+            assert rewards == trace.rewards.tolist() == m[rows, cols].tolist()
+            if k:
+                expected_col = int(np.argmin(np.array([0.5, 0.5, 0.0]) @ m))
+                assert trace.opponent_strategy[expected_col] == 1.0
 
     def test_best_responder_sees_previous_strategy(self):
         from expertgames.agents import BestResponderOpponent

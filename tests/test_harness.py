@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -140,7 +141,7 @@ ENVIRONMENT_RULE_CASES = {
 
 def environment_config(section: dict) -> EnvironmentConfig:
     """The EnvironmentConfig of a JSON environment section, built without the
-    parser; real fields get floats, as the parser passes them."""
+    parser; sizes get ints and real fields floats, as the parser passes them."""
     def real(value):
         return float(value) if isinstance(value, int) else value
 
@@ -148,7 +149,7 @@ def environment_config(section: dict) -> EnvironmentConfig:
     experts = dict(section.get("experts", {}))
     sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
     return EnvironmentConfig(
-        **{key: section[key] for key in sizes},
+        **{key: int(section[key]) for key in sizes},
         noise_variance=real(section.get("noise_variance", 0.0)),
         theta=ThetaSpec(kind=theta.pop("type", "gaussian"), **theta),
         experts=ExpertSpec(kind=experts.pop("type", "uniform"), **experts),
@@ -299,6 +300,52 @@ JOINT_RULE_CASES = {
 }
 
 
+def parsed_environment(**fields) -> EnvironmentConfig:
+    """The tiny config's environment with ``fields`` replaced, built as the
+    parser builds it, so a ValueError becomes a ConfigError under its path."""
+    base = {field.name: getattr(tiny_config().environment, field.name)
+            for field in dataclasses.fields(EnvironmentConfig)}
+    return harness._build(EnvironmentConfig, "environment", **{**base, **fields})
+
+
+# Scalars of a type JSON cannot hold, or that the run cannot use, in a config
+# built in Python: id -> (the ConfigError's problem, the construction).
+SCALAR_TYPE_CASES = {
+    "numpy-trials": (
+        "trials: must be an int, got np.int64(2)", lambda: tiny_config(trials=np.int64(2))
+    ),
+    "numpy-master-seed": (
+        "master_seed: must be an int, got np.int64(1)",
+        lambda: tiny_config(master_seed=np.int64(1)),
+    ),
+    "bool-trials": ("trials: must be an int, got True", lambda: tiny_config(trials=True)),
+    "numpy-n-rows": (
+        "environment.n_rows: must be an int, got np.int64(3)",
+        lambda: parsed_environment(n_rows=np.int64(3)),
+    ),
+    "numpy-noise-variance": (
+        "environment.noise_variance: must be an int or a float, got np.float32(0.5)",
+        lambda: parsed_environment(noise_variance=np.float32(0.5)),
+    ),
+    "float-n-episodes": (
+        "environment.n_episodes: must be an int, got 2.0",
+        lambda: parsed_environment(n_episodes=2.0),
+    ),
+    "numpy-theta-mean": (
+        "environment.theta_star.mean: must be an int or a float, got np.float32(0.5)",
+        lambda: harness._build(ThetaSpec, "environment.theta_star", mean=np.float32(0.5)),
+    ),
+    "numpy-ridge": (
+        "learners[0].ridge: must be an int or a float, got np.float32(0.1)",
+        lambda: tiny_config(**replace_learner(0, LearnerSpec(
+            kind="ofulinmat", name="ofulinmat",
+            estimator=EstimatorConfig(ridge=np.float32(0.1), param_bound=2.0, delta=0.01,
+                                      n_experts=2),
+        ))),
+    ),
+}
+
+
 def tree_files(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
@@ -400,6 +447,16 @@ class TestConfigRoundTrip:
             with pytest.raises(ConfigError) as parsed:
                 config_from_dict(raw)
             assert parsed.value.problems[0] == direct.value.problems[0]
+
+    @pytest.mark.parametrize("problem, build", SCALAR_TYPE_CASES.values(), ids=SCALAR_TYPE_CASES)
+    def test_scalars_json_cannot_hold_are_refused_before_any_output(self, tmp_path, problem, build):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError) as info:
+            run_experiment(build(), out)
+        assert info.value.problems == [problem]
+        paths = {json_path(keys) for keys in config_leaves(config_to_dict(tiny_config()))}
+        assert problem.partition(": ")[0] in paths
+        assert not out.exists()
 
     @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
                              ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
