@@ -5,18 +5,21 @@ expert draws, reward noise) spawned from one seed, so changing the number of
 rounds or the set of learners cannot perturb the expert matrices, and the
 reward noise is pre-drawn indexed by (episode, round): two learners replayed
 on the same environment see identical noise even when they choose different
-actions.
+actions. An episode's expert stack is derived from (expert stream, episode)
+when the episode is revealed, so a trial holds one episode's stack and true
+game at a time, not the whole horizon's.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .game import GameMatrix, SaddlePoint, solve_saddle_point
+from .game import SIMPLEX_TOL, SUM_TOL, GameMatrix, SaddlePoint, solve_saddle_point
 
 _THETA_DRAW_LIMIT = 100_000
 # The largest payoff a true game may reach. A run sums payoffs over rounds,
@@ -28,8 +31,10 @@ PAYOFF_LIMIT = 1e100
 # Standard normal draws are taken to stay within this many standard
 # deviations: a draw beyond it has probability below 1e-340.
 _NORMAL_REACH = 40.0
-# The most bytes a trial's arrays may take: the expert stacks, the true games
-# and the noise table, all float64. The large-game workload needs 4.3 MB.
+# A bound on a trial's arrays: every episode's expert stack and true game and
+# the noise table, all float64 (4.3 MB on the large-game workload). A trial
+# holds only the noise table and one episode's stack and game at a time, so
+# this is far more than it needs; it bounds the configs a run accepts.
 ARRAY_BYTE_BUDGET = 2**30
 
 
@@ -298,26 +303,28 @@ def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: st
 
 
 class Environment:
-    """One trial's ground truth: mixing weights, expert reveals, noise table."""
+    """One trial's ground truth: mixing weights, expert reveals, noise table.
+
+    After construction only the cache of true saddle points changes: every
+    reveal is derived afresh, so episodes may be asked for in any order.
+    """
 
     def __init__(self, config: EnvironmentConfig):
         self.config = config
         root = np.random.SeedSequence(config.seed)
-        theta_seq, expert_seq, noise_seq = root.spawn(3)
+        theta_seq, self._expert_seq, noise_seq = root.spawn(3)
         theta_rng = np.random.default_rng(theta_seq)
-        expert_rng = np.random.default_rng(expert_seq)
         noise_rng = np.random.default_rng(noise_seq)
 
         self.theta_star, self.theta_rejections = _draw_theta(
             config.theta, config.n_experts, theta_rng
         )
-        shape = (config.n_episodes, config.n_experts, config.n_rows, config.n_cols)
-        if config.experts.kind == "uniform":
-            self._expert_stacks = expert_rng.uniform(0.0, 1.0, size=shape)
-        else:
-            self._expert_stacks = np.asarray(config.experts.matrices, dtype=float)
-        # True games never clip: only the expert matrices are [0,1]-bounded.
-        self._true_games = np.tensordot(self.theta_star, self._expert_stacks, axes=(0, 1))
+        # Fixed experts are the config's own values; uniform ones are derived per episode.
+        self._fixed_stacks = (
+            np.asarray(config.experts.matrices, dtype=float)
+            if config.experts.kind == "fixed"
+            else None
+        )
         self.noise = noise_rng.normal(
             0.0,
             math.sqrt(config.noise_variance),
@@ -325,15 +332,42 @@ class Environment:
         )
         self._saddles: dict[int, SaddlePoint] = {}
 
+    def _reveal(self, episode: int) -> tuple[np.ndarray, np.ndarray]:
+        """Episode ``episode``'s expert stack and true game entries.
+
+        Uniform experts are one U[0, 1) stream over the whole horizon, episode
+        after episode. Each double takes one 64-bit PCG64 output, so episode k's
+        stack starts ``k * n_experts * n_rows * n_cols`` outputs in and equals
+        entry k of a one-shot draw of every episode's stack, bit for bit.
+        """
+        cfg = self.config
+        episode = operator.index(episode)  # a numpy int, but not a float
+        if not 0 <= episode < cfg.n_episodes:
+            raise IndexError(f"episode {episode} outside [0, {cfg.n_episodes})")
+        shape = (cfg.n_experts, cfg.n_rows, cfg.n_cols)
+        if self._fixed_stacks is not None:
+            stack = self._fixed_stacks[episode]
+        else:
+            bits = np.random.PCG64(self._expert_seq)
+            bits.advance(episode * math.prod(shape))
+            stack = np.random.Generator(bits).random(shape)  # uniform(0.0, 1.0)'s bits
+        # True games never clip: only the expert matrices are [0,1]-bounded.
+        game = self.theta_star @ stack.reshape(cfg.n_experts, -1)
+        return stack, game.reshape(cfg.n_rows, cfg.n_cols)
+
     def ensemble(self, episode: int) -> ExpertEnsemble:
-        return ExpertEnsemble(self._expert_stacks[episode])
+        return ExpertEnsemble(self._reveal(episode)[0])
 
     def true_game(self, episode: int) -> GameMatrix:
-        return GameMatrix(self._true_games[episode])
+        return GameMatrix(self._reveal(episode)[1])
 
-    def true_saddle(self, episode: int) -> SaddlePoint:
+    def true_saddle(self, episode: int, game: GameMatrix | None = None) -> SaddlePoint:
+        """The saddle point of episode ``episode``'s true game, solved once per
+        trial; ``game`` is that true game when the caller has revealed it."""
         if episode not in self._saddles:
-            self._saddles[episode] = solve_saddle_point(self.true_game(episode))
+            self._saddles[episode] = solve_saddle_point(
+                self.true_game(episode) if game is None else game
+            )
         return self._saddles[episode]
 
     def run_episode(self, learner, opponent, episode: int, learner_previous_strategy=None) -> EpisodeTrace:
@@ -348,10 +382,9 @@ class Environment:
         equal those of round-by-round play.
         """
         cfg = self.config
-        ensemble = self.ensemble(episode)
-        game = self.true_game(episode)
-        value = self.true_saddle(episode).value
-        m = game.entries
+        stack, m = self._reveal(episode)
+        ensemble, game = ExpertEnsemble(stack), GameMatrix(m)
+        value = self.true_saddle(episode, game).value
         n_rounds, n_rows = cfg.rounds_per_episode, cfg.n_rows
 
         learner.begin_episode(ensemble)
@@ -368,6 +401,11 @@ class Environment:
         payoffs, col_list, noise_list = m.tolist(), cols.tolist(), self.noise[episode].tolist()
 
         def reward(t, i):
+            if not 0 <= t < n_rounds:
+                raise SimulationError(
+                    f"learner asked for the reward of round {t + 1} outside [1, {n_rounds}] "
+                    f"at episode {episode}"
+                )
             if not 0 <= i < n_rows:
                 raise SimulationError(
                     f"learner produced row {i} outside [0, {n_rows}) "
@@ -381,6 +419,15 @@ class Environment:
         strategy = np.asarray(strategy, dtype=float)
         if rewards.shape != (n_rounds,) or strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
             raise SimulationError(f"learner exposes no strategy at episode {episode}")
+        # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
+        if not (
+            strategy.min() >= -SIMPLEX_TOL
+            and (np.abs(strategy.sum(axis=-1) - 1.0) <= SUM_TOL).all()
+        ):
+            raise SimulationError(
+                f"learner's strategy at episode {episode} is not a probability vector: every "
+                f"entry must be at least {-SIMPLEX_TOL} and each mix must sum to 1 within {SUM_TOL}"
+            )
         # An episode mix is the learner's strategy; per-round policies have none.
         mu = strategy if strategy.ndim == 1 else None
         sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, strategy, nu)

@@ -18,6 +18,8 @@ import numpy as np
 VALUE_TOL = 1e-7
 # Pivot / normalization tolerance inside the simplex solver.
 SIMPLEX_TOL = 1e-9
+# How far a probability vector's sum may stray from 1.
+SUM_TOL = 1e-9
 
 _MAX_PIVOTS = 10_000
 
@@ -73,7 +75,7 @@ class MixedStrategy:
         total = float(given.sum())
         if not math.isfinite(total) and not np.isfinite(given).all():
             raise ValueError("strategy probabilities must be finite")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValueError("strategy probabilities must sum to 1")
         # A new array, so the caller's array is neither frozen nor aliased.
         arr = np.maximum(given, 0.0)

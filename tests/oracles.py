@@ -11,7 +11,8 @@ round that each draw one uniform per round, and the regret increments score
 one round at a time, the way the simulator's vectorized episode metrics must
 add up. The reference helpers
 (bilinear payoffs, best responses, single draws and rewards, expert readings,
-the closed-form radius) score one entry or one draw at a time; no simulator
+the closed-form radius) score one entry or one draw at a time, and a trial's
+expert stacks are drawn in one call over the whole horizon; no simulator
 code path calls them.
 """
 
@@ -247,6 +248,15 @@ def expert_features(ensemble: ExpertEnsemble, i: int, j: int) -> np.ndarray:
     if not (0 <= i < ensemble.rows and 0 <= j < ensemble.cols):
         raise IndexError(f"entry ({i}, {j}) outside a {ensemble.rows}x{ensemble.cols} game")
     return ensemble.matrices[:, i, j].copy()
+
+
+def one_shot_reveals(config, theta_star) -> tuple[np.ndarray, np.ndarray]:
+    """Every episode's uniform expert stack, drawn in one call from the trial's
+    expert stream, and every true game, mixed by one ``tensordot``."""
+    expert_seq = np.random.SeedSequence(config.seed).spawn(3)[1]
+    shape = (config.n_episodes, config.n_experts, config.n_rows, config.n_cols)
+    stacks = np.random.default_rng(expert_seq).uniform(0.0, 1.0, size=shape)
+    return stacks, np.tensordot(theta_star, stacks, axes=(0, 1))
 
 
 def ridge_solution(features: np.ndarray, rewards: np.ndarray, ridge: float) -> np.ndarray:

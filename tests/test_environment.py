@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from expertgames.environment import (
     check_theta_reachable,
 )
 
-from oracles import emit_reward, expert_features
+from oracles import emit_reward, expert_features, one_shot_reveals
 
 
 def config(**overrides):
@@ -116,14 +117,61 @@ class TestGroundTruth:
     def test_rounds_do_not_perturb_expert_draws(self):
         short = Environment(config(rounds_per_episode=2))
         long = Environment(config(rounds_per_episode=50))
-        assert np.array_equal(short._expert_stacks, long._expert_stacks)
+        for k in range(4):
+            assert np.array_equal(short.ensemble(k).matrices, long.ensemble(k).matrices)
         assert np.array_equal(short.theta_star, long.theta_star)
 
     def test_cross_episode_independence_smoke(self):
         env = Environment(config(n_episodes=400, seed=3))
-        series = env._expert_stacks[:, 0, 0, 0]
+        series = np.array([env.ensemble(k).matrices[0, 0, 0] for k in range(400)])
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.15
+
+    # The stacks are equal bit for bit at any shape. The products are equal
+    # when the cell count is a multiple of the BLAS kernel's row block (4 with
+    # OpenBLAS on x86-64), so that no entry falls in a remainder loop that
+    # rounds differently; 16 and 3600 cells, as in the benchmark's 4x4 and
+    # 60x60 games, leave room for wider blocks.
+    @pytest.mark.parametrize("rows, cols, n_experts", [(4, 4, 3), (60, 60, 10)])
+    def test_reveals_in_any_order_equal_the_one_shot_draw(self, rows, cols, n_experts):
+        cfg = config(
+            n_rows=rows,
+            n_cols=cols,
+            n_experts=n_experts,
+            n_episodes=5,
+            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
+            seed=[4, 1, 0],
+        )
+        env = Environment(cfg)
+        stacks, games = one_shot_reveals(cfg, env.theta_star)
+        for k in (4, 0, 2, 2, 1, 3):
+            assert np.array_equal(env.ensemble(k).matrices, stacks[k])
+            assert np.array_equal(env.true_game(k).entries, games[k])
+
+    def test_episodes_outside_the_horizon_are_refused(self):
+        env = Environment(config())
+        for k in (-1, 4):
+            with pytest.raises(IndexError, match=r"outside \[0, 4\)"):
+                env.ensemble(k)
+        with pytest.raises(TypeError):
+            env.true_game(2.5)
+        assert np.array_equal(env.ensemble(np.int64(3)).matrices, env.ensemble(3).matrices)
+
+    def test_a_trial_holds_one_episode_of_experts(self):
+        # One stack is 288,000 bytes; the whole horizon's stacks take 5.76 MB.
+        cfg = config(n_rows=60, n_cols=60, n_experts=10, n_episodes=20, theta=ThetaSpec())
+        stack_bytes = 8 * 10 * 60 * 60
+        Environment(cfg).true_game(0)  # imports numpy.random, which numpy loads lazily
+        tracemalloc.start()
+        try:
+            env = Environment(cfg)
+            for k in range(cfg.n_episodes):
+                ensemble, game = env.ensemble(k), env.true_game(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ensemble.matrices.shape == (10, 60, 60) and game.entries.shape == (60, 60)
+        assert peak < 4 * stack_bytes
 
 
 class TestThetaReachable:
@@ -265,19 +313,28 @@ class TestRunEpisode:
         with pytest.raises(SimulationError, match=r"learner produced row 99 .* round 3$"):
             env.run_episode(RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
 
-    def test_reward_of_an_out_of_range_row_aborts(self):
-        # The row the learner reports is legal, so only the closure sees the
-        # -1, which would otherwise read the last payoff row.
+    @pytest.mark.parametrize(
+        "t, i, message",
+        [
+            (1, -1, r"^learner produced row -1 outside \[0, 3\) at episode 2, round 2$"),
+            (-1, 0, r"^learner asked for the reward of round 0 outside \[1, 5\] at episode 2$"),
+            (5, 0, r"^learner asked for the reward of round 6 outside \[1, 5\] at episode 2$"),
+        ],
+        ids=["row-minus-1", "round-minus-1", "round-n_rounds"],
+    )
+    def test_reward_out_of_range_aborts(self, t, i, message):
+        # The rows the learner reports are legal, so only the closure sees the
+        # bad index: a -1 would otherwise read the last payoff row, or the
+        # last round's column and noise.
         class Peeker(FixedStrategyAgent):
             def play_episode(self, reward, n_rounds):
                 rows, rewards, strategy = super().play_episode(reward, n_rounds)
-                reward(1, -1)
+                reward(t, i)
                 return rows, rewards, strategy
 
         env = Environment(config())
-        message = r"^learner produced row -1 outside \[0, 3\) at episode 0, round 2$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(Peeker.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+            env.run_episode(Peeker.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 2)
 
     def test_out_of_range_opponent_column_aborts(self):
         class RogueOpponent(FixedOpponent):
@@ -299,6 +356,26 @@ class TestRunEpisode:
         env = Environment(config())
         with pytest.raises(SimulationError, match="exposes no strategy"):
             env.run_episode(Blind(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            [2.0, -1.0, 0.0],
+            [0.5, 0.5, 0.5],
+            [math.nan, 0.5, 0.5],
+            [[1 / 3] * 3] * 3 + [[0.6, 0.6, -0.2]] + [[1 / 3] * 3],
+        ],
+        ids=["negative-mix", "mix-sums-to-1.5", "nan-mix", "one-bad-round-policy"],
+    )
+    def test_a_strategy_off_the_simplex_aborts(self, strategy):
+        class Liar(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, rewards, _ = super().play_episode(reward, n_rounds)
+                return rows, rewards, strategy
+
+        env = Environment(config())
+        with pytest.raises(SimulationError, match="strategy at episode 1 is not a probability"):
+            env.run_episode(Liar.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
 
     def test_noise_shared_across_learners(self):
         # Two different learners replayed on the same environment draw the

@@ -619,7 +619,8 @@ class TestRunExperiment:
         env_both = trial_environment(both, 0)
         env_solo = trial_environment(solo, 0)
         assert np.array_equal(env_both.theta_star, env_solo.theta_star)
-        assert np.array_equal(env_both._expert_stacks, env_solo._expert_stacks)
+        for k in range(both.environment.n_episodes):
+            assert np.array_equal(env_both.ensemble(k).matrices, env_solo.ensemble(k).matrices)
         assert np.array_equal(env_both.noise, env_solo.noise)
         traces_both = run_trial(both, 0)["learners"]["ofulinmat"]["traces"]
         traces_solo = run_trial(solo, 0)["learners"]["ofulinmat"]["traces"]
