@@ -113,9 +113,9 @@ def _cmd_replay(args) -> int:
         config = load_manifest_config(manifest_path)
     except ConfigError as exc:
         return _config_errors(exc)
-    out = Path(args.out) if args.out else manifest_path.parent.with_name(
-        manifest_path.parent.name + "_replay"
-    )
+    # Resolved, so a manifest named from inside its run directory still has a run name.
+    run = manifest_path.resolve().parent
+    out = Path(args.out) if args.out else run.with_name(run.name + "_replay")
     _check_writable(out)
     run_experiment(config, out, workers=args.workers)
     print(f"replay complete -> {out}")

@@ -419,6 +419,13 @@ class Environment:
         strategy = np.asarray(strategy, dtype=float)
         if rewards.shape != (n_rounds,) or strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
             raise SimulationError(f"learner exposes no strategy at episode {episode}")
+        # The rewards are the closure's, which adds the same floats in the same order.
+        differing = np.flatnonzero(rewards != m[rows, cols] + self.noise[episode])
+        if differing.size:
+            raise SimulationError(
+                f"learner reported a reward the environment did not pay at episode {episode}, "
+                f"round {differing[0] + 1}"
+            )
         # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
         if not (
             strategy.min() >= -SIMPLEX_TOL

@@ -16,13 +16,15 @@ Outputs under the run directory:
 
 All floats are written with ``repr`` so replaying a manifest reproduces the
 metric files byte for byte. Each trial's files are written as soon as the
-trial finishes; ``manifest.json`` is written last, through a rename, so a run
-directory without it is an incomplete run.
+trial finishes, and the same rows fill that trial's column of its learner's
+aggregate array; no trial's report or traces outlive that step. The
+aggregate tables reduce those arrays once the last trial is in.
+``manifest.json`` is written last, through a rename, so a run directory
+without it is an incomplete run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import itertools
@@ -505,9 +507,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     }
 
 
-def _write_metrics_csv(path: Path, report) -> None:
+def _write_metrics_csv(path: Path, rows) -> None:
     lines = ["series,episode,value"]
-    lines += [f"{name},{episode},{value!r}" for name, episode, value in report.series_rows()]
+    lines += [f"{name},{episode},{value!r}" for name, episode, value in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -520,11 +522,11 @@ def _json_float(value: float) -> str:
     return "Infinity" if value > 0 else "-Infinity"
 
 
-def _write_metrics_jsonl(path: Path, report) -> None:
+def _write_metrics_jsonl(path: Path, rows) -> None:
     """One ``json.dumps(row, sort_keys=True)`` line per row, formatted without the encoder."""
     names: dict[str, str] = {}  # each series name repeats once per episode; encode it once
     lines = []
-    for name, episode, value in report.series_rows():
+    for name, episode, value in rows:
         if name not in names:
             names[name] = json.dumps(name)
         value_json = _json_float(value)
@@ -533,6 +535,7 @@ def _write_metrics_jsonl(path: Path, report) -> None:
 
 
 # The metrics writer of each ``output_format``, which is also the file suffix.
+# Each takes a report's ``series_rows``, listed once for the writer and the aggregate.
 _METRIC_WRITERS = {"csv": _write_metrics_csv, "jsonl": _write_metrics_jsonl}
 
 
@@ -550,18 +553,15 @@ def _write_trace_jsonl(path: Path, traces) -> None:
     path.write_text("".join(lines))
 
 
-def aggregate_series(reports) -> list[tuple[str, int, float, float]]:
+def aggregate_series(keys, values) -> list[tuple[str, int, float, float]]:
     """(series, episode, mean, stderr) rows across trials, sorted stably by series.
 
-    Every report has the first one's ``series_rows`` layout. The values sit
-    in one C-contiguous (rows, trials) array and reduce along its last axis;
-    a transposed view would sum in another order and change the bits.
+    ``keys`` are a learner's (series, episode) pairs in ``series_rows`` order,
+    and ``values`` is the C-contiguous (rows, trials) array whose column n
+    holds trial n's values. Each row reduces along the last axis; a
+    transposed view would sum in another order and change the bits.
     """
-    keys = [(name, episode) for name, episode, _ in reports[0].series_rows()]
-    trials = len(reports)
-    values = np.empty((len(keys), trials))
-    for trial, report in enumerate(reports):  # one report's floats at a time
-        values[:, trial] = [value for _, _, value in report.series_rows()]
+    trials = values.shape[1]
     mean = values.mean(axis=1)
     if trials > 1:
         stderr = values.std(axis=1, ddof=1) / math.sqrt(trials)
@@ -592,9 +592,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
 
     Trials run in a pool of ``min(workers, trials)`` processes when that is
     more than one; the pool starts all of its workers up front. Either way
-    results arrive in trial order, and each trial's files are written as its
-    result arrives, so only the reports of finished trials stay in memory.
-    ``manifest.json`` is written last, through a rename.
+    results arrive in trial order. Each trial's files are written as its
+    result arrives, and the same rows fill the trial's column of each
+    learner's (rows, trials) aggregate array, so across trials a run keeps
+    only those arrays. ``manifest.json`` is written last, through a rename.
     """
     check_workers(workers)
     start = time.time()
@@ -609,9 +610,14 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
             shutil.rmtree(out / stale)
 
     write_metrics = _METRIC_WRITERS[config.output_format]
-    reports: dict[str, list] = {spec.name: [] for spec in config.learners}
+    # Each learner's (series, episode) keys and (rows, trials) values, from its first trial.
+    aggregates: dict[str, tuple[list, np.ndarray]] = {}
     workers = min(workers, config.trials)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import concurrent.futures  # a serial run loads neither the pool nor logging
+
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
     with pool or contextlib.nullcontext():
         mapper = pool.map if pool else map
         for n, result in enumerate(mapper(run_trial, itertools.repeat(config), range(config.trials))):
@@ -623,14 +629,19 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
             for name, payload in result["learners"].items():
                 learner_dir = trial_root / name
                 learner_dir.mkdir(exist_ok=True)
-                write_metrics(learner_dir / f"metrics.{config.output_format}", payload["report"])
+                rows = list(payload["report"].series_rows())
+                write_metrics(learner_dir / f"metrics.{config.output_format}", rows)
                 _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
-                reports[name].append(payload["report"])
+                if name not in aggregates:
+                    keys = [(series, episode) for series, episode, _ in rows]
+                    aggregates[name] = keys, np.empty((len(rows), config.trials))
+                aggregates[name][1][:, n] = [value for _, _, value in rows]
+            del result, payload  # trial n's traces go before trial n + 1 runs
 
     aggregate_dir = out / "aggregate"
     aggregate_dir.mkdir(exist_ok=True)
-    for name, learner_reports in reports.items():
-        _write_aggregate_csv(aggregate_dir / f"{name}.csv", aggregate_series(learner_reports))
+    for name, (keys, values) in aggregates.items():
+        _write_aggregate_csv(aggregate_dir / f"{name}.csv", aggregate_series(keys, values))
 
     manifest = RunManifest(
         config=config_to_dict(config),

@@ -377,6 +377,27 @@ class TestRunEpisode:
         with pytest.raises(SimulationError, match="strategy at episode 1 is not a probability"):
             env.run_episode(Liar.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
 
+    def test_rewards_the_environment_did_not_pay_abort(self):
+        class Inflator(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, _, strategy = super().play_episode(reward, n_rounds)
+                return rows, [1e6] * n_rounds, strategy
+
+        class OneOff(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, rewards, strategy = super().play_episode(reward, n_rounds)
+                rewards[3] = np.nextafter(rewards[3], np.inf)
+                return rows, rewards, strategy
+
+        env = Environment(config(noise_variance=0.5))
+        opponent = FixedOpponent(np.array([1.0, 0, 0]))
+        with pytest.raises(SimulationError, match=r"did not pay at episode 2, round 1$"):
+            env.run_episode(Inflator.uniform(3, seed=0), opponent, 2)
+        with pytest.raises(SimulationError, match=r"did not pay at episode 1, round 4$"):
+            env.run_episode(OneOff.uniform(3, seed=0), opponent, 1)
+        trace = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, 0)
+        assert trace.rewards.shape == (5,)
+
     def test_noise_shared_across_learners(self):
         # Two different learners replayed on the same environment draw the
         # same per-round noise: reward differences equal payoff differences.

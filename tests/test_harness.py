@@ -3,6 +3,10 @@ import copy
 import dataclasses
 import filecmp
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -628,6 +632,49 @@ class TestRunExperiment:
             assert np.array_equal(a.row_actions, b.row_actions)
             assert np.array_equal(a.rewards, b.rewards)
 
+    def test_a_run_holds_one_aggregate_array(self, tmp_path):
+        # Across trials a run keeps each learner's (rows, trials) float64
+        # array and nothing else per trial. The variance adds one temporary
+        # of a learner's array, and the manifest a few dozen bytes per trial
+        # seed; 16 KiB of slack covers those. Keeping every trial's report
+        # costs about 2 KB per (trial, learner), beyond this bound.
+        few, many = 10, 40
+        run_experiment(tiny_config(trials=2), tmp_path / "warm-up")  # lazy imports, caches
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_experiment(tiny_config(trials=trials), tmp_path / f"run_{trials}")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        config = tiny_config()
+        rows = 17 * config.environment.n_episodes + 1
+        array_bytes = 8 * rows * (many - few) * len(config.learners)
+        growth = peak(many) - peak(few)
+        assert growth <= 2 * array_bytes + 16 * 1024, (growth, array_bytes)
+
+    def test_serial_run_never_loads_the_pool(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(tiny_config(trials=2))))
+        code = (
+            "import sys\n"
+            "from expertgames.cli import main\n"
+            "main(['run', '--config', sys.argv[1], '--workers', '1', '--out', sys.argv[2]])\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'logging'))))\n"
+        )
+        src = Path(harness.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(config_path), str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "run/manifest.json").is_file()
+
     def test_workers_produce_identical_outputs(self, tmp_path):
         config = tiny_config()
         run_experiment(config, tmp_path / "seq", workers=1)
@@ -708,7 +755,7 @@ class TestRunExperiment:
         )
         path = tmp_path / "metrics.jsonl"
         with np.errstate(invalid="ignore"):  # the cumulative series add inf to -inf
-            harness._write_metrics_jsonl(path, report)
+            harness._write_metrics_jsonl(path, report.series_rows())
             expected = "".join(
                 json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
                 + "\n"
@@ -789,7 +836,9 @@ class TestAggregation:
     def test_aggregate_series_helper(self):
         config = tiny_config(trials=2)
         reports = [run_trial(config, n)["learners"]["exp3"]["report"] for n in range(2)]
-        rows = aggregate_series(reports)
+        keys = [(name, episode) for name, episode, _ in reports[0].series_rows()]
+        values = np.array([[value for _, _, value in r.series_rows()] for r in reports]).T.copy()
+        rows = aggregate_series(keys, values)
         means = [mean for name, _, mean, _ in rows if name == "cumulative_saddle_realized"]
         first = reports[0].cumulative()["saddle_realized"]
         second = reports[1].cumulative()["saddle_realized"]
@@ -1097,6 +1146,17 @@ class TestCli:
             out / "aggregate/ofulinmat.csv",
             replay_out / "aggregate/ofulinmat.csv",
             shallow=False,
+        )
+
+    def test_replay_from_inside_the_run_directory(self, tmp_path, monkeypatch):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(trials=1), run)
+        monkeypatch.chdir(run)
+        assert cli_main(["replay", "--manifest", "manifest.json"]) == 0
+        replayed = tmp_path / "run_replay"
+        assert (replayed / "manifest.json").is_file()
+        assert filecmp.cmp(
+            run / "aggregate/exp3.csv", replayed / "aggregate/exp3.csv", shallow=False
         )
 
     def test_plot_data_unknown_series_exits_one(self, tmp_path, capsys):
