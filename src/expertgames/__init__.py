@@ -34,12 +34,10 @@ from .harness import (
     LearnerSpec,
     OpponentSpec,
     default_paper_config,
-    emit_plot_data,
     load_config,
-    replay_manifest,
     run_experiment,
 )
-from .metrics import RegretReport, build_report
+from .metrics import build_report, series_keys
 
 __all__ = [
     "BestResponderOpponent",
@@ -58,7 +56,6 @@ __all__ = [
     "MixedStrategy",
     "OFULinMatAgent",
     "OpponentSpec",
-    "RegretReport",
     "RidgeEstimator",
     "SaddleOracleOpponent",
     "SaddlePoint",
@@ -66,9 +63,8 @@ __all__ = [
     "UniformOpponent",
     "build_report",
     "default_paper_config",
-    "emit_plot_data",
     "load_config",
-    "replay_manifest",
     "run_experiment",
+    "series_keys",
     "solve_saddle_point",
 ]

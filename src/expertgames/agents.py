@@ -8,14 +8,16 @@ Every learner plays an episode through one protocol:
 ``reward(t, i)`` is a closure that the simulator owns: the reward of row
 ``i`` in round ``t + 1``. Only the played row's reward is asked, as bandit
 feedback requires, and a row outside the game raises ``SimulationError``.
-``play_episode`` returns the rows, the rewards and the strategy the rows were
-drawn from: one episode mix of shape (n_rows,), or the stack of per-round
-policies of shape (n_rounds, n_rows). ``end_episode`` takes the episode's
-record: the rows, the opponent's columns and the rewards.
+``play_episode`` returns the rows and the strategy the rows were drawn from:
+one episode mix of shape (n_rows,), or the stack of per-round policies of
+shape (n_rounds, n_rows). The simulator records the rewards it pays, and
+``end_episode`` takes the episode's record: the rows, the opponent's columns
+and those rewards.
 
 OFULinMat, fixed and uniform commit to one mixed strategy per episode
-(``current_strategy``) and draw all of the episode's rows at once. Exp3
-reacts to every reward, so it runs the round loop itself. Its ``act(t)`` /
+(``current_strategy``) and draw all of the episode's rows at once; they need
+no reward within the episode. Exp3 reacts to every reward, so it runs the
+round loop itself and asks the closure once per round. Its ``act(t)`` /
 ``observe(i, j, r)`` step the same arithmetic one round at a time; no run
 calls them, and they remain as the stepping API that the benchmark times.
 
@@ -61,11 +63,9 @@ class _EpisodeStrategyPlayer:
         return self.current_strategy.sample_many(self.rng, n_rounds)
 
     def play_episode(self, reward, n_rounds: int):
-        """Draw the episode's rows, then ask ``reward`` for each row's reward.
-        Returns the rows, the rewards and the episode mix."""
-        rows = self.act_episode(n_rounds)
-        rewards = [reward(t, i) for t, i in enumerate(rows.tolist())]
-        return rows, np.array(rewards), self.current_strategy.probs
+        """Draw the episode's rows; a committed mix needs no reward within the
+        episode. Returns the rows and the episode mix."""
+        return self.act_episode(n_rounds), self.current_strategy.probs
 
 
 class OFULinMatAgent(_EpisodeStrategyPlayer):
@@ -206,8 +206,8 @@ class Exp3Agent:
         """Play rounds 1..n_rounds, where ``reward(t, i)`` is the reward of
         row ``i`` in round ``t + 1``; only the played row's reward is asked.
 
-        Returns the rows (int array), the rewards (float array) and the
-        (n_rounds, n_actions) stack of the policies the rows were sampled from.
+        Returns the rows (int array) and the (n_rounds, n_actions) stack of
+        the policies the rows were sampled from.
         """
         n = self.n_actions
         log_n = math.log(n)
@@ -218,7 +218,7 @@ class Exp3Agent:
         policy_of = _exp3_policy
         accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
         uniforms, k = self._uniforms, self._next_uniform
-        rows, rewards, policies = [], [], []
+        rows, policies = [], []
         for t in range(1, n_rounds + 1):
             policy = policy_of(estimates, t, n, log_n)
             if k == len(uniforms):
@@ -228,11 +228,10 @@ class Exp3Agent:
             r = reward(t - 1, i)
             estimates[i] += min(max((r - low) / span, 0.0), 1.0) / policy[i]
             rows.append(i)
-            rewards.append(r)
             policies.append(policy)
         self._uniforms, self._next_uniform = uniforms, k
         self._last_policy = policies[-1] if policies else None
-        return np.array(rows, dtype=int), np.array(rewards), np.array(policies)
+        return np.array(rows, dtype=int), np.array(policies)
 
     def act(self, t: int) -> int:
         if self._awaiting_feedback:

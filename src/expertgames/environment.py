@@ -7,14 +7,16 @@ reward noise is pre-drawn indexed by (episode, round): two learners replayed
 on the same environment see identical noise even when they choose different
 actions. An episode's expert stack is derived from (expert stream, episode)
 when the episode is revealed, so a trial holds one episode's stack and true
-game at a time, not the whole horizon's.
+game at a time, not the whole horizon's. The environment records the rewards
+it pays, ``M[rows, cols] + noise`` for the rows played; its reward closure
+pays the same floats to a learner that asks within the episode.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +65,19 @@ def type_problem(config, counts=(), reals=()) -> str | None:
         value, real = getattr(config, name), name in reals
         if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
             return f"{name}: must be {'an int or a float' if real else 'an int'}, got {value!r}"
+    return None
+
+
+def stray_field(spec, keys) -> str | None:
+    """The first field of ``spec`` off its default that is not ``kind``, ``name``
+    or one of ``keys``, its type's keys, as a message, or None. No JSON config
+    can set such a field, and no run or manifest reads it."""
+    for f in fields(spec):
+        if f.name in ("kind", "name", *keys):
+            continue
+        value = getattr(spec, f.name)
+        if value is not None if f.default is None else value != f.default:
+            return f"{f.name}: not a key of type {spec.kind!r}; leave it at {f.default!r}"
     return None
 
 
@@ -121,7 +136,8 @@ class ThetaSpec:
         if self.values is not None:
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         bound = () if self.norm_bound is None else ("norm_bound",)
-        problem = type_problem(self, reals=("mean", *bound))
+        keys = ("values",) if self.kind == "fixed" else ("mean", "norm_bound")
+        problem = type_problem(self, reals=("mean", *bound)) or stray_field(self, keys)
         if problem:
             raise ValueError(problem)
         if self.norm_bound is not None and not self.norm_bound > 0:
@@ -141,6 +157,9 @@ class ExpertSpec:
             raise ValueError(f"expert kind must be 'uniform' or 'fixed', got {self.kind!r}")
         if self.kind == "fixed" and self.matrices is None:
             raise ValueError("fixed expert spec requires matrices")
+        problem = stray_field(self, ("matrices",) if self.kind == "fixed" else ())
+        if problem:
+            raise ValueError(problem)
         if self.matrices is not None:
             _unit_entries(self.matrices, "matrices")
 
@@ -355,19 +374,11 @@ class Environment:
         game = self.theta_star @ stack.reshape(cfg.n_experts, -1)
         return stack, game.reshape(cfg.n_rows, cfg.n_cols)
 
-    def ensemble(self, episode: int) -> ExpertEnsemble:
-        return ExpertEnsemble(self._reveal(episode)[0])
-
-    def true_game(self, episode: int) -> GameMatrix:
-        return GameMatrix(self._reveal(episode)[1])
-
-    def true_saddle(self, episode: int, game: GameMatrix | None = None) -> SaddlePoint:
-        """The saddle point of episode ``episode``'s true game, solved once per
-        trial; ``game`` is that true game when the caller has revealed it."""
+    def true_saddle(self, episode: int, game: GameMatrix) -> SaddlePoint:
+        """The saddle point of ``game``, episode ``episode``'s true game, solved
+        once per trial."""
         if episode not in self._saddles:
-            self._saddles[episode] = solve_saddle_point(
-                self.true_game(episode) if game is None else game
-            )
+            self._saddles[episode] = solve_saddle_point(game)
         return self._saddles[episode]
 
     def run_episode(self, learner, opponent, episode: int, learner_previous_strategy=None) -> EpisodeTrace:
@@ -378,8 +389,9 @@ class Environment:
         conditions on the learner's current action, and all of its columns
         are drawn before play starts. The learner then plays the rounds
         against the drawn columns through a reward closure that reveals only
-        the reward of the row it played, so both the actions and the rewards
-        equal those of round-by-round play.
+        the reward of the row it played. The trace records the reward of
+        every played row, the floats the closure pays, so both the actions
+        and the rewards equal those of round-by-round play.
         """
         cfg = self.config
         stack, m = self._reveal(episode)
@@ -413,19 +425,13 @@ class Environment:
                 )
             return payoffs[i][col_list[t]] + noise_list[t]
 
-        rows, rewards, strategy = learner.play_episode(reward, n_rounds)
+        rows, strategy = learner.play_episode(reward, n_rounds)
         rows = _checked_actions(rows, n_rounds, n_rows, "learner", "row", episode)
-        rewards = np.asarray(rewards, dtype=float)
         strategy = np.asarray(strategy, dtype=float)
-        if rewards.shape != (n_rounds,) or strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
+        if strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
             raise SimulationError(f"learner exposes no strategy at episode {episode}")
-        # The rewards are the closure's, which adds the same floats in the same order.
-        differing = np.flatnonzero(rewards != m[rows, cols] + self.noise[episode])
-        if differing.size:
-            raise SimulationError(
-                f"learner reported a reward the environment did not pay at episode {episode}, "
-                f"round {differing[0] + 1}"
-            )
+        # The floats the closure pays for the played rows, added in the same order.
+        rewards = m[rows, cols] + self.noise[episode]
         # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
         if not (
             strategy.min() >= -SIMPLEX_TOL

@@ -15,10 +15,12 @@ Outputs under the run directory:
     plot/<learner>.csv                      the aggregate, filtered by ``plot-data``
 
 All floats are written with ``repr`` so replaying a manifest reproduces the
-metric files byte for byte. Each trial's files are written as soon as the
-trial finishes, and the same rows fill that trial's column of its learner's
-aggregate array; no trial's report or traces outlive that step. The
-aggregate tables reduce those arrays once the last trial is in.
+metric files byte for byte. A learner's report for a trial is one float64
+column whose layout ``metrics.series_keys`` states. Each trial's files are
+written as soon as the trial finishes: the metric file labels the column's
+values with those keys, and the column becomes that trial's column of its
+learner's aggregate array; no trial's report or traces outlive that step.
+The aggregate tables reduce those arrays once the last trial is in.
 ``manifest.json`` is written last, through a rename, so a run directory
 without it is an incomplete run.
 """
@@ -57,11 +59,12 @@ from .environment import (
     EpisodeTrace,
     ExpertSpec,
     ThetaSpec,
+    stray_field,
     type_problem,
 )
 from .estimator import EstimatorConfig
 from .game import MixedStrategy
-from .metrics import METRIC_KEYS, build_report
+from .metrics import build_report, series_count, series_keys
 
 # A learner's name becomes a directory and a file name under the run directory.
 _LEARNER_NAME = re.compile(r"[A-Za-z0-9_-]+")
@@ -145,6 +148,11 @@ def _check_strategy(strategy, n_actions: int, where: str) -> None:
 def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
     """The rules that join a learner of each type to the environment."""
     _check_kind(spec.kind, where, _LEARNER_KEYS)
+    # OFULinMat's keys are its estimator's fields.
+    keys = ("estimator",) if spec.kind == "ofulinmat" else _LEARNER_KEYS[spec.kind]
+    problem = stray_field(spec, keys)
+    if problem:
+        raise ConfigError([f"{where}.{problem}"])
     if spec.kind == "ofulinmat":
         estimator = spec.estimator
         if getattr(estimator, "n_experts", None) != env.n_experts:
@@ -230,9 +238,9 @@ class ExperimentConfig:
             raise ConfigError([f"output_format: must be one of {formats}"])
         if not self.learners:
             raise ConfigError(["learners: at least one learner is required"])
-        # The aggregate stacks each learner's rows (17 per episode, plus one)
-        # over all trials into one float64 array.
-        rows = (2 * (len(METRIC_KEYS) + 1) + 1) * self.environment.n_episodes + 1
+        # The aggregate stacks each learner's report columns (17 values per
+        # episode, plus one) over all trials into one float64 array.
+        rows = series_count(self.environment.n_episodes)
         max_trials = ARRAY_BYTE_BUDGET // (8 * len(self.learners) * rows)
         if self.trials > max_trials:
             raise ConfigError(
@@ -251,6 +259,9 @@ class ExperimentConfig:
                      f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
                 )
         _check_kind(self.opponent.kind, "opponent", _OPPONENT_KEYS)
+        problem = stray_field(self.opponent, _OPPONENT_KEYS[self.opponent.kind])
+        if problem:
+            raise ConfigError([f"opponent.{problem}"])
         if self.opponent.kind == "fixed":
             _check_strategy(self.opponent.strategy, self.environment.n_cols, "opponent")
 
@@ -509,7 +520,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
 
 def _write_metrics_csv(path: Path, rows) -> None:
     lines = ["series,episode,value"]
-    lines += [f"{name},{episode},{value!r}" for name, episode, value in rows]
+    lines += [f"{name},{episode},{value!r}" for (name, episode), value in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -526,7 +537,7 @@ def _write_metrics_jsonl(path: Path, rows) -> None:
     """One ``json.dumps(row, sort_keys=True)`` line per row, formatted without the encoder."""
     names: dict[str, str] = {}  # each series name repeats once per episode; encode it once
     lines = []
-    for name, episode, value in rows:
+    for (name, episode), value in rows:
         if name not in names:
             names[name] = json.dumps(name)
         value_json = _json_float(value)
@@ -535,7 +546,7 @@ def _write_metrics_jsonl(path: Path, rows) -> None:
 
 
 # The metrics writer of each ``output_format``, which is also the file suffix.
-# Each takes a report's ``series_rows``, listed once for the writer and the aggregate.
+# Each takes ((series, episode), value) rows: ``series_keys`` zipped with a report.
 _METRIC_WRITERS = {"csv": _write_metrics_csv, "jsonl": _write_metrics_jsonl}
 
 
@@ -556,10 +567,10 @@ def _write_trace_jsonl(path: Path, traces) -> None:
 def aggregate_series(keys, values) -> list[tuple[str, int, float, float]]:
     """(series, episode, mean, stderr) rows across trials, sorted stably by series.
 
-    ``keys`` are a learner's (series, episode) pairs in ``series_rows`` order,
-    and ``values`` is the C-contiguous (rows, trials) array whose column n
-    holds trial n's values. Each row reduces along the last axis; a
-    transposed view would sum in another order and change the bits.
+    ``keys`` are the run's ``series_keys``, and ``values`` is the C-contiguous
+    (rows, trials) array whose column n is trial n's report. Each row reduces
+    along the last axis; a transposed view would sum in another order and
+    change the bits.
     """
     trials = values.shape[1]
     mean = values.mean(axis=1)
@@ -593,9 +604,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     Trials run in a pool of ``min(workers, trials)`` processes when that is
     more than one; the pool starts all of its workers up front. Either way
     results arrive in trial order. Each trial's files are written as its
-    result arrives, and the same rows fill the trial's column of each
-    learner's (rows, trials) aggregate array, so across trials a run keeps
-    only those arrays. ``manifest.json`` is written last, through a rename.
+    result arrives, and each learner's report becomes the trial's column of
+    that learner's (rows, trials) aggregate array, so across trials a run
+    keeps only those arrays. ``manifest.json`` is written last, through a rename.
     """
     check_workers(workers)
     start = time.time()
@@ -610,8 +621,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
             shutil.rmtree(out / stale)
 
     write_metrics = _METRIC_WRITERS[config.output_format]
-    # Each learner's (series, episode) keys and (rows, trials) values, from its first trial.
-    aggregates: dict[str, tuple[list, np.ndarray]] = {}
+    keys = series_keys(config.environment.n_episodes)
+    aggregates = {spec.name: np.empty((len(keys), config.trials)) for spec in config.learners}
     workers = min(workers, config.trials)
     pool = None
     if workers > 1:
@@ -629,18 +640,17 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
             for name, payload in result["learners"].items():
                 learner_dir = trial_root / name
                 learner_dir.mkdir(exist_ok=True)
-                rows = list(payload["report"].series_rows())
-                write_metrics(learner_dir / f"metrics.{config.output_format}", rows)
+                report = payload["report"]
+                write_metrics(
+                    learner_dir / f"metrics.{config.output_format}", zip(keys, report.tolist())
+                )
                 _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
-                if name not in aggregates:
-                    keys = [(series, episode) for series, episode, _ in rows]
-                    aggregates[name] = keys, np.empty((len(rows), config.trials))
-                aggregates[name][1][:, n] = [value for _, _, value in rows]
+                aggregates[name][:, n] = report
             del result, payload  # trial n's traces go before trial n + 1 runs
 
     aggregate_dir = out / "aggregate"
     aggregate_dir.mkdir(exist_ok=True)
-    for name, (keys, values) in aggregates.items():
+    for name, values in aggregates.items():
         _write_aggregate_csv(aggregate_dir / f"{name}.csv", aggregate_series(keys, values))
 
     manifest = RunManifest(
@@ -661,20 +671,8 @@ def hash_seed(master_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial, 0]).generate_state(1)[0])
 
 
-def replay_manifest(manifest_path, out_dir, workers: int = 1) -> RunManifest:
-    return run_experiment(load_manifest_config(manifest_path), out_dir, workers=workers)
-
-
 # ---------------------------------------------------------------------------
 # Plot data
-
-
-def emit_plot_data(run_dir, out_dir=None, series: list[str] | None = None) -> list[Path]:
-    """Write each learner's aggregate (series, episode, mean, stderr) table of a
-    finished run, keeping only the rows of ``series`` (default: all), to
-    ``out_dir`` (default: ``<run>/plot``)."""
-    out = Path(out_dir) if out_dir is not None else Path(run_dir) / "plot"
-    return write_plot_tables(read_plot_tables(run_dir, series), out)
 
 
 def read_plot_tables(run_dir, series: list[str] | None = None) -> dict[str, list[str]]:

@@ -5,11 +5,13 @@ noisy reward actually received, and expectation forms, which replace it with
 the bilinear payoff of the round's mixed strategies. Expectation forms obey
 the pointwise ordering pseudo-saddle <= best-response <= exploitability;
 realized forms do not (noise breaks it) and are reported separately.
+
+A trial's report is one float64 column, the layout of which ``series_keys``
+states once: the writers label its values with those keys, and the run's
+aggregate stacks the columns of every trial.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,38 +59,29 @@ def episode_metrics(matrix, value: float, cols, rewards, row_strategy, col_strat
     return sums, row_totals
 
 
-@dataclass
-class RegretReport:
-    """Per-episode and cumulative regret series for one learner's trial."""
+def series_keys(n_episodes: int) -> list[tuple[str, int]]:
+    """The (series, episode) key of each value in a trial's report column.
 
-    per_episode: dict[str, np.ndarray]
-    theta_error: np.ndarray
-    external_single_row: float
-
-    @property
-    def n_episodes(self) -> int:
-        return next(iter(self.per_episode.values())).size
-
-    def cumulative(self) -> dict[str, np.ndarray]:
-        return {name: np.cumsum(series) for name, series in self.per_episode.items()}
-
-    def series_rows(self):
-        """Yield (series, episode, value) rows in a stable order."""
-        episodes = range(1, self.n_episodes + 1)
-        for name in sorted(self.per_episode):
-            for k, v in zip(episodes, self.per_episode[name]):
-                yield f"per_episode_{name}", k, float(v)
-        for name, series in sorted(self.cumulative().items()):
-            for k, v in zip(episodes, series):
-                yield f"cumulative_{name}", k, float(v)
-        for k, v in zip(episodes, self.theta_error):
-            yield "theta_error", k, float(v)
-        # Across-episode single-best-row external regret, one terminal row.
-        yield "external_single_row", self.n_episodes, float(self.external_single_row)
+    Every per-episode series by name, then their prefix sums, then
+    ``theta_error``, one row per episode each, and last the terminal
+    ``external_single_row``.
+    """
+    names = sorted((*METRIC_KEYS, "exploitability"))
+    episodes = range(1, n_episodes + 1)
+    keys = [(f"{form}_{name}", k) for form in ("per_episode", "cumulative") for name in names
+            for k in episodes]
+    keys += [("theta_error", k) for k in episodes]
+    keys.append(("external_single_row", n_episodes))
+    return keys
 
 
-def build_report(traces) -> RegretReport:
-    """Assemble a RegretReport from a trial's episode traces.
+def series_count(n_episodes: int) -> int:
+    """``len(series_keys(n_episodes))``, without building the keys."""
+    return (2 * (len(METRIC_KEYS) + 1) + 1) * n_episodes + 1
+
+
+def build_report(traces) -> np.ndarray:
+    """A trial's report: its float64 values in ``series_keys`` order.
 
     Exploitability is formed here as the exact sum of the two expectation-form
     best-response series, and cumulative series are plain prefix sums, so the
@@ -102,13 +95,11 @@ def build_report(traces) -> RegretReport:
     per_episode["exploitability"] = (
         per_episode["best_response_p1_expected"] + per_episode["best_response_p2_expected"]
     )
-    theta_error = np.array(
-        [np.nan if trace.theta_error is None else trace.theta_error for trace in traces]
-    )
+    series = [per_episode[name] for name in sorted(per_episode)]
+    theta_error = [np.nan if trace.theta_error is None else trace.theta_error for trace in traces]
     totals = np.sum([trace.hindsight_row_totals for trace in traces], axis=0)
     realized = sum(float(np.sum(trace.rewards)) for trace in traces)
-    return RegretReport(
-        per_episode=per_episode,
-        theta_error=theta_error,
-        external_single_row=float(totals.max() - realized),
+    # Across-episode single-best-row external regret, one terminal value.
+    return np.concatenate(
+        [*series, *map(np.cumsum, series), theta_error, [totals.max() - realized]]
     )

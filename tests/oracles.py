@@ -13,13 +13,16 @@ add up. The reference helpers
 (bilinear payoffs, best responses, single draws and rewards, expert readings,
 the closed-form radius) score one entry or one draw at a time, and a trial's
 expert stacks are drawn in one call over the whole horizon; no simulator
-code path calls them.
+code path calls them. The last helpers are the exception: they read what an
+environment reveals for an episode through its own ``_reveal``, and write
+plot tables as ``expertgames plot-data`` does, for tests that only inspect.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -27,6 +30,7 @@ from scipy.linalg import solve_triangular
 from expertgames.environment import ExpertEnsemble
 from expertgames.estimator import RidgeEstimator
 from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, GameMatrix, MixedStrategy
+from expertgames.harness import read_plot_tables, write_plot_tables
 
 _FEAS_TOL = 1e-8
 
@@ -257,6 +261,29 @@ def one_shot_reveals(config, theta_star) -> tuple[np.ndarray, np.ndarray]:
     shape = (config.n_episodes, config.n_experts, config.n_rows, config.n_cols)
     stacks = np.random.default_rng(expert_seq).uniform(0.0, 1.0, size=shape)
     return stacks, np.tensordot(theta_star, stacks, axes=(0, 1))
+
+
+def episode_ensemble(env, episode: int) -> ExpertEnsemble:
+    """Episode ``episode``'s expert ensemble, as ``Environment.run_episode`` reveals it."""
+    return ExpertEnsemble(env._reveal(episode)[0])
+
+
+def episode_game(env, episode: int) -> GameMatrix:
+    """Episode ``episode``'s true game, as ``Environment.run_episode`` reveals it."""
+    return GameMatrix(env._reveal(episode)[1])
+
+
+def episode_saddle(env, episode: int):
+    """The environment's cached saddle point of episode ``episode``'s true game."""
+    return env.true_saddle(episode, episode_game(env, episode))
+
+
+def emit_plot_data(run_dir, out_dir=None, series=None) -> list:
+    """``expertgames plot-data``: a finished run's aggregate tables, keeping only
+    the rows of ``series`` (default: all), written to ``out_dir`` (default:
+    ``<run>/plot``)."""
+    out = Path(out_dir) if out_dir is not None else Path(run_dir) / "plot"
+    return write_plot_tables(read_plot_tables(run_dir, series), out)
 
 
 def ridge_solution(features: np.ndarray, rewards: np.ndarray, ridge: float) -> np.ndarray:

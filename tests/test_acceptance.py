@@ -18,10 +18,11 @@ from expertgames.harness import (
     LearnerSpec,
     OpponentSpec,
     default_paper_config,
-    replay_manifest,
+    load_manifest_config,
     run_experiment,
     run_trial,
 )
+from expertgames.metrics import series_keys
 
 from oracles import confidence_radius_from_scratch, ridge_solution, support_enumeration_saddle
 
@@ -189,16 +190,21 @@ def test_criterion_4_optimism_under_coverage(paper_runs):
     )
 
 
+def _series(trial: dict, learner: str, series: str) -> np.ndarray:
+    """One series of a learner's report in a ``run_trial`` result, in episode order."""
+    payload = trial["learners"][learner]
+    keys = series_keys(len(payload["traces"]))
+    return payload["report"][[i for i, (name, _) in enumerate(keys) if name == series]]
+
+
 def test_criterion_5_case_study_reproduction(paper_runs):
     trials = paper_runs["trials"]
-    ofu = np.array(
-        [t["learners"]["ofulinmat"]["report"].per_episode["saddle_pseudo"] for t in trials]
-    )
-    exp3 = np.array([t["learners"]["exp3"]["report"].per_episode["saddle_pseudo"] for t in trials])
+    ofu = np.array([_series(t, "ofulinmat", "per_episode_saddle_pseudo") for t in trials])
+    exp3 = np.array([_series(t, "exp3", "per_episode_saddle_pseudo") for t in trials])
     ofu_mean = ofu.mean(axis=0)
     ratio = ofu_mean.sum() / exp3.mean(axis=0).sum()
     flattening = ofu_mean[10:15].mean() / ofu_mean[0:5].mean()
-    theta_errors = np.array([t["learners"]["ofulinmat"]["report"].theta_error for t in trials])
+    theta_errors = np.array([_series(t, "ofulinmat", "theta_error") for t in trials])
     mean_error = theta_errors.mean(axis=0)
     theta_norms = np.mean([np.linalg.norm(t["environment"]["theta_star"]) for t in trials])
     final_ok = mean_error[-1] < 0.2 * theta_norms
@@ -221,7 +227,7 @@ def test_criterion_6_sublinear_scaling(scaling_runs):
             [
                 np.mean(
                     [
-                        trial["learners"][name]["report"].cumulative()["saddle_pseudo"][-1]
+                        _series(trial, name, "cumulative_saddle_pseudo")[-1]
                         for trial in scaling_runs["runs"][k]
                     ]
                 )
@@ -286,7 +292,8 @@ def test_criterion_8_manifest_replay_determinism(tmp_path):
         master_seed=99,
     )
     run_experiment(config, tmp_path / "original")
-    replay_manifest(tmp_path / "original/manifest.json", tmp_path / "replayed")
+    # What `expertgames replay` runs.
+    run_experiment(load_manifest_config(tmp_path / "original/manifest.json"), tmp_path / "replayed")
     original = {
         p.relative_to(tmp_path / "original"): p.read_bytes()
         for p in sorted((tmp_path / "original").rglob("*"))

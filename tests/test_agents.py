@@ -258,8 +258,9 @@ class TestExp3:
             for episode in range(3):
                 episode_table = table[300 * episode : 300 * (episode + 1)].tolist()
                 agent.begin_episode()
-                rows, rewards, policies = agent.play_episode(
-                    lambda t, i: episode_table[t][i], 300
+                asked = []
+                rows, policies = agent.play_episode(
+                    lambda t, i: asked.append((t, i)) or episode_table[t][i], 300
                 )
                 for reference in (floats, numpy):
                     reference.begin_episode()
@@ -274,8 +275,8 @@ class TestExp3:
                         assert policies.tolist() == expected_policies, f"seed {seed}"
                     else:
                         np.testing.assert_allclose(policies, expected_policies, rtol=0, atol=1e-14)
-                played = [episode_table[t][i] for t, i in enumerate(expected_rows)]
-                assert rewards.tolist() == played
+                # Only the played row's reward is asked, once per round.
+                assert asked == list(enumerate(expected_rows))
 
     def test_play_episode_equals_stepping(self):
         # 3 episodes of 200 rounds cross two refills of the 256-draw block and
@@ -286,7 +287,10 @@ class TestExp3:
         for episode in range(3):
             episode_table = table[200 * episode : 200 * (episode + 1)]
             whole.begin_episode()
-            rows, rewards, policies = whole.play_episode(lambda t, i: episode_table[t][i], 200)
+            asked = []
+            rows, policies = whole.play_episode(
+                lambda t, i: asked.append(episode_table[t][i]) or asked[-1], 200
+            )
             stepped.begin_episode()
             stepped_rows, stepped_rewards, stepped_policies = [], [], []
             for t, round_rewards in enumerate(episode_table, 1):
@@ -297,11 +301,11 @@ class TestExp3:
                 stepped_policies.append(stepped.last_strategy)
             stepped.end_episode(stepped_rows, [0] * 200, stepped_rewards)
             assert rows.tolist() == stepped_rows
-            assert rewards.tolist() == stepped_rewards
+            assert asked == stepped_rewards
             assert policies.tolist() == stepped_policies
             assert whole.cumulative_estimates == stepped.cumulative_estimates
             assert whole.last_strategy == stepped.last_strategy
-            whole.end_episode(rows, [0] * 200, rewards)
+            whole.end_episode(rows, [0] * 200, asked)
 
     def test_policy_respects_uniform_floor(self):
         agent = Exp3Agent(5, seed=4, reward_min=-1.0, reward_max=1.0)
@@ -398,9 +402,10 @@ class TestFixedStrategyAgent:
     def test_protocol_is_inert(self):
         agent = FixedStrategyAgent(np.array([1.0, 0.0]), seed=1)
         agent.begin_episode(None)
-        rows, rewards, strategy = agent.play_episode(lambda t, i: 10.0 * t + i, 3)
+        asked = []
+        rows, strategy = agent.play_episode(lambda t, i: asked.append((t, i)), 3)
         assert rows.tolist() == [0, 0, 0]
-        assert rewards.tolist() == [0.0, 10.0, 20.0]
-        agent.end_episode(rows, [0, 0, 0], rewards)
+        assert asked == []  # a committed mix needs no reward within the episode
+        agent.end_episode(rows, [0, 0, 0], [0.0, 10.0, 20.0])
         assert np.array_equal(strategy, [1.0, 0.0])
         assert np.array_equal(agent.current_strategy.probs, [1.0, 0.0])

@@ -18,7 +18,14 @@ from expertgames.environment import (
     check_theta_reachable,
 )
 
-from oracles import emit_reward, expert_features, one_shot_reveals
+from oracles import (
+    emit_reward,
+    episode_ensemble,
+    episode_game,
+    episode_saddle,
+    expert_features,
+    one_shot_reveals,
+)
 
 
 def config(**overrides):
@@ -66,13 +73,14 @@ class TestGroundTruth:
     def test_basis_theta_reproduces_first_expert(self):
         env = Environment(config())
         for k in range(4):
-            assert np.array_equal(env.true_game(k).entries, env.ensemble(k).matrices[0])
+            first_expert = episode_ensemble(env, k).matrices[0]
+            assert np.array_equal(episode_game(env, k).entries, first_expert)
 
     def test_zero_theta_gives_zero_game(self):
         env = Environment(config(theta=ThetaSpec(kind="fixed", values=(0.0, 0.0))))
         for k in range(4):
-            assert np.all(env.true_game(k).entries == 0.0)
-            assert abs(env.true_saddle(k).value) < 1e-9
+            assert np.all(episode_game(env, k).entries == 0.0)
+            assert abs(episode_saddle(env, k).value) < 1e-9
 
     def test_entrywise_linear_consistency(self):
         cfg = config(
@@ -85,8 +93,8 @@ class TestGroundTruth:
         )
         env = Environment(cfg)
         for k in range(3):
-            ensemble = env.ensemble(k)
-            game = env.true_game(k).entries
+            ensemble = episode_ensemble(env, k)
+            game = episode_game(env, k).entries
             worst = 0.0
             for i in range(10):
                 for j in range(10):
@@ -118,12 +126,14 @@ class TestGroundTruth:
         short = Environment(config(rounds_per_episode=2))
         long = Environment(config(rounds_per_episode=50))
         for k in range(4):
-            assert np.array_equal(short.ensemble(k).matrices, long.ensemble(k).matrices)
+            assert np.array_equal(
+                episode_ensemble(short, k).matrices, episode_ensemble(long, k).matrices
+            )
         assert np.array_equal(short.theta_star, long.theta_star)
 
     def test_cross_episode_independence_smoke(self):
         env = Environment(config(n_episodes=400, seed=3))
-        series = np.array([env.ensemble(k).matrices[0, 0, 0] for k in range(400)])
+        series = np.array([episode_ensemble(env, k).matrices[0, 0, 0] for k in range(400)])
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.15
 
@@ -145,28 +155,30 @@ class TestGroundTruth:
         env = Environment(cfg)
         stacks, games = one_shot_reveals(cfg, env.theta_star)
         for k in (4, 0, 2, 2, 1, 3):
-            assert np.array_equal(env.ensemble(k).matrices, stacks[k])
-            assert np.array_equal(env.true_game(k).entries, games[k])
+            assert np.array_equal(episode_ensemble(env, k).matrices, stacks[k])
+            assert np.array_equal(episode_game(env, k).entries, games[k])
 
     def test_episodes_outside_the_horizon_are_refused(self):
         env = Environment(config())
         for k in (-1, 4):
             with pytest.raises(IndexError, match=r"outside \[0, 4\)"):
-                env.ensemble(k)
+                episode_ensemble(env, k)
         with pytest.raises(TypeError):
-            env.true_game(2.5)
-        assert np.array_equal(env.ensemble(np.int64(3)).matrices, env.ensemble(3).matrices)
+            episode_game(env, 2.5)
+        assert np.array_equal(
+            episode_ensemble(env, np.int64(3)).matrices, episode_ensemble(env, 3).matrices
+        )
 
     def test_a_trial_holds_one_episode_of_experts(self):
         # One stack is 288,000 bytes; the whole horizon's stacks take 5.76 MB.
         cfg = config(n_rows=60, n_cols=60, n_experts=10, n_episodes=20, theta=ThetaSpec())
         stack_bytes = 8 * 10 * 60 * 60
-        Environment(cfg).true_game(0)  # imports numpy.random, which numpy loads lazily
+        episode_game(Environment(cfg), 0)  # imports numpy.random, which numpy loads lazily
         tracemalloc.start()
         try:
             env = Environment(cfg)
             for k in range(cfg.n_episodes):
-                ensemble, game = env.ensemble(k), env.true_game(k)
+                ensemble, game = episode_ensemble(env, k), episode_game(env, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -264,14 +276,14 @@ class TestRunEpisode:
         trace = env.run_episode(learner, opponent, 0)
         assert trace.row_actions.tolist() == [1]
         assert trace.col_actions.tolist() == [0]
-        assert trace.rewards[0] == env.true_game(0).entries[1, 0]
+        assert trace.rewards[0] == episode_game(env, 0).entries[1, 0]
 
     def test_pure_agents_zero_noise_constant_reward(self):
         env = Environment(config(rounds_per_episode=20))
         learner = FixedStrategyAgent(np.array([1.0, 0.0, 0.0]), seed=0)
         opponent = FixedOpponent(np.array([0.0, 0.0, 1.0]), seed=1)
         trace = env.run_episode(learner, opponent, 2)
-        assert np.all(trace.rewards == env.true_game(2).entries[0, 2])
+        assert np.all(trace.rewards == episode_game(env, 2).entries[0, 2])
 
     def test_trace_has_exactly_t_records(self):
         env = Environment(config(rounds_per_episode=7))
@@ -305,9 +317,9 @@ class TestRunEpisode:
     def test_out_of_range_per_round_action_aborts(self):
         class RogueExp3(Exp3Agent):
             def play_episode(self, reward, n_rounds):
-                rows, rewards, policies = super().play_episode(reward, n_rounds)
+                rows, policies = super().play_episode(reward, n_rounds)
                 rows[2] = 99
-                return rows, rewards, policies
+                return rows, policies
 
         env = Environment(config())
         with pytest.raises(SimulationError, match=r"learner produced row 99 .* round 3$"):
@@ -328,9 +340,9 @@ class TestRunEpisode:
         # last round's column and noise.
         class Peeker(FixedStrategyAgent):
             def play_episode(self, reward, n_rounds):
-                rows, rewards, strategy = super().play_episode(reward, n_rounds)
+                rows, strategy = super().play_episode(reward, n_rounds)
                 reward(t, i)
-                return rows, rewards, strategy
+                return rows, strategy
 
         env = Environment(config())
         with pytest.raises(SimulationError, match=message):
@@ -350,8 +362,8 @@ class TestRunEpisode:
     def test_agent_without_strategy_aborts(self):
         class Blind(Exp3Agent):
             def play_episode(self, reward, n_rounds):
-                rows, rewards, _ = super().play_episode(reward, n_rounds)
-                return rows, rewards, None
+                rows, _ = super().play_episode(reward, n_rounds)
+                return rows, None
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="exposes no strategy"):
@@ -370,33 +382,35 @@ class TestRunEpisode:
     def test_a_strategy_off_the_simplex_aborts(self, strategy):
         class Liar(FixedStrategyAgent):
             def play_episode(self, reward, n_rounds):
-                rows, rewards, _ = super().play_episode(reward, n_rounds)
-                return rows, rewards, strategy
+                rows, _ = super().play_episode(reward, n_rounds)
+                return rows, strategy
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="strategy at episode 1 is not a probability"):
             env.run_episode(Liar.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
 
-    def test_rewards_the_environment_did_not_pay_abort(self):
-        class Inflator(FixedStrategyAgent):
+    def test_trace_rewards_are_the_rewards_paid(self):
+        # Exp3 asks the closure once per round, and the trace holds the very
+        # floats it was paid. A fixed learner never asks, and the trace holds
+        # what the closure would have paid for its rows.
+        class Recorder(Exp3Agent):
             def play_episode(self, reward, n_rounds):
-                rows, _, strategy = super().play_episode(reward, n_rounds)
-                return rows, [1e6] * n_rounds, strategy
+                self.paid = []
+                return super().play_episode(
+                    lambda t, i: self.paid.append(reward(t, i)) or self.paid[-1], n_rounds
+                )
 
-        class OneOff(FixedStrategyAgent):
-            def play_episode(self, reward, n_rounds):
-                rows, rewards, strategy = super().play_episode(reward, n_rounds)
-                rewards[3] = np.nextafter(rewards[3], np.inf)
-                return rows, rewards, strategy
+        env = Environment(config(noise_variance=0.5, rounds_per_episode=40))
+        opponent = SaddleOracleOpponent(seed=1)
+        learner = Recorder(3, seed=0, reward_min=-2.0, reward_max=2.0)
+        trace = env.run_episode(learner, opponent, 2)
+        assert trace.rewards.dtype == np.float64
+        assert trace.rewards.tolist() == learner.paid and len(learner.paid) == 40
 
-        env = Environment(config(noise_variance=0.5))
-        opponent = FixedOpponent(np.array([1.0, 0, 0]))
-        with pytest.raises(SimulationError, match=r"did not pay at episode 2, round 1$"):
-            env.run_episode(Inflator.uniform(3, seed=0), opponent, 2)
-        with pytest.raises(SimulationError, match=r"did not pay at episode 1, round 4$"):
-            env.run_episode(OneOff.uniform(3, seed=0), opponent, 1)
-        trace = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, 0)
-        assert trace.rewards.shape == (5,)
+        fixed = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, 1)
+        m = episode_game(env, 1).entries
+        paid = m[fixed.row_actions, fixed.col_actions] + env.noise[1]
+        assert fixed.rewards.tolist() == paid.tolist()
 
     def test_noise_shared_across_learners(self):
         # Two different learners replayed on the same environment draw the
@@ -404,7 +418,7 @@ class TestRunEpisode:
         cfg = config(noise_variance=0.5, rounds_per_episode=30, seed=8)
         env_a = Environment(cfg)
         env_b = Environment(cfg)
-        m = env_a.true_game(0).entries
+        m = episode_game(env_a, 0).entries
         trace_a = env_a.run_episode(
             FixedStrategyAgent(np.array([1.0, 0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0
         )
@@ -433,8 +447,7 @@ class TestRunTrial:
                 pass
 
             def play_episode(self, reward, n_rounds):
-                rows = [t % 2 for t in range(n_rounds)]
-                return rows, [reward(t, i) for t, i in enumerate(rows)], [0.5, 0.5, 0.0]
+                return [t % 2 for t in range(n_rounds)], [0.5, 0.5, 0.0]
 
             def end_episode(self, rows, cols, rewards):
                 self.records.append((rows.tolist(), cols.tolist(), rewards.tolist()))
@@ -450,7 +463,7 @@ class TestRunTrial:
             rows, cols, rewards = record
             assert rows == trace.row_actions.tolist() == [t % 2 for t in range(5)]
             assert cols == trace.col_actions.tolist()
-            m = env.true_game(k).entries
+            m = episode_game(env, k).entries
             assert rewards == trace.rewards.tolist() == m[rows, cols].tolist()
             if k:
                 expected_col = int(np.argmin(np.array([0.5, 0.5, 0.0]) @ m))
@@ -466,6 +479,6 @@ class TestRunTrial:
         # First episode: no history, uniform. Later: pure best response.
         assert np.allclose(traces[0].opponent_strategy, 1 / 3)
         for k in (1, 2, 3):
-            m = env.true_game(k).entries
+            m = episode_game(env, k).entries
             expected_col = int(np.argmin(m[0]))
             assert traces[k].opponent_strategy[expected_col] == 1.0

@@ -23,9 +23,8 @@ from expertgames.harness import (
     config_from_dict,
     config_to_dict,
     default_paper_config,
-    emit_plot_data,
     load_config,
-    replay_manifest,
+    load_manifest_config,
     ridge_floor,
     run_experiment,
     run_trial,
@@ -39,7 +38,9 @@ from expertgames.environment import (
     check_theta_reachable,
 )
 from expertgames.estimator import EstimatorConfig
-from expertgames.metrics import RegretReport
+from expertgames.metrics import series_keys
+
+from oracles import emit_plot_data, episode_ensemble
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -415,6 +416,38 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=r"learners\[2\]\.name: "):
             tiny_config(learners=learners + (bad,))
 
+    @pytest.mark.parametrize(
+        "path, build",
+        [
+            ("opponent.strategy", lambda: OpponentSpec("uniform", strategy=(0.5,))),
+            ("learners[2].reward_min", lambda: LearnerSpec("uniform", "u", reward_min=3.0)),
+            ("learners[2].strategy", lambda: LearnerSpec(
+                "exp3", "e", reward_min=-1.0, reward_max=1.0, strategy=(1.0, 0.0, 0.0))),
+            ("learners[2].reward_max", lambda: LearnerSpec(
+                "ofulinmat", "o", estimator=tiny_config().learners[0].estimator, reward_max=1.0)),
+            ("mean", lambda: ThetaSpec("fixed", values=(1.0, 2.0), norm_bound=0.001, mean=7.0)),
+            ("norm_bound", lambda: ThetaSpec("fixed", values=(1.0, 2.0), norm_bound=0.001)),
+            ("values", lambda: ThetaSpec("gaussian", values=(1.0, 2.0))),
+            ("matrices", lambda: ExpertSpec("uniform", matrices=np.full((2, 2, 3, 3), 0.5))),
+        ],
+        ids=["opponent", "uniform-learner", "exp3-learner", "ofulinmat-learner",
+             "fixed-theta-mean", "fixed-theta-norm-bound", "gaussian-theta-values",
+             "uniform-experts"],
+    )
+    def test_a_field_outside_its_types_keys_is_refused(self, path, build):
+        # No JSON config can set such a field, and the manifest would drop it.
+        # A spec refuses it itself, or the config refuses its learner or opponent.
+        def construct():
+            spec = build()
+            if isinstance(spec, LearnerSpec):
+                tiny_config(learners=tiny_config().learners + (spec,))
+            elif isinstance(spec, OpponentSpec):
+                tiny_config(opponent=spec)
+
+        escaped = path.replace("[", r"\[").replace("]", r"\]")
+        with pytest.raises(ValueError, match=rf"^{escaped}: not a key of type '\w+'; leave it at "):
+            construct()
+
     def test_invalid_field_values_are_reported(self):
         raw = config_to_dict(tiny_config())
         raw["learners"][0]["delta"] = 2.0
@@ -608,7 +641,7 @@ class TestRunExperiment:
     def test_replay_is_byte_identical(self, tmp_path):
         config = tiny_config()
         run_experiment(config, tmp_path / "a")
-        replay_manifest(tmp_path / "a/manifest.json", tmp_path / "b")
+        run_experiment(load_manifest_config(tmp_path / "a/manifest.json"), tmp_path / "b")
         files_a = tree_files(tmp_path / "a")
         files_b = tree_files(tmp_path / "b")
         keys_a = {k for k in files_a if not k.endswith("manifest.json")}
@@ -624,7 +657,9 @@ class TestRunExperiment:
         env_solo = trial_environment(solo, 0)
         assert np.array_equal(env_both.theta_star, env_solo.theta_star)
         for k in range(both.environment.n_episodes):
-            assert np.array_equal(env_both.ensemble(k).matrices, env_solo.ensemble(k).matrices)
+            assert np.array_equal(
+                episode_ensemble(env_both, k).matrices, episode_ensemble(env_solo, k).matrices
+            )
         assert np.array_equal(env_both.noise, env_solo.noise)
         traces_both = run_trial(both, 0)["learners"]["ofulinmat"]["traces"]
         traces_solo = run_trial(solo, 0)["learners"]["ofulinmat"]["traces"]
@@ -747,20 +782,17 @@ class TestRunExperiment:
         assert set(record) == {"series", "episode", "value"}
 
     def test_jsonl_rows_are_the_bytes_of_json_dumps(self, tmp_path):
-        special = np.array([np.nan, np.inf, -np.inf, 0.1, -0.0, 1e-310, 2.5e300, 1 / 3])
-        report = RegretReport(
-            per_episode={"saddle_pseudo": special, "external": special[::-1].copy()},
-            theta_error=np.full(special.size, np.nan),
-            external_single_row=-np.inf,
-        )
+        special = [np.nan, np.inf, -np.inf, 0.1, -0.0, 1e-310, 2.5e300, 1 / 3]
+        keys = series_keys(len(special))
+        # Every series holds the special values, the first series in order.
+        rows = list(zip(keys, np.resize(special, len(keys)).tolist()))
         path = tmp_path / "metrics.jsonl"
-        with np.errstate(invalid="ignore"):  # the cumulative series add inf to -inf
-            harness._write_metrics_jsonl(path, report.series_rows())
-            expected = "".join(
-                json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
-                + "\n"
-                for name, episode, value in report.series_rows()
-            )
+        harness._write_metrics_jsonl(path, rows)
+        expected = "".join(
+            json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
+            + "\n"
+            for (name, episode), value in rows
+        )
         assert path.read_text() == expected
         assert "NaN" in expected and "-Infinity" in expected and "e-310" in expected
 
@@ -835,13 +867,12 @@ class TestAggregation:
 
     def test_aggregate_series_helper(self):
         config = tiny_config(trials=2)
+        keys = series_keys(config.environment.n_episodes)
         reports = [run_trial(config, n)["learners"]["exp3"]["report"] for n in range(2)]
-        keys = [(name, episode) for name, episode, _ in reports[0].series_rows()]
-        values = np.array([[value for _, _, value in r.series_rows()] for r in reports]).T.copy()
-        rows = aggregate_series(keys, values)
+        rows = aggregate_series(keys, np.stack(reports, axis=1))
         means = [mean for name, _, mean, _ in rows if name == "cumulative_saddle_realized"]
-        first = reports[0].cumulative()["saddle_realized"]
-        second = reports[1].cumulative()["saddle_realized"]
+        picked = [i for i, (name, _) in enumerate(keys) if name == "cumulative_saddle_realized"]
+        first, second = reports[0][picked], reports[1][picked]
         np.testing.assert_allclose(means, (first + second) / 2)
 
 

@@ -11,12 +11,14 @@ from expertgames.agents import (
 from expertgames.environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
 from expertgames.estimator import EstimatorConfig
 from expertgames.game import solve_saddle_point
-from expertgames.metrics import METRIC_KEYS, build_report
+from expertgames.metrics import METRIC_KEYS, build_report, series_count, series_keys
 
 from oracles import (
     absorb_row,
     best_response_regret_increment,
     best_response_regret_increment_p2,
+    episode_game,
+    episode_saddle,
     exp3_policy_trace,
     expected_payoff,
     hindsight_best_row_regret,
@@ -112,6 +114,14 @@ def small_env(seed=0, episodes=4, rounds=30):
     )
 
 
+def by_series(report, n_episodes: int) -> dict[str, np.ndarray]:
+    """A report column's values grouped by series name, each in episode order."""
+    series: dict[str, list[float]] = {}
+    for (name, _), value in zip(series_keys(n_episodes), report.tolist(), strict=True):
+        series.setdefault(name, []).append(value)
+    return {name: np.array(values) for name, values in series.items()}
+
+
 class TestReport:
     def run_report(self, seed=0):
         env = small_env(seed)
@@ -119,31 +129,34 @@ class TestReport:
             4, EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=3), seed=1
         )
         traces = env.run_trial(learner, SaddleOracleOpponent(seed=2))
-        return env, traces, build_report(traces)
+        return env, traces, by_series(build_report(traces), len(traces))
 
     def test_exploitability_is_exact_sum(self):
         _, _, report = self.run_report()
         assert np.array_equal(
-            report.per_episode["exploitability"],
-            report.per_episode["best_response_p1_expected"]
-            + report.per_episode["best_response_p2_expected"],
+            report["per_episode_exploitability"],
+            report["per_episode_best_response_p1_expected"]
+            + report["per_episode_best_response_p2_expected"],
         )
 
     def test_cumulative_is_prefix_sum(self):
         _, _, report = self.run_report()
-        for name, series in report.per_episode.items():
-            assert np.array_equal(report.cumulative()[name], np.cumsum(series))
+        for name in (*METRIC_KEYS, "exploitability"):
+            assert np.array_equal(
+                report[f"cumulative_{name}"], np.cumsum(report[f"per_episode_{name}"])
+            )
 
     def test_expectation_form_ordering(self):
         # pseudo-saddle <= best-response (P1) <= exploitability, cumulatively.
         for seed in range(5):
             _, _, report = self.run_report(seed)
-            cum = report.cumulative()
             assert np.all(
-                cum["saddle_pseudo"] <= cum["best_response_p1_expected"] + 1e-9
+                report["cumulative_saddle_pseudo"]
+                <= report["cumulative_best_response_p1_expected"] + 1e-9
             )
             assert np.all(
-                cum["best_response_p1_expected"] <= cum["exploitability"] + 1e-9
+                report["cumulative_best_response_p1_expected"]
+                <= report["cumulative_exploitability"] + 1e-9
             )
 
     def test_pseudo_equals_best_response_against_saddle_oracle(self):
@@ -151,8 +164,8 @@ class TestReport:
         # series coincide episode by episode.
         _, _, report = self.run_report()
         assert np.allclose(
-            report.per_episode["saddle_pseudo"],
-            report.per_episode["best_response_p1_expected"],
+            report["per_episode_saddle_pseudo"],
+            report["per_episode_best_response_p1_expected"],
             atol=1e-7,
         )
 
@@ -161,7 +174,7 @@ class TestReport:
         # oracle: per-round expected regret is 0, so the realized mean over
         # many noisy rounds stays within 3 standard errors of 0.
         env = small_env(seed=6, episodes=1, rounds=1000)
-        mu_star = env.true_saddle(0).row_strategy
+        mu_star = episode_saddle(env, 0).row_strategy
         learner = FixedStrategyAgent(mu_star, seed=3)
         trace = env.run_episode(learner, SaddleOracleOpponent(seed=4), 0)
         mean_inc = trace.metrics["saddle_realized"] / 1000
@@ -170,30 +183,38 @@ class TestReport:
 
     def test_theta_error_series_tracks_estimator(self):
         env, traces, report = self.run_report()
-        assert report.theta_error[0] == pytest.approx(np.linalg.norm(env.theta_star))
-        assert np.all(np.isfinite(report.theta_error))
+        assert report["theta_error"][0] == pytest.approx(np.linalg.norm(env.theta_star))
+        assert np.all(np.isfinite(report["theta_error"]))
 
     def test_theta_error_nan_for_non_estimating_learner(self):
         env = small_env(seed=8)
         traces = env.run_trial(FixedStrategyAgent.uniform(4, seed=0), SaddleOracleOpponent(seed=1))
-        report = build_report(traces)
-        assert np.all(np.isnan(report.theta_error))
+        report = by_series(build_report(traces), len(traces))
+        assert np.all(np.isnan(report["theta_error"]))
 
     def test_single_best_row_external_weaker_than_per_episode(self):
         _, _, report = self.run_report()
-        per_episode_total = report.per_episode["external"].sum()
-        assert report.external_single_row <= per_episode_total + 1e-9
+        per_episode_total = report["per_episode_external"].sum()
+        assert report["external_single_row"].shape == (1,)
+        assert report["external_single_row"][0] <= per_episode_total + 1e-9
 
     def test_series_rows_cover_all_series(self):
-        _, _, report = self.run_report()
-        rows = list(report.series_rows())
-        names = {name for name, _, _ in rows}
+        _, traces, _ = self.run_report()
+        report = build_report(traces)
+        keys = series_keys(len(traces))
+        names = {name for name, _ in keys}
         assert "per_episode_saddle_pseudo" in names
         assert "cumulative_exploitability" in names
         assert "theta_error" in names
         assert "external_single_row" in names
-        n_series = len(report.per_episode)
-        assert len(rows) == (2 * n_series + 1) * report.n_episodes + 1
+        n_series = len(METRIC_KEYS) + 1  # with exploitability
+        assert report.shape == (len(keys),) == ((2 * n_series + 1) * len(traces) + 1,)
+        assert report.dtype == np.float64
+        assert keys[-1] == ("external_single_row", len(traces))
+
+    @pytest.mark.parametrize("n_episodes", [1, 2, 15])
+    def test_series_count_is_the_number_of_keys(self, n_episodes):
+        assert series_count(n_episodes) == len(series_keys(n_episodes))
 
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +252,7 @@ class TestEpisodeMetricsMatchRoundByRound:
         env = small_env(seed=3)
         traces = env.run_trial(self.LEARNERS[learner](), self.OPPONENTS[opponent](seed=2))
         for trace in traces:
-            m = env.true_game(trace.episode).entries
+            m = episode_game(env, trace.episode).entries
             if learner == "exp3":
                 # Exp3's per-round policies are replayed from its actions and rewards.
                 policies = exp3_policy_trace(
