@@ -10,12 +10,18 @@ when the episode is revealed, so a trial holds one episode's stack and true
 game at a time, not the whole horizon's. The environment records the rewards
 it pays, ``M[rows, cols] + noise`` for the rows played; its reward closure
 pays the same floats to a learner that asks within the episode.
+
+``EnvironmentConfig``, ``ThetaSpec`` and ``ExpertSpec`` check every value
+they hold, with messages that start with the JSON key at fault. Each real
+they accept is held as a float, so a config built in Python computes and
+records what its JSON would.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -33,10 +39,10 @@ PAYOFF_LIMIT = 1e100
 # Standard normal draws are taken to stay within this many standard
 # deviations: a draw beyond it has probability below 1e-340.
 _NORMAL_REACH = 40.0
-# A bound on a trial's arrays: every episode's expert stack and true game and
-# the noise table, all float64 (4.3 MB on the large-game workload). A trial
-# holds only the noise table and one episode's stack and game at a time, so
-# this is far more than it needs; it bounds the configs a run accepts.
+# A bound on a trial's arrays, counted as every episode's expert stack and true
+# game and the noise table, all float64 (4.3 MB on the large-game workload). A
+# trial holds the noise table and one episode's stack and game at a time, but
+# also every learner's traces, 24 bytes per round, which this does not count.
 ARRAY_BYTE_BUDGET = 2**30
 
 
@@ -57,14 +63,31 @@ def _unit_entries(values, name: str) -> np.ndarray:
     return stack
 
 
-def type_problem(config, counts=(), reals=()) -> str | None:
-    """The first of ``config``'s ``counts`` that is not an int, or ``reals``
-    that is neither an int nor a float (bools are neither), as a message, or
-    None. A numpy scalar would run every trial and then fail writing the manifest."""
-    for name in (*counts, *reals):
-        value, real = getattr(config, name), name in reals
-        if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-            return f"{name}: must be {'an int or a float' if real else 'an int'}, got {value!r}"
+def type_problem(config, counts=(), reals=(), real_lists=()) -> str | None:
+    """The first of ``config``'s ``counts`` that is not an int, ``reals`` that
+    is neither an int nor a float, or ``real_lists`` that is not a list, tuple
+    or array of such reals, as a message naming the field or entry
+    (``strategy[1]: ...``), or None. Bools are neither, and every number must
+    be finite within the float range: a numpy scalar would fail writing the
+    manifest, and a huge int overflows float arithmetic. Each real accepted is
+    set to a float, and each list to a tuple of floats, so a config built in
+    Python holds, computes and records what its JSON does."""
+    for name in real_lists:
+        if not isinstance(getattr(config, name), (list, tuple, np.ndarray)):
+            return f"{name}: must be a list of numbers, got {getattr(config, name)!r}"
+    checks = [(name, getattr(config, name), int) for name in counts]
+    checks += [(name, getattr(config, name), float) for name in reals]
+    checks += [(f"{name}[{k}]", value, float)
+               for name in real_lists for k, value in enumerate(getattr(config, name))]
+    for where, value, kind in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            return f"{where}: must be an int{'' if kind is int else ' or a float'}, got {value!r}"
+        if not abs(value) <= sys.float_info.max:  # exact for an int; NaN fails too
+            return f"{where}: must be finite and within the float range, got {value!r}"
+    for name in reals:
+        object.__setattr__(config, name, float(getattr(config, name)))
+    for name in real_lists:
+        object.__setattr__(config, name, tuple(map(float, getattr(config, name))))
     return None
 
 
@@ -129,15 +152,14 @@ class ThetaSpec:
     norm_bound: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "fixed"):
-            raise ValueError(f"theta kind must be 'gaussian' or 'fixed', got {self.kind!r}")
-        if self.kind == "fixed" and self.values is None:
-            raise ValueError("fixed theta spec requires explicit values")
-        if self.values is not None:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        bound = () if self.norm_bound is None else ("norm_bound",)
-        keys = ("values",) if self.kind == "fixed" else ("mean", "norm_bound")
-        problem = type_problem(self, reals=("mean", *bound)) or stray_field(self, keys)
+        kinds = ("gaussian", "fixed")
+        if self.kind not in kinds:
+            raise ValueError(f"type: must be one of {kinds}, got {self.kind!r}")
+        if self.kind == "fixed":
+            problem = stray_field(self, ("values",)) or type_problem(self, real_lists=("values",))
+        else:  # a norm_bound of None means no ball
+            reals = ("mean",) if self.norm_bound is None else ("mean", "norm_bound")
+            problem = stray_field(self, ("mean", "norm_bound")) or type_problem(self, reals=reals)
         if problem:
             raise ValueError(problem)
         if self.norm_bound is not None and not self.norm_bound > 0:
@@ -147,21 +169,28 @@ class ThetaSpec:
 @dataclass(frozen=True)
 class ExpertSpec:
     """How expert matrices arise: fresh U[0,1] draws per episode, or a fixed
-    per-episode list."""
+    per-episode list of numbers in [0, 1]."""
 
     kind: str = "uniform"
     matrices: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "fixed"):
-            raise ValueError(f"expert kind must be 'uniform' or 'fixed', got {self.kind!r}")
-        if self.kind == "fixed" and self.matrices is None:
-            raise ValueError("fixed expert spec requires matrices")
+        kinds = ("uniform", "fixed")
+        if self.kind not in kinds:
+            raise ValueError(f"type: must be one of {kinds}, got {self.kind!r}")
         problem = stray_field(self, ("matrices",) if self.kind == "fixed" else ())
         if problem:
             raise ValueError(problem)
-        if self.matrices is not None:
-            _unit_entries(self.matrices, "matrices")
+        if self.kind == "fixed":
+            try:
+                stack = np.asarray(self.matrices)
+            except ValueError as exc:  # ragged nesting
+                raise ValueError(f"matrices: {exc}") from exc
+            # A bool beside a number would be cast to 0.0/1.0, so look at the leaves too.
+            leaf_types = {type(v) for v in np.asarray(self.matrices, dtype=object).flat}
+            if stack.dtype.kind not in "iuf" or {bool, np.bool_} & leaf_types:
+                raise ValueError("matrices: must be a nested list of numbers, not booleans")
+            _unit_entries(stack, "matrices")
 
 
 @dataclass(frozen=True)
@@ -189,10 +218,8 @@ class EnvironmentConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"{name}: must be at least 1, got {value}")
-        if not (self.noise_variance >= 0 and math.isfinite(self.noise_variance)):
-            raise ValueError(
-                f"noise_variance: must be finite and nonnegative, got {self.noise_variance}"
-            )
+        if self.noise_variance < 0:
+            raise ValueError(f"noise_variance: must be nonnegative, got {self.noise_variance}")
         # In floats, exact far beyond the budget, so huge sizes give inf, not an error.
         cells = float(self.n_rows) * float(self.n_cols)
         n_bytes = 8.0 * float(self.n_episodes) * (

@@ -1,5 +1,10 @@
 """Experiment runner: config parsing, multi-trial orchestration, persistence.
 
+The config objects check every value, each under its JSON path; the JSON
+reader only maps JSON onto them (object shapes, unknown and missing keys,
+``type``, an integral float as a count). So a config built in Python is
+refused where its JSON would be, and what it records replays.
+
 Seeds are split hierarchically from one master seed: the environment of trial
 n is seeded by (master, n, 0) and each learner/opponent pair by
 (master, n, 1|2, learner_index), so adding or removing learners never
@@ -35,7 +40,6 @@ import math
 import os
 import re
 import shutil
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,35 +103,6 @@ def _object(section, where: str) -> dict:
     return section
 
 
-def _integer(value, where: str) -> int:
-    """A JSON count or seed: an integral number, never a bool (JSON true is 1)."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if real and abs(value) > sys.float_info.max:  # float() would overflow
-        raise ConfigError([f"{where}: must be at most {sys.float_info.max:.4g} in magnitude"])
-    if real and float(value).is_integer():
-        return int(value)
-    raise ConfigError([f"{where}: must be an integer, got {value!r}"])
-
-
-def _number(value, where: str) -> float:
-    """A JSON real: a finite number, never a bool (JSON true is 1)."""
-    # NaN fails the comparison; an int beyond the float range never reaches float().
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if real and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError([f"{where}: must be a finite number, got {value!r}"])
-
-
-def _optional_number(value, where: str) -> float | None:
-    return None if value is None else _number(value, where)
-
-
-def _numbers(values, where: str) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError([f"{where}: must be a list of numbers, got {values!r}"])
-    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(values))
-
-
 def _check_kind(kind, where: str, tables: dict) -> None:
     kinds = tuple(tables)  # a tuple, so an unhashable value is just not in it
     if kind not in kinds:
@@ -136,42 +111,39 @@ def _check_kind(kind, where: str, tables: dict) -> None:
 
 def _check_strategy(strategy, n_actions: int, where: str) -> None:
     """A fixed player's ``n_actions`` probabilities."""
-    try:
-        values = np.array(strategy, dtype=float)
-        if values.shape != (n_actions,):
-            raise ValueError(f"must list {n_actions} probabilities, got {strategy!r}")
-        MixedStrategy(values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"{where}.strategy: {exc}"]) from exc
+    if len(strategy) != n_actions:
+        raise ConfigError(
+            [f"{where}.strategy: must list {n_actions} probabilities, got {strategy!r}"]
+        )
+    _build(MixedStrategy, f"{where}.strategy", probs=strategy)
+
+
+def _check_keys(spec, where: str, tables: dict) -> None:
+    """A learner's or the opponent's type, and the keys of that type: any other
+    field stays at its default, a fixed player's strategy is a list of reals
+    and every other key a real."""
+    _check_kind(spec.kind, where, tables)
+    keys = tuple(tables[spec.kind])
+    numbers = {"real_lists": keys} if spec.kind == "fixed" else {"reals": keys}
+    problem = stray_field(spec, keys) or type_problem(spec, **numbers)
+    if problem:
+        raise ConfigError([f"{where}.{problem}"])
 
 
 def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
     """The rules that join a learner of each type to the environment."""
-    _check_kind(spec.kind, where, _LEARNER_KEYS)
-    # OFULinMat's keys are its estimator's fields.
-    keys = ("estimator",) if spec.kind == "ofulinmat" else _LEARNER_KEYS[spec.kind]
-    problem = stray_field(spec, keys)
-    if problem:
-        raise ConfigError([f"{where}.{problem}"])
+    _check_keys(spec, where, _LEARNER_KEYS)
     if spec.kind == "ofulinmat":
-        estimator = spec.estimator
-        if getattr(estimator, "n_experts", None) != env.n_experts:
-            raise ConfigError(
-                [f"{where}: an ofulinmat learner needs an EstimatorConfig with n_experts "
-                 f"{env.n_experts}, got {estimator!r}"]
-            )
-        problem = type_problem(estimator, reals=("ridge", "param_bound", "delta"))
-        if problem:
-            raise ConfigError([f"{where}.{problem}"])
+        _build(EstimatorConfig, where, ridge=spec.ridge, param_bound=spec.param_bound,
+               delta=spec.delta, n_experts=env.n_experts)
         floor = ridge_floor(env)
-        if estimator.ridge < floor:
+        if spec.ridge < floor:
             raise ConfigError(
                 [f"{where}.ridge: must be at least n_experts^2 * n_episodes * "
-                 f"rounds_per_episode * 2^-52 = {floor:.3g}, got {estimator.ridge:.3g}"]
+                 f"rounds_per_episode * 2^-52 = {floor:.3g}, got {spec.ridge:.3g}"]
             )
     elif spec.kind == "exp3":
-        low = _number(spec.reward_min, f"{where}.reward_min")
-        if not low < _number(spec.reward_max, f"{where}.reward_max"):
+        if not spec.reward_min < spec.reward_max:
             raise ConfigError([f"{where}: reward_min must be strictly below reward_max"])
     elif spec.kind == "fixed":
         _check_strategy(spec.strategy, env.n_rows, where)
@@ -179,23 +151,31 @@ def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
 
 @dataclass(frozen=True)
 class LearnerSpec:
+    """A learner's type, its output name and the keys of its type. An
+    ofulinmat learner's estimator has one coordinate per expert of the
+    environment it plays."""
+
     kind: str
     name: str
-    estimator: EstimatorConfig | None = None
+    ridge: float | None = None
+    param_bound: float | None = None
+    delta: float | None = None
     reward_min: float | None = None
     reward_max: float | None = None
     strategy: tuple[float, ...] | None = None
 
-    def build(self, n_actions: int, seed):
+    def build(self, env: EnvironmentConfig, seed):
+        """The learner of a trial of ``env``, drawing from ``seed``."""
         if self.kind == "ofulinmat":
-            return OFULinMatAgent(n_actions, self.estimator, seed=seed)
+            estimator = EstimatorConfig(self.ridge, self.param_bound, self.delta, env.n_experts)
+            return OFULinMatAgent(env.n_rows, estimator, seed=seed)
         if self.kind == "exp3":
             return Exp3Agent(
-                n_actions, seed=seed, reward_min=self.reward_min, reward_max=self.reward_max
+                env.n_rows, seed=seed, reward_min=self.reward_min, reward_max=self.reward_max
             )
         if self.kind == "fixed":
             return FixedStrategyAgent(np.asarray(self.strategy), seed=seed)
-        return FixedStrategyAgent.uniform(n_actions, seed=seed)
+        return FixedStrategyAgent.uniform(env.n_rows, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -215,8 +195,9 @@ class OpponentSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A whole run. It checks every rule that joins its parts, under the JSON
-    path the parser names, so a config built in Python fails as its JSON does."""
+    """A whole run. It checks every rule that joins its parts, and every value
+    of its learners and opponent, under the JSON path the parser names, so a
+    config built in Python fails as its JSON does."""
 
     environment: EnvironmentConfig
     learners: tuple[LearnerSpec, ...]
@@ -258,10 +239,7 @@ class ExperimentConfig:
                     [f"{where}: names must be unique, {name!r} is also "
                      f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
                 )
-        _check_kind(self.opponent.kind, "opponent", _OPPONENT_KEYS)
-        problem = stray_field(self.opponent, _OPPONENT_KEYS[self.opponent.kind])
-        if problem:
-            raise ConfigError([f"opponent.{problem}"])
+        _check_keys(self.opponent, "opponent", _OPPONENT_KEYS)
         if self.opponent.kind == "fixed":
             _check_strategy(self.opponent.strategy, self.environment.n_cols, "opponent")
 
@@ -290,39 +268,33 @@ def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentCo
 # Config (de)serialization
 
 
-def _expert_stack(values, where: str) -> tuple:
-    """Fixed expert matrices: a nested list of numbers, not booleans."""
-    try:
-        stack = np.asarray(values)
-    except ValueError as exc:  # ragged nesting
-        raise ConfigError([f"{where}: {exc}"]) from exc
-    # A bool beside a number would be cast to 0.0/1.0, so look at the leaves too.
-    if stack.dtype.kind not in "iuf" or any(
-        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
-    ):
-        raise ConfigError([f"{where}: must be a nested list of numbers, not booleans"])
-    return tuple(values)
+def _integer(value, where: str):
+    """A JSON count or seed: an integral float such as 3.0 becomes an int."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-# Each config object's keys, as {key: (reader, default)}. A reader takes the
-# JSON value and its path; an absent key takes its default unread, and one
-# marked _REQUIRED must be present. A tagged object has one table per "type".
+def _matrix_list(value, where: str):
+    """Fixed expert matrices: the outer JSON list becomes a tuple."""
+    return tuple(value) if isinstance(value, list) else value
+
+
+# Each config object's keys, as {key: default}; a tagged object has one table
+# per "type". An absent key takes its default, and one marked _REQUIRED must be
+# present. A JSON value reaches its object as read, or through its key's
+# reader in _READERS (below); the object checks it.
 _REQUIRED = object()
-_THETA_KEYS = {
-    "gaussian": {"mean": (_number, 0.5), "norm_bound": (_optional_number, None)},
-    "fixed": {"values": (_numbers, _REQUIRED)},
-}
-_EXPERT_KEYS = {"uniform": {}, "fixed": {"matrices": (_expert_stack, _REQUIRED)}}
-# OFULinMat's keys are its estimator's fields. Exp3's absent bounds become
-# -/+ 3 * sqrt(n_experts) * n_experts once the environment is read.
+_THETA_KEYS = {"gaussian": {"mean": 0.5, "norm_bound": None}, "fixed": {"values": _REQUIRED}}
+_EXPERT_KEYS = {"uniform": {}, "fixed": {"matrices": _REQUIRED}}
+# Exp3's absent bounds become -/+ 3 * sqrt(n_experts) * n_experts once the
+# environment is read.
 _LEARNER_KEYS = {
-    "ofulinmat": {"ridge": (_number, 0.1), "param_bound": (_number, 3.0), "delta": (_number, 3e-3)},
-    "exp3": {"reward_min": (_number, None), "reward_max": (_number, None)},
-    "fixed": {"strategy": (_numbers, _REQUIRED)},
+    "ofulinmat": {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3},
+    "exp3": {"reward_min": None, "reward_max": None},
+    "fixed": {"strategy": _REQUIRED},
     "uniform": {},
 }
 _OPPONENT_KEYS = {"saddle_oracle": {}, "uniform": {}, "best_responder": {},
-                  "fixed": {"strategy": (_numbers, _REQUIRED)}}
+                  "fixed": {"strategy": _REQUIRED}}
 
 
 def _read(section, where: str, keys: dict, other=()) -> dict:
@@ -333,14 +305,15 @@ def _read(section, where: str, keys: dict, other=()) -> dict:
     unknown = sorted(set(_object(section, name)) - set(keys) - set(other))
     if unknown:
         raise ConfigError([f"{name}: unknown key {key!r}" for key in unknown])
-    missing = [key for key, (_, default) in keys.items() if default is _REQUIRED and key not in section]
+    missing = [key for key, default in keys.items() if default is _REQUIRED and key not in section]
     if missing:
         noun = "key" if where else "section"
         raise ConfigError([f"{name}: missing {noun} {key!r}" for key in missing])
-    return {
-        key: reader(section[key], f"{where}.{key}" if where else key) if key in section else default
-        for key, (reader, default) in keys.items()
-    }
+    fields = {key: section.get(key, default) for key, default in keys.items()}
+    for key in keys:
+        if key in section and key in _READERS:
+            fields[key] = _READERS[key](section[key], f"{where}.{key}" if where else key)
+    return fields
 
 
 def _read_tagged(section, where: str, tables: dict, default=_REQUIRED, other=()) -> dict:
@@ -357,12 +330,11 @@ def _tagged(cls, tables: dict, default=_REQUIRED):
     return lambda section, where: _build(cls, where, **_read_tagged(section, where, tables, default))
 
 
-def _tagged_dict(spec, tables: dict, source=None) -> dict:
-    """A tagged spec's ``type`` and its table's keys that are not None in
-    ``source`` (default: the spec)."""
+def _tagged_dict(spec, tables: dict) -> dict:
+    """A tagged spec's ``type`` and its table's keys that are not None."""
     entry = {"type": spec.kind}
     for key in tables[spec.kind]:
-        value = getattr(spec if source is None else source, key)
+        value = getattr(spec, key)
         if value is not None:
             entry[key] = np.asarray(value).tolist() if np.ndim(value) else value
     return entry
@@ -377,9 +349,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "experts": _tagged_dict(env.experts, _EXPERT_KEYS),
         },
         "learners": [
-            {"name": spec.name, **_tagged_dict(
-                spec, _LEARNER_KEYS, spec.estimator if spec.kind == "ofulinmat" else None)}
-            for spec in config.learners
+            {"name": spec.name, **_tagged_dict(spec, _LEARNER_KEYS)} for spec in config.learners
         ],
         "opponent": _tagged_dict(config.opponent, _OPPONENT_KEYS),
         "trials": config.trials,
@@ -389,12 +359,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 _SIZES = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
-_ENVIRONMENT_KEYS = {
-    **{key: (_integer, _REQUIRED) for key in _SIZES},
-    "noise_variance": (_number, 0.0),
-    "theta_star": (_tagged(ThetaSpec, _THETA_KEYS, "gaussian"), ThetaSpec()),
-    "experts": (_tagged(ExpertSpec, _EXPERT_KEYS, "uniform"), ExpertSpec()),
-}
+_ENVIRONMENT_KEYS = {**dict.fromkeys(_SIZES, _REQUIRED), "noise_variance": 0.0,
+                     "theta_star": ThetaSpec(), "experts": ExpertSpec()}
 
 
 def _environment(section, where: str) -> EnvironmentConfig:
@@ -420,15 +386,12 @@ def ridge_floor(env: EnvironmentConfig) -> float:
 
 def _learner(section, where: str, env: EnvironmentConfig) -> LearnerSpec:
     fields = _read_tagged(section, where, _LEARNER_KEYS, other=("name",))
-    kind = fields["kind"]
-    fields["name"] = section.get("name", kind)
-    if kind == "ofulinmat":
-        numbers = {key: fields.pop(key) for key in _LEARNER_KEYS[kind]}
-        fields["estimator"] = _build(EstimatorConfig, where, **numbers, n_experts=env.n_experts)
-    elif kind == "exp3":
+    fields["name"] = section.get("name", fields["kind"])
+    if fields["kind"] == "exp3":
         clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
-        fields["reward_min"] = -clip if fields["reward_min"] is None else fields["reward_min"]
-        fields["reward_max"] = clip if fields["reward_max"] is None else fields["reward_max"]
+        for key, bound in (("reward_min", -clip), ("reward_max", clip)):
+            if key not in section:
+                fields[key] = bound
     return LearnerSpec(**fields)
 
 
@@ -439,13 +402,17 @@ def _learner_list(sections, where: str) -> list:
     return sections
 
 
-_CONFIG_KEYS = {
-    "environment": (_environment, _REQUIRED),
-    "learners": (_learner_list, _REQUIRED),
-    "opponent": (_tagged(OpponentSpec, _OPPONENT_KEYS), _REQUIRED),
-    "trials": (_integer, 1),
-    "master_seed": (_integer, 0),
-    "output_format": (lambda value, where: value, "csv"),  # ExperimentConfig checks it
+_CONFIG_KEYS = {"environment": _REQUIRED, "learners": _REQUIRED, "opponent": _REQUIRED,
+                "trials": 1, "master_seed": 0, "output_format": "csv"}
+# The reader of each key whose JSON value is not passed on as read.
+_READERS = {
+    **dict.fromkeys((*_SIZES, "trials", "master_seed"), _integer),
+    "matrices": _matrix_list,
+    "theta_star": _tagged(ThetaSpec, _THETA_KEYS, "gaussian"),
+    "experts": _tagged(ExpertSpec, _EXPERT_KEYS, "uniform"),
+    "environment": _environment,
+    "learners": _learner_list,
+    "opponent": _tagged(OpponentSpec, _OPPONENT_KEYS),
 }
 
 
@@ -505,7 +472,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     for index, spec in enumerate(config.learners):
         learner_seed = np.random.SeedSequence([config.master_seed, trial, 1, index])
         opponent_seed = np.random.SeedSequence([config.master_seed, trial, 2, index])
-        learner = spec.build(config.environment.n_rows, np.random.default_rng(learner_seed))
+        learner = spec.build(config.environment, np.random.default_rng(learner_seed))
         opponent = config.opponent.build(np.random.default_rng(opponent_seed))
         traces = env.run_trial(learner, opponent)
         learners[spec.name] = {"traces": traces, "report": build_report(traces)}

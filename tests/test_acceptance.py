@@ -57,11 +57,7 @@ def _scaling_config(n_episodes: int) -> ExperimentConfig:
         ),
         learners=(
             LearnerSpec(
-                kind="ofulinmat",
-                name="ofulinmat",
-                estimator=EstimatorConfig(
-                    ridge=0.1, param_bound=3.0, delta=3e-3, n_experts=n_experts
-                ),
+                kind="ofulinmat", name="ofulinmat", ridge=0.1, param_bound=3.0, delta=3e-3
             ),
             LearnerSpec(kind="exp3", name="exp3", reward_min=-clip, reward_max=clip),
         ),
@@ -281,9 +277,7 @@ def test_criterion_8_manifest_replay_determinism(tmp_path):
         ),
         learners=(
             LearnerSpec(
-                kind="ofulinmat",
-                name="ofulinmat",
-                estimator=EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=3),
+                kind="ofulinmat", name="ofulinmat", ridge=0.1, param_bound=2.0, delta=0.01
             ),
             LearnerSpec(kind="exp3", name="exp3", reward_min=-10.0, reward_max=10.0),
         ),

@@ -37,7 +37,6 @@ from expertgames.environment import (
     ThetaSpec,
     check_theta_reachable,
 )
-from expertgames.estimator import EstimatorConfig
 from expertgames.metrics import series_keys
 
 from oracles import emit_plot_data, episode_ensemble
@@ -57,9 +56,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
         ),
         learners=(
             LearnerSpec(
-                kind="ofulinmat",
-                name="ofulinmat",
-                estimator=EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=2),
+                kind="ofulinmat", name="ofulinmat", ridge=0.1, param_bound=2.0, delta=0.01
             ),
             LearnerSpec(kind="exp3", name="exp3", reward_min=-5.0, reward_max=5.0),
         ),
@@ -146,18 +143,41 @@ ENVIRONMENT_RULE_CASES = {
 
 def environment_config(section: dict) -> EnvironmentConfig:
     """The EnvironmentConfig of a JSON environment section, built without the
-    parser; sizes get ints and real fields floats, as the parser passes them."""
-    def real(value):
-        return float(value) if isinstance(value, int) else value
-
-    theta = {key: real(value) for key, value in section.get("theta_star", {}).items()}
+    parser; sizes get ints, as the parser makes an integral float one, and
+    fixed matrices a tuple."""
+    theta = dict(section.get("theta_star", {}))
     experts = dict(section.get("experts", {}))
+    if "matrices" in experts:
+        experts["matrices"] = tuple(experts["matrices"])
     sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
     return EnvironmentConfig(
         **{key: int(section[key]) for key in sizes},
-        noise_variance=real(section.get("noise_variance", 0.0)),
+        noise_variance=section.get("noise_variance", 0.0),
         theta=ThetaSpec(kind=theta.pop("type", "gaussian"), **theta),
         experts=ExpertSpec(kind=experts.pop("type", "uniform"), **experts),
+    )
+
+
+def python_config(raw: dict) -> ExperimentConfig:
+    """The ExperimentConfig of a JSON config with every key written out, built
+    without the parser, each integral float given as an int."""
+    def ints(node):
+        if isinstance(node, float) and node.is_integer():
+            return int(node)
+        if isinstance(node, list):
+            return [ints(item) for item in node]
+        if isinstance(node, dict):
+            return {key: ints(value) for key, value in node.items()}
+        return node
+
+    raw = ints(raw)
+    for entry in (*raw["learners"], raw["opponent"]):
+        entry["kind"] = entry.pop("type")
+    return ExperimentConfig(
+        environment=environment_config(raw["environment"]),
+        learners=tuple(LearnerSpec(**entry) for entry in raw["learners"]),
+        opponent=OpponentSpec(**raw["opponent"]),
+        **{key: raw[key] for key in ("trials", "master_seed", "output_format")},
     )
 
 
@@ -184,8 +204,17 @@ MUTATION_BASE = {
     "master_seed": 0,
     "output_format": "csv",
 }
+# MUTATION_BASE with a fixed theta_star and fixed experts, whose two
+# sections' leaves the table also replaces: values and matrices are leaves
+# MUTATION_BASE lacks.
+FIXED_MUTATION_BASE = copy.deepcopy(MUTATION_BASE)
+FIXED_MUTATION_BASE["environment"].update(
+    theta_star={"type": "fixed", "values": [0.7, -0.2]},
+    experts={"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=0.75)},
+)
 MUTATION_VALUES = [
-    0, -1, 0.5, 1e-300, 1e150, 1e308, -1e308, 2**70, True, None, "x", [], {}, [1.0]
+    0, -1, 0.5, 1e-300, 1e150, 1e308, -1e308, 2**70, 10**400, float("nan"), float("inf"), True,
+    None, "x", [], {}, [1.0], [True],
 ]
 # Fields that size the run's arrays: a value from the table must never run.
 SIZE_FIELDS = [
@@ -204,6 +233,13 @@ def config_leaves(node, keys=()) -> list[tuple]:
     else:
         return [keys]
     return [leaf for key, item in items for leaf in config_leaves(item, (*keys, key))]
+
+
+MUTATION_CASES = [
+    *((MUTATION_BASE, keys) for keys in config_leaves(MUTATION_BASE)),
+    *((FIXED_MUTATION_BASE, keys) for keys in config_leaves(FIXED_MUTATION_BASE)
+      if keys[:2] in (("environment", "theta_star"), ("environment", "experts"))),
+]
 
 
 def leaf_section(raw: dict, keys) -> dict:
@@ -266,19 +302,10 @@ JOINT_RULE_CASES = {
             1, {"type": "fixed", "name": "fixed", "strategy": [0.5, 0.5]}
         ),
     ),
-    "estimator-expert-count": (
-        "learners[0]",
-        lambda: replace_learner(0, LearnerSpec(
-            kind="ofulinmat", name="ofulinmat",
-            estimator=EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=5),
-        )),
-        None,
-    ),
     "ridge-below-floor": (
         "learners[0].ridge",
         lambda: replace_learner(0, LearnerSpec(
-            kind="ofulinmat", name="ofulinmat",
-            estimator=EstimatorConfig(ridge=1e-300, param_bound=2.0, delta=0.01, n_experts=2),
+            kind="ofulinmat", name="ofulinmat", ridge=1e-300, param_bound=2.0, delta=0.01,
         )),
         lambda raw: raw["learners"][0].update(ridge=1e-300),
     ),
@@ -293,9 +320,9 @@ JOINT_RULE_CASES = {
         lambda raw: raw["learners"].__setitem__(1, {"type": "bogus", "name": "bogus"}),
     ),
     "ofulinmat-without-estimator": (
-        "learners[0]",
+        "learners[0].ridge",
         lambda: replace_learner(0, LearnerSpec(kind="ofulinmat", name="ofulinmat")),
-        None,
+        lambda raw: raw["learners"][0].update(ridge=None),
     ),
     "short-opponent-strategy": (
         "opponent.strategy",
@@ -343,10 +370,57 @@ SCALAR_TYPE_CASES = {
     "numpy-ridge": (
         "learners[0].ridge: must be an int or a float, got np.float32(0.1)",
         lambda: tiny_config(**replace_learner(0, LearnerSpec(
-            kind="ofulinmat", name="ofulinmat",
-            estimator=EstimatorConfig(ridge=np.float32(0.1), param_bound=2.0, delta=0.01,
-                                      n_experts=2),
+            kind="ofulinmat", name="ofulinmat", ridge=np.float32(0.1), param_bound=2.0, delta=0.01,
         ))),
+    ),
+}
+
+
+# Configs built in Python whose values JSON cannot hold, or that overflow
+# float arithmetic: id -> (the JSON path of the ConfigError, the construction).
+PYTHON_PROBES = {
+    "infinite-norm-bound": (
+        "environment.theta_star.norm_bound",
+        lambda: harness._build(ThetaSpec, "environment.theta_star", norm_bound=float("inf")),
+    ),
+    "huge-theta-mean": (
+        "environment.theta_star.mean",
+        lambda: harness._build(ThetaSpec, "environment.theta_star", mean=10**400),
+    ),
+    "nan-theta-value": (
+        "environment.theta_star.values[1]",
+        lambda: harness._build(
+            ThetaSpec, "environment.theta_star", kind="fixed", values=(1.0, float("nan"))
+        ),
+    ),
+    "huge-n-rows": ("environment.n_rows", lambda: parsed_environment(n_rows=10**400)),
+    "bool-expert-leaves": (
+        "environment.experts.matrices",
+        lambda: harness._build(ExpertSpec, "environment.experts", kind="fixed",
+                               matrices=((((True, False),),),)),
+    ),
+    "string-expert-leaves": (
+        "environment.experts.matrices",
+        lambda: harness._build(ExpertSpec, "environment.experts", kind="fixed",
+                               matrices=((("0.5", "0.5"),),)),
+    ),
+    "string-learner-strategy": (
+        "learners[1].strategy[0]",
+        lambda: tiny_config(**replace_learner(
+            1, LearnerSpec("fixed", "fixed", strategy=("0.5", "0.25", "0.25")))),
+    ),
+    "bool-learner-strategy": (
+        "learners[1].strategy[0]",
+        lambda: tiny_config(**replace_learner(
+            1, LearnerSpec("fixed", "fixed", strategy=(True, False, False)))),
+    ),
+    "string-opponent-strategy": (
+        "opponent.strategy[0]",
+        lambda: tiny_config(opponent=OpponentSpec("fixed", strategy=("0.5", "0.25", "0.25"))),
+    ),
+    "bool-opponent-strategy": (
+        "opponent.strategy[0]",
+        lambda: tiny_config(opponent=OpponentSpec("fixed", strategy=(True, False, False))),
     ),
 }
 
@@ -376,9 +450,9 @@ class TestConfigRoundTrip:
         assert env.noise_variance == 0.5
         assert env.theta.norm_bound == 3.0
         ofu = config.learners[0]
-        assert ofu.estimator.ridge == 0.1
-        assert ofu.estimator.delta == 3e-3
-        assert ofu.estimator.param_bound == 3.0
+        assert ofu.ridge == 0.1
+        assert ofu.delta == 3e-3
+        assert ofu.param_bound == 3.0
         assert config.learners[1].kind == "exp3"
         assert config.opponent.kind == "saddle_oracle"
         assert config.trials == 20
@@ -424,7 +498,7 @@ class TestConfigRoundTrip:
             ("learners[2].strategy", lambda: LearnerSpec(
                 "exp3", "e", reward_min=-1.0, reward_max=1.0, strategy=(1.0, 0.0, 0.0))),
             ("learners[2].reward_max", lambda: LearnerSpec(
-                "ofulinmat", "o", estimator=tiny_config().learners[0].estimator, reward_max=1.0)),
+                "ofulinmat", "o", ridge=0.1, param_bound=2.0, delta=0.01, reward_max=1.0)),
             ("mean", lambda: ThetaSpec("fixed", values=(1.0, 2.0), norm_bound=0.001, mean=7.0)),
             ("norm_bound", lambda: ThetaSpec("fixed", values=(1.0, 2.0), norm_bound=0.001)),
             ("values", lambda: ThetaSpec("gaussian", values=(1.0, 2.0))),
@@ -495,6 +569,49 @@ class TestConfigRoundTrip:
         assert problem.partition(": ")[0] in paths
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, build", PYTHON_PROBES.values(), ids=PYTHON_PROBES)
+    def test_python_values_json_cannot_hold_are_refused_under_their_path(self, path, build):
+        # Unrefused, each would run and record a manifest that replay refuses,
+        # overflow float arithmetic, or die mid-run with its output half written.
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert info.value.problems[0].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
+                             ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
+    def test_a_config_built_in_python_replays(self, keys, kind):
+        raw = copy.deepcopy(MUTATION_BASE)
+        leaf_section(raw, keys)[keys[-1]] = copy.deepcopy(TAGGED_OBJECTS[keys][1][kind])
+        config = python_config(raw)  # every integral float given as an int
+        recorded = json.dumps(config_to_dict(config), sort_keys=True)
+        replayed = config_from_dict(json.loads(recorded))
+        assert replayed == config
+        assert json.dumps(config_to_dict(replayed), sort_keys=True) == recorded
+
+    def test_int_reals_are_held_as_floats(self):
+        theta = ThetaSpec(mean=1, norm_bound=10**200)
+        assert (type(theta.mean), type(theta.norm_bound)) == (float, float)
+        assert theta.norm_bound == 1e200
+        env = dataclasses.replace(tiny_config().environment, noise_variance=1, theta=theta)
+        config = tiny_config(environment=env, **replace_learner(0, LearnerSpec(
+            kind="ofulinmat", name="ofulinmat", ridge=1, param_bound=2, delta=0.01)))
+        ofu = config.learners[0]
+        assert (type(ofu.ridge), type(ofu.param_bound)) == (float, float)
+        assert type(config.environment.noise_variance) is float
+        assert config_to_dict(config)["learners"][0]["ridge"] == 1.0
+
+    @pytest.mark.parametrize("section, cls", [("theta_star", ThetaSpec), ("experts", ExpertSpec)])
+    def test_a_bad_kind_names_type_in_both_forms(self, section, cls):
+        raw = config_to_dict(tiny_config())
+        raw["environment"][section] = {"type": "bogus"}
+        with pytest.raises(ConfigError) as parsed:
+            config_from_dict(raw)
+        with pytest.raises(ValueError) as direct:
+            cls("bogus")
+        kinds = tuple(harness._THETA_KEYS if cls is ThetaSpec else harness._EXPERT_KEYS)
+        assert str(direct.value) == f"type: must be one of {kinds}, got 'bogus'"
+        assert parsed.value.problems == [f"environment.{section}.{direct.value}"]
+
     @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
                              ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
     def test_every_type_round_trips(self, keys, kind):
@@ -553,20 +670,24 @@ class TestConfigRoundTrip:
 
 
 class TestConfigMutations:
-    @pytest.mark.parametrize("keys", config_leaves(MUTATION_BASE), ids=json_path)
-    def test_every_value_is_named_or_runs_to_the_end(self, tmp_path, keys):
+    @pytest.mark.parametrize(
+        "base, keys", MUTATION_CASES,
+        ids=[("fixed:" if base is FIXED_MUTATION_BASE else "") + json_path(keys)
+             for base, keys in MUTATION_CASES],
+    )
+    def test_every_value_is_named_or_runs_to_the_end(self, tmp_path, base, keys):
         """Each table value in this leaf is a ConfigError that names the leaf,
         its object or a sibling (the joint checks), or a complete run. A size
         field never parses, so no run is tried with a huge size."""
         path, section = json_path(keys), keys[:-1]
         named = [path]
         if section:
-            siblings = leaf_section(MUTATION_BASE, keys)
+            siblings = leaf_section(base, keys)
             named += [json_path(section), *(json_path((*section, key)) for key in siblings)]
         prefixes = tuple(f"{name}{end}" for name in named for end in ":.[")
         faults = []
         for index, value in enumerate(MUTATION_VALUES):
-            raw = copy.deepcopy(MUTATION_BASE)
+            raw = copy.deepcopy(base)
             leaf_section(raw, keys)[keys[-1]] = value
             try:
                 config = config_from_dict(raw)
