@@ -25,8 +25,9 @@ Learners never see the true payoff matrix, only rewards (and, for the
 optimistic learner, the expert ensemble revealed each episode). Opponents are
 episode-level policies that may read the true game; each commits to one mixed
 strategy per episode (``current_strategy``), and the simulator draws all of
-an episode's columns with ``act_episode`` before play starts. The exposed
-strategies let the simulator compute expectation-form metrics exactly.
+an episode's columns through the learners' ``play_episode``, with no reward,
+before play starts. The exposed strategies let the simulator compute
+expectation-form metrics exactly.
 """
 
 from __future__ import annotations

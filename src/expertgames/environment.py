@@ -11,10 +11,13 @@ game at a time, not the whole horizon's. The environment records the rewards
 it pays, ``M[rows, cols] + noise`` for the rows played; its reward closure
 pays the same floats to a learner that asks within the episode.
 
-``EnvironmentConfig``, ``ThetaSpec`` and ``ExpertSpec`` check every value
-they hold, with messages that start with the JSON key at fault. Each real
-they accept is held as a float, so a config built in Python computes and
-records what its JSON would.
+``EnvironmentConfig``, ``ThetaSpec`` and ``ExpertSpec`` are the schema of
+the ``environment`` section: their fields and defaults are its keys and
+defaults, and a tagged spec's ``KINDS`` its types and each type's keys. They
+check every value they hold, with messages that start with the JSON key at
+fault. Each real they accept is held as a float, so a config built in
+Python computes and records what its JSON would. Both players play an
+episode through ``play_episode``, and the environment checks both alike.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,10 +43,9 @@ PAYOFF_LIMIT = 1e100
 # Standard normal draws are taken to stay within this many standard
 # deviations: a draw beyond it has probability below 1e-340.
 _NORMAL_REACH = 40.0
-# A bound on a trial's arrays, counted as every episode's expert stack and true
-# game and the noise table, all float64 (4.3 MB on the large-game workload). A
-# trial holds the noise table and one episode's stack and game at a time, but
-# also every learner's traces, 24 bytes per round, which this does not count.
+# A bound on what a trial holds: the environment's float64 arrays (the noise
+# table, one episode's expert stack and true game, fixed experts' copy of
+# every stack) and every learner's traces, 24 bytes per round.
 ARRAY_BYTE_BUDGET = 2**30
 
 
@@ -104,6 +107,15 @@ def stray_field(spec, keys) -> str | None:
     return None
 
 
+def kind_problem(spec) -> str | None:
+    """A tagged spec's ``kind`` outside its ``KINDS``, or a field its kind has
+    no key for off its default (``stray_field``), as a message, or None."""
+    kinds = tuple(spec.KINDS)  # a tuple, so an unhashable value is just not in it
+    if spec.kind not in kinds:
+        return f"type: must be one of {kinds}, got {spec.kind!r}"
+    return stray_field(spec, spec.KINDS[spec.kind])
+
+
 @dataclass(frozen=True)
 class ExpertEnsemble:
     """The expert game matrices revealed at the start of one episode.
@@ -146,20 +158,22 @@ class ThetaSpec:
     Gaussian draw (mean * ones, identity covariance) rejection-sampled into
     the norm ball when a bound is given."""
 
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "gaussian": ("mean", "norm_bound"), "fixed": ("values",),
+    }
+
     kind: str = "gaussian"
     values: tuple[float, ...] | None = None
     mean: float = 0.5
     norm_bound: float | None = None
 
     def __post_init__(self):
-        kinds = ("gaussian", "fixed")
-        if self.kind not in kinds:
-            raise ValueError(f"type: must be one of {kinds}, got {self.kind!r}")
-        if self.kind == "fixed":
-            problem = stray_field(self, ("values",)) or type_problem(self, real_lists=("values",))
-        else:  # a norm_bound of None means no ball
-            reals = ("mean",) if self.norm_bound is None else ("mean", "norm_bound")
-            problem = stray_field(self, ("mean", "norm_bound")) or type_problem(self, reals=reals)
+        problem = kind_problem(self)
+        if not problem and self.kind == "fixed":
+            problem = type_problem(self, real_lists=self.KINDS["fixed"])
+        elif not problem:  # a norm_bound of None means no ball
+            reals = ("mean",) if self.norm_bound is None else self.KINDS["gaussian"]
+            problem = type_problem(self, reals=reals)
         if problem:
             raise ValueError(problem)
         if self.norm_bound is not None and not self.norm_bound > 0:
@@ -171,25 +185,27 @@ class ExpertSpec:
     """How expert matrices arise: fresh U[0,1] draws per episode, or a fixed
     per-episode list of numbers in [0, 1]."""
 
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {"uniform": (), "fixed": ("matrices",)}
+
     kind: str = "uniform"
     matrices: tuple | None = None
 
     def __post_init__(self):
-        kinds = ("uniform", "fixed")
-        if self.kind not in kinds:
-            raise ValueError(f"type: must be one of {kinds}, got {self.kind!r}")
-        problem = stray_field(self, ("matrices",) if self.kind == "fixed" else ())
+        problem = kind_problem(self)
         if problem:
             raise ValueError(problem)
         if self.kind == "fixed":
+            if not isinstance(self.matrices, (list, tuple, np.ndarray)):
+                raise ValueError(f"matrices: must be a nested list of numbers, got {self.matrices!r}")
             try:
                 stack = np.asarray(self.matrices)
             except ValueError as exc:  # ragged nesting
                 raise ValueError(f"matrices: {exc}") from exc
             # A bool beside a number would be cast to 0.0/1.0, so look at the leaves too.
-            leaf_types = {type(v) for v in np.asarray(self.matrices, dtype=object).flat}
-            if stack.dtype.kind not in "iuf" or {bool, np.bool_} & leaf_types:
+            if {bool, np.bool_} & {type(v) for v in np.asarray(self.matrices, dtype=object).flat}:
                 raise ValueError("matrices: must be a nested list of numbers, not booleans")
+            if stack.dtype.kind not in "iuf":
+                raise ValueError("matrices: must be a nested list of numbers")
             _unit_entries(stack, "matrices")
 
 
@@ -205,9 +221,10 @@ class EnvironmentConfig:
     n_episodes: int
     rounds_per_episode: int
     noise_variance: float = 0.0
-    theta: ThetaSpec = field(default_factory=ThetaSpec)
+    theta_star: ThetaSpec = field(default_factory=ThetaSpec)
     experts: ExpertSpec = field(default_factory=ExpertSpec)
-    seed: int = 0
+    # Each trial's own, derived from the run's master seed; not a JSON key.
+    seed: int = field(default=0, metadata={"key": False})
 
     def __post_init__(self):
         sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
@@ -220,18 +237,10 @@ class EnvironmentConfig:
                 raise ValueError(f"{name}: must be at least 1, got {value}")
         if self.noise_variance < 0:
             raise ValueError(f"noise_variance: must be nonnegative, got {self.noise_variance}")
-        # In floats, exact far beyond the budget, so huge sizes give inf, not an error.
-        cells = float(self.n_rows) * float(self.n_cols)
-        n_bytes = 8.0 * float(self.n_episodes) * (
-            float(self.n_experts) * cells + cells + float(self.rounds_per_episode)
-        )
-        if n_bytes > ARRAY_BYTE_BUDGET:
-            raise ValueError(
-                f"the arrays take 8 * n_episodes * (n_experts * n_rows * n_cols + n_rows * n_cols "
-                f"+ rounds_per_episode) = {n_bytes:.3g} bytes, beyond the budget of "
-                f"{ARRAY_BYTE_BUDGET} bytes"
-            )
-        theta = self.theta
+        if self.array_bytes > ARRAY_BYTE_BUDGET:
+            raise ValueError(f"a trial's arrays take {self.array_bytes:.3g} bytes, beyond the "
+                             f"budget of {ARRAY_BYTE_BUDGET} bytes")
+        theta = self.theta_star
         if theta.kind == "fixed" and len(theta.values) != self.n_experts:
             raise ValueError(
                 f"theta_star.values: must list {self.n_experts} weights, got {len(theta.values)}"
@@ -245,6 +254,15 @@ class EnvironmentConfig:
                 f"experts.matrices: must have shape {shape} (n_episodes, n_experts, n_rows, "
                 f"n_cols), got {np.shape(self.experts.matrices)}"
             )
+
+    @property
+    def array_bytes(self) -> float:
+        """The bytes of a trial's float64 arrays (``ARRAY_BYTE_BUDGET``), in
+        floats, so huge sizes give inf, not an error."""
+        cells = float(self.n_rows) * float(self.n_cols)
+        stacks = 1.0 + (float(self.n_episodes) if self.experts.kind == "fixed" else 0.0)
+        noise = float(self.n_episodes) * float(self.rounds_per_episode)
+        return 8.0 * (noise + (stacks * float(self.n_experts) + 1.0) * cells)
 
 
 @dataclass
@@ -330,9 +348,12 @@ def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tu
     raise RuntimeError("rejection sampling of the mixing weights did not terminate")
 
 
-def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: str, episode: int):
-    """An episode's drawn actions as an int array; anything but n_rounds legal
-    indices aborts the episode."""
+def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, episode: int,
+                  per_round=False):
+    """A player's ``play_episode`` result as arrays. Anything but n_rounds legal
+    indices drawn from an episode mix (or, ``per_round``, every round's
+    policy) on the simplex aborts the episode."""
+    actions, strategy = play
     actions = np.asarray(actions, dtype=int)
     if actions.shape != (n_rounds,):
         raise SimulationError(
@@ -345,7 +366,20 @@ def _checked_actions(actions, n_rounds: int, n_actions: int, role: str, kind: st
             f"{role} produced {kind} {actions[t]} outside [0, {n_actions}) "
             f"at episode {episode}, round {t + 1}"
         )
-    return actions
+    strategy = np.asarray(strategy, dtype=float)
+    shapes = ((n_actions,), (n_rounds, n_actions)) if per_round else ((n_actions,),)
+    if strategy.shape not in shapes:
+        raise SimulationError(f"{role} exposes no strategy at episode {episode}")
+    # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
+    if not (
+        strategy.min() >= -SIMPLEX_TOL
+        and (np.abs(strategy.sum(axis=-1) - 1.0) <= SUM_TOL).all()
+    ):
+        raise SimulationError(
+            f"{role}'s strategy at episode {episode} is not a probability vector: every "
+            f"entry must be at least {-SIMPLEX_TOL} and each mix must sum to 1 within {SUM_TOL}"
+        )
+    return actions, strategy
 
 
 class Environment:
@@ -363,7 +397,7 @@ class Environment:
         noise_rng = np.random.default_rng(noise_seq)
 
         self.theta_star, self.theta_rejections = _draw_theta(
-            config.theta, config.n_experts, theta_rng
+            config.theta_star, config.n_experts, theta_rng
         )
         # Fixed experts are the config's own values; uniform ones are derived per episode.
         self._fixed_stacks = (
@@ -428,12 +462,9 @@ class Environment:
 
         learner.begin_episode(ensemble)
         opponent.begin_episode(game, learner_previous_strategy)
-        committed = getattr(opponent, "current_strategy", None)
-        if committed is None:
-            raise SimulationError(f"opponent exposes no mixed strategy at episode {episode}")
-        nu = committed.probs
-        cols = _checked_actions(
-            opponent.act_episode(n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode
+        # The opponent needs no reward: it draws every column from its committed mix.
+        cols, nu = _checked_play(
+            opponent.play_episode(None, n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode
         )
 
         # Python floats add exactly like numpy float64 and index faster.
@@ -452,22 +483,12 @@ class Environment:
                 )
             return payoffs[i][col_list[t]] + noise_list[t]
 
-        rows, strategy = learner.play_episode(reward, n_rounds)
-        rows = _checked_actions(rows, n_rounds, n_rows, "learner", "row", episode)
-        strategy = np.asarray(strategy, dtype=float)
-        if strategy.shape not in ((n_rows,), (n_rounds, n_rows)):
-            raise SimulationError(f"learner exposes no strategy at episode {episode}")
+        rows, strategy = _checked_play(
+            learner.play_episode(reward, n_rounds), n_rounds, n_rows, "learner", "row", episode,
+            per_round=True,
+        )
         # The floats the closure pays for the played rows, added in the same order.
         rewards = m[rows, cols] + self.noise[episode]
-        # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
-        if not (
-            strategy.min() >= -SIMPLEX_TOL
-            and (np.abs(strategy.sum(axis=-1) - 1.0) <= SUM_TOL).all()
-        ):
-            raise SimulationError(
-                f"learner's strategy at episode {episode} is not a probability vector: every "
-                f"entry must be at least {-SIMPLEX_TOL} and each mix must sum to 1 within {SUM_TOL}"
-            )
         # An episode mix is the learner's strategy; per-round policies have none.
         mu = strategy if strategy.ndim == 1 else None
         sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, strategy, nu)

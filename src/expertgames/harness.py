@@ -1,9 +1,10 @@
 """Experiment runner: config parsing, multi-trial orchestration, persistence.
 
-The config objects check every value, each under its JSON path; the JSON
-reader only maps JSON onto them (object shapes, unknown and missing keys,
-``type``, an integral float as a count). So a config built in Python is
-refused where its JSON would be, and what it records replays.
+The config dataclasses are the one schema: their fields are the JSON keys,
+their field defaults the keys' defaults, and a tagged spec's ``KINDS`` its
+types and each type's keys. The JSON reader and writer derive theirs from
+them, and the objects check every value, each under its JSON path, so a
+config built in Python is read, refused and recorded as its JSON is.
 
 Seeds are split hierarchically from one master seed: the environment of trial
 n is seeded by (master, n, 0) and each learner/opponent pair by
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,6 +45,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,7 +66,7 @@ from .environment import (
     EpisodeTrace,
     ExpertSpec,
     ThetaSpec,
-    stray_field,
+    kind_problem,
     type_problem,
 )
 from .estimator import EstimatorConfig
@@ -96,19 +99,6 @@ def _build(cls, where: str, **fields):
         raise ConfigError([joined]) from exc
 
 
-def _object(section, where: str) -> dict:
-    """A JSON object; checked before anything else reads the section."""
-    if not isinstance(section, dict):
-        raise ConfigError([f"{where}: must be an object"])
-    return section
-
-
-def _check_kind(kind, where: str, tables: dict) -> None:
-    kinds = tuple(tables)  # a tuple, so an unhashable value is just not in it
-    if kind not in kinds:
-        raise ConfigError([f"{where}.type: must be one of {kinds}, got {kind!r}"])
-
-
 def _check_strategy(strategy, n_actions: int, where: str) -> None:
     """A fixed player's ``n_actions`` probabilities."""
     if len(strategy) != n_actions:
@@ -118,21 +108,21 @@ def _check_strategy(strategy, n_actions: int, where: str) -> None:
     _build(MixedStrategy, f"{where}.strategy", probs=strategy)
 
 
-def _check_keys(spec, where: str, tables: dict) -> None:
+def _check_keys(spec, where: str) -> None:
     """A learner's or the opponent's type, and the keys of that type: any other
     field stays at its default, a fixed player's strategy is a list of reals
     and every other key a real."""
-    _check_kind(spec.kind, where, tables)
-    keys = tuple(tables[spec.kind])
-    numbers = {"real_lists": keys} if spec.kind == "fixed" else {"reals": keys}
-    problem = stray_field(spec, keys) or type_problem(spec, **numbers)
+    problem = kind_problem(spec)
+    if not problem:
+        keys = spec.KINDS[spec.kind]
+        problem = type_problem(spec, **{"real_lists" if spec.kind == "fixed" else "reals": keys})
     if problem:
         raise ConfigError([f"{where}.{problem}"])
 
 
 def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
     """The rules that join a learner of each type to the environment."""
-    _check_keys(spec, where, _LEARNER_KEYS)
+    _check_keys(spec, where)
     if spec.kind == "ofulinmat":
         _build(EstimatorConfig, where, ridge=spec.ridge, param_bound=spec.param_bound,
                delta=spec.delta, n_experts=env.n_experts)
@@ -151,18 +141,30 @@ def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """A learner's type, its output name and the keys of its type. An
-    ofulinmat learner's estimator has one coordinate per expert of the
-    environment it plays."""
+    """A learner's type, its output name (by default its type) and the keys of
+    its type. An ofulinmat learner's estimator has one coordinate per expert
+    of the environment it plays; ``ExperimentConfig`` sets an exp3 learner's
+    bounds left at None to the clip of that environment."""
+
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "ofulinmat": ("ridge", "param_bound", "delta"),
+        "exp3": ("reward_min", "reward_max"),
+        "fixed": ("strategy",),
+        "uniform": (),
+    }
 
     kind: str
-    name: str
-    ridge: float | None = None
-    param_bound: float | None = None
-    delta: float | None = None
+    name: str | None = None
+    ridge: float = 0.1
+    param_bound: float = 3.0
+    delta: float = 3e-3
     reward_min: float | None = None
     reward_max: float | None = None
     strategy: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.name is None:
+            object.__setattr__(self, "name", self.kind)
 
     def build(self, env: EnvironmentConfig, seed):
         """The learner of a trial of ``env``, drawing from ``seed``."""
@@ -180,6 +182,10 @@ class LearnerSpec:
 
 @dataclass(frozen=True)
 class OpponentSpec:
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "saddle_oracle": (), "uniform": (), "best_responder": (), "fixed": ("strategy",),
+    }
+
     kind: str
     strategy: tuple[float, ...] | None = None
 
@@ -191,6 +197,13 @@ class OpponentSpec:
         if self.kind == "best_responder":
             return BestResponderOpponent(seed=seed)
         return FixedOpponent(np.asarray(self.strategy), seed=seed)
+
+
+def _exp3_clip(spec: LearnerSpec, env: EnvironmentConfig) -> LearnerSpec:
+    """``spec``, whose exp3 bounds left at None become -/+ 3 * sqrt(n_experts) * n_experts."""
+    clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
+    bounds = {"reward_min": -clip, "reward_max": clip} if spec.kind == "exp3" else {}
+    return dataclasses.replace(spec, **{k: v for k, v in bounds.items() if getattr(spec, k) is None})
 
 
 @dataclass(frozen=True)
@@ -219,18 +232,25 @@ class ExperimentConfig:
             raise ConfigError([f"output_format: must be one of {formats}"])
         if not self.learners:
             raise ConfigError(["learners: at least one learner is required"])
+        env = self.environment
+        # The manifest records the clip, so it replays without this step.
+        object.__setattr__(self, "learners", tuple(_exp3_clip(spec, env) for spec in self.learners))
         # The aggregate stacks each learner's report columns (17 values per
         # episode, plus one) over all trials into one float64 array.
-        rows = series_count(self.environment.n_episodes)
+        rows = series_count(env.n_episodes)
         max_trials = ARRAY_BYTE_BUDGET // (8 * len(self.learners) * rows)
         if self.trials > max_trials:
             raise ConfigError(
                 [f"trials: must be at most {max_trials}, so that the aggregate's 8 * trials * "
                  f"len(learners) * (17 * n_episodes + 1) bytes stay within {ARRAY_BYTE_BUDGET}"]
             )
+        if self.trial_bytes > ARRAY_BYTE_BUDGET:
+            raise ConfigError([f"learners: a trial's arrays and {len(self.learners)} learners' "
+                               f"traces take {self.trial_bytes:.3g} bytes, beyond the budget "
+                               f"of {ARRAY_BYTE_BUDGET} bytes"])
         names = [spec.name for spec in self.learners]
         for index, name in enumerate(names):
-            _check_learner(self.learners[index], f"learners[{index}]", self.environment)
+            _check_learner(self.learners[index], f"learners[{index}]", env)
             where = f"learners[{index}].name"
             if not isinstance(name, str) or not _LEARNER_NAME.fullmatch(name):
                 raise ConfigError([f"{where}: must be letters, digits, '_' or '-', got {name!r}"])
@@ -239,20 +259,17 @@ class ExperimentConfig:
                     [f"{where}: names must be unique, {name!r} is also "
                      f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
                 )
-        _check_keys(self.opponent, "opponent", _OPPONENT_KEYS)
+        _check_keys(self.opponent, "opponent")
         if self.opponent.kind == "fixed":
-            _check_strategy(self.opponent.strategy, self.environment.n_cols, "opponent")
+            _check_strategy(self.opponent.strategy, env.n_cols, "opponent")
 
-
-# The paper's case study, where it differs from the parser's defaults.
-_CASE_STUDY = {
-    "environment": {
-        "n_rows": 10, "n_cols": 10, "n_experts": 10, "n_episodes": 15, "rounds_per_episode": 200,
-        "noise_variance": 0.5, "theta_star": {"mean": 0.5, "norm_bound": 3.0},
-    },
-    "learners": [{"type": "ofulinmat"}, {"type": "exp3"}],
-    "opponent": {"type": "saddle_oracle"},
-}
+    @property
+    def trial_bytes(self) -> float:
+        """The bytes a trial holds: the environment's arrays, and each learner's
+        traces, whose rows, columns and rewards take 24 bytes per round."""
+        env = self.environment
+        traces = 24.0 * float(env.n_episodes) * float(env.rounds_per_episode)
+        return env.array_bytes + traces * len(self.learners)
 
 
 def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentConfig:
@@ -261,11 +278,28 @@ def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentCo
     rejected into the norm-3 ball, the optimistic learner and the
     adversarial-bandit baseline, both against the saddle-point oracle
     opponent."""
-    return config_from_dict(dict(_CASE_STUDY, trials=trials, master_seed=master_seed))
+    env = EnvironmentConfig(n_rows=10, n_cols=10, n_experts=10, n_episodes=15,
+                            rounds_per_episode=200, noise_variance=0.5,
+                            theta_star=ThetaSpec(norm_bound=3.0))
+    return ExperimentConfig(env, (LearnerSpec("ofulinmat"), LearnerSpec("exp3")),
+                            OpponentSpec("saddle_oracle"), trials=trials, master_seed=master_seed)
 
 
 # ---------------------------------------------------------------------------
 # Config (de)serialization
+
+
+def _keys(cls, kind) -> dict:
+    """The JSON keys of ``cls``'s fields of type ``kind``: every field but one
+    marked ``key: False``, ``kind`` as ``type``; a tagged spec's ``KINDS``
+    drops the keys of its other types. An unknown type keeps every field, so
+    that its object names the type at fault."""
+    found = [f for f in dataclasses.fields(cls) if f.metadata.get("key", True)]
+    kinds = getattr(cls, "KINDS", {})
+    if kind in tuple(kinds):  # a tuple, so an unhashable value is just not in it
+        owned = {key for keys in kinds.values() for key in keys}
+        found = [f for f in found if f.name in kinds[kind] or f.name not in owned]
+    return {"type" if f.name == "kind" else f.name: f for f in found}
 
 
 def _integer(value, where: str):
@@ -278,95 +312,73 @@ def _matrix_list(value, where: str):
     return tuple(value) if isinstance(value, list) else value
 
 
-# Each config object's keys, as {key: default}; a tagged object has one table
-# per "type". An absent key takes its default, and one marked _REQUIRED must be
-# present. A JSON value reaches its object as read, or through its key's
-# reader in _READERS (below); the object checks it.
-_REQUIRED = object()
-_THETA_KEYS = {"gaussian": {"mean": 0.5, "norm_bound": None}, "fixed": {"values": _REQUIRED}}
-_EXPERT_KEYS = {"uniform": {}, "fixed": {"matrices": _REQUIRED}}
-# Exp3's absent bounds become -/+ 3 * sqrt(n_experts) * n_experts once the
-# environment is read.
-_LEARNER_KEYS = {
-    "ofulinmat": {"ridge": 0.1, "param_bound": 3.0, "delta": 3e-3},
-    "exp3": {"reward_min": None, "reward_max": None},
-    "fixed": {"strategy": _REQUIRED},
-    "uniform": {},
-}
-_OPPONENT_KEYS = {"saddle_oracle": {}, "uniform": {}, "best_responder": {},
-                  "fixed": {"strategy": _REQUIRED}}
-
-
-def _read(section, where: str, keys: dict, other=()) -> dict:
-    """Each key of ``keys`` read from the JSON object ``section``, or its
-    default; ``other`` keys are left to the caller. ``where`` is the object's
-    JSON path, empty for the config itself, whose keys are sections."""
+def _read(section, where: str, cls):
+    """``cls`` built from the JSON object ``section``, whose ``type`` (or its
+    default) picks its keys. An absent key takes its field's default; one
+    without is missing. ``where`` is the object's JSON path, empty for the
+    config itself, whose keys are sections. A JSON value reaches its object as
+    read, or through its key's reader; the object checks it."""
     name = where or "config"
-    unknown = sorted(set(_object(section, name)) - set(keys) - set(other))
+    if not isinstance(section, dict):
+        raise ConfigError([f"{name}: must be an object"])
+    # A dataclass holds a field's default as a class attribute: the default type.
+    keys = _keys(cls, section.get("type", getattr(cls, "kind", None)))
+    unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError([f"{name}: unknown key {key!r}" for key in unknown])
-    missing = [key for key, default in keys.items() if default is _REQUIRED and key not in section]
+    missing = [key for key, f in keys.items() if key not in section
+               and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
     if missing:
         noun = "key" if where else "section"
         raise ConfigError([f"{name}: missing {noun} {key!r}" for key in missing])
-    fields = {key: section.get(key, default) for key, default in keys.items()}
-    for key in keys:
-        if key in section and key in _READERS:
-            fields[key] = _READERS[key](section[key], f"{where}.{key}" if where else key)
-    return fields
+    fields = {}
+    for key, f in keys.items():
+        if key in section:
+            reader = _READERS.get(key, _integer if f.type == "int" else None)
+            path = f"{where}.{key}" if where else key
+            fields[f.name] = reader(section[key], path) if reader else section[key]
+    return _build(cls, where, **fields) if where else cls(**fields)
 
 
-def _read_tagged(section, where: str, tables: dict, default=_REQUIRED, other=()) -> dict:
-    """``_read`` of the table that the object's ``type`` picks, as ``kind``."""
-    kind = _object(section, where).get("type", default)
-    if kind is _REQUIRED:
-        raise ConfigError([f"{where}: missing key 'type'"])
-    _check_kind(kind, where, tables)
-    return {"kind": kind, **_read(section, where, tables[kind], ("type", *other))}
+def _learner_list(sections, where: str) -> tuple:
+    """The learner objects of the JSON list ``sections``."""
+    if not isinstance(sections, list) or not sections:
+        raise ConfigError([f"{where}: must be a non-empty list"])
+    return tuple(_read(section, f"{where}[{i}]", LearnerSpec) for i, section in enumerate(sections))
 
 
-def _tagged(cls, tables: dict, default=_REQUIRED):
-    """The reader of a tagged object that builds ``cls``."""
-    return lambda section, where: _build(cls, where, **_read_tagged(section, where, tables, default))
+# The reader of each key whose JSON value is neither passed on as read nor a
+# count (a field annotated ``int``).
+_READERS = {
+    "matrices": _matrix_list,
+    "theta_star": functools.partial(_read, cls=ThetaSpec),
+    "experts": functools.partial(_read, cls=ExpertSpec),
+    "environment": functools.partial(_read, cls=EnvironmentConfig),
+    "learners": _learner_list,
+    "opponent": functools.partial(_read, cls=OpponentSpec),
+}
 
 
-def _tagged_dict(spec, tables: dict) -> dict:
-    """A tagged spec's ``type`` and its table's keys that are not None."""
-    entry = {"type": spec.kind}
-    for key in tables[spec.kind]:
-        value = getattr(spec, key)
+def config_from_dict(raw: dict) -> ExperimentConfig:
+    return _read(raw, "", ExperimentConfig)
+
+
+def config_to_dict(config) -> dict:
+    """A config object as JSON: each of its keys (``_keys``) whose value is
+    not None, a nested config object as its own dict and an array or a tuple
+    of numbers as a list."""
+    entry = {}
+    for key, f in _keys(type(config), getattr(config, "kind", None)).items():
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        elif f.name == "learners":
+            value = [config_to_dict(spec) for spec in value]
+        elif np.ndim(value):
+            value = np.asarray(value).tolist()
         if value is not None:
-            entry[key] = np.asarray(value).tolist() if np.ndim(value) else value
+            entry[key] = value
     return entry
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    env = config.environment
-    return {
-        "environment": {
-            **{key: getattr(env, key) for key in (*_SIZES, "noise_variance")},
-            "theta_star": _tagged_dict(env.theta, _THETA_KEYS),
-            "experts": _tagged_dict(env.experts, _EXPERT_KEYS),
-        },
-        "learners": [
-            {"name": spec.name, **_tagged_dict(spec, _LEARNER_KEYS)} for spec in config.learners
-        ],
-        "opponent": _tagged_dict(config.opponent, _OPPONENT_KEYS),
-        "trials": config.trials,
-        "master_seed": config.master_seed,
-        "output_format": config.output_format,
-    }
-
-
-_SIZES = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
-_ENVIRONMENT_KEYS = {**dict.fromkeys(_SIZES, _REQUIRED), "noise_variance": 0.0,
-                     "theta_star": ThetaSpec(), "experts": ExpertSpec()}
-
-
-def _environment(section, where: str) -> EnvironmentConfig:
-    fields = _read(section, where, _ENVIRONMENT_KEYS)
-    fields["theta"] = fields.pop("theta_star")
-    return _build(EnvironmentConfig, where, **fields)
 
 
 def ridge_floor(env: EnvironmentConfig) -> float:
@@ -382,47 +394,6 @@ def ridge_floor(env: EnvironmentConfig) -> float:
     """
     d = float(env.n_experts)
     return d * d * float(env.n_episodes) * float(env.rounds_per_episode) * 2.0**-52
-
-
-def _learner(section, where: str, env: EnvironmentConfig) -> LearnerSpec:
-    fields = _read_tagged(section, where, _LEARNER_KEYS, other=("name",))
-    fields["name"] = section.get("name", fields["kind"])
-    if fields["kind"] == "exp3":
-        clip = 3.0 * math.sqrt(env.n_experts) * env.n_experts
-        for key, bound in (("reward_min", -clip), ("reward_max", clip)):
-            if key not in section:
-                fields[key] = bound
-    return LearnerSpec(**fields)
-
-
-def _learner_list(sections, where: str) -> list:
-    """The learner objects, which ``_learner`` reads once the environment is known."""
-    if not isinstance(sections, list) or not sections:
-        raise ConfigError([f"{where}: must be a non-empty list"])
-    return sections
-
-
-_CONFIG_KEYS = {"environment": _REQUIRED, "learners": _REQUIRED, "opponent": _REQUIRED,
-                "trials": 1, "master_seed": 0, "output_format": "csv"}
-# The reader of each key whose JSON value is not passed on as read.
-_READERS = {
-    **dict.fromkeys((*_SIZES, "trials", "master_seed"), _integer),
-    "matrices": _matrix_list,
-    "theta_star": _tagged(ThetaSpec, _THETA_KEYS, "gaussian"),
-    "experts": _tagged(ExpertSpec, _EXPERT_KEYS, "uniform"),
-    "environment": _environment,
-    "learners": _learner_list,
-    "opponent": _tagged(OpponentSpec, _OPPONENT_KEYS),
-}
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    fields = _read(raw, "", _CONFIG_KEYS)
-    fields["learners"] = tuple(
-        _learner(section, f"learners[{i}]", fields["environment"])
-        for i, section in enumerate(fields["learners"])
-    )
-    return ExperimentConfig(**fields)
 
 
 def _load_json(path):

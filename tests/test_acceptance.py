@@ -52,7 +52,7 @@ def _scaling_config(n_episodes: int) -> ExperimentConfig:
             n_episodes=n_episodes,
             rounds_per_episode=100,
             noise_variance=0.5,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
             experts=ExpertSpec(kind="uniform"),
         ),
         learners=(
@@ -272,7 +272,7 @@ def test_criterion_8_manifest_replay_determinism(tmp_path):
             n_episodes=3,
             rounds_per_episode=25,
             noise_variance=0.5,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
             experts=ExpertSpec(kind="uniform"),
         ),
         learners=(

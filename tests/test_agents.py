@@ -200,7 +200,7 @@ class TestStrategyConstantWithinEpisode:
                 n_episodes=3,
                 rounds_per_episode=50,
                 noise_variance=0.5,
-                theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
+                theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
                 experts=ExpertSpec(kind="uniform"),
                 seed=12,
             )

@@ -36,7 +36,7 @@ def config(**overrides):
         n_episodes=4,
         rounds_per_episode=5,
         noise_variance=0.0,
-        theta=ThetaSpec(kind="fixed", values=(1.0, 0.0)),
+        theta_star=ThetaSpec(kind="fixed", values=(1.0, 0.0)),
         experts=ExpertSpec(kind="uniform"),
         seed=0,
     )
@@ -77,7 +77,7 @@ class TestGroundTruth:
             assert np.array_equal(episode_game(env, k).entries, first_expert)
 
     def test_zero_theta_gives_zero_game(self):
-        env = Environment(config(theta=ThetaSpec(kind="fixed", values=(0.0, 0.0))))
+        env = Environment(config(theta_star=ThetaSpec(kind="fixed", values=(0.0, 0.0))))
         for k in range(4):
             assert np.all(episode_game(env, k).entries == 0.0)
             assert abs(episode_saddle(env, k).value) < 1e-9
@@ -88,7 +88,7 @@ class TestGroundTruth:
             n_cols=10,
             n_experts=10,
             n_episodes=3,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
             seed=7,
         )
         env = Environment(cfg)
@@ -106,7 +106,7 @@ class TestGroundTruth:
         for seed in range(5):
             cfg = config(
                 n_experts=10,
-                theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
+                theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
                 seed=seed,
             )
             env = Environment(cfg)
@@ -115,7 +115,7 @@ class TestGroundTruth:
 
     def test_fixed_theta_length_check(self):
         with pytest.raises(ValueError):
-            Environment(config(theta=ThetaSpec(kind="fixed", values=(1.0, 0.0, 0.0))))
+            Environment(config(theta_star=ThetaSpec(kind="fixed", values=(1.0, 0.0, 0.0))))
 
     def test_fixed_expert_list_shape_check(self):
         bad = np.zeros((3, 2, 3, 3))  # 3 episodes, config wants 4
@@ -149,7 +149,7 @@ class TestGroundTruth:
             n_cols=cols,
             n_experts=n_experts,
             n_episodes=5,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
             seed=[4, 1, 0],
         )
         env = Environment(cfg)
@@ -171,7 +171,7 @@ class TestGroundTruth:
 
     def test_a_trial_holds_one_episode_of_experts(self):
         # One stack is 288,000 bytes; the whole horizon's stacks take 5.76 MB.
-        cfg = config(n_rows=60, n_cols=60, n_experts=10, n_episodes=20, theta=ThetaSpec())
+        cfg = config(n_rows=60, n_cols=60, n_experts=10, n_episodes=20, theta_star=ThetaSpec())
         stack_bytes = 8 * 10 * 60 * 60
         episode_game(Environment(cfg), 0)  # imports numpy.random, which numpy loads lazily
         tracemalloc.start()

@@ -3,7 +3,9 @@ import copy
 import dataclasses
 import filecmp
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -51,7 +53,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
             n_episodes=2,
             rounds_per_episode=10,
             noise_variance=0.5,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
             experts=ExpertSpec(kind="uniform"),
         ),
         learners=(
@@ -153,7 +155,7 @@ def environment_config(section: dict) -> EnvironmentConfig:
     return EnvironmentConfig(
         **{key: int(section[key]) for key in sizes},
         noise_variance=section.get("noise_variance", 0.0),
-        theta=ThetaSpec(kind=theta.pop("type", "gaussian"), **theta),
+        theta_star=ThetaSpec(kind=theta.pop("type", "gaussian"), **theta),
         experts=ExpertSpec(kind=experts.pop("type", "uniform"), **experts),
     )
 
@@ -255,24 +257,24 @@ def json_path(keys) -> str:
 
 
 # Every type of each tagged object of MUTATION_BASE, with every key of its
-# type written out: JSON path -> (the parser's tables, {type: object}).
+# type written out: JSON path -> (the spec's KINDS, {type: object}).
 TAGGED_OBJECTS = {
-    ("environment", "theta_star"): (harness._THETA_KEYS, {
+    ("environment", "theta_star"): (ThetaSpec.KINDS, {
         "gaussian": {"type": "gaussian", "mean": -0.25, "norm_bound": 2.0},
         "fixed": {"type": "fixed", "values": [0.7, -0.2]},
     }),
-    ("environment", "experts"): (harness._EXPERT_KEYS, {
+    ("environment", "experts"): (ExpertSpec.KINDS, {
         "uniform": {"type": "uniform"},
         "fixed": {"type": "fixed", "matrices": fixed_experts((2, 2, 3, 3), last=0.75)},
     }),
-    ("learners", 0): (harness._LEARNER_KEYS, {
+    ("learners", 0): (LearnerSpec.KINDS, {
         "ofulinmat": {"type": "ofulinmat", "name": "case", "ridge": 0.5, "param_bound": 2.5,
                       "delta": 0.05},
         "exp3": {"type": "exp3", "name": "case", "reward_min": -2.0, "reward_max": 3.5},
         "fixed": {"type": "fixed", "name": "case", "strategy": [0.1, 0.0, 0.9]},
         "uniform": {"type": "uniform", "name": "case"},
     }),
-    ("opponent",): (harness._OPPONENT_KEYS, {
+    ("opponent",): (OpponentSpec.KINDS, {
         "saddle_oracle": {"type": "saddle_oracle"},
         "uniform": {"type": "uniform"},
         "best_responder": {"type": "best_responder"},
@@ -309,10 +311,10 @@ JOINT_RULE_CASES = {
         )),
         lambda raw: raw["learners"][0].update(ridge=1e-300),
     ),
-    "exp3-without-bounds": (
-        "learners[1].reward_min",
-        lambda: replace_learner(1, LearnerSpec(kind="exp3", name="exp3")),
-        lambda raw: raw["learners"][1].update(reward_min=None, reward_max=None),
+    "exp3-bounds-reversed": (
+        "learners[1]",
+        lambda: replace_learner(1, LearnerSpec(kind="exp3", reward_min=1.0, reward_max=-1.0)),
+        lambda raw: raw["learners"][1].update(reward_min=1.0, reward_max=-1.0),
     ),
     "unknown-learner-type": (
         "learners[1].type",
@@ -321,7 +323,7 @@ JOINT_RULE_CASES = {
     ),
     "ofulinmat-without-estimator": (
         "learners[0].ridge",
-        lambda: replace_learner(0, LearnerSpec(kind="ofulinmat", name="ofulinmat")),
+        lambda: replace_learner(0, LearnerSpec(kind="ofulinmat", ridge=None)),
         lambda raw: raw["learners"][0].update(ridge=None),
     ),
     "short-opponent-strategy": (
@@ -436,9 +438,28 @@ class TestConfigRoundTrip:
         config = default_paper_config()
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_paper_default_is_its_sizes_and_types(self):
+        # Every other value is a field default: the learners' estimator and
+        # clip, the Gaussian mean, uniform experts, the seed and the format.
+        env = EnvironmentConfig(n_rows=10, n_cols=10, n_experts=10, n_episodes=15,
+                                rounds_per_episode=200, noise_variance=0.5,
+                                theta_star=ThetaSpec(norm_bound=3.0))
+        built = ExperimentConfig(env, (LearnerSpec("ofulinmat"), LearnerSpec("exp3")),
+                                 OpponentSpec("saddle_oracle"), trials=20)
+        section = {key: getattr(env, key) for key in
+                   ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode",
+                    "noise_variance")}
+        read = config_from_dict({
+            "environment": {**section, "theta_star": {"norm_bound": 3.0}},
+            "learners": [{"type": "ofulinmat"}, {"type": "exp3"}],
+            "opponent": {"type": "saddle_oracle"},
+            "trials": 20,
+        })
+        assert built == read == default_paper_config()
+
     def test_paper_default_theta_ball_is_reachable(self):
         env = default_paper_config().environment
-        check_theta_reachable(env.theta.mean, env.theta.norm_bound, env.n_experts)
+        check_theta_reachable(env.theta_star.mean, env.theta_star.norm_bound, env.n_experts)
 
     def test_paper_default_fields(self):
         config = default_paper_config()
@@ -448,7 +469,7 @@ class TestConfigRoundTrip:
         assert env.n_rows == env.n_cols == 10
         assert env.n_experts == 10
         assert env.noise_variance == 0.5
-        assert env.theta.norm_bound == 3.0
+        assert env.theta_star.norm_bound == 3.0
         ofu = config.learners[0]
         assert ofu.ridge == 0.1
         assert ofu.delta == 3e-3
@@ -588,11 +609,41 @@ class TestConfigRoundTrip:
         assert replayed == config
         assert json.dumps(config_to_dict(replayed), sort_keys=True) == recorded
 
+    @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
+                             ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
+    def test_a_spec_of_its_type_alone_equals_its_json(self, keys, kind):
+        # Every absent key takes its field's default, in both forms; a fixed
+        # type also needs its list, which has none.
+        entry = {key: value for key, value in TAGGED_OBJECTS[keys][1][kind].items()
+                 if key in ("type", "values", "matrices", "strategy")}
+        raw = copy.deepcopy(MUTATION_BASE)
+        if keys[0] == "learners":
+            raw["learners"] = [entry]  # a learner named after its type, as no other is
+        else:
+            leaf_section(raw, keys)[keys[-1]] = entry
+        assert python_config(copy.deepcopy(raw)) == config_from_dict(raw)
+
+    def test_exp3_bounds_left_at_none_are_the_clip(self, tmp_path):
+        # -/+ 3 * sqrt(n_experts) * n_experts, set by the config and recorded,
+        # so the manifest replays without the rule.
+        clip = 3.0 * math.sqrt(2) * 2
+        config = tiny_config(**replace_learner(1, LearnerSpec("exp3", reward_max=4.0)))
+        assert (config.learners[1].reward_min, config.learners[1].reward_max) == (-clip, 4.0)
+        raw = config_to_dict(tiny_config())
+        raw["learners"][1].update(reward_min=None, reward_max=4.0)
+        assert config_from_dict(raw) == config
+        del raw["learners"][1]["reward_min"]
+        assert config_from_dict(raw) == config
+        run_experiment(config, tmp_path / "run")
+        manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+        assert manifest["config"]["learners"][1]["reward_min"] == -clip
+        assert load_manifest_config(tmp_path / "run/manifest.json") == config
+
     def test_int_reals_are_held_as_floats(self):
         theta = ThetaSpec(mean=1, norm_bound=10**200)
         assert (type(theta.mean), type(theta.norm_bound)) == (float, float)
         assert theta.norm_bound == 1e200
-        env = dataclasses.replace(tiny_config().environment, noise_variance=1, theta=theta)
+        env = dataclasses.replace(tiny_config().environment, noise_variance=1, theta_star=theta)
         config = tiny_config(environment=env, **replace_learner(0, LearnerSpec(
             kind="ofulinmat", name="ofulinmat", ridge=1, param_bound=2, delta=0.01)))
         ofu = config.learners[0]
@@ -608,9 +659,29 @@ class TestConfigRoundTrip:
             config_from_dict(raw)
         with pytest.raises(ValueError) as direct:
             cls("bogus")
-        kinds = tuple(harness._THETA_KEYS if cls is ThetaSpec else harness._EXPERT_KEYS)
+        kinds = tuple(cls.KINDS)
         assert str(direct.value) == f"type: must be one of {kinds}, got 'bogus'"
         assert parsed.value.problems == [f"environment.{section}.{direct.value}"]
+
+    @pytest.mark.parametrize(
+        "matrices, problem",
+        [
+            (None, "must be a nested list of numbers, got None"),
+            ("x", "must be a nested list of numbers, got 'x'"),
+            (0, "must be a nested list of numbers, got 0"),
+            ([[[["0.5"]]]], "must be a nested list of numbers"),
+            ([[[[0.5, True]]]], "must be a nested list of numbers, not booleans"),
+        ],
+        ids=["null", "string", "zero", "string-leaf", "bool-leaf"],
+    )
+    def test_fixed_matrices_that_are_not_numbers_are_named(self, matrices, problem):
+        raw = config_to_dict(tiny_config())
+        raw["environment"]["experts"] = {"type": "fixed", "matrices": matrices}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == [f"environment.experts.matrices: {problem}"]
+        with pytest.raises(ValueError, match=f"^matrices: {re.escape(problem)}$"):
+            ExpertSpec("fixed", matrices)
 
     @pytest.mark.parametrize("keys, kind", ROUND_TRIP_CASES,
                              ids=[f"{json_path(keys)}-{kind}" for keys, kind in ROUND_TRIP_CASES])
@@ -631,14 +702,21 @@ class TestConfigRoundTrip:
             "opponent.type: must be one of ('saddle_oracle', 'uniform', 'best_responder', "
             "'fixed'), got 'oracle'"
         ]
+        raw["opponent"] = {"strategy": [1.0, 0.0, 0.0]}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == ["opponent: missing key 'type'"]
+        # A fixed type's list has no default: its absence is refused at its leaf.
         raw["opponent"] = {"type": "fixed"}
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
-        assert info.value.problems == ["opponent: missing key 'strategy'"]
+        assert info.value.problems == ["opponent.strategy: must be a list of numbers, got None"]
         raw["environment"]["theta_star"] = {"type": "fixed"}
         with pytest.raises(ConfigError) as info:
             config_from_dict(raw)
-        assert info.value.problems == ["environment.theta_star: missing key 'values'"]
+        assert info.value.problems == [
+            "environment.theta_star.values: must be a list of numbers, got None"
+        ]
 
     def test_master_seed_checked_on_direct_construction(self):
         with pytest.raises(ConfigError, match="^master_seed: must be nonnegative, got -1$"):
@@ -667,6 +745,42 @@ class TestConfigRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+
+class TestByteBudget:
+    @staticmethod
+    def two_uniform_learners(rounds: int) -> ExperimentConfig:
+        env = EnvironmentConfig(n_rows=2, n_cols=2, n_experts=2, n_episodes=2,
+                                rounds_per_episode=rounds)
+        return ExperimentConfig(env, (LearnerSpec("uniform", "a"), LearnerSpec("uniform", "b")),
+                                OpponentSpec("uniform"))
+
+    def test_the_charge_covers_what_a_trial_holds(self):
+        # A finished trial of 2 x 200k rounds held 19.2 MB of traces
+        # (tracemalloc), which the environment's arrays alone, 3.2 MB, undercount.
+        assert self.two_uniform_learners(200_000).trial_bytes >= 19.2e6
+        config = self.two_uniform_learners(20_000)
+        run_trial(config, 0)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            result = run_trial(config, 0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result["learners"]["a"]["traces"]
+        assert held <= config.trial_bytes, (held, config.trial_bytes)
+
+    def test_a_trial_is_charged_one_episodes_experts(self):
+        # Charged for every episode's stack, 1.27e9 bytes, this was refused.
+        env = EnvironmentConfig(n_rows=60, n_cols=60, n_experts=10, n_episodes=4000,
+                                rounds_per_episode=20)
+        config = ExperimentConfig(env, (LearnerSpec("ofulinmat"), LearnerSpec("exp3")),
+                                  OpponentSpec("saddle_oracle"))
+        assert config.trial_bytes == env.array_bytes + 24 * 4000 * 20 * 2
+        assert env.array_bytes == 8 * (4000 * 20 + 11 * 3600)
+        fixed = dataclasses.replace(env, n_episodes=1, experts=ExpertSpec(
+            "fixed", matrices=np.full((1, 10, 60, 60), 0.5)))
+        assert fixed.array_bytes == 8 * (20 + 21 * 3600)  # with the copy of the stack
 
 
 class TestConfigMutations:
@@ -715,7 +829,7 @@ class TestRunExperiment:
                 n_episodes=1,
                 rounds_per_episode=1,
                 noise_variance=0.0,
-                theta=ThetaSpec(kind="fixed", values=(1.0,)),
+                theta_star=ThetaSpec(kind="fixed", values=(1.0,)),
                 experts=ExpertSpec(kind="fixed", matrices=tuple(expert)),
             ),
             learners=(LearnerSpec(kind="fixed", name="fixed", strategy=(0.0, 1.0)),),
@@ -1123,6 +1237,11 @@ class TestCli:
             ("learners[0].param_bound", lambda raw: raw["learners"][0].update(ridge=1e308)),
             ("learners[0].ridge", lambda raw: raw["learners"][0].update(ridge=1e-300)),
             ("learners[0].ridge", lambda raw: paper_with_ridge(raw, 1e-15)),
+            # Two learners' traces take 96 bytes per round of the two episodes.
+            (
+                "learners",
+                lambda raw: raw["environment"].update(rounds_per_episode=12_000_000),
+            ),
             *ENVIRONMENT_RULE_CASES.values(),
         ],
         ids=[
@@ -1157,6 +1276,7 @@ class TestCli:
             "overflowing-radius-ridge",
             "ridge-below-floor",
             "paper-ridge-below-floor",
+            "traces-beyond-budget",
             *ENVIRONMENT_RULE_CASES,
         ],
     )

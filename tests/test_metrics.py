@@ -107,7 +107,7 @@ def small_env(seed=0, episodes=4, rounds=30):
             n_episodes=episodes,
             rounds_per_episode=rounds,
             noise_variance=0.25,
-            theta=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
+            theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
             experts=ExpertSpec(kind="uniform"),
             seed=seed,
         )
