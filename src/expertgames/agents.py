@@ -57,16 +57,13 @@ class _EpisodeStrategyPlayer:
     rng: np.random.Generator
     current_strategy: MixedStrategy | None
 
-    def act_episode(self, n_rounds: int) -> np.ndarray:
-        """Draw all of an episode's actions from the committed strategy."""
-        if self.current_strategy is None:
-            raise AgentProtocolError(f"{type(self).__name__}: act_episode before begin_episode()")
-        return self.current_strategy.sample_many(self.rng, n_rounds)
-
     def play_episode(self, reward, n_rounds: int):
-        """Draw the episode's rows; a committed mix needs no reward within the
-        episode. Returns the rows and the episode mix."""
-        return self.act_episode(n_rounds), self.current_strategy.probs
+        """Draw all of the episode's actions from the committed strategy; a
+        committed mix needs no reward within the episode. Returns the actions
+        and the episode mix."""
+        if self.current_strategy is None:
+            raise AgentProtocolError(f"{type(self).__name__}: play_episode before begin_episode()")
+        return self.current_strategy.sample_many(self.rng, n_rounds), self.current_strategy.probs
 
 
 class OFULinMatAgent(_EpisodeStrategyPlayer):

@@ -127,8 +127,13 @@ def _cmd_plot_data(args) -> int:
     if series is not None and any(not name for name in series):
         print("error: empty series name in --series", file=sys.stderr)
         return 1
+    run = Path(args.run)
+    out = Path(args.out) if args.out else run / "plot"
+    if out.resolve() == (run / "aggregate").resolve():
+        print(f"error: --out {out} is the run's aggregate directory, its input", file=sys.stderr)
+        return 1
     try:
-        tables = read_plot_tables(args.run, series)
+        tables = read_plot_tables(run, series)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -136,7 +141,6 @@ def _cmd_plot_data(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     # Checked only after the run is read, so a refused run gets no directory.
-    out = Path(args.out) if args.out else Path(args.run) / "plot"
     _check_writable(out)
     for path in write_plot_tables(tables, out):
         print(path)

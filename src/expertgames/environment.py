@@ -7,9 +7,10 @@ reward noise is pre-drawn indexed by (episode, round): two learners replayed
 on the same environment see identical noise even when they choose different
 actions. An episode's expert stack is derived from (expert stream, episode)
 when the episode is revealed, so a trial holds one episode's stack and true
-game at a time, not the whole horizon's. The environment records the rewards
-it pays, ``M[rows, cols] + noise`` for the rows played; its reward closure
-pays the same floats to a learner that asks within the episode.
+game at a time, not the whole horizon's; fixed experts are the config's own
+array, read without a copy. The environment records the rewards it pays,
+``M[rows, cols] + noise`` for the rows played; its reward closure pays the
+same floats to a learner that asks within the episode.
 
 ``EnvironmentConfig``, ``ThetaSpec`` and ``ExpertSpec`` are the schema of
 the ``environment`` section: their fields and defaults are its keys and
@@ -44,8 +45,9 @@ PAYOFF_LIMIT = 1e100
 # deviations: a draw beyond it has probability below 1e-340.
 _NORMAL_REACH = 40.0
 # A bound on what a trial holds: the environment's float64 arrays (the noise
-# table, one episode's expert stack and true game, fixed experts' copy of
-# every stack) and every learner's traces, 24 bytes per round.
+# table, one episode's expert stack and true game, and fixed experts' array of
+# every stack, which the config holds and every trial shares) and every
+# learner's traces, 24 bytes per round.
 ARRAY_BYTE_BUDGET = 2**30
 
 
@@ -183,12 +185,13 @@ class ThetaSpec:
 @dataclass(frozen=True)
 class ExpertSpec:
     """How expert matrices arise: fresh U[0,1] draws per episode, or a fixed
-    per-episode list of numbers in [0, 1]."""
+    per-episode list of numbers in [0, 1], held as one read-only float64
+    array that every trial reads; equality compares its values."""
 
     KINDS: ClassVar[dict[str, tuple[str, ...]]] = {"uniform": (), "fixed": ("matrices",)}
 
     kind: str = "uniform"
-    matrices: tuple | None = None
+    matrices: np.ndarray | None = None
 
     def __post_init__(self):
         problem = kind_problem(self)
@@ -206,7 +209,14 @@ class ExpertSpec:
                 raise ValueError("matrices: must be a nested list of numbers, not booleans")
             if stack.dtype.kind not in "iuf":
                 raise ValueError("matrices: must be a nested list of numbers")
+            stack = np.array(stack, dtype=float, order="C")  # the spec's own copy
             _unit_entries(stack, "matrices")
+            stack.setflags(write=False)
+            object.__setattr__(self, "matrices", stack)
+
+    def __eq__(self, other):  # the arrays' values, which a dataclass's == cannot compare
+        return (type(other) is ExpertSpec and self.kind == other.kind
+                and np.array_equal(self.matrices, other.matrices))
 
 
 @dataclass(frozen=True)
@@ -223,8 +233,6 @@ class EnvironmentConfig:
     noise_variance: float = 0.0
     theta_star: ThetaSpec = field(default_factory=ThetaSpec)
     experts: ExpertSpec = field(default_factory=ExpertSpec)
-    # Each trial's own, derived from the run's master seed; not a JSON key.
-    seed: int = field(default=0, metadata={"key": False})
 
     def __post_init__(self):
         sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
@@ -249,10 +257,10 @@ class EnvironmentConfig:
             check_theta_reachable(theta.mean, theta.norm_bound, self.n_experts)
         check_payoffs_bounded(theta, self.n_experts)
         shape = (self.n_episodes, self.n_experts, self.n_rows, self.n_cols)
-        if self.experts.kind == "fixed" and np.shape(self.experts.matrices) != shape:
+        if self.experts.kind == "fixed" and self.experts.matrices.shape != shape:
             raise ValueError(
                 f"experts.matrices: must have shape {shape} (n_episodes, n_experts, n_rows, "
-                f"n_cols), got {np.shape(self.experts.matrices)}"
+                f"n_cols), got {self.experts.matrices.shape}"
             )
 
     @property
@@ -385,25 +393,20 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
 class Environment:
     """One trial's ground truth: mixing weights, expert reveals, noise table.
 
+    It is a checked config plus a seed, which a run derives for each trial.
     After construction only the cache of true saddle points changes: every
     reveal is derived afresh, so episodes may be asked for in any order.
     """
 
-    def __init__(self, config: EnvironmentConfig):
+    def __init__(self, config: EnvironmentConfig, seed=0):
         self.config = config
-        root = np.random.SeedSequence(config.seed)
+        root = np.random.SeedSequence(seed)
         theta_seq, self._expert_seq, noise_seq = root.spawn(3)
         theta_rng = np.random.default_rng(theta_seq)
         noise_rng = np.random.default_rng(noise_seq)
 
         self.theta_star, self.theta_rejections = _draw_theta(
             config.theta_star, config.n_experts, theta_rng
-        )
-        # Fixed experts are the config's own values; uniform ones are derived per episode.
-        self._fixed_stacks = (
-            np.asarray(config.experts.matrices, dtype=float)
-            if config.experts.kind == "fixed"
-            else None
         )
         self.noise = noise_rng.normal(
             0.0,
@@ -425,8 +428,8 @@ class Environment:
         if not 0 <= episode < cfg.n_episodes:
             raise IndexError(f"episode {episode} outside [0, {cfg.n_episodes})")
         shape = (cfg.n_experts, cfg.n_rows, cfg.n_cols)
-        if self._fixed_stacks is not None:
-            stack = self._fixed_stacks[episode]
+        if cfg.experts.kind == "fixed":  # the config's own array, not a copy
+            stack = cfg.experts.matrices[episode]
         else:
             bits = np.random.PCG64(self._expert_seq)
             bits.advance(episode * math.prod(shape))

@@ -6,8 +6,8 @@ types and each type's keys. The JSON reader and writer derive theirs from
 them, and the objects check every value, each under its JSON path, so a
 config built in Python is read, refused and recorded as its JSON is.
 
-Seeds are split hierarchically from one master seed: the environment of trial
-n is seeded by (master, n, 0) and each learner/opponent pair by
+A config is checked once, when it is built. Trial n's environment is that
+config seeded by (master, n, 0), and each learner/opponent pair is seeded by
 (master, n, 1|2, learner_index), so adding or removing learners never
 perturbs the environment realization, and every learner plays the exact same
 ground truth, expert reveals, and noise stream within a trial.
@@ -290,11 +290,11 @@ def default_paper_config(trials: int = 20, master_seed: int = 0) -> ExperimentCo
 
 
 def _keys(cls, kind) -> dict:
-    """The JSON keys of ``cls``'s fields of type ``kind``: every field but one
-    marked ``key: False``, ``kind`` as ``type``; a tagged spec's ``KINDS``
-    drops the keys of its other types. An unknown type keeps every field, so
-    that its object names the type at fault."""
-    found = [f for f in dataclasses.fields(cls) if f.metadata.get("key", True)]
+    """The JSON keys of ``cls``'s fields of type ``kind``: every field, ``kind``
+    as ``type``; a tagged spec's ``KINDS`` drops the keys of its other types.
+    An unknown type keeps every field, so that its object names the type at
+    fault."""
+    found = dataclasses.fields(cls)
     kinds = getattr(cls, "KINDS", {})
     if kind in tuple(kinds):  # a tuple, so an unhashable value is just not in it
         owned = {key for keys in kinds.values() for key in keys}
@@ -305,11 +305,6 @@ def _keys(cls, kind) -> dict:
 def _integer(value, where: str):
     """A JSON count or seed: an integral float such as 3.0 becomes an int."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
-
-
-def _matrix_list(value, where: str):
-    """Fixed expert matrices: the outer JSON list becomes a tuple."""
-    return tuple(value) if isinstance(value, list) else value
 
 
 def _read(section, where: str, cls):
@@ -350,7 +345,6 @@ def _learner_list(sections, where: str) -> tuple:
 # The reader of each key whose JSON value is neither passed on as read nor a
 # count (a field annotated ``int``).
 _READERS = {
-    "matrices": _matrix_list,
     "theta_star": functools.partial(_read, cls=ThetaSpec),
     "experts": functools.partial(_read, cls=ExpertSpec),
     "environment": functools.partial(_read, cls=EnvironmentConfig),
@@ -432,13 +426,9 @@ class RunManifest:
     elapsed_seconds: float
 
 
-def trial_environment(config: ExperimentConfig, trial: int) -> Environment:
-    return Environment(dataclasses.replace(config.environment, seed=[config.master_seed, trial, 0]))
-
-
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     """Run every configured learner on the same environment realization."""
-    env = trial_environment(config, trial)
+    env = Environment(config.environment, [config.master_seed, trial, 0])
     learners = {}
     for index, spec in enumerate(config.learners):
         learner_seed = np.random.SeedSequence([config.master_seed, trial, 1, index])
@@ -553,10 +543,13 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)  # a stale manifest would mark this run complete
     # A previous run's trials beyond this run's count, or its plot tables,
-    # would otherwise pass for this run's outputs. Other names are left alone.
-    for stale in ("trials", "aggregate", "plot"):
-        if (out / stale).is_dir():
-            shutil.rmtree(out / stale)
+    # would otherwise pass for this run's outputs, and a file or a link by one
+    # of these names would block them. Other names are left alone.
+    for stale in (out / "trials", out / "aggregate", out / "plot"):
+        if stale.is_dir() and not stale.is_symlink():
+            shutil.rmtree(stale)
+        else:
+            stale.unlink(missing_ok=True)
 
     write_metrics = _METRIC_WRITERS[config.output_format]
     keys = series_keys(config.environment.n_episodes)

@@ -254,10 +254,11 @@ def expert_features(ensemble: ExpertEnsemble, i: int, j: int) -> np.ndarray:
     return ensemble.matrices[:, i, j].copy()
 
 
-def one_shot_reveals(config, theta_star) -> tuple[np.ndarray, np.ndarray]:
-    """Every episode's uniform expert stack, drawn in one call from the trial's
-    expert stream, and every true game, mixed by one ``tensordot``."""
-    expert_seq = np.random.SeedSequence(config.seed).spawn(3)[1]
+def one_shot_reveals(config, seed, theta_star) -> tuple[np.ndarray, np.ndarray]:
+    """Every episode's uniform expert stack, drawn in one call from the expert
+    stream of the trial seeded by ``seed``, and every true game, mixed by one
+    ``tensordot``."""
+    expert_seq = np.random.SeedSequence(seed).spawn(3)[1]
     shape = (config.n_episodes, config.n_experts, config.n_rows, config.n_cols)
     stacks = np.random.default_rng(expert_seq).uniform(0.0, 1.0, size=shape)
     return stacks, np.tensordot(theta_star, stacks, axes=(0, 1))

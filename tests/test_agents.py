@@ -113,7 +113,7 @@ class TestOFULinMatPlanning:
         rng = np.random.default_rng(0)
         for _ in range(15):
             agent.begin_episode(ensemble)
-            rows = agent.act_episode(200)
+            rows, _ = agent.play_episode(None, 200)
             cols = rng.integers(10, size=200)
             agent.end_episode(rows, cols, 5.0 + rng.normal(0.0, 0.7, size=200))
         assert agent.estimator.n_obs == 15 * 200
@@ -125,17 +125,17 @@ class TestOFULinMatActObserve:
 
     def test_act_before_planning_raises(self):
         with pytest.raises(AgentProtocolError):
-            self.make_agent().act_episode(1)
+            self.make_agent().play_episode(None, 1)
 
     def test_degenerate_strategy_always_first_action(self):
         agent = self.make_agent()
         agent.current_strategy = MixedStrategy.pure(3, 0)
-        assert all(agent.act_episode(49) == 0)
+        assert all(agent.play_episode(None, 49)[0] == 0)
 
     def test_uniform_sampling_frequencies(self):
         agent = OFULinMatAgent(10, case_study_estimator_config(n_experts=1), seed=7)
         agent.current_strategy = MixedStrategy.uniform(10)
-        draws = agent.act_episode(10_000)
+        draws, _ = agent.play_episode(None, 10_000)
         freqs = np.bincount(draws, minlength=10) / 10_000
         se = math.sqrt(0.1 * 0.9 / 10_000)
         assert np.all(np.abs(freqs - 0.1) < 3 * se + 1e-12)
@@ -146,7 +146,7 @@ class TestOFULinMatActObserve:
         for _ in range(2):
             agent = self.make_agent(seed=11)
             agent.current_strategy = strategy
-            seq.append(agent.act_episode(39).tolist())
+            seq.append(agent.play_episode(None, 39)[0].tolist())
         assert seq[0] == seq[1]
 
     def test_end_episode_empty_buffer_is_noop(self):
@@ -186,11 +186,11 @@ class TestStrategyConstantWithinEpisode:
                 super().__init__(*args, **kwargs)
                 self.fingerprints = []
 
-            def act_episode(self, n_rounds):
+            def play_episode(self, reward, n_rounds):
                 # One fingerprint per drawn action: the strategy it came from.
-                actions = super().act_episode(n_rounds)
+                actions, mix = super().play_episode(reward, n_rounds)
                 self.fingerprints += [self.current_strategy.probs.tobytes()] * len(actions)
-                return actions
+                return actions, mix
 
         env = Environment(
             EnvironmentConfig(
@@ -202,8 +202,8 @@ class TestStrategyConstantWithinEpisode:
                 noise_variance=0.5,
                 theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
                 experts=ExpertSpec(kind="uniform"),
-                seed=12,
-            )
+            ),
+            seed=12,
         )
         agent = SpyAgent(4, EstimatorConfig(0.1, 2.0, 0.01, 3), seed=13)
         env.run_trial(agent, SaddleOracleOpponent(seed=14))
@@ -361,12 +361,12 @@ class TestOpponents:
         opponent = SaddleOracleOpponent(seed=0)
         opponent.begin_episode(GameMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
         assert np.allclose(opponent.current_strategy.probs, [0.5, 0.5], atol=1e-7)
-        assert opponent.act_episode(1)[0] in (0, 1)
+        assert opponent.play_episode(None, 1)[0][0] in (0, 1)
 
     def test_fixed_opponent_always_plays_stored_column(self):
         opponent = FixedOpponent(np.array([0.0, 1.0]), seed=1)
         opponent.begin_episode(GameMatrix(np.zeros((2, 2))))
-        assert all(opponent.act_episode(20) == 1)
+        assert all(opponent.play_episode(None, 20)[0] == 1)
 
     def test_fixed_opponent_dimension_check(self):
         opponent = FixedOpponent(np.array([0.5, 0.5]), seed=1)
@@ -391,7 +391,7 @@ class TestOpponents:
 
     def test_act_before_begin_raises(self):
         with pytest.raises(AgentProtocolError):
-            UniformOpponent(seed=5).act_episode(1)
+            UniformOpponent(seed=5).play_episode(None, 1)
 
 
 class TestFixedStrategyAgent:

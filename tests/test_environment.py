@@ -38,7 +38,6 @@ def config(**overrides):
         noise_variance=0.0,
         theta_star=ThetaSpec(kind="fixed", values=(1.0, 0.0)),
         experts=ExpertSpec(kind="uniform"),
-        seed=0,
     )
     base.update(overrides)
     return EnvironmentConfig(**base)
@@ -89,9 +88,8 @@ class TestGroundTruth:
             n_experts=10,
             n_episodes=3,
             theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
-            seed=7,
         )
-        env = Environment(cfg)
+        env = Environment(cfg, seed=7)
         for k in range(3):
             ensemble = episode_ensemble(env, k)
             game = episode_game(env, k).entries
@@ -107,9 +105,8 @@ class TestGroundTruth:
             cfg = config(
                 n_experts=10,
                 theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
-                seed=seed,
             )
-            env = Environment(cfg)
+            env = Environment(cfg, seed=seed)
             assert np.linalg.norm(env.theta_star) <= 3.0
             assert env.theta_rejections >= 0
 
@@ -122,6 +119,26 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             Environment(config(experts=ExpertSpec(kind="fixed", matrices=tuple(bad.tolist()))))
 
+    def test_fixed_experts_are_one_array_every_trial_shares(self):
+        given = np.full((4, 2, 3, 3), 0.5)
+        given[3, 1, 2, 2] = 1.0
+        nested = given.tolist()
+        nested[3][1][2][2] = 1  # an int among the floats
+        spec = ExpertSpec(kind="fixed", matrices=nested)
+        stack = spec.matrices
+        assert type(stack) is np.ndarray and stack.dtype == np.float64
+        assert stack.flags.c_contiguous and not stack.flags.writeable
+        assert np.array_equal(stack, given)
+        assert spec == ExpertSpec(kind="fixed", matrices=given)
+        given[0, 0, 0, 0] = 0.25
+        assert spec != ExpertSpec(kind="fixed", matrices=given)
+        assert not np.shares_memory(ExpertSpec(kind="fixed", matrices=given).matrices, given)
+        cfg = config(experts=spec)
+        for seed in (0, [1, 2, 0]):
+            env = Environment(cfg, seed)
+            for k in range(4):
+                assert np.shares_memory(episode_ensemble(env, k).matrices, stack)
+
     def test_rounds_do_not_perturb_expert_draws(self):
         short = Environment(config(rounds_per_episode=2))
         long = Environment(config(rounds_per_episode=50))
@@ -132,7 +149,7 @@ class TestGroundTruth:
         assert np.array_equal(short.theta_star, long.theta_star)
 
     def test_cross_episode_independence_smoke(self):
-        env = Environment(config(n_episodes=400, seed=3))
+        env = Environment(config(n_episodes=400), seed=3)
         series = np.array([episode_ensemble(env, k).matrices[0, 0, 0] for k in range(400)])
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.15
@@ -150,10 +167,9 @@ class TestGroundTruth:
             n_experts=n_experts,
             n_episodes=5,
             theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=3.0),
-            seed=[4, 1, 0],
         )
-        env = Environment(cfg)
-        stacks, games = one_shot_reveals(cfg, env.theta_star)
+        env = Environment(cfg, seed=[4, 1, 0])
+        stacks, games = one_shot_reveals(cfg, [4, 1, 0], env.theta_star)
         for k in (4, 0, 2, 2, 1, 3):
             assert np.array_equal(episode_ensemble(env, k).matrices, stacks[k])
             assert np.array_equal(episode_game(env, k).entries, games[k])
@@ -293,10 +309,10 @@ class TestRunEpisode:
         assert len(trace.row_actions) == len(trace.col_actions) == len(trace.rewards) == 7
 
     def test_replayed_episode_is_identical(self):
-        cfg = config(noise_variance=0.5, rounds_per_episode=200, seed=5)
+        cfg = config(noise_variance=0.5, rounds_per_episode=200)
         traces = []
         for _ in range(2):
-            env = Environment(cfg)
+            env = Environment(cfg, seed=5)
             learner = FixedStrategyAgent.uniform(3, seed=10)
             opponent = SaddleOracleOpponent(seed=11)
             traces.append(env.run_episode(learner, opponent, 1))
@@ -307,8 +323,8 @@ class TestRunEpisode:
 
     def test_out_of_range_action_aborts(self):
         class RogueAgent(FixedStrategyAgent):
-            def act_episode(self, n_rounds):
-                return np.full(n_rounds, 99)
+            def play_episode(self, reward, n_rounds):
+                return np.full(n_rounds, 99), self.current_strategy.probs
 
         env = Environment(config())
         with pytest.raises(SimulationError):
@@ -350,8 +366,8 @@ class TestRunEpisode:
 
     def test_out_of_range_opponent_column_aborts(self):
         class RogueOpponent(FixedOpponent):
-            def act_episode(self, n_rounds):
-                return np.full(n_rounds, -1)
+            def play_episode(self, reward, n_rounds):
+                return np.full(n_rounds, -1), self.current_strategy.probs
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="opponent produced column -1"):
@@ -415,9 +431,9 @@ class TestRunEpisode:
     def test_noise_shared_across_learners(self):
         # Two different learners replayed on the same environment draw the
         # same per-round noise: reward differences equal payoff differences.
-        cfg = config(noise_variance=0.5, rounds_per_episode=30, seed=8)
-        env_a = Environment(cfg)
-        env_b = Environment(cfg)
+        cfg = config(noise_variance=0.5, rounds_per_episode=30)
+        env_a = Environment(cfg, seed=8)
+        env_b = Environment(cfg, seed=8)
         m = episode_game(env_a, 0).entries
         trace_a = env_a.run_episode(
             FixedStrategyAgent(np.array([1.0, 0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0
@@ -436,7 +452,7 @@ class TestRunTrial:
         assert [t.episode for t in traces] == [0, 1, 2, 3]
 
     def test_learner_with_only_the_protocol_records_its_mix(self):
-        # No act_episode and no current_strategy: the episode mix that
+        # No current_strategy: the episode mix that
         # play_episode returns is the learner's strategy, and the opponent
         # best-responds to it in the next episode.
         class Alternator:

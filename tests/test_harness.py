@@ -30,7 +30,6 @@ from expertgames.harness import (
     ridge_floor,
     run_experiment,
     run_trial,
-    trial_environment,
 )
 from expertgames.environment import (
     PAYOFF_LIMIT,
@@ -145,12 +144,9 @@ ENVIRONMENT_RULE_CASES = {
 
 def environment_config(section: dict) -> EnvironmentConfig:
     """The EnvironmentConfig of a JSON environment section, built without the
-    parser; sizes get ints, as the parser makes an integral float one, and
-    fixed matrices a tuple."""
+    parser; sizes get ints, as the parser makes an integral float one."""
     theta = dict(section.get("theta_star", {}))
     experts = dict(section.get("experts", {}))
-    if "matrices" in experts:
-        experts["matrices"] = tuple(experts["matrices"])
     sizes = ("n_rows", "n_cols", "n_experts", "n_episodes", "rounds_per_episode")
     return EnvironmentConfig(
         **{key: int(section[key]) for key in sizes},
@@ -780,7 +776,7 @@ class TestByteBudget:
         assert env.array_bytes == 8 * (4000 * 20 + 11 * 3600)
         fixed = dataclasses.replace(env, n_episodes=1, experts=ExpertSpec(
             "fixed", matrices=np.full((1, 10, 60, 60), 0.5)))
-        assert fixed.array_bytes == 8 * (20 + 21 * 3600)  # with the copy of the stack
+        assert fixed.array_bytes == 8 * (20 + 21 * 3600)  # with the config's stacks
 
 
 class TestConfigMutations:
@@ -885,19 +881,26 @@ class TestRunExperiment:
         for key in sorted(keys_a):
             assert files_a[key] == files_b[key], f"{key} differs between run and replay"
 
-    def test_seed_isolation_across_learner_lists(self):
+    def test_seed_isolation_across_learner_lists(self, monkeypatch):
+        built = []  # the environment of each run_trial call
+
+        class Recorded(harness.Environment):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(harness, "Environment", Recorded)
         both = tiny_config()
         solo = tiny_config(learners=(both.learners[0],))
-        env_both = trial_environment(both, 0)
-        env_solo = trial_environment(solo, 0)
+        traces_both = run_trial(both, 0)["learners"]["ofulinmat"]["traces"]
+        traces_solo = run_trial(solo, 0)["learners"]["ofulinmat"]["traces"]
+        env_both, env_solo = built
         assert np.array_equal(env_both.theta_star, env_solo.theta_star)
         for k in range(both.environment.n_episodes):
             assert np.array_equal(
                 episode_ensemble(env_both, k).matrices, episode_ensemble(env_solo, k).matrices
             )
         assert np.array_equal(env_both.noise, env_solo.noise)
-        traces_both = run_trial(both, 0)["learners"]["ofulinmat"]["traces"]
-        traces_solo = run_trial(solo, 0)["learners"]["ofulinmat"]["traces"]
         for a, b in zip(traces_both, traces_solo):
             assert np.array_equal(a.row_actions, b.row_actions)
             assert np.array_equal(a.rewards, b.rewards)
@@ -987,6 +990,41 @@ class TestRunExperiment:
         assert not (out / "trials/trial_001").exists()
         assert not (out / "manifest.json").exists()
         assert not (out / "aggregate").exists()
+
+    def test_a_run_never_rechecks_its_environment_config(self, tmp_path, monkeypatch):
+        # The config was checked when it was built; a trial adds only its seed.
+        env = dataclasses.replace(tiny_config().environment, experts=ExpertSpec(
+            "fixed", matrices=np.full((2, 2, 3, 3), 0.5)))
+        config = tiny_config(environment=env, trials=3)
+        checks = []
+        check = EnvironmentConfig.__post_init__
+        monkeypatch.setattr(EnvironmentConfig, "__post_init__",
+                            lambda self: checks.append(self) or check(self))
+        run_experiment(config, tmp_path / "run")
+        assert len(checks) == 0
+        assert (tmp_path / "run/manifest.json").is_file()
+
+    @pytest.mark.parametrize("name", ["trials", "aggregate", "plot", "plot-link"])
+    def test_a_stale_file_by_an_output_name_is_removed(self, tmp_path, name):
+        # A file by one of these names would block the run's own directory,
+        # or, for plot, the tables plot-data writes next. A link goes, and
+        # what it points to stays.
+        out = tmp_path / "run"
+        out.mkdir()
+        target = tmp_path / "elsewhere"
+        target.mkdir()
+        (target / "kept.csv").write_text("kept\n")
+        if name == "plot-link":
+            name = "plot"
+            (out / name).symlink_to(target, target_is_directory=True)
+        else:
+            (out / name).write_text("stale\n")
+        run_experiment(tiny_config(), out)
+        assert (out / "manifest.json").is_file()
+        assert not (out / "plot").exists() and not (out / "plot").is_symlink()
+        assert (target / "kept.csv").read_text() == "kept\n"
+        assert cli_main(["plot-data", "--run", str(out)]) == 0
+        assert (out / "plot/exp3.csv").read_bytes() == (out / "aggregate/exp3.csv").read_bytes()
 
     def test_rerun_into_a_run_directory_replaces_its_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -1430,6 +1468,19 @@ class TestCli:
         assert filecmp.cmp(
             run / "aggregate/exp3.csv", replayed / "aggregate/exp3.csv", shallow=False
         )
+
+    @pytest.mark.parametrize("form", ["aggregate", "plot/../aggregate"])
+    def test_plot_data_refuses_to_write_over_its_runs_aggregate(self, tmp_path, capsys, form):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        (run / "plot").mkdir()
+        before = tree_files(run)
+        out = run / form
+        argv = ["plot-data", "--run", str(run), "--out", str(out), "--series", "theta_error"]
+        assert cli_main(argv) == 1
+        message = f"error: --out {out} is the run's aggregate directory, its input"
+        assert message in capsys.readouterr().err
+        assert tree_files(run) == before
 
     def test_plot_data_unknown_series_exits_one(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -109,8 +109,8 @@ def small_env(seed=0, episodes=4, rounds=30):
             noise_variance=0.25,
             theta_star=ThetaSpec(kind="gaussian", mean=0.5, norm_bound=2.0),
             experts=ExpertSpec(kind="uniform"),
-            seed=seed,
-        )
+        ),
+        seed=seed,
     )
 
 
