@@ -22,7 +22,9 @@ round loop itself and asks the closure once per round. Its ``act(t)`` /
 calls them, and they remain as the stepping API that the benchmark times.
 
 Learners never see the true payoff matrix, only rewards (and, for the
-optimistic learner, the expert ensemble revealed each episode). Opponents are
+optimistic learner, the expert ensemble revealed each episode). OFULinMat
+plans on its estimator's confidence set, which stays as it is until
+``end_episode`` folds the episode in. Opponents are
 episode-level policies that may read the true game; each commits to one mixed
 strategy per episode (``current_strategy``), and the simulator draws all of
 an episode's columns through the learners' ``play_episode``, with no reward,
@@ -69,11 +71,12 @@ class _EpisodeStrategyPlayer:
 class OFULinMatAgent(_EpisodeStrategyPlayer):
     """Optimistic episodic learner for games that mix revealed expert games.
 
-    At each episode boundary it refits the ridge estimate of the mixing
-    weights, inflates every payoff entry by the confidence-scaled exploration
-    bonus of that entry's expert readings, solves the optimistic game's
-    saddle point, and commits to the resulting row strategy for the whole
-    episode. The episode's plays are absorbed into the estimator at its end.
+    At each episode boundary it reads the estimator's ridge estimate of the
+    mixing weights and confidence radius, inflates every payoff entry by the
+    confidence-scaled exploration bonus of that entry's expert readings,
+    solves the optimistic game's saddle point, and commits to the resulting
+    row strategy for the whole episode. The episode's plays are absorbed into
+    the estimator at its end, which sets the next confidence set.
     """
 
     def __init__(self, n_actions: int, config: EstimatorConfig, seed=None):
@@ -83,9 +86,6 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.current_strategy: MixedStrategy | None = None
         self.optimistic_matrix: np.ndarray | None = None
         self.optimistic_value: float | None = None
-        self.planned_theta: np.ndarray | None = None
-        self.planned_beta: float | None = None
-        self.cap_active = False
         self._ensemble = None
 
     def begin_episode(self, ensemble) -> None:
@@ -97,13 +97,10 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         if ensemble.rows != self.n_actions:
             raise ValueError("ensemble row count does not match the agent's action set")
         est = self.estimator
-        theta = est.point_estimate()
-        beta = est.beta_radius()
         feats = ensemble.feature_matrix()  # (n_experts, rows*cols)
-        mean = theta @ feats
-        optimistic = mean + math.sqrt(beta) * est.ellipsoid_norms(feats)
-        self.cap_active = est.confidence_set_escapes_ball()
-        if self.cap_active:
+        mean = est.theta_hat @ feats
+        optimistic = mean + math.sqrt(est.beta) * est.ellipsoid_norms(feats)
+        if est.escapes_ball:
             # Fall back to the norm-ball payoff cap on every entry.
             cap = mean + cfg.param_bound * np.linalg.norm(feats, axis=0)
             optimistic = np.minimum(optimistic, cap)
@@ -112,8 +109,6 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.current_strategy = saddle.row_strategy
         self.optimistic_matrix = matrix
         self.optimistic_value = saddle.value
-        self.planned_theta = theta
-        self.planned_beta = beta
         self._ensemble = ensemble
 
     def end_episode(self, rows, cols, rewards) -> None:

@@ -360,13 +360,19 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
                   per_round=False):
     """A player's ``play_episode`` result as arrays. Anything but n_rounds legal
     indices drawn from an episode mix (or, ``per_round``, every round's
-    policy) on the simplex aborts the episode."""
+    policy) on the simplex aborts the episode, as do actions that are not
+    integers (a cast would truncate or parse them) and a strategy that is not reals."""
     actions, strategy = play
-    actions = np.asarray(actions, dtype=int)
+    actions = np.asarray(actions)
     if actions.shape != (n_rounds,):
         raise SimulationError(
             f"{role} drew {actions.shape} actions for a {n_rounds}-round episode {episode}"
         )
+    if actions.dtype.kind not in "iu":
+        raise SimulationError(
+            f"{role} drew {kind}s of dtype {actions.dtype}, not integers, at episode {episode}"
+        )
+    actions = actions.astype(int, copy=False)
     bad = np.flatnonzero((actions < 0) | (actions >= n_actions))
     if bad.size:
         t = int(bad[0])
@@ -374,10 +380,15 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
             f"{role} produced {kind} {actions[t]} outside [0, {n_actions}) "
             f"at episode {episode}, round {t + 1}"
         )
-    strategy = np.asarray(strategy, dtype=float)
+    strategy = np.asarray(strategy)
     shapes = ((n_actions,), (n_rounds, n_actions)) if per_round else ((n_actions,),)
     if strategy.shape not in shapes:
         raise SimulationError(f"{role} exposes no strategy at episode {episode}")
+    if strategy.dtype.kind not in "iuf":
+        raise SimulationError(
+            f"{role}'s strategy at episode {episode} has dtype {strategy.dtype}, not real numbers"
+        )
+    strategy = strategy.astype(float, copy=False)
     # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
     if not (
         strategy.min() >= -SIMPLEX_TOL
@@ -496,24 +507,24 @@ class Environment:
         mu = strategy if strategy.ndim == 1 else None
         sums, row_totals = metrics.episode_metrics(m, value, cols, rewards, strategy, nu)
 
-        # Only an optimistic learner has an estimator; begin_episode set its plan.
+        # Only an optimistic learner has an estimator. Until end_episode folds
+        # the episode in, it holds the confidence set the plan was made on.
         diagnostics: dict[str, float] = {}
         theta_hat = beta = theta_error = None
         estimator = getattr(learner, "estimator", None)
         if estimator is not None:
-            theta_hat = learner.planned_theta
-            beta = float(learner.planned_beta)
+            theta_hat, beta = estimator.theta_hat, estimator.beta
             theta_error = float(np.linalg.norm(theta_hat - self.theta_star))
             diagnostics["coverage"] = float(estimator.covers(self.theta_star))
             diagnostics["value_optimism_gap"] = float(learner.optimistic_value - value)
             diagnostics["entrywise_optimism_margin"] = float((learner.optimistic_matrix - m).min())
-            diagnostics["cap_active"] = float(learner.cap_active)
-            log_det_before = estimator.log_det()
+            diagnostics["cap_active"] = float(estimator.escapes_ball)
+            log_det_before = estimator.log_det
         learner.end_episode(rows, cols, rewards)
         if estimator is not None:
-            diagnostics["det_ratio"] = math.exp(estimator.log_det() - log_det_before)
+            diagnostics["det_ratio"] = math.exp(estimator.log_det - log_det_before)
             diagnostics["potential_sum"] = estimator.potential_sum
-            diagnostics["potential_bound"] = estimator.potential_bound()
+            diagnostics["potential_bound"] = estimator.potential_bound
 
         return EpisodeTrace(
             episode=episode,

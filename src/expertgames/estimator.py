@@ -1,13 +1,13 @@
 """Online ridge regression with an elliptical confidence set.
 
 Tracks the regularized Gram matrix and the reward-weighted feature sum, and
-exposes the point estimate, the confidence-ball radius, and Mahalanobis-type
-norms. All inverse applications go through a Cholesky factor of the Gram
-matrix, refreshed whenever observations are folded in, so a whole planning
-step reuses a single factorization. They are plain forward and back
-substitution in numpy: d steps per triangular solve for d experts, each one
-vectorized over every right-hand side, so the package needs no linear-algebra
-library beyond numpy.
+holds the confidence set they define (point estimate, log-determinant and
+radius), worked out once whenever observations are folded in, so the plan and
+the episode's record read the same numbers. All inverse applications go
+through a Cholesky factor of the Gram matrix, refreshed at the same time.
+They are plain forward and back substitution in numpy: d steps per triangular
+solve for d experts, each one vectorized over every right-hand side, so the
+package needs no linear-algebra library beyond numpy.
 
 Observations enter only through ``absorb_batch``, which folds a whole batch
 in at once, as the learner does at the end of each episode: one small
@@ -89,9 +89,10 @@ class RidgeEstimator:
 
     Also maintains the exploration potential sum(min(1, ||z||^2 in the
     inverse-gram norm)) accumulated with the pre-update gram at every
-    observation; together with the log-determinant it gives a runtime check
-    of the elliptical potential inequality. Only ``absorb_batch`` changes
-    ``gram``, ``xty``, ``n_obs`` and ``potential_sum``.
+    observation; ``potential_bound`` caps it by the elliptical potential
+    inequality. ``theta_hat``, ``log_det``, ``beta``, ``escapes_ball`` and
+    ``potential_bound`` are computed once per fold. Only ``absorb_batch``
+    changes any of these attributes.
     """
 
     def __init__(self, config: EstimatorConfig):
@@ -102,6 +103,7 @@ class RidgeEstimator:
         self.n_obs = 0
         self.potential_sum = 0.0
         self._chol = np.linalg.cholesky(self.gram)  # always the factor of gram
+        self._set_confidence_set()
 
     def absorb_batch(self, features, rewards) -> None:
         """Fold a batch of observations in, in order, or raise and keep the state.
@@ -152,6 +154,28 @@ class RidgeEstimator:
         self.gram, self.xty, self._chol = gram, xty, chol
         self.potential_sum = potential
         self.n_obs += len(z_all)
+        self._set_confidence_set()
+
+    def _set_confidence_set(self) -> None:
+        """Set theta_hat = gram^-1 xty, log_det = ln det(gram), the radius
+        beta = (sqrt(2 ln(det(gram)^1/2 det(ridge I)^-1/2 / delta)) + sqrt(ridge) B)^2,
+        potential_bound = 2 ln(det(gram) / det(ridge I)), and escapes_ball, the
+        conservative check ||theta_hat|| + sqrt(beta / lambda_min(gram)) > B
+        that sends the plan to the norm-ball payoff cap. gram has no eigenvalue
+        below ridge, though rounding can read one lower. Each call assigns a
+        new theta_hat, so an array read earlier never changes.
+        """
+        cfg = self.config
+        self.theta_hat = _back_solve(self._chol, _forward_solve(self._chol, self.xty))
+        self.log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol))))
+        log_growth = self.log_det - cfg.n_experts * math.log(cfg.ridge)
+        inner = 0.5 * log_growth + math.log(1.0 / cfg.delta)
+        self.beta = (math.sqrt(2.0 * inner) + math.sqrt(cfg.ridge) * cfg.param_bound) ** 2
+        self.potential_bound = 2.0 * log_growth
+        lam_min = max(float(np.linalg.eigvalsh(self.gram)[0]), cfg.ridge)
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf: it escapes
+            reach = float(np.linalg.norm(self.theta_hat)) + math.sqrt(self.beta / lam_min)
+        self.escapes_ball = reach > cfg.param_bound
 
     def _fold_error(self, n_rows: int) -> ValueError:
         return ValueError(
@@ -160,57 +184,12 @@ class RidgeEstimator:
             "the observations were discarded"
         )
 
-    def point_estimate(self) -> np.ndarray:
-        """Ridge estimate gram^-1 xty via the cached SPD factorization."""
-        if self.n_obs == 0:
-            return np.zeros(self.config.n_experts)
-        return _back_solve(self._chol, _forward_solve(self._chol, self.xty))
-
-    def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    def beta_radius(self) -> float:
-        """Confidence-ball radius from the exact determinant ratio.
-
-        (sqrt(2 ln(det(gram)^1/2 det(ridge I)^-1/2 / delta)) + sqrt(ridge) B)^2,
-        evaluated with log-determinants. With no data the determinant ratio is
-        1 and the radius reduces to (sqrt(2 ln(1/delta)) + sqrt(ridge) B)^2.
-        """
-        cfg = self.config
-        log_ratio = 0.5 * (self.log_det() - cfg.n_experts * math.log(cfg.ridge))
-        inner = log_ratio + math.log(1.0 / cfg.delta)
-        return (math.sqrt(2.0 * inner) + math.sqrt(cfg.ridge) * cfg.param_bound) ** 2
-
     def ellipsoid_norms(self, columns: np.ndarray) -> np.ndarray:
         """Column-wise sqrt(z' gram^-1 z) for a (dim, n) stack of vectors."""
         half = _forward_solve(self._chol, columns)
         return np.sqrt(np.sum(half * half, axis=0))
 
-    def mahalanobis_norm(self, x) -> float:
-        """sqrt(x' gram x), the norm used by the confidence-ball membership test."""
-        half = self._chol.T @ np.asarray(x, dtype=float)
-        return float(np.sqrt(half @ half))
-
     def covers(self, theta) -> bool:
-        """Whether theta lies inside the current confidence ball."""
-        err = np.asarray(theta, dtype=float) - self.point_estimate()
-        return self.mahalanobis_norm(err) <= math.sqrt(self.beta_radius())
-
-    def confidence_set_escapes_ball(self) -> bool:
-        """Conservative check that the ellipsoid might poke out of the norm ball.
-
-        Uses the bound ||theta|| <= ||estimate|| + sqrt(radius / lambda_min(gram))
-        over the ellipsoid; when it exceeds the parameter bound the caller
-        should fall back to the norm-ball payoff cap. gram = ridge*I + sum z z'
-        has no eigenvalue below ridge, though rounding can read one lower.
-        """
-        lam_min = max(float(np.linalg.eigvalsh(self.gram)[0]), self.config.ridge)
-        reach = float(np.linalg.norm(self.point_estimate())) + math.sqrt(
-            self.beta_radius() / lam_min
-        )
-        return reach > self.config.param_bound
-
-    def potential_bound(self) -> float:
-        """2 ln(det(gram) / det(gram at init)), the potential inequality cap."""
-        cfg = self.config
-        return 2.0 * (self.log_det() - cfg.n_experts * math.log(cfg.ridge))
+        """Whether theta lies inside the current confidence ball, in the norm sqrt(x' gram x)."""
+        half = self._chol.T @ (np.asarray(theta, dtype=float) - self.theta_hat)
+        return float(np.sqrt(half @ half)) <= math.sqrt(self.beta)

@@ -312,6 +312,17 @@ def confidence_radius_from_scratch(
     return (math.sqrt(2.0 * inner) + math.sqrt(ridge) * bound) ** 2
 
 
+def escapes_ball_from_scratch(
+    features: np.ndarray, rewards: np.ndarray, ridge: float, bound: float, delta: float
+) -> bool:
+    """The conservative check ||theta_hat|| + sqrt(beta / lambda_min(gram)) > bound,
+    recomputed from scratch, with lambda_min read no lower than ridge."""
+    theta = ridge_solution(features, rewards, ridge)
+    beta = confidence_radius_from_scratch(features, ridge, bound, delta)
+    lam_min = max(float(np.linalg.eigvalsh(gram_from_scratch(features, ridge))[0]), ridge)
+    return float(np.linalg.norm(theta)) + math.sqrt(beta / lam_min) > bound
+
+
 def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
     """Looser closed-form radius: the determinant ratio replaced by its
     dimension-based upper bound for n absorbed unit-norm-bounded features."""
@@ -324,13 +335,19 @@ def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
 
 
 def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:
-    """An independent estimator holding the same sufficient statistics."""
+    """An independent estimator holding the same sufficient statistics and
+    the same confidence set."""
     dup = RidgeEstimator(estimator.config)
     dup.gram = estimator.gram.copy()
     dup.xty = estimator.xty.copy()
     dup._chol = estimator._chol.copy()
     dup.n_obs = estimator.n_obs
     dup.potential_sum = estimator.potential_sum
+    dup.theta_hat = estimator.theta_hat.copy()
+    dup.log_det = estimator.log_det
+    dup.beta = estimator.beta
+    dup.escapes_ball = estimator.escapes_ball
+    dup.potential_bound = estimator.potential_bound
     return dup
 
 

@@ -115,12 +115,12 @@ def test_criterion_2_estimator_exactness():
         oracle_theta = ridge_solution(features[:n], rewards[:n], config.ridge)
         scale = max(1.0, float(np.linalg.norm(oracle_theta)))
         worst_theta = max(
-            worst_theta, float(np.linalg.norm(est.point_estimate() - oracle_theta)) / scale
+            worst_theta, float(np.linalg.norm(est.theta_hat - oracle_theta)) / scale
         )
         oracle_beta = confidence_radius_from_scratch(
             features[:n], config.ridge, config.param_bound, config.delta
         )
-        worst_beta = max(worst_beta, abs(est.beta_radius() - oracle_beta) / oracle_beta)
+        worst_beta = max(worst_beta, abs(est.beta - oracle_beta) / oracle_beta)
     ok = worst_theta < 1e-9 and worst_beta < 1e-9
     _report(
         "criterion 2 (estimator matches closed-form ridge and radius recompute)",

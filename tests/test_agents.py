@@ -39,7 +39,7 @@ class TestOFULinMatPlanning:
         config = EstimatorConfig(ridge=1.0, param_bound=1e-9, delta=0.999, n_experts=1)
         agent = OFULinMatAgent(2, config, seed=0)
         agent.begin_episode(ExpertEnsemble(np.ones((1, 2, 2))))
-        assert np.allclose(agent.planned_theta, 0.0)
+        assert np.allclose(agent.estimator.theta_hat, 0.0)
         spread = agent.optimistic_matrix.max() - agent.optimistic_matrix.min()
         assert spread < 1e-12
         assert agent.current_strategy.probs.min() >= 0.0
@@ -57,7 +57,7 @@ class TestOFULinMatPlanning:
         readings = [expert[rng.integers(2), rng.integers(2)] for _ in range(2000)]
         agent.estimator.absorb_batch(np.array(readings)[:, None], 2.0 * np.array(readings))
         agent.begin_episode(ensemble)
-        assert agent.planned_theta[0] == pytest.approx(2.0, abs=1e-3)
+        assert agent.estimator.theta_hat[0] == pytest.approx(2.0, abs=1e-3)
         assert np.allclose(agent.optimistic_matrix / expert, agent.optimistic_matrix[0, 0] / expert[0, 0])
         reference = solve_saddle_point(expert)
         assert np.allclose(agent.current_strategy.probs, reference.row_strategy.probs, atol=1e-7)
@@ -75,12 +75,12 @@ class TestOFULinMatPlanning:
         agent.estimator.absorb_batch(features, rewards)
         ensemble = ExpertEnsemble(rng.uniform(size=(10, 10, 10)))
         agent.begin_episode(ensemble)
-        assert not agent.cap_active
+        assert not agent.estimator.escapes_ball
         oracle = entrywise_optimistic_matrix(
             ensemble.matrices,
-            agent.estimator.point_estimate(),
+            agent.estimator.theta_hat,
             agent.estimator.gram,
-            agent.estimator.beta_radius(),
+            agent.estimator.beta,
         )
         assert np.allclose(agent.optimistic_matrix, oracle, atol=1e-8)
 
@@ -92,7 +92,7 @@ class TestOFULinMatPlanning:
         agent = OFULinMatAgent(2, config, seed=5)
         ensemble = ExpertEnsemble(np.random.default_rng(6).uniform(size=(3, 2, 2)))
         agent.begin_episode(ensemble)
-        assert agent.cap_active
+        assert agent.estimator.escapes_ball
         norms = np.linalg.norm(ensemble.feature_matrix(), axis=0).reshape(2, 2)
         assert np.allclose(agent.optimistic_matrix, 3.0 * norms)
 

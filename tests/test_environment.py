@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expertgames.agents import Exp3Agent, FixedOpponent, FixedStrategyAgent, SaddleOracleOpponent
+from expertgames import estimator as estimator_module
+from expertgames.agents import (
+    Exp3Agent,
+    FixedOpponent,
+    FixedStrategyAgent,
+    OFULinMatAgent,
+    SaddleOracleOpponent,
+)
 from expertgames.environment import (
     _THETA_DRAW_LIMIT,
     PAYOFF_LIMIT,
@@ -17,14 +24,20 @@ from expertgames.environment import (
     check_payoffs_bounded,
     check_theta_reachable,
 )
+from expertgames.estimator import EstimatorConfig
 
 from oracles import (
+    confidence_radius_from_scratch,
     emit_reward,
     episode_ensemble,
     episode_game,
     episode_saddle,
+    escapes_ball_from_scratch,
     expert_features,
+    gram_from_scratch,
     one_shot_reveals,
+    potential_sum_from_scratch,
+    ridge_solution,
 )
 
 
@@ -405,6 +418,67 @@ class TestRunEpisode:
         with pytest.raises(SimulationError, match="strategy at episode 1 is not a probability"):
             env.run_episode(Liar.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
 
+    @pytest.mark.parametrize(
+        "make_rows, dtype",
+        [
+            (lambda rows: rows + 0.9, "float64"),
+            (lambda rows: [0.0, 1.7, 2.9, 0.0, 1.0], "float64"),
+            (lambda rows: ["1", "2", "0", "1", "2"], "<U1"),
+            (lambda rows: [True, False, True, True, False], "bool"),
+        ],
+        ids=["rows-plus-0.9", "floats", "strings", "bools"],
+    )
+    def test_non_integer_rows_abort(self, make_rows, dtype):
+        # A cast to int would truncate the floats, parse the strings and read
+        # the bools as 0 and 1, all of them legal rows.
+        class Caster(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, strategy = super().play_episode(reward, n_rounds)
+                return make_rows(rows), strategy
+
+        env = Environment(config())
+        message = rf"^learner drew rows of dtype {dtype}, not integers, at episode 1$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
+
+    @pytest.mark.parametrize(
+        "strategy, dtype",
+        [([True, False, False], "bool"), (["1", "0", "0"], "<U1")],
+        ids=["bools", "strings"],
+    )
+    def test_a_strategy_that_is_not_real_numbers_aborts(self, strategy, dtype):
+        class Caster(FixedStrategyAgent):
+            def play_episode(self, reward, n_rounds):
+                rows, _ = super().play_episode(reward, n_rounds)
+                return rows, strategy
+
+        env = Environment(config())
+        message = rf"^learner's strategy at episode 2 has dtype {dtype}, not real numbers$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 2)
+
+    def test_non_integer_opponent_columns_abort(self):
+        class Caster(FixedOpponent):
+            def play_episode(self, reward, n_rounds):
+                cols, strategy = super().play_episode(reward, n_rounds)
+                return cols + 0.5, strategy
+
+        env = Environment(config())
+        message = r"^opponent drew columns of dtype float64, not integers, at episode 0$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), 0)
+
+    def test_an_opponent_strategy_of_bools_aborts(self):
+        class Caster(FixedOpponent):
+            def play_episode(self, reward, n_rounds):
+                cols, strategy = super().play_episode(reward, n_rounds)
+                return cols, strategy.astype(bool)
+
+        env = Environment(config())
+        message = r"^opponent's strategy at episode 0 has dtype bool, not real numbers$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), 0)
+
     def test_trace_rewards_are_the_rewards_paid(self):
         # Exp3 asks the closure once per round, and the trace holds the very
         # floats it was paid. A fixed learner never asks, and the trace holds
@@ -498,3 +572,65 @@ class TestRunTrial:
             m = episode_game(env, k).entries
             expected_col = int(np.argmin(m[0]))
             assert traces[k].opponent_strategy[expected_col] == 1.0
+
+
+class TestOFULinMatRecord:
+    RIDGE, BOUND, DELTA = 0.1, 3.0, 3e-3
+
+    def players(self, n_episodes=8):
+        cfg = config(n_rows=4, n_cols=4, n_experts=3, n_episodes=n_episodes,
+                     rounds_per_episode=60, noise_variance=0.5,
+                     theta_star=ThetaSpec(kind="fixed", values=(0.6, -0.4, 0.3)))
+        env = Environment(cfg, seed=3)
+        learner = OFULinMatAgent(4, EstimatorConfig(self.RIDGE, self.BOUND, self.DELTA, 3), seed=1)
+        return env, learner, SaddleOracleOpponent(seed=2)
+
+    def test_trace_equals_a_from_scratch_recomputation(self):
+        # theta_hat, beta and the cap flag are the plan's, from the rows before
+        # the episode; det_ratio and the potential sum and bound are from the
+        # rows through it. Each is recomputed from the trace's rows, columns
+        # and rewards with dense numpy, to 1e-9 relative.
+        ridge, bound = self.RIDGE, self.BOUND
+        env, learner, opponent = self.players()
+        traces = env.run_trial(learner, opponent)
+        feats, rewards = np.empty((0, 3)), np.empty(0)
+        caps = []
+        for k, trace in enumerate(traces):
+            theta = ridge_solution(feats, rewards, ridge)
+            beta = confidence_radius_from_scratch(feats, ridge, bound, self.DELTA)
+            caps.append(float(escapes_ball_from_scratch(feats, rewards, ridge, bound, self.DELTA)))
+            log_det_before = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
+            stack = episode_ensemble(env, k).matrices
+            feats = np.vstack([feats, stack[:, trace.row_actions, trace.col_actions].T])
+            rewards = np.concatenate([rewards, trace.rewards])
+            log_det_after = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
+
+            assert np.allclose(trace.theta_hat, theta, rtol=1e-9, atol=1e-12)
+            error = np.linalg.norm(theta - env.theta_star)
+            assert trace.theta_error == pytest.approx(error, rel=1e-9)
+            assert trace.beta == pytest.approx(beta, rel=1e-9)
+            assert trace.diagnostics["cap_active"] == caps[-1]
+            ratio = math.exp(log_det_after - log_det_before)
+            assert trace.diagnostics["det_ratio"] == pytest.approx(ratio, rel=1e-9)
+            assert trace.diagnostics["potential_sum"] == pytest.approx(
+                potential_sum_from_scratch(feats, ridge), rel=1e-9
+            )
+            growth = log_det_after - 3 * math.log(ridge)
+            assert trace.diagnostics["potential_bound"] == pytest.approx(2.0 * growth, rel=1e-9)
+        # Both branches of the plan are on record: the cap holds early, then lifts.
+        assert 0.0 in caps and 1.0 in caps
+
+    def test_an_episode_solves_for_theta_hat_once(self, monkeypatch):
+        # Plan, diagnostics and fold all read one confidence set, set by the
+        # fold: one back substitution per episode once data exists.
+        env, learner, opponent = self.players(n_episodes=3)
+        env.run_episode(learner, opponent, 0)
+        env.run_episode(learner, opponent, 1)
+        calls = []
+        back_solve = estimator_module._back_solve
+        monkeypatch.setattr(
+            estimator_module, "_back_solve", lambda *args: calls.append(1) or back_solve(*args)
+        )
+        trace = env.run_episode(learner, opponent, 2)
+        assert len(calls) == 1
+        assert trace.theta_hat is not learner.estimator.theta_hat

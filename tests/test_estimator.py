@@ -12,6 +12,8 @@ from oracles import (
     beta_radius_closed_form,
     confidence_radius_from_scratch,
     ellipsoid_norm,
+    escapes_ball_from_scratch,
+    estimator_copy,
     gram_from_scratch,
     potential_sum_from_scratch,
     ridge_solution,
@@ -20,6 +22,15 @@ from oracles import (
 
 def make(ridge=1.0, bound=1.0, delta=0.05, dim=2):
     return RidgeEstimator(EstimatorConfig(ridge, bound, delta, dim))
+
+
+STATE = ("gram", "xty", "_chol", "n_obs", "potential_sum",
+         "theta_hat", "log_det", "beta", "escapes_ball", "potential_bound")
+
+
+def state_bytes(est):
+    """Every attribute of the estimator's state, bit for bit."""
+    return {name: np.array(getattr(est, name)).tobytes() for name in STATE}
 
 
 class TestConfig:
@@ -49,7 +60,7 @@ class TestConfig:
 
     def test_large_finite_radius_is_accepted(self):
         est = make(ridge=0.1, bound=1e150, delta=0.003, dim=2)
-        assert math.isfinite(est.beta_radius())
+        assert math.isfinite(est.beta)
 
 
 def spd_factor(dim: int, seed: int) -> np.ndarray:
@@ -72,7 +83,7 @@ class TestTriangularSolves:
     def test_match_scipy(self, dim, n_rhs):
         lower = spd_factor(dim, seed=10 * dim + n_rhs)
         rng = np.random.default_rng(dim + n_rhs)
-        # One right-hand side is a vector, as in point_estimate.
+        # One right-hand side is a vector, as in the estimate theta_hat.
         rhs = rng.normal(size=dim) if n_rhs == 1 else rng.normal(size=(dim, n_rhs))
         assert_close_relative(_forward_solve(lower, rhs), solve_triangular(lower, rhs, lower=True))
         assert_close_relative(
@@ -102,7 +113,7 @@ class TestInit:
 
     def test_determinant_of_init(self):
         est = make(ridge=0.1, dim=10)
-        assert math.exp(est.log_det()) == pytest.approx(0.1**10)
+        assert math.exp(est.log_det) == pytest.approx(0.1**10)
 
 
 class TestAbsorb:
@@ -162,12 +173,10 @@ class TestAbsorb:
     def assert_rejected_untouched(features, rewards, match):
         est = make(dim=2)
         absorb_row(est, [0.5, 0.25], 1.0)
-        gram, xty, potential = est.gram.copy(), est.xty.copy(), est.potential_sum
+        before = state_bytes(est)
         with pytest.raises(ValueError, match=match):
             est.absorb_batch(features, rewards)
-        assert np.array_equal(est.gram, gram)
-        assert np.array_equal(est.xty, xty)
-        assert est.potential_sum == potential
+        assert state_bytes(est) == before
         assert est.n_obs == 1
 
     def test_rejects_non_finite(self):
@@ -184,10 +193,10 @@ class TestAbsorb:
     def test_log_det_non_decreasing(self):
         rng = np.random.default_rng(2)
         est = make(dim=5)
-        previous = est.log_det()
+        previous = est.log_det
         for _ in range(30):
             absorb_row(est, rng.uniform(size=5), rng.normal())
-            current = est.log_det()
+            current = est.log_det
             assert current >= previous - 1e-12
             previous = current
 
@@ -205,14 +214,12 @@ class TestFoldErrors:
         rng = np.random.default_rng(11)
         est = make(ridge=0.1, dim=2)
         est.absorb_batch(rng.uniform(size=(5, 2)), rng.normal(size=5))
-        gram, xty, potential = est.gram.copy(), est.xty.copy(), est.potential_sum
+        before = state_bytes(est)
         with pytest.raises(
             ValueError, match=rf"absorbing {len(rows)} observation\(s\) into an estimator holding 5"
         ):
             est.absorb_batch(rows, [0.0] * len(rows))
-        assert np.array_equal(est.gram, gram)
-        assert np.array_equal(est.xty, xty)
-        assert est.potential_sum == potential
+        assert state_bytes(est) == before
         assert est.n_obs == 5
         absorb_row(est, [0.5, 0.5], 1.0)
         assert est.n_obs == 6
@@ -220,12 +227,12 @@ class TestFoldErrors:
 
 class TestPointEstimate:
     def test_zero_without_data(self):
-        assert np.array_equal(make(dim=4).point_estimate(), np.zeros(4))
+        assert np.array_equal(make(dim=4).theta_hat, np.zeros(4))
 
     def test_single_scalar_observation(self):
         est = make(ridge=1.0, dim=1)
         absorb_row(est, [1.0], 3.0)
-        assert est.point_estimate()[0] == pytest.approx(1.5)
+        assert est.theta_hat[0] == pytest.approx(1.5)
 
     def test_noiseless_matches_closed_form_and_recovers_truth(self):
         rng = np.random.default_rng(3)
@@ -236,9 +243,9 @@ class TestPointEstimate:
             est = make(ridge=ridge, dim=3)
             est.absorb_batch(feats, rewards)
             oracle = ridge_solution(feats, rewards, ridge)
-            assert np.allclose(est.point_estimate(), oracle, atol=1e-10)
+            assert np.allclose(est.theta_hat, oracle, atol=1e-10)
         # Vanishing regularization recovers the noiseless truth.
-        assert np.allclose(est.point_estimate(), theta_star, atol=1e-6)
+        assert np.allclose(est.theta_hat, theta_star, atol=1e-6)
 
     def test_reward_scaling_scales_estimate(self):
         rng = np.random.default_rng(4)
@@ -248,22 +255,22 @@ class TestPointEstimate:
         base.absorb_batch(feats, rewards)
         scaled = make(dim=3)
         scaled.absorb_batch(feats, 2.5 * rewards)
-        assert np.allclose(scaled.point_estimate(), 2.5 * base.point_estimate(), rtol=1e-12)
+        assert np.allclose(scaled.theta_hat, 2.5 * base.theta_hat, rtol=1e-12)
 
 
 class TestBetaRadius:
     def test_initial_radius_formula(self):
         est = make(ridge=1.0, bound=1.0, delta=0.999, dim=3)
         expected = (math.sqrt(2.0 * math.log(1.0 / 0.999)) + 1.0) ** 2
-        assert est.beta_radius() == pytest.approx(expected)
+        assert est.beta == pytest.approx(expected)
 
     def test_monotone_in_observations(self):
         rng = np.random.default_rng(5)
         est = make(ridge=0.1, bound=3.0, delta=0.003, dim=4)
-        previous = est.beta_radius()
+        previous = est.beta
         for _ in range(50):
             absorb_row(est, rng.uniform(size=4), rng.normal())
-            current = est.beta_radius()
+            current = est.beta
             assert current >= previous - 1e-12
             previous = current
 
@@ -273,7 +280,7 @@ class TestBetaRadius:
         feats = rng.uniform(size=(3000, 10))
         est.absorb_batch(feats, rng.normal(size=3000))
         oracle = confidence_radius_from_scratch(feats, 0.1, 3.0, 3e-3)
-        assert est.beta_radius() == pytest.approx(oracle, rel=1e-9)
+        assert est.beta == pytest.approx(oracle, rel=1e-9)
 
     def test_closed_form_dominates_exact_radius(self):
         # Features live in [0,1]^dim, the regime the closed form assumes.
@@ -281,7 +288,7 @@ class TestBetaRadius:
         est = make(ridge=0.5, bound=2.0, delta=0.01, dim=6)
         for _ in range(200):
             absorb_row(est, rng.uniform(size=6), rng.normal())
-        assert beta_radius_closed_form(est) >= est.beta_radius()
+        assert beta_radius_closed_form(est) >= est.beta
 
 
 class TestNorms:
@@ -301,7 +308,11 @@ class TestNorms:
         for _ in range(10):
             x = rng.normal(size=5)
             assert ellipsoid_norm(est, x) == pytest.approx(math.sqrt(x @ inv @ x), abs=1e-9)
-            assert est.mahalanobis_norm(x) == pytest.approx(math.sqrt(x @ est.gram @ x), abs=1e-9)
+            # The membership test's norm sqrt(x' gram x) puts theta_hat + s x on
+            # the ball's boundary: covered just inside it, not just outside.
+            s = math.sqrt(est.beta / (x @ est.gram @ x))
+            assert est.covers(est.theta_hat + (1.0 - 1e-9) * s * x)
+            assert not est.covers(est.theta_hat + (1.0 + 1e-9) * s * x)
 
     def test_column_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -344,6 +355,54 @@ class TestPotentialSum:
         assert done == n_rows == est.n_obs
 
 
+class TestConfidenceSet:
+    """theta_hat, log_det, beta, escapes_ball and potential_bound are set at
+    init and by each fold; TestAbsorb and TestFoldErrors check that a refused
+    batch leaves them."""
+
+    @staticmethod
+    def assert_from_scratch(est, feats, rewards):
+        cfg = est.config
+        gram = gram_from_scratch(feats, cfg.ridge)
+        theta = ridge_solution(feats, rewards, cfg.ridge)
+        beta = confidence_radius_from_scratch(feats, cfg.ridge, cfg.param_bound, cfg.delta)
+        sign, log_det = np.linalg.slogdet(gram)
+        assert sign > 0
+        assert np.allclose(est.theta_hat, theta, rtol=1e-9, atol=1e-12)
+        assert est.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
+        assert est.beta == pytest.approx(beta, rel=1e-12)
+        assert est.escapes_ball == escapes_ball_from_scratch(
+            feats, rewards, cfg.ridge, cfg.param_bound, cfg.delta
+        )
+        growth = log_det - cfg.n_experts * math.log(cfg.ridge)
+        assert est.potential_bound == pytest.approx(2.0 * growth, rel=1e-12, abs=1e-12)
+        return est.escapes_ball
+
+    def test_every_fold_sets_the_from_scratch_values(self):
+        rng = np.random.default_rng(14)
+        est = make(ridge=0.1, bound=3.0, delta=3e-3, dim=4)
+        feats, rewards = np.empty((0, 4)), np.empty(0)
+        escapes = [self.assert_from_scratch(est, feats, rewards)]
+        read = [(est.theta_hat, est.theta_hat.tobytes())]
+        for size in (0, 1, 5, 70, 3, 130, 1, 400):
+            z, r = rng.uniform(size=(size, 4)), rng.normal(0.5, 1.0, size=size)
+            est.absorb_batch(z, r)
+            feats, rewards = np.vstack([feats, z]), np.concatenate([rewards, r])
+            escapes.append(self.assert_from_scratch(est, feats, rewards))
+            read.append((est.theta_hat, est.theta_hat.tobytes()))
+        # Both flags occur, and a fold never writes into an estimate read before it.
+        assert True in escapes and False in escapes
+        assert all(theta.tobytes() == bits for theta, bits in read)
+
+    def test_a_copy_carries_the_confidence_set(self):
+        rng = np.random.default_rng(16)
+        est = make(ridge=0.1, bound=3.0, delta=3e-3, dim=3)
+        est.absorb_batch(rng.uniform(size=(40, 3)), rng.normal(size=40))
+        dup = estimator_copy(est)
+        assert state_bytes(dup) == state_bytes(est)
+        assert dup.theta_hat is not est.theta_hat
+
+
 class TestPotentialInequality:
     def test_holds_on_random_trajectories(self):
         rng = np.random.default_rng(10)
@@ -351,9 +410,9 @@ class TestPotentialInequality:
             est = make(ridge=0.1, dim=6)
             draws = [(rng.uniform(size=6), rng.normal()) for _ in range(400)]
             est.absorb_batch([z for z, _ in draws], [r for _, r in draws])
-            assert est.potential_sum <= est.potential_bound() + 1e-12
+            assert est.potential_sum <= est.potential_bound + 1e-12
 
     def test_bound_starts_at_zero(self):
         est = make(dim=3)
-        assert est.potential_bound() == pytest.approx(0.0)
+        assert est.potential_bound == pytest.approx(0.0)
         assert est.potential_sum == 0.0

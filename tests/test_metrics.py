@@ -290,11 +290,11 @@ class TestThetaErrorMonotoneNoiseless:
         dim = 4
         theta_star = np.array([0.8, -0.3, 0.5, 1.1])
         est = RidgeEstimator(EstimatorConfig(ridge=1.0, param_bound=2.0, delta=0.05, n_experts=dim))
-        errors = [np.linalg.norm(est.point_estimate() - theta_star)]
+        errors = [np.linalg.norm(est.theta_hat - theta_star)]
         for step in range(60):
             z = np.zeros(dim)
             z[step % dim] = 1.0
             absorb_row(est, z, float(theta_star @ z))
-            errors.append(np.linalg.norm(est.point_estimate() - theta_star))
+            errors.append(np.linalg.norm(est.theta_hat - theta_star))
         diffs = np.diff(errors)
         assert np.all(diffs <= 1e-12)
