@@ -23,12 +23,11 @@ from .environment import (
     Environment,
     EnvironmentConfig,
     EpisodeTrace,
-    ExpertEnsemble,
     ExpertSpec,
     ThetaSpec,
 )
 from .estimator import EstimatorConfig, RidgeEstimator
-from .game import GameMatrix, MixedStrategy, SaddlePoint, solve_saddle_point
+from .game import MixedStrategy, SaddlePoint, solve_saddle_point
 from .harness import (
     ExperimentConfig,
     LearnerSpec,
@@ -46,12 +45,10 @@ __all__ = [
     "EpisodeTrace",
     "EstimatorConfig",
     "Exp3Agent",
-    "ExpertEnsemble",
     "ExpertSpec",
     "ExperimentConfig",
     "FixedOpponent",
     "FixedStrategyAgent",
-    "GameMatrix",
     "LearnerSpec",
     "MixedStrategy",
     "OFULinMatAgent",

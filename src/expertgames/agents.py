@@ -2,8 +2,11 @@
 
 Every learner plays an episode through one protocol:
 
-    begin_episode(ensemble) -> play_episode(reward, n_rounds)
+    begin_episode(stack) -> play_episode(reward, n_rounds)
         -> end_episode(rows, cols, rewards)
+
+``stack`` is the episode's (n_experts, n_rows, n_cols) float64 array of
+expert games, read-only, which only OFULinMat reads.
 
 ``reward(t, i)`` is a closure that the simulator owns: the reward of row
 ``i`` in round ``t + 1``. Only the played row's reward is asked, as bandit
@@ -22,14 +25,15 @@ round loop itself and asks the closure once per round. Its ``act(t)`` /
 calls them, and they remain as the stepping API that the benchmark times.
 
 Learners never see the true payoff matrix, only rewards (and, for the
-optimistic learner, the expert ensemble revealed each episode). OFULinMat
+optimistic learner, the expert stack revealed each episode). OFULinMat
 plans on its estimator's confidence set, which stays as it is until
-``end_episode`` folds the episode in. Opponents are
-episode-level policies that may read the true game; each commits to one mixed
-strategy per episode (``current_strategy``), and the simulator draws all of
-an episode's columns through the learners' ``play_episode``, with no reward,
-before play starts. The exposed strategies let the simulator compute
-expectation-form metrics exactly.
+``end_episode`` folds the episode in. Opponents are episode-level policies
+that may read the true game, the read-only (n_rows, n_cols) payoff array
+that ``begin_episode(true_game, learner_previous_strategy)`` hands them.
+Each commits to one mixed strategy per episode (``current_strategy``), and
+the simulator draws all of an episode's columns through the learners'
+``play_episode``, with no reward, before play starts. The exposed strategies
+let the simulator compute expectation-form metrics exactly.
 """
 
 from __future__ import annotations
@@ -86,36 +90,37 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.current_strategy: MixedStrategy | None = None
         self.optimistic_matrix: np.ndarray | None = None
         self.optimistic_value: float | None = None
-        self._ensemble = None
+        self._stack = None
 
-    def begin_episode(self, ensemble) -> None:
+    def begin_episode(self, stack) -> None:
+        """Plan on ``stack``, the episode's (n_experts, rows, cols) expert games."""
         cfg = self.estimator.config
-        if ensemble.n_experts != cfg.n_experts:
+        if stack.shape[0] != cfg.n_experts:
             raise ValueError(
-                f"ensemble has {ensemble.n_experts} experts, estimator expects {cfg.n_experts}"
+                f"stack has {stack.shape[0]} experts, estimator expects {cfg.n_experts}"
             )
-        if ensemble.rows != self.n_actions:
-            raise ValueError("ensemble row count does not match the agent's action set")
+        if stack.shape[1] != self.n_actions:
+            raise ValueError("stack row count does not match the agent's action set")
         est = self.estimator
-        feats = ensemble.feature_matrix()  # (n_experts, rows*cols)
+        feats = stack.reshape(cfg.n_experts, -1)  # (n_experts, rows*cols)
         mean = est.theta_hat @ feats
         optimistic = mean + math.sqrt(est.beta) * est.ellipsoid_norms(feats)
         if est.escapes_ball:
             # Fall back to the norm-ball payoff cap on every entry.
             cap = mean + cfg.param_bound * np.linalg.norm(feats, axis=0)
             optimistic = np.minimum(optimistic, cap)
-        matrix = optimistic.reshape(ensemble.rows, ensemble.cols)
+        matrix = optimistic.reshape(stack.shape[1:])
         saddle = solve_saddle_point(matrix)
         self.current_strategy = saddle.row_strategy
         self.optimistic_matrix = matrix
         self.optimistic_value = saddle.value
-        self._ensemble = ensemble
+        self._stack = stack
 
     def end_episode(self, rows, cols, rewards) -> None:
         """Absorb the expert readings of the played cells with their rewards."""
-        if self._ensemble is None:
+        if self._stack is None:
             raise AgentProtocolError("end_episode() called before begin_episode()")
-        self.estimator.absorb_batch(self._ensemble.matrices[:, rows, cols].T, rewards)
+        self.estimator.absorb_batch(self._stack[:, rows, cols].T, rewards)
 
 
 def _exp3_policy(estimates: list[float], t: int, n: int, log_n: float) -> list[float]:
@@ -190,7 +195,7 @@ class Exp3Agent:
         n = self.n_actions
         return _exp3_policy(self.cumulative_estimates, t, n, math.log(n))
 
-    def begin_episode(self, ensemble=None) -> None:
+    def begin_episode(self, stack=None) -> None:
         self.cumulative_estimates = [0.0] * self.n_actions
         self._last_policy = None
         self._awaiting_feedback = False
@@ -267,7 +272,7 @@ class FixedStrategyAgent(_EpisodeStrategyPlayer):
     def uniform(cls, n_actions: int, seed=None) -> "FixedStrategyAgent":
         return cls(MixedStrategy.uniform(n_actions), seed)
 
-    def begin_episode(self, ensemble=None) -> None:
+    def begin_episode(self, stack=None) -> None:
         pass
 
     def end_episode(self, rows, cols, rewards) -> None:
@@ -292,7 +297,7 @@ class SaddleOracleOpponent(_ColumnOpponent):
 
 class UniformOpponent(_ColumnOpponent):
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
-        self.current_strategy = MixedStrategy.uniform(true_game.cols)
+        self.current_strategy = MixedStrategy.uniform(true_game.shape[1])
 
 
 class FixedOpponent(_ColumnOpponent):
@@ -301,7 +306,7 @@ class FixedOpponent(_ColumnOpponent):
         self._strategy = strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)
 
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
-        if self._strategy.n_actions != true_game.cols:
+        if self._strategy.n_actions != true_game.shape[1]:
             raise ValueError("fixed opponent strategy does not match the game's column count")
         self.current_strategy = self._strategy
 
@@ -315,9 +320,9 @@ class BestResponderOpponent(_ColumnOpponent):
     """
 
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
+        n_cols = true_game.shape[1]
         if learner_previous_strategy is None:
-            self.current_strategy = MixedStrategy.uniform(true_game.cols)
+            self.current_strategy = MixedStrategy.uniform(n_cols)
             return
         mu = np.asarray(learner_previous_strategy, dtype=float)
-        column_payoffs = mu @ true_game.entries
-        self.current_strategy = MixedStrategy.pure(true_game.cols, int(np.argmin(column_payoffs)))
+        self.current_strategy = MixedStrategy.pure(n_cols, int(np.argmin(mu @ true_game)))

@@ -8,9 +8,12 @@ on the same environment see identical noise even when they choose different
 actions. An episode's expert stack is derived from (expert stream, episode)
 when the episode is revealed, so a trial holds one episode's stack and true
 game at a time, not the whole horizon's; fixed experts are the config's own
-array, read without a copy. The environment records the rewards it pays,
-``M[rows, cols] + noise`` for the rows played; its reward closure pays the
-same floats to a learner that asks within the episode.
+array, read without a copy. The learner is handed the (n_experts, rows, cols)
+stack and the opponent the (rows, cols) true game, as read-only float64
+arrays. Every expert entry lies in [0, 1]: ``ExpertSpec`` checks fixed
+experts, and uniform ones are U[0, 1) draws. The environment records the
+rewards it pays, ``M[rows, cols] + noise`` for the rows played; its reward
+closure pays the same floats to a learner that asks within the episode.
 
 ``EnvironmentConfig``, ``ThetaSpec`` and ``ExpertSpec`` are the schema of
 the ``environment`` section: their fields and defaults are its keys and
@@ -32,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics
-from .game import SIMPLEX_TOL, SUM_TOL, GameMatrix, SaddlePoint, solve_saddle_point
+from .game import SIMPLEX_TOL, SUM_TOL, SaddlePoint, solve_saddle_point
 
 _THETA_DRAW_LIMIT = 100_000
 # The largest payoff a true game may reach. A run sums payoffs over rounds,
@@ -53,19 +56,6 @@ ARRAY_BYTE_BUDGET = 2**30
 
 class SimulationError(RuntimeError):
     """An agent broke the play protocol (e.g. produced an illegal action)."""
-
-
-def _unit_entries(values, name: str) -> np.ndarray:
-    """``values`` as a float array whose entries are finite and lie in [0, 1]."""
-    stack = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(stack)):
-        raise ValueError(f"{name}: entries must be finite")
-    if stack.size and (stack.min() < 0.0 or stack.max() > 1.0):
-        raise ValueError(
-            f"{name}: entries must lie in [0, 1], got range "
-            f"[{float(stack.min())}, {float(stack.max())}]"
-        )
-    return stack
 
 
 def type_problem(config, counts=(), reals=(), real_lists=()) -> str | None:
@@ -116,42 +106,6 @@ def kind_problem(spec) -> str | None:
     if spec.kind not in kinds:
         return f"type: must be one of {kinds}, got {spec.kind!r}"
     return stray_field(spec, spec.KINDS[spec.kind])
-
-
-@dataclass(frozen=True)
-class ExpertEnsemble:
-    """The expert game matrices revealed at the start of one episode.
-
-    ``matrices`` is an (n_experts, rows, cols) stack with every entry in
-    [0, 1]; the per-entry feature vector of cell (i, j) is the vector of the
-    experts' (i, j) readings.
-    """
-
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        stack = np.asarray(self.matrices, dtype=float)
-        if stack.ndim != 3 or stack.shape[0] < 1:
-            raise ValueError("ensemble must be a non-empty (n_experts, rows, cols) stack")
-        _unit_entries(stack, "expert matrices")
-        object.__setattr__(self, "matrices", stack)
-        stack.setflags(write=False)
-
-    @property
-    def n_experts(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.matrices.shape[2]
-
-    def feature_matrix(self) -> np.ndarray:
-        """All entries' features as an (n_experts, rows*cols) column stack."""
-        return self.matrices.reshape(self.n_experts, -1)
 
 
 @dataclass(frozen=True)
@@ -210,7 +164,13 @@ class ExpertSpec:
             if stack.dtype.kind not in "iuf":
                 raise ValueError("matrices: must be a nested list of numbers")
             stack = np.array(stack, dtype=float, order="C")  # the spec's own copy
-            _unit_entries(stack, "matrices")
+            if not np.all(np.isfinite(stack)):
+                raise ValueError("matrices: entries must be finite")
+            if stack.size and (stack.min() < 0.0 or stack.max() > 1.0):
+                raise ValueError(
+                    "matrices: entries must lie in [0, 1], got range "
+                    f"[{float(stack.min())}, {float(stack.max())}]"
+                )
             stack.setflags(write=False)
             object.__setattr__(self, "matrices", stack)
 
@@ -380,10 +340,15 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
             f"{role} produced {kind} {actions[t]} outside [0, {n_actions}) "
             f"at episode {episode}, round {t + 1}"
         )
+    if strategy is None:
+        raise SimulationError(f"{role} exposes no strategy at episode {episode}")
     strategy = np.asarray(strategy)
     shapes = ((n_actions,), (n_rounds, n_actions)) if per_round else ((n_actions,),)
     if strategy.shape not in shapes:
-        raise SimulationError(f"{role} exposes no strategy at episode {episode}")
+        raise SimulationError(
+            f"{role}'s strategy at episode {episode} has shape {strategy.shape}, "
+            f"not {' or '.join(map(str, shapes))}"
+        )
     if strategy.dtype.kind not in "iuf":
         raise SimulationError(
             f"{role}'s strategy at episode {episode} has dtype {strategy.dtype}, not real numbers"
@@ -427,7 +392,9 @@ class Environment:
         self._saddles: dict[int, SaddlePoint] = {}
 
     def _reveal(self, episode: int) -> tuple[np.ndarray, np.ndarray]:
-        """Episode ``episode``'s expert stack and true game entries.
+        """Episode ``episode``'s (n_experts, rows, cols) expert stack and
+        (rows, cols) true game, both read-only, so the players can be handed
+        them without a copy.
 
         Uniform experts are one U[0, 1) stream over the whole horizon, episode
         after episode. Each double takes one 64-bit PCG64 output, so episode k's
@@ -446,10 +413,12 @@ class Environment:
             bits.advance(episode * math.prod(shape))
             stack = np.random.Generator(bits).random(shape)  # uniform(0.0, 1.0)'s bits
         # True games never clip: only the expert matrices are [0,1]-bounded.
-        game = self.theta_star @ stack.reshape(cfg.n_experts, -1)
-        return stack, game.reshape(cfg.n_rows, cfg.n_cols)
+        game = (self.theta_star @ stack.reshape(cfg.n_experts, -1)).reshape(shape[1:])
+        stack.setflags(write=False)
+        game.setflags(write=False)
+        return stack, game
 
-    def true_saddle(self, episode: int, game: GameMatrix) -> SaddlePoint:
+    def true_saddle(self, episode: int, game: np.ndarray) -> SaddlePoint:
         """The saddle point of ``game``, episode ``episode``'s true game, solved
         once per trial."""
         if episode not in self._saddles:
@@ -470,12 +439,11 @@ class Environment:
         """
         cfg = self.config
         stack, m = self._reveal(episode)
-        ensemble, game = ExpertEnsemble(stack), GameMatrix(m)
-        value = self.true_saddle(episode, game).value
+        value = self.true_saddle(episode, m).value
         n_rounds, n_rows = cfg.rounds_per_episode, cfg.n_rows
 
-        learner.begin_episode(ensemble)
-        opponent.begin_episode(game, learner_previous_strategy)
+        learner.begin_episode(stack)
+        opponent.begin_episode(m, learner_previous_strategy)
         # The opponent needs no reward: it draws every column from its committed mix.
         cols, nu = _checked_play(
             opponent.play_episode(None, n_rounds), n_rounds, cfg.n_cols, "opponent", "column", episode

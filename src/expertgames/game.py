@@ -1,4 +1,8 @@
-"""Zero-sum matrix games: payoff containers and exact mixed saddle-point solving.
+"""Zero-sum matrix games: mixed strategies and exact mixed saddle-point solving.
+
+A game is the row player's (rows, cols) float payoff array: the row player
+maximizes, the column player minimizes, and the column player's payoff is its
+negation.
 
 The solver uses the classical reduction of a matrix game to a linear program:
 shift the payoffs so every entry is strictly positive, solve the resulting
@@ -24,36 +28,14 @@ SUM_TOL = 1e-9
 _MAX_PIVOTS = 10_000
 
 
-def _as_payoff_array(entries) -> np.ndarray:
-    arr = np.array(entries, dtype=float)
+def _as_payoff_array(matrix) -> np.ndarray:
+    """``matrix`` as a float array, without a copy when it is one already."""
+    arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("payoff matrix must be a non-empty 2-D array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("payoff matrix entries must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class GameMatrix:
-    """Row player's payoff matrix of a finite two-player zero-sum game.
-
-    The row player maximizes, the column player minimizes; the column
-    player's payoff is the negation of ``entries``.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _as_payoff_array(self.entries))
-        self.entries.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -122,10 +104,6 @@ class SaddlePoint:
     col_strategy: MixedStrategy
     value: float
     pivots: int
-
-
-def _coerce_game(matrix) -> GameMatrix:
-    return matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)
 
 
 def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -230,7 +208,9 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
 
 
 def solve_saddle_point(matrix) -> SaddlePoint:
-    """Compute an exact mixed-strategy saddle point of a zero-sum game.
+    """Compute an exact mixed-strategy saddle point of the zero-sum game whose
+    row payoffs are ``matrix``, a non-empty 2-D array of finite floats (or
+    anything ``np.asarray`` makes one of); any other input raises ``ValueError``.
 
     The payoffs are halved, which keeps the range of every finite game
     finite, and mapped onto [1/2, 1] by ``(1 + (H - low) / spread) / 2``,
@@ -250,8 +230,7 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     most ``tol``, and the value must lie within ``tol`` of ``mu' M nu``, or a
     ``RuntimeError`` states which check failed.
     """
-    game = _coerce_game(matrix)
-    entries = game.entries
+    entries = _as_payoff_array(matrix)
     half = entries * 0.5
     low = float(half.min())
     high = float(half.max())
@@ -270,12 +249,12 @@ def solve_saddle_point(matrix) -> SaddlePoint:
     if not gap <= tol:
         raise RuntimeError(
             f"saddle point failed its certificate: duality gap {gap:.3g} exceeds {tol:.3g} "
-            f"on a {game.rows}x{game.cols} game"
+            f"on a {entries.shape[0]}x{entries.shape[1]} game"
         )
     if not value_error <= tol:
         raise RuntimeError(
             f"saddle point failed its certificate: value {value:.6g} is {value_error:.3g} "
-            f"from mu' M nu, beyond {tol:.3g}, on a {game.rows}x{game.cols} game"
+            f"from mu' M nu, beyond {tol:.3g}, on a {entries.shape[0]}x{entries.shape[1]} game"
         )
     return SaddlePoint(
         row_strategy=MixedStrategy(mu),

@@ -36,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -446,6 +445,20 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     }
 
 
+# A pool worker's config, which the pool's initializer sets once per worker.
+_WORKER_CONFIG: ExperimentConfig | None = None
+
+
+def _set_worker_config(config: ExperimentConfig) -> None:
+    global _WORKER_CONFIG
+    _WORKER_CONFIG = config
+
+
+def _run_worker_trial(trial: int) -> dict:
+    """``run_trial`` of the worker's config: a task carries only its trial number."""
+    return run_trial(_WORKER_CONFIG, trial)
+
+
 def _write_metrics_csv(path: Path, rows) -> None:
     lines = ["series,episode,value"]
     lines += [f"{name},{episode},{value!r}" for (name, episode), value in rows]
@@ -530,7 +543,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     """Run all trials, persist per-trial and aggregate outputs, return the manifest.
 
     Trials run in a pool of ``min(workers, trials)`` processes when that is
-    more than one; the pool starts all of its workers up front. Either way
+    more than one; the pool starts all of its workers up front, and hands
+    each the config once, so a task is only a trial number. Either way
     results arrive in trial order. Each trial's files are written as its
     result arrives, and each learner's report becomes the trial's column of
     that learner's (rows, trials) aggregate array, so across trials a run
@@ -559,10 +573,13 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     if workers > 1:
         import concurrent.futures  # a serial run loads neither the pool nor logging
 
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_config, initargs=(config,)
+        )
     with pool or contextlib.nullcontext():
-        mapper = pool.map if pool else map
-        for n, result in enumerate(mapper(run_trial, itertools.repeat(config), range(config.trials))):
+        results = (pool.map(_run_worker_trial, range(config.trials)) if pool
+                   else map(functools.partial(run_trial, config), range(config.trials)))
+        for n, result in enumerate(results):
             trial_root = out / "trials" / f"trial_{n:03d}"
             trial_root.mkdir(parents=True, exist_ok=True)
             (trial_root / "env.json").write_text(

@@ -27,9 +27,8 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from expertgames.environment import ExpertEnsemble
 from expertgames.estimator import RidgeEstimator
-from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, GameMatrix, MixedStrategy
+from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, MixedStrategy
 from expertgames.harness import read_plot_tables, write_plot_tables
 
 _FEAS_TOL = 1e-8
@@ -192,17 +191,13 @@ def _row_elimination_lp(a: np.ndarray, rule: str):
     return q, tab[-1, n : n + m].copy(), float(tab[-1, -1]), pivots
 
 
-def _payoffs(matrix) -> np.ndarray:
-    return (matrix if isinstance(matrix, GameMatrix) else GameMatrix(matrix)).entries
-
-
 def _probs(strategy) -> np.ndarray:
     return (strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)).probs
 
 
 def expected_payoff(matrix, row_strategy, col_strategy) -> float:
     """Bilinear payoff mu' M nu to the row player."""
-    m = _payoffs(matrix)
+    m = np.asarray(matrix, dtype=float)
     mu = _probs(row_strategy)
     nu = _probs(col_strategy)
     if (mu.size, nu.size) != m.shape:
@@ -219,7 +214,7 @@ def best_response_value(matrix, opponent, side: str) -> float:
     pure rows of (M @ opponent). side="col": the column player responds, so
     the value is the minimum over pure columns of (opponent @ M).
     """
-    m = _payoffs(matrix)
+    m = np.asarray(matrix, dtype=float)
     probs = _probs(opponent)
     if side == "row":
         if probs.size != m.shape[1]:
@@ -241,17 +236,18 @@ def sample_action(strategy: MixedStrategy, rng) -> int:
 
 def emit_reward(matrix, i: int, j: int, noise_variance: float, rng: np.random.Generator) -> float:
     """One noisy payoff observation: M[i, j] + N(0, noise_variance)."""
-    m = _payoffs(matrix)
+    m = np.asarray(matrix, dtype=float)
     if not (0 <= i < m.shape[0] and 0 <= j < m.shape[1]):
         raise IndexError(f"entry ({i}, {j}) outside a {m.shape[0]}x{m.shape[1]} game")
     return float(m[i, j] + rng.normal(0.0, math.sqrt(noise_variance)))
 
 
-def expert_features(ensemble: ExpertEnsemble, i: int, j: int) -> np.ndarray:
-    """Expert readings of entry (i, j); components in [0,1], norm <= sqrt(S)."""
-    if not (0 <= i < ensemble.rows and 0 <= j < ensemble.cols):
-        raise IndexError(f"entry ({i}, {j}) outside a {ensemble.rows}x{ensemble.cols} game")
-    return ensemble.matrices[:, i, j].copy()
+def expert_features(stack: np.ndarray, i: int, j: int) -> np.ndarray:
+    """The (n_experts, rows, cols) ``stack``'s expert readings of entry (i, j)."""
+    _, rows, cols = stack.shape
+    if not (0 <= i < rows and 0 <= j < cols):
+        raise IndexError(f"entry ({i}, {j}) outside a {rows}x{cols} game")
+    return stack[:, i, j].copy()
 
 
 def one_shot_reveals(config, seed, theta_star) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +260,14 @@ def one_shot_reveals(config, seed, theta_star) -> tuple[np.ndarray, np.ndarray]:
     return stacks, np.tensordot(theta_star, stacks, axes=(0, 1))
 
 
-def episode_ensemble(env, episode: int) -> ExpertEnsemble:
-    """Episode ``episode``'s expert ensemble, as ``Environment.run_episode`` reveals it."""
-    return ExpertEnsemble(env._reveal(episode)[0])
+def episode_stack(env, episode: int) -> np.ndarray:
+    """Episode ``episode``'s expert stack, as ``Environment.run_episode`` reveals it."""
+    return env._reveal(episode)[0]
 
 
-def episode_game(env, episode: int) -> GameMatrix:
+def episode_game(env, episode: int) -> np.ndarray:
     """Episode ``episode``'s true game, as ``Environment.run_episode`` reveals it."""
-    return GameMatrix(env._reveal(episode)[1])
+    return env._reveal(episode)[1]
 
 
 def episode_saddle(env, episode: int):
@@ -499,7 +495,7 @@ def best_response_regret_increment_p2(matrix, row_strategy, reward: float) -> fl
 
 def hindsight_best_row_regret(matrix, col_actions, rewards) -> float:
     """Within-episode external regret: max_i sum_t M[i, j_t] - sum_t r_t."""
-    m = np.asarray(matrix, dtype=float) if not hasattr(matrix, "entries") else matrix.entries
+    m = np.asarray(matrix, dtype=float)
     cols = np.asarray(col_actions, dtype=int)
     row_totals = m[:, cols].sum(axis=1)
     return float(row_totals.max() - np.sum(rewards))

@@ -14,8 +14,7 @@ from expertgames.agents import (
     UniformOpponent,
 )
 from expertgames.estimator import EstimatorConfig
-from expertgames.environment import ExpertEnsemble
-from expertgames.game import GameMatrix, MixedStrategy, solve_saddle_point
+from expertgames.game import MixedStrategy, solve_saddle_point
 
 from oracles import (
     FloatExp3,
@@ -38,7 +37,7 @@ class TestOFULinMatPlanning:
         # mixed strategy is acceptable.
         config = EstimatorConfig(ridge=1.0, param_bound=1e-9, delta=0.999, n_experts=1)
         agent = OFULinMatAgent(2, config, seed=0)
-        agent.begin_episode(ExpertEnsemble(np.ones((1, 2, 2))))
+        agent.begin_episode(np.ones((1, 2, 2)))
         assert np.allclose(agent.estimator.theta_hat, 0.0)
         spread = agent.optimistic_matrix.max() - agent.optimistic_matrix.min()
         assert spread < 1e-12
@@ -50,13 +49,13 @@ class TestOFULinMatPlanning:
         # optimistic matrix is a positive multiple of the expert game, so the
         # planned strategy matches that game's saddle strategy exactly.
         expert = np.array([[0.9, 0.1], [0.2, 0.8]])
-        ensemble = ExpertEnsemble(expert[None, :, :])
+        stack = expert[None, :, :]
         config = EstimatorConfig(ridge=0.01, param_bound=3.0, delta=0.01, n_experts=1)
         agent = OFULinMatAgent(2, config, seed=1)
         rng = np.random.default_rng(2)
         readings = [expert[rng.integers(2), rng.integers(2)] for _ in range(2000)]
         agent.estimator.absorb_batch(np.array(readings)[:, None], 2.0 * np.array(readings))
-        agent.begin_episode(ensemble)
+        agent.begin_episode(stack)
         assert agent.estimator.theta_hat[0] == pytest.approx(2.0, abs=1e-3)
         assert np.allclose(agent.optimistic_matrix / expert, agent.optimistic_matrix[0, 0] / expert[0, 0])
         reference = solve_saddle_point(expert)
@@ -73,11 +72,11 @@ class TestOFULinMatPlanning:
             z = features[t] = rng.uniform(size=10)
             rewards[t] = float(theta_star @ z) + rng.normal()
         agent.estimator.absorb_batch(features, rewards)
-        ensemble = ExpertEnsemble(rng.uniform(size=(10, 10, 10)))
-        agent.begin_episode(ensemble)
+        stack = rng.uniform(size=(10, 10, 10))
+        agent.begin_episode(stack)
         assert not agent.estimator.escapes_ball
         oracle = entrywise_optimistic_matrix(
-            ensemble.matrices,
+            stack,
             agent.estimator.theta_hat,
             agent.estimator.gram,
             agent.estimator.beta,
@@ -90,18 +89,18 @@ class TestOFULinMatPlanning:
         # <theta, z> + bound * ||z||, here bound * ||z|| with theta = 0.
         config = case_study_estimator_config(n_experts=3)
         agent = OFULinMatAgent(2, config, seed=5)
-        ensemble = ExpertEnsemble(np.random.default_rng(6).uniform(size=(3, 2, 2)))
-        agent.begin_episode(ensemble)
+        stack = np.random.default_rng(6).uniform(size=(3, 2, 2))
+        agent.begin_episode(stack)
         assert agent.estimator.escapes_ball
-        norms = np.linalg.norm(ensemble.feature_matrix(), axis=0).reshape(2, 2)
+        norms = np.linalg.norm(stack, axis=0)
         assert np.allclose(agent.optimistic_matrix, 3.0 * norms)
 
-    def test_rejects_mismatched_ensemble(self):
+    def test_rejects_mismatched_stack(self):
         agent = OFULinMatAgent(2, case_study_estimator_config(n_experts=2), seed=0)
-        with pytest.raises(ValueError):
-            agent.begin_episode(ExpertEnsemble(np.ones((3, 2, 2))))
-        with pytest.raises(ValueError):
-            agent.begin_episode(ExpertEnsemble(np.ones((2, 4, 2))))
+        with pytest.raises(ValueError, match="^stack has 3 experts, estimator expects 2$"):
+            agent.begin_episode(np.ones((3, 2, 2)))
+        with pytest.raises(ValueError, match="^stack row count does not match"):
+            agent.begin_episode(np.ones((2, 4, 2)))
 
     def test_plans_on_a_gram_matrix_whose_eigenvalues_round_below_ridge(self):
         # All-ones experts make every feature the all-ones vector. With a tiny
@@ -109,10 +108,10 @@ class TestOFULinMatPlanning:
         # ridge, negative from episode 8 on, though it is at least ridge.
         config = EstimatorConfig(ridge=2e-12, param_bound=3.0, delta=3e-3, n_experts=10)
         agent = OFULinMatAgent(10, config, seed=0)
-        ensemble = ExpertEnsemble(np.ones((10, 10, 10)))
+        stack = np.ones((10, 10, 10))
         rng = np.random.default_rng(0)
         for _ in range(15):
-            agent.begin_episode(ensemble)
+            agent.begin_episode(stack)
             rows, _ = agent.play_episode(None, 200)
             cols = rng.integers(10, size=200)
             agent.end_episode(rows, cols, 5.0 + rng.normal(0.0, 0.7, size=200))
@@ -151,7 +150,7 @@ class TestOFULinMatActObserve:
 
     def test_end_episode_empty_buffer_is_noop(self):
         agent = self.make_agent()
-        agent.begin_episode(ExpertEnsemble(np.full((2, 3, 3), 0.5)))
+        agent.begin_episode(np.full((2, 3, 3), 0.5))
         before = agent.estimator.gram.copy()
         agent.end_episode([], [], [])
         assert np.array_equal(agent.estimator.gram, before)
@@ -164,7 +163,7 @@ class TestOFULinMatActObserve:
         rng = np.random.default_rng(8)
         stack = rng.uniform(size=(2, 3, 3))
         agent = self.make_agent()
-        agent.begin_episode(ExpertEnsemble(stack))
+        agent.begin_episode(stack)
         mirror = estimator_copy(agent.estimator)
         plays = [(rng.integers(3), rng.integers(3), rng.normal()) for _ in range(200)]
         rows, cols, rewards = (list(column) for column in zip(*plays))
@@ -359,34 +358,34 @@ class TestExp3:
 class TestOpponents:
     def test_saddle_oracle_on_matching_pennies(self):
         opponent = SaddleOracleOpponent(seed=0)
-        opponent.begin_episode(GameMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
+        opponent.begin_episode(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.allclose(opponent.current_strategy.probs, [0.5, 0.5], atol=1e-7)
         assert opponent.play_episode(None, 1)[0][0] in (0, 1)
 
     def test_fixed_opponent_always_plays_stored_column(self):
         opponent = FixedOpponent(np.array([0.0, 1.0]), seed=1)
-        opponent.begin_episode(GameMatrix(np.zeros((2, 2))))
+        opponent.begin_episode(np.zeros((2, 2)))
         assert all(opponent.play_episode(None, 20)[0] == 1)
 
     def test_fixed_opponent_dimension_check(self):
         opponent = FixedOpponent(np.array([0.5, 0.5]), seed=1)
         with pytest.raises(ValueError):
-            opponent.begin_episode(GameMatrix(np.zeros((2, 3))))
+            opponent.begin_episode(np.zeros((2, 3)))
 
     def test_best_responder_poaches_previous_strategy(self):
         opponent = BestResponderOpponent(seed=2)
-        game = GameMatrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        game = np.array([[1.0, -1.0], [-1.0, 1.0]])
         opponent.begin_episode(game, learner_previous_strategy=np.array([1.0, 0.0]))
         assert np.array_equal(opponent.current_strategy.probs, [0.0, 1.0])
 
     def test_best_responder_without_history_is_uniform(self):
         opponent = BestResponderOpponent(seed=3)
-        opponent.begin_episode(GameMatrix(np.zeros((2, 4))))
+        opponent.begin_episode(np.zeros((2, 4)))
         assert np.allclose(opponent.current_strategy.probs, 0.25)
 
     def test_uniform_opponent(self):
         opponent = UniformOpponent(seed=4)
-        opponent.begin_episode(GameMatrix(np.zeros((2, 5))))
+        opponent.begin_episode(np.zeros((2, 5)))
         assert np.allclose(opponent.current_strategy.probs, 0.2)
 
     def test_act_before_begin_raises(self):

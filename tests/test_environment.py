@@ -17,7 +17,6 @@ from expertgames.environment import (
     PAYOFF_LIMIT,
     Environment,
     EnvironmentConfig,
-    ExpertEnsemble,
     ExpertSpec,
     SimulationError,
     ThetaSpec,
@@ -29,9 +28,9 @@ from expertgames.estimator import EstimatorConfig
 from oracles import (
     confidence_radius_from_scratch,
     emit_reward,
-    episode_ensemble,
     episode_game,
     episode_saddle,
+    episode_stack,
     escapes_ball_from_scratch,
     expert_features,
     gram_from_scratch,
@@ -56,42 +55,50 @@ def config(**overrides):
     return EnvironmentConfig(**base)
 
 
-class TestExpertEnsemble:
-    def test_rejects_out_of_range_entries(self):
-        with pytest.raises(ValueError):
-            ExpertEnsemble(np.full((1, 2, 2), 1.5))
-        with pytest.raises(ValueError):
-            ExpertEnsemble(np.full((1, 2, 2), -0.1))
+class TestExpertFeatures:
+    def test_revealed_features_lie_in_the_unit_cube(self):
+        # Uniform experts are U[0, 1) draws and ExpertSpec checks fixed ones,
+        # so every revealed stack is a float64 array of entries in [0, 1].
+        matrices = np.random.default_rng(0).uniform(size=(4, 5, 3, 4))
+        theta = ThetaSpec(kind="fixed", values=(1.0,) * 5)
+        for experts in (ExpertSpec(kind="uniform"), ExpertSpec(kind="fixed", matrices=matrices)):
+            cfg = config(n_rows=3, n_cols=4, n_experts=5, experts=experts, theta_star=theta)
+            env = Environment(cfg, seed=1)
+            for k in range(4):
+                stack = episode_stack(env, k)
+                assert stack.shape == (5, 3, 4) and stack.dtype == np.float64
+                for i in range(3):
+                    for j in range(4):
+                        z = expert_features(stack, i, j)
+                        assert z.min() >= 0.0 and z.max() <= 1.0
+                        assert np.linalg.norm(z) <= math.sqrt(5) + 1e-12
 
-    def test_feature_invariants(self):
-        rng = np.random.default_rng(0)
-        ensemble = ExpertEnsemble(rng.uniform(size=(5, 3, 4)))
-        for i in range(3):
-            for j in range(4):
-                z = expert_features(ensemble, i, j)
-                assert z.min() >= 0.0 and z.max() <= 1.0
-                assert np.linalg.norm(z) <= math.sqrt(5) + 1e-12
-        assert ensemble.feature_matrix().shape == (5, 12)
+    @pytest.mark.parametrize("entry", [1.5, -0.1, math.nan])
+    def test_fixed_experts_outside_the_unit_interval_are_refused(self, entry):
+        matrices = np.full((4, 2, 3, 3), 0.5)
+        matrices[2, 1, 0, 2] = entry
+        with pytest.raises(ValueError, match=r"^matrices: entries must"):
+            ExpertSpec(kind="fixed", matrices=matrices)
 
     def test_features_out_of_range(self):
-        ensemble = ExpertEnsemble(np.zeros((1, 2, 2)))
+        stack = np.zeros((1, 2, 2))
         with pytest.raises(IndexError):
-            expert_features(ensemble, 2, 0)
+            expert_features(stack, 2, 0)
         with pytest.raises(IndexError):
-            expert_features(ensemble, 0, -1)
+            expert_features(stack, 0, -1)
 
 
 class TestGroundTruth:
     def test_basis_theta_reproduces_first_expert(self):
         env = Environment(config())
         for k in range(4):
-            first_expert = episode_ensemble(env, k).matrices[0]
-            assert np.array_equal(episode_game(env, k).entries, first_expert)
+            first_expert = episode_stack(env, k)[0]
+            assert np.array_equal(episode_game(env, k), first_expert)
 
     def test_zero_theta_gives_zero_game(self):
         env = Environment(config(theta_star=ThetaSpec(kind="fixed", values=(0.0, 0.0))))
         for k in range(4):
-            assert np.all(episode_game(env, k).entries == 0.0)
+            assert np.all(episode_game(env, k) == 0.0)
             assert abs(episode_saddle(env, k).value) < 1e-9
 
     def test_entrywise_linear_consistency(self):
@@ -104,12 +111,12 @@ class TestGroundTruth:
         )
         env = Environment(cfg, seed=7)
         for k in range(3):
-            ensemble = episode_ensemble(env, k)
-            game = episode_game(env, k).entries
+            stack = episode_stack(env, k)
+            game = episode_game(env, k)
             worst = 0.0
             for i in range(10):
                 for j in range(10):
-                    z = expert_features(ensemble, i, j)
+                    z = expert_features(stack, i, j)
                     worst = max(worst, abs(game[i, j] - env.theta_star @ z))
             assert worst <= 1e-12
 
@@ -150,20 +157,18 @@ class TestGroundTruth:
         for seed in (0, [1, 2, 0]):
             env = Environment(cfg, seed)
             for k in range(4):
-                assert np.shares_memory(episode_ensemble(env, k).matrices, stack)
+                assert np.shares_memory(episode_stack(env, k), stack)
 
     def test_rounds_do_not_perturb_expert_draws(self):
         short = Environment(config(rounds_per_episode=2))
         long = Environment(config(rounds_per_episode=50))
         for k in range(4):
-            assert np.array_equal(
-                episode_ensemble(short, k).matrices, episode_ensemble(long, k).matrices
-            )
+            assert np.array_equal(episode_stack(short, k), episode_stack(long, k))
         assert np.array_equal(short.theta_star, long.theta_star)
 
     def test_cross_episode_independence_smoke(self):
         env = Environment(config(n_episodes=400), seed=3)
-        series = np.array([episode_ensemble(env, k).matrices[0, 0, 0] for k in range(400)])
+        series = np.array([episode_stack(env, k)[0, 0, 0] for k in range(400)])
         lagged = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert abs(lagged) < 0.15
 
@@ -184,19 +189,17 @@ class TestGroundTruth:
         env = Environment(cfg, seed=[4, 1, 0])
         stacks, games = one_shot_reveals(cfg, [4, 1, 0], env.theta_star)
         for k in (4, 0, 2, 2, 1, 3):
-            assert np.array_equal(episode_ensemble(env, k).matrices, stacks[k])
-            assert np.array_equal(episode_game(env, k).entries, games[k])
+            assert np.array_equal(episode_stack(env, k), stacks[k])
+            assert np.array_equal(episode_game(env, k), games[k])
 
     def test_episodes_outside_the_horizon_are_refused(self):
         env = Environment(config())
         for k in (-1, 4):
             with pytest.raises(IndexError, match=r"outside \[0, 4\)"):
-                episode_ensemble(env, k)
+                episode_stack(env, k)
         with pytest.raises(TypeError):
             episode_game(env, 2.5)
-        assert np.array_equal(
-            episode_ensemble(env, np.int64(3)).matrices, episode_ensemble(env, 3).matrices
-        )
+        assert np.array_equal(episode_stack(env, np.int64(3)), episode_stack(env, 3))
 
     def test_a_trial_holds_one_episode_of_experts(self):
         # One stack is 288,000 bytes; the whole horizon's stacks take 5.76 MB.
@@ -207,11 +210,11 @@ class TestGroundTruth:
         try:
             env = Environment(cfg)
             for k in range(cfg.n_episodes):
-                ensemble, game = episode_ensemble(env, k), episode_game(env, k)
+                stack, game = episode_stack(env, k), episode_game(env, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ensemble.matrices.shape == (10, 60, 60) and game.entries.shape == (60, 60)
+        assert stack.shape == (10, 60, 60) and game.shape == (60, 60)
         assert peak < 4 * stack_bytes
 
 
@@ -305,14 +308,14 @@ class TestRunEpisode:
         trace = env.run_episode(learner, opponent, 0)
         assert trace.row_actions.tolist() == [1]
         assert trace.col_actions.tolist() == [0]
-        assert trace.rewards[0] == episode_game(env, 0).entries[1, 0]
+        assert trace.rewards[0] == episode_game(env, 0)[1, 0]
 
     def test_pure_agents_zero_noise_constant_reward(self):
         env = Environment(config(rounds_per_episode=20))
         learner = FixedStrategyAgent(np.array([1.0, 0.0, 0.0]), seed=0)
         opponent = FixedOpponent(np.array([0.0, 0.0, 1.0]), seed=1)
         trace = env.run_episode(learner, opponent, 2)
-        assert np.all(trace.rewards == episode_game(env, 2).entries[0, 2])
+        assert np.all(trace.rewards == episode_game(env, 2)[0, 2])
 
     def test_trace_has_exactly_t_records(self):
         env = Environment(config(rounds_per_episode=7))
@@ -397,6 +400,73 @@ class TestRunEpisode:
         env = Environment(config())
         with pytest.raises(SimulationError, match="exposes no strategy"):
             env.run_episode(Blind(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+
+    @pytest.mark.parametrize(
+        "learner, message",
+        [
+            (FixedStrategyAgent([0.5, 0.25, 0.25], seed=0),
+             r"^learner's strategy at episode 0 has shape \(3,\), not \(4,\) or \(5, 4\)$"),
+            (Exp3Agent(3, seed=0),
+             r"^learner's strategy at episode 0 has shape \(5, 3\), not \(4,\) or \(5, 4\)$"),
+        ],
+        ids=["fixed-mix", "exp3-policies"],
+    )
+    def test_a_strategy_of_the_wrong_shape_is_named(self, learner, message):
+        # The rows are legal in a 4-row game; only the strategy's shape is wrong.
+        env = Environment(config(n_rows=4))
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(learner, FixedOpponent(np.array([1.0, 0, 0])), 0)
+
+    def test_opponent_strategy_of_the_wrong_shape_is_named(self):
+        class Wide(FixedOpponent):
+            def play_episode(self, reward, n_rounds):
+                cols, _ = super().play_episode(reward, n_rounds)
+                return cols, [0.25] * 4
+
+        env = Environment(config())
+        message = r"^opponent's strategy at episode 0 has shape \(4,\), not \(3,\)$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Wide([1.0, 0, 0]), 0)
+
+    @pytest.mark.parametrize("experts", ["uniform", "fixed"])
+    def test_players_get_read_only_arrays(self, experts):
+        # The stack and the true game reach the players without a copy, so a
+        # write must fail and leave the episode as it would have been.
+        matrices = np.random.default_rng(5).uniform(size=(4, 2, 3, 3))
+        spec = ExpertSpec(kind="fixed", matrices=matrices) if experts == "fixed" else ExpertSpec()
+        theta = ThetaSpec(kind="fixed", values=(0.7, -0.2))
+        cfg = config(noise_variance=0.5, experts=spec, theta_star=theta)
+        refused = []
+
+        def scribble(array):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+            refused.append(array.shape)
+
+        class Scribbler(OFULinMatAgent):
+            def begin_episode(self, stack):
+                scribble(stack)
+                super().begin_episode(stack)
+
+        class Vandal(SaddleOracleOpponent):
+            def begin_episode(self, true_game, learner_previous_strategy=None):
+                scribble(true_game)
+                super().begin_episode(true_game, learner_previous_strategy)
+
+        est = EstimatorConfig(0.1, 3.0, 3e-3, 2)
+        plain = Environment(cfg, seed=2).run_trial(
+            OFULinMatAgent(3, est, seed=0), SaddleOracleOpponent(seed=1)
+        )
+        env = Environment(cfg, seed=2)
+        scribbled = env.run_trial(Scribbler(3, est, seed=0), Vandal(seed=1))
+        assert refused == [(2, 3, 3), (3, 3)] * 4
+        for k, (a, b) in enumerate(zip(plain, scribbled)):
+            assert a.rewards.tolist() == b.rewards.tolist()
+            assert np.array_equal(a.row_actions, b.row_actions)
+            assert np.array_equal(a.col_actions, b.col_actions)
+            assert a.theta_hat.tolist() == b.theta_hat.tolist()
+        if experts == "fixed":
+            assert np.array_equal(spec.matrices, matrices)
 
     @pytest.mark.parametrize(
         "strategy",
@@ -498,7 +568,7 @@ class TestRunEpisode:
         assert trace.rewards.tolist() == learner.paid and len(learner.paid) == 40
 
         fixed = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, 1)
-        m = episode_game(env, 1).entries
+        m = episode_game(env, 1)
         paid = m[fixed.row_actions, fixed.col_actions] + env.noise[1]
         assert fixed.rewards.tolist() == paid.tolist()
 
@@ -508,7 +578,7 @@ class TestRunEpisode:
         cfg = config(noise_variance=0.5, rounds_per_episode=30)
         env_a = Environment(cfg, seed=8)
         env_b = Environment(cfg, seed=8)
-        m = episode_game(env_a, 0).entries
+        m = episode_game(env_a, 0)
         trace_a = env_a.run_episode(
             FixedStrategyAgent(np.array([1.0, 0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0
         )
@@ -533,7 +603,7 @@ class TestRunTrial:
             def __init__(self):
                 self.records = []
 
-            def begin_episode(self, ensemble):
+            def begin_episode(self, stack):
                 pass
 
             def play_episode(self, reward, n_rounds):
@@ -553,7 +623,7 @@ class TestRunTrial:
             rows, cols, rewards = record
             assert rows == trace.row_actions.tolist() == [t % 2 for t in range(5)]
             assert cols == trace.col_actions.tolist()
-            m = episode_game(env, k).entries
+            m = episode_game(env, k)
             assert rewards == trace.rewards.tolist() == m[rows, cols].tolist()
             if k:
                 expected_col = int(np.argmin(np.array([0.5, 0.5, 0.0]) @ m))
@@ -569,7 +639,7 @@ class TestRunTrial:
         # First episode: no history, uniform. Later: pure best response.
         assert np.allclose(traces[0].opponent_strategy, 1 / 3)
         for k in (1, 2, 3):
-            m = episode_game(env, k).entries
+            m = episode_game(env, k)
             expected_col = int(np.argmin(m[0]))
             assert traces[k].opponent_strategy[expected_col] == 1.0
 
@@ -600,7 +670,7 @@ class TestOFULinMatRecord:
             beta = confidence_radius_from_scratch(feats, ridge, bound, self.DELTA)
             caps.append(float(escapes_ball_from_scratch(feats, rewards, ridge, bound, self.DELTA)))
             log_det_before = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
-            stack = episode_ensemble(env, k).matrices
+            stack = episode_stack(env, k)
             feats = np.vstack([feats, stack[:, trace.row_actions, trace.col_actions].T])
             rewards = np.concatenate([rewards, trace.rewards])
             log_det_after = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]

@@ -3,7 +3,6 @@ import pytest
 
 from expertgames import game
 from expertgames.game import (
-    GameMatrix,
     MixedStrategy,
     VALUE_TOL,
     solve_saddle_point,
@@ -32,13 +31,15 @@ def assert_saddle_invariants(matrix, saddle):
 
 
 class TestTypes:
-    def test_game_matrix_rejects_nan(self):
-        with pytest.raises(ValueError):
-            GameMatrix(np.array([[1.0, np.nan]]))
+    def test_solver_rejects_nan(self):
+        with pytest.raises(ValueError, match="^payoff matrix entries must be finite$"):
+            solve_saddle_point(np.array([[1.0, np.nan]]))
 
-    def test_game_matrix_rejects_empty(self):
-        with pytest.raises(ValueError):
-            GameMatrix(np.zeros((0, 3)))
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,), (1, 2, 2)],
+                             ids=["no-rows", "no-cols", "1-d", "3-d"])
+    def test_solver_rejects_empty_or_not_2d(self, shape):
+        with pytest.raises(ValueError, match="^payoff matrix must be a non-empty 2-D array$"):
+            solve_saddle_point(np.zeros(shape))
 
     def test_strategy_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ from expertgames.environment import (
 )
 from expertgames.metrics import series_keys
 
-from oracles import emit_plot_data, episode_ensemble
+from oracles import emit_plot_data, episode_stack
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -897,9 +897,7 @@ class TestRunExperiment:
         env_both, env_solo = built
         assert np.array_equal(env_both.theta_star, env_solo.theta_star)
         for k in range(both.environment.n_episodes):
-            assert np.array_equal(
-                episode_ensemble(env_both, k).matrices, episode_ensemble(env_solo, k).matrices
-            )
+            assert np.array_equal(episode_stack(env_both, k), episode_stack(env_solo, k))
         assert np.array_equal(env_both.noise, env_solo.noise)
         for a, b in zip(traces_both, traces_solo):
             assert np.array_equal(a.row_actions, b.row_actions)
@@ -948,25 +946,34 @@ class TestRunExperiment:
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "run/manifest.json").is_file()
 
-    def test_workers_produce_identical_outputs(self, tmp_path):
-        config = tiny_config()
+    def test_workers_produce_identical_outputs(self, tmp_path, monkeypatch):
+        # A task carries only its trial number: the parent pickles the config
+        # at most once per worker (never, when the workers are forked), not
+        # once per trial, and the pooled files equal the serial ones.
+        config = tiny_config(trials=5)
         run_experiment(config, tmp_path / "seq", workers=1)
+        pickled = []
+
+        def counting_reduce_ex(self, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(self, protocol)
+
+        monkeypatch.setattr(ExperimentConfig, "__reduce_ex__", counting_reduce_ex)
         run_experiment(config, tmp_path / "par", workers=2)
+        assert len(pickled) <= 2
         files_seq = tree_files(tmp_path / "seq")
         files_par = tree_files(tmp_path / "par")
-        for key in files_seq:
-            if key.endswith("manifest.json"):
-                continue
-            assert files_seq[key] == files_par[key]
+        assert files_seq.pop("manifest.json") and files_par.pop("manifest.json")
+        assert files_par == files_seq
 
     @pytest.mark.parametrize("workers, trials, pool_size", [(8, 2, 2), (8, 1, None)])
     def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers, trials, pool_size):
         sizes = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
-                super().__init__(max_workers=1)
+                super().__init__(max_workers=1, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         run_experiment(tiny_config(trials=trials), tmp_path / "run", workers=workers)

@@ -252,7 +252,7 @@ class TestEpisodeMetricsMatchRoundByRound:
         env = small_env(seed=3)
         traces = env.run_trial(self.LEARNERS[learner](), self.OPPONENTS[opponent](seed=2))
         for trace in traces:
-            m = episode_game(env, trace.episode).entries
+            m = episode_game(env, trace.episode)
             if learner == "exp3":
                 # Exp3's per-round policies are replayed from its actions and rewards.
                 policies = exp3_policy_trace(
