@@ -19,23 +19,20 @@ from .agents import (
     SaddleOracleOpponent,
     UniformOpponent,
 )
-from .environment import (
-    Environment,
+from .config import (
     EnvironmentConfig,
-    EpisodeTrace,
-    ExpertSpec,
-    ThetaSpec,
-)
-from .estimator import EstimatorConfig, RidgeEstimator
-from .game import MixedStrategy, SaddlePoint, solve_saddle_point
-from .harness import (
     ExperimentConfig,
+    ExpertSpec,
     LearnerSpec,
     OpponentSpec,
+    ThetaSpec,
     default_paper_config,
     load_config,
-    run_experiment,
 )
+from .environment import Environment, EpisodeTrace
+from .estimator import EstimatorConfig, RidgeEstimator
+from .game import MixedStrategy, SaddlePoint, solve_saddle_point
+from .harness import run_experiment
 from .metrics import build_report, series_keys
 
 __all__ = [

@@ -17,17 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (
+from .config import (
     ConfigError,
-    check_workers,
     config_to_dict,
     default_paper_config,
     load_config,
     load_manifest_config,
-    read_plot_tables,
-    run_experiment,
-    write_plot_tables,
 )
+from .harness import check_workers, read_plot_tables, run_experiment, write_plot_tables
 
 
 def _worker_count(text: str) -> int:

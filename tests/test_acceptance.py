@@ -10,18 +10,19 @@ import time
 import numpy as np
 import pytest
 
-from expertgames.environment import EnvironmentConfig, ExpertSpec, ThetaSpec
-from expertgames.estimator import EstimatorConfig, RidgeEstimator
-from expertgames.game import VALUE_TOL, solve_saddle_point
-from expertgames.harness import (
+from expertgames.config import (
+    EnvironmentConfig,
     ExperimentConfig,
+    ExpertSpec,
     LearnerSpec,
     OpponentSpec,
+    ThetaSpec,
     default_paper_config,
     load_manifest_config,
-    run_experiment,
-    run_trial,
 )
+from expertgames.estimator import EstimatorConfig, RidgeEstimator
+from expertgames.game import VALUE_TOL, solve_saddle_point
+from expertgames.harness import run_experiment, run_trial
 from expertgames.metrics import series_keys
 
 from oracles import confidence_radius_from_scratch, ridge_solution, support_enumeration_saddle

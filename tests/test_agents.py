@@ -177,7 +177,8 @@ class TestOFULinMatActObserve:
 
 class TestStrategyConstantWithinEpisode:
     def test_ofulinmat_policy_is_frozen_between_boundaries(self):
-        from expertgames.environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
+        from expertgames.config import EnvironmentConfig, ExpertSpec, ThetaSpec
+        from expertgames.environment import Environment
         from expertgames.agents import SaddleOracleOpponent
 
         class SpyAgent(OFULinMatAgent):

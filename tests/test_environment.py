@@ -12,17 +12,16 @@ from expertgames.agents import (
     OFULinMatAgent,
     SaddleOracleOpponent,
 )
-from expertgames.environment import (
+from expertgames.config import (
     _THETA_DRAW_LIMIT,
     PAYOFF_LIMIT,
-    Environment,
     EnvironmentConfig,
     ExpertSpec,
-    SimulationError,
     ThetaSpec,
     check_payoffs_bounded,
     check_theta_reachable,
 )
+from expertgames.environment import Environment, SimulationError
 from expertgames.estimator import EstimatorConfig
 
 from oracles import (

@@ -14,30 +14,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import expertgames
 from expertgames import harness
 from expertgames.cli import main as cli_main
-from expertgames.harness import (
+from expertgames.config import (
+    PAYOFF_LIMIT,
     ConfigError,
+    EnvironmentConfig,
     ExperimentConfig,
+    ExpertSpec,
     LearnerSpec,
     OpponentSpec,
-    aggregate_series,
+    ThetaSpec,
+    _build,
+    check_theta_reachable,
     config_from_dict,
     config_to_dict,
     default_paper_config,
     load_config,
     load_manifest_config,
     ridge_floor,
-    run_experiment,
-    run_trial,
 )
-from expertgames.environment import (
-    PAYOFF_LIMIT,
-    EnvironmentConfig,
-    ExpertSpec,
-    ThetaSpec,
-    check_theta_reachable,
-)
+from expertgames.harness import aggregate_series, run_experiment, run_trial
 from expertgames.metrics import series_keys
 
 from oracles import emit_plot_data, episode_stack
@@ -113,6 +111,11 @@ ENVIRONMENT_RULE_CASES = {
     "negative-noise": (
         "environment.noise_variance",
         lambda raw: raw["environment"].update(noise_variance=-1),
+    ),
+    # 40 standard deviations of this noise reach 5.2e155, beyond PAYOFF_LIMIT.
+    "noise-beyond-payoff-limit": (
+        "environment.noise_variance",
+        lambda raw: raw["environment"].update(noise_variance=1.7e308),
     ),
     "unreachable-tiny-ball": (
         "environment.theta_star",
@@ -335,7 +338,7 @@ def parsed_environment(**fields) -> EnvironmentConfig:
     parser builds it, so a ValueError becomes a ConfigError under its path."""
     base = {field.name: getattr(tiny_config().environment, field.name)
             for field in dataclasses.fields(EnvironmentConfig)}
-    return harness._build(EnvironmentConfig, "environment", **{**base, **fields})
+    return _build(EnvironmentConfig, "environment", **{**base, **fields})
 
 
 # Scalars of a type JSON cannot hold, or that the run cannot use, in a config
@@ -363,7 +366,7 @@ SCALAR_TYPE_CASES = {
     ),
     "numpy-theta-mean": (
         "environment.theta_star.mean: must be an int or a float, got np.float32(0.5)",
-        lambda: harness._build(ThetaSpec, "environment.theta_star", mean=np.float32(0.5)),
+        lambda: _build(ThetaSpec, "environment.theta_star", mean=np.float32(0.5)),
     ),
     "numpy-ridge": (
         "learners[0].ridge: must be an int or a float, got np.float32(0.1)",
@@ -379,27 +382,27 @@ SCALAR_TYPE_CASES = {
 PYTHON_PROBES = {
     "infinite-norm-bound": (
         "environment.theta_star.norm_bound",
-        lambda: harness._build(ThetaSpec, "environment.theta_star", norm_bound=float("inf")),
+        lambda: _build(ThetaSpec, "environment.theta_star", norm_bound=float("inf")),
     ),
     "huge-theta-mean": (
         "environment.theta_star.mean",
-        lambda: harness._build(ThetaSpec, "environment.theta_star", mean=10**400),
+        lambda: _build(ThetaSpec, "environment.theta_star", mean=10**400),
     ),
     "nan-theta-value": (
         "environment.theta_star.values[1]",
-        lambda: harness._build(
+        lambda: _build(
             ThetaSpec, "environment.theta_star", kind="fixed", values=(1.0, float("nan"))
         ),
     ),
     "huge-n-rows": ("environment.n_rows", lambda: parsed_environment(n_rows=10**400)),
     "bool-expert-leaves": (
         "environment.experts.matrices",
-        lambda: harness._build(ExpertSpec, "environment.experts", kind="fixed",
+        lambda: _build(ExpertSpec, "environment.experts", kind="fixed",
                                matrices=((((True, False),),),)),
     ),
     "string-expert-leaves": (
         "environment.experts.matrices",
-        lambda: harness._build(ExpertSpec, "environment.experts", kind="fixed",
+        lambda: _build(ExpertSpec, "environment.experts", kind="fixed",
                                matrices=((("0.5", "0.5"),),)),
     ),
     "string-learner-strategy": (
@@ -1171,16 +1174,37 @@ class TestCli:
         assert cli_main(["plot-data", "--run", str(out)]) == 0
 
     def test_run_completes_with_huge_noise_variance(self, tmp_path):
-        # The confidence radius makes OFULinMat's optimistic payoffs huge;
-        # the solver normalises them by their range before the LP, so they
-        # still solve.
-        raw = config_to_dict(tiny_config(trials=1))
-        raw["environment"]["noise_variance"] = 1e308
+        # The largest variance below the bound: 40 standard deviations reach
+        # 9.96e99. The confidence radius makes OFULinMat's optimistic payoffs
+        # huge; the solver normalises them by their range before the LP, so
+        # they still solve, and every aggregate is finite. An exp3 learner
+        # has no estimate, so its theta_error is NaN.
+        raw = config_to_dict(tiny_config(
+            trials=3, opponent=OpponentSpec("best_responder"),
+            environment=dataclasses.replace(
+                tiny_config().environment, n_episodes=3, rounds_per_episode=200
+            ),
+        ))
+        raw["environment"]["noise_variance"] = 6.2e196
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(raw))
         out = tmp_path / "run"
         assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        assert (out / "manifest.json").is_file()
+        for table in (out / "aggregate").glob("*.csv"):
+            for row in table.read_text().splitlines()[1:]:
+                series, _, mean, stderr = row.split(",")
+                finite = math.isfinite(float(mean)) and math.isfinite(float(stderr))
+                assert finite or (table.stem, series) == ("exp3", "theta_error"), (table, row)
+
+    def test_noise_beyond_the_payoff_limit_names_the_limit(self):
+        raw = config_to_dict(tiny_config())
+        raw["environment"]["noise_variance"] = 1.7e308
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == [
+            "environment.noise_variance: must be at most 6.25e+196, so that 40 standard "
+            "deviations of noise stay within the payoff limit of 1e+100, got 1.7e+308"
+        ]
 
     def test_run_seed_and_trials_overrides(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -1464,6 +1488,28 @@ class TestCli:
             replay_out / "aggregate/ofulinmat.csv",
             shallow=False,
         )
+
+    @pytest.mark.parametrize("version", [None, "0.0.1"], ids=["same-version", "other-version"])
+    def test_replay_warns_of_another_versions_manifest(self, tmp_path, capsys, version):
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["version"] = version or manifest["version"]
+        edited = tmp_path / "edited" / "manifest.json"
+        edited.parent.mkdir()
+        edited.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        out = tmp_path / "replayed"
+        assert cli_main(["replay", "--manifest", str(edited), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        if version is None:
+            assert err == ""
+        else:
+            assert err == (f"warning: {edited} was written by expertgames 0.0.1, this is "
+                           f"{expertgames.__version__}; its outputs may differ from the run's\n")
+        replayed, original = tree_files(out), tree_files(run)
+        del replayed["manifest.json"], original["manifest.json"]
+        assert replayed == original
 
     def test_replay_from_inside_the_run_directory(self, tmp_path, monkeypatch):
         run = tmp_path / "run"

@@ -8,7 +8,8 @@ from expertgames.agents import (
     OFULinMatAgent,
     SaddleOracleOpponent,
 )
-from expertgames.environment import Environment, EnvironmentConfig, ExpertSpec, ThetaSpec
+from expertgames.config import EnvironmentConfig, ExpertSpec, ThetaSpec
+from expertgames.environment import Environment
 from expertgames.estimator import EstimatorConfig
 from expertgames.game import solve_saddle_point
 from expertgames.metrics import METRIC_KEYS, build_report, series_count, series_keys
