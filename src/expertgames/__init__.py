@@ -31,7 +31,7 @@ from .config import (
 )
 from .environment import Environment, EpisodeTrace
 from .estimator import EstimatorConfig, RidgeEstimator
-from .game import MixedStrategy, SaddlePoint, solve_saddle_point
+from .game import SaddlePoint, solve_saddle_point
 from .harness import run_experiment
 from .metrics import build_report, series_keys
 
@@ -47,7 +47,6 @@ __all__ = [
     "FixedOpponent",
     "FixedStrategyAgent",
     "LearnerSpec",
-    "MixedStrategy",
     "OFULinMatAgent",
     "OpponentSpec",
     "RidgeEstimator",

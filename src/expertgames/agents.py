@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .estimator import EstimatorConfig, RidgeEstimator
-from .game import MixedStrategy, solve_saddle_point
+from .game import check_strategy, solve_saddle_point
 
 
 class AgentProtocolError(RuntimeError):
@@ -56,20 +56,39 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _read_only(probs: np.ndarray) -> np.ndarray:
+    probs.setflags(write=False)
+    return probs
+
+
+def _uniform(n: int) -> np.ndarray:
+    return _read_only(np.full(n, 1.0 / n))
+
+
 class _EpisodeStrategyPlayer:
     """Sampling shared by every player that commits to one mixed strategy
-    per episode. Subclasses set ``rng`` and ``current_strategy``."""
+    per episode. Subclasses set ``rng`` and ``current_strategy``, a read-only
+    float64 probability vector."""
 
     rng: np.random.Generator
-    current_strategy: MixedStrategy | None
+    current_strategy: np.ndarray | None
 
     def play_episode(self, reward, n_rounds: int):
         """Draw all of the episode's actions from the committed strategy; a
         committed mix needs no reward within the episode. Returns the actions
-        and the episode mix."""
-        if self.current_strategy is None:
+        and the episode mix.
+
+        Each action is the first index whose cumulative probability exceeds a
+        uniform draw. One ``rng.random(n_rounds)`` call consumes the generator
+        exactly like ``n_rounds`` calls of ``rng.random()``, so the actions
+        equal one draw per round bit for bit. The clip covers a cumulative sum
+        that rounds to just below 1.
+        """
+        mix = self.current_strategy
+        if mix is None:
             raise AgentProtocolError(f"{type(self).__name__}: play_episode before begin_episode()")
-        return self.current_strategy.sample_many(self.rng, n_rounds), self.current_strategy.probs
+        actions = np.searchsorted(np.cumsum(mix), self.rng.random(n_rounds), side="right")
+        return np.minimum(actions, mix.size - 1), mix
 
 
 class OFULinMatAgent(_EpisodeStrategyPlayer):
@@ -87,7 +106,7 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.n_actions = n_actions
         self.estimator = RidgeEstimator(config)
         self.rng = _rng(seed)
-        self.current_strategy: MixedStrategy | None = None
+        self.current_strategy: np.ndarray | None = None
         self.optimistic_matrix: np.ndarray | None = None
         self.optimistic_value: float | None = None
         self._stack = None
@@ -163,14 +182,11 @@ class Exp3Agent:
     locals bound once. ``act``/``observe`` step the same round one call at a
     time and give the same bits; only the benchmark calls them. Each action
     is the first one whose cumulative policy mass exceeds one
-    ``rng.random()`` draw. The draws are taken in blocks of
-    ``_UNIFORM_BLOCK`` that carry over from one episode to the next. A block
-    holds the same numbers as that many single draws, so the actions equal
-    one draw per round as long as nothing else draws from the agent's
+    ``rng.random()`` draw. ``play_episode`` takes the episode's draws as one
+    ``rng.random(n_rounds)`` block, which holds the same numbers as that many
+    single draws, so both give one draw per round from the agent's own
     generator; the harness gives each learner its own.
     """
-
-    _UNIFORM_BLOCK = 256
 
     def __init__(self, n_actions: int, seed=None, reward_min: float = 0.0, reward_max: float = 1.0):
         if not reward_min < reward_max:
@@ -182,8 +198,6 @@ class Exp3Agent:
         self.cumulative_estimates = [0.0] * n_actions
         self._last_policy: list[float] | None = None
         self._awaiting_feedback = False
-        self._uniforms: list[float] = []
-        self._next_uniform = 0
 
     @property
     def last_strategy(self) -> list[float] | None:
@@ -215,19 +229,15 @@ class Exp3Agent:
         estimates = self.cumulative_estimates
         policy_of = _exp3_policy
         accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
-        uniforms, k = self._uniforms, self._next_uniform
+        uniforms = self.rng.random(n_rounds).tolist()
         rows, policies = [], []
-        for t in range(1, n_rounds + 1):
+        for t, u in enumerate(uniforms, 1):
             policy = policy_of(estimates, t, n, log_n)
-            if k == len(uniforms):
-                uniforms, k = self.rng.random(self._UNIFORM_BLOCK).tolist(), 0
-            i = min(bisect_right(list(accumulate(policy)), uniforms[k]), last)
-            k += 1
+            i = min(bisect_right(list(accumulate(policy)), u), last)
             r = reward(t - 1, i)
             estimates[i] += min(max((r - low) / span, 0.0), 1.0) / policy[i]
             rows.append(i)
             policies.append(policy)
-        self._uniforms, self._next_uniform = uniforms, k
         self._last_policy = policies[-1] if policies else None
         return np.array(rows, dtype=int), np.array(policies)
 
@@ -235,11 +245,7 @@ class Exp3Agent:
         if self._awaiting_feedback:
             raise AgentProtocolError("act() called twice without observe()")
         policy = self.policy(t)
-        if self._next_uniform == len(self._uniforms):
-            self._uniforms = self.rng.random(self._UNIFORM_BLOCK).tolist()
-            self._next_uniform = 0
-        u = self._uniforms[self._next_uniform]
-        self._next_uniform += 1
+        u = self.rng.random()
         action = min(bisect.bisect_right(list(itertools.accumulate(policy)), u), self.n_actions - 1)
         self._last_policy = policy
         self._awaiting_feedback = True
@@ -262,15 +268,13 @@ class FixedStrategyAgent(_EpisodeStrategyPlayer):
     """Learner that plays one fixed mixed strategy every round."""
 
     def __init__(self, strategy, seed=None):
-        self.current_strategy = (
-            strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)
-        )
-        self.n_actions = self.current_strategy.n_actions
+        self.current_strategy = check_strategy(strategy)
+        self.n_actions = self.current_strategy.size
         self.rng = _rng(seed)
 
     @classmethod
     def uniform(cls, n_actions: int, seed=None) -> "FixedStrategyAgent":
-        return cls(MixedStrategy.uniform(n_actions), seed)
+        return cls(np.full(n_actions, 1.0 / n_actions), seed)
 
     def begin_episode(self, stack=None) -> None:
         pass
@@ -284,7 +288,7 @@ class _ColumnOpponent(_EpisodeStrategyPlayer):
 
     def __init__(self, seed=None):
         self.rng = _rng(seed)
-        self.current_strategy: MixedStrategy | None = None
+        self.current_strategy: np.ndarray | None = None
 
 
 class SaddleOracleOpponent(_ColumnOpponent):
@@ -297,16 +301,16 @@ class SaddleOracleOpponent(_ColumnOpponent):
 
 class UniformOpponent(_ColumnOpponent):
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
-        self.current_strategy = MixedStrategy.uniform(true_game.shape[1])
+        self.current_strategy = _uniform(true_game.shape[1])
 
 
 class FixedOpponent(_ColumnOpponent):
     def __init__(self, strategy, seed=None):
         super().__init__(seed)
-        self._strategy = strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)
+        self._strategy = check_strategy(strategy)
 
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
-        if self._strategy.n_actions != true_game.shape[1]:
+        if self._strategy.size != true_game.shape[1]:
             raise ValueError("fixed opponent strategy does not match the game's column count")
         self.current_strategy = self._strategy
 
@@ -322,7 +326,9 @@ class BestResponderOpponent(_ColumnOpponent):
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
         n_cols = true_game.shape[1]
         if learner_previous_strategy is None:
-            self.current_strategy = MixedStrategy.uniform(n_cols)
+            self.current_strategy = _uniform(n_cols)
             return
         mu = np.asarray(learner_previous_strategy, dtype=float)
-        self.current_strategy = MixedStrategy.pure(n_cols, int(np.argmin(mu @ true_game)))
+        pure = np.zeros(n_cols)
+        pure[np.argmin(mu @ true_game)] = 1.0
+        self.current_strategy = _read_only(pure)

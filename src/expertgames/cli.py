@@ -50,12 +50,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the master seed")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
     run.add_argument("--out", default="runs/latest", help="output directory")
-    run.add_argument("--workers", type=_worker_count, default=1, help="concurrent trial workers")
+    workers_help = "concurrent trial workers, at most the trial count and the CPUs this process may use"
+    run.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
 
     replay = sub.add_parser("replay", help="re-run the experiment stored in a manifest")
     replay.add_argument("--manifest", required=True, help="path to a manifest.json")
     replay.add_argument("--out", default=None, help="output directory (default: <run>_replay)")
-    replay.add_argument("--workers", type=_worker_count, default=1)
+    replay.add_argument("--workers", type=_worker_count, default=1, help=workers_help)
 
     plot = sub.add_parser(
         "plot-data", help="filter a finished run's aggregate tables into plot-ready tables"

@@ -32,7 +32,7 @@ from .agents import (
     UniformOpponent,
 )
 from .estimator import EstimatorConfig
-from .game import MixedStrategy
+from .game import check_strategy
 from .metrics import series_count
 
 _THETA_DRAW_LIMIT = 100_000
@@ -317,7 +317,7 @@ def _check_strategy(strategy, n_actions: int, where: str) -> None:
         raise ConfigError(
             [f"{where}.strategy: must list {n_actions} probabilities, got {strategy!r}"]
         )
-    _build(MixedStrategy, f"{where}.strategy", probs=strategy)
+    _build(check_strategy, f"{where}.strategy", probs=strategy)
 
 
 def _check_keys(spec, where: str) -> None:

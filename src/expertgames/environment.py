@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .config import _THETA_DRAW_LIMIT, EnvironmentConfig, ThetaSpec
-from .game import SIMPLEX_TOL, SUM_TOL, SaddlePoint, solve_saddle_point
+from .game import SaddlePoint, solve_saddle_point, strategy_problem
 
 
 class SimulationError(RuntimeError):
@@ -104,14 +104,10 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
             f"{role}'s strategy at episode {episode} has dtype {strategy.dtype}, not real numbers"
         )
     strategy = strategy.astype(float, copy=False)
-    # MixedStrategy's tolerances, on the mix or on every round's policy; a NaN fails.
-    if not (
-        strategy.min() >= -SIMPLEX_TOL
-        and (np.abs(strategy.sum(axis=-1) - 1.0) <= SUM_TOL).all()
-    ):
+    problem = strategy_problem(strategy)  # on the mix or on every round's policy
+    if problem:
         raise SimulationError(
-            f"{role}'s strategy at episode {episode} is not a probability vector: every "
-            f"entry must be at least {-SIMPLEX_TOL} and each mix must sum to 1 within {SUM_TOL}"
+            f"{role}'s strategy at episode {episode} is not a probability vector: {problem}"
         )
     return actions, strategy
 

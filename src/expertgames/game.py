@@ -2,7 +2,8 @@
 
 A game is the row player's (rows, cols) float payoff array: the row player
 maximizes, the column player minimizes, and the column player's payoff is its
-negation.
+negation. A mixed strategy is a read-only float64 probability vector over one
+player's actions.
 
 The solver uses the classical reduction of a matrix game to a linear program:
 shift the payoffs so every entry is strictly positive, solve the resulting
@@ -12,9 +13,7 @@ the optimal tableau (one from the basis, one from the dual multipliers).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,70 +37,49 @@ def _as_payoff_array(matrix) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
-    """Probability vector over one player's action set."""
+def strategy_problem(probs: np.ndarray) -> str | None:
+    """Why the float array ``probs`` is not a probability vector along its
+    last axis, or None: every entry must be at least ``-SIMPLEX_TOL`` and
+    each vector must sum to 1 within ``SUM_TOL``; NaN and +-inf fail."""
+    # A NaN or -inf fails the least-entry test and any non-finite entry
+    # makes a sum non-finite, so np.isfinite runs only after a failure.
+    if not probs.min() >= -SIMPLEX_TOL:
+        if not np.isfinite(probs).all():
+            return "strategy probabilities must be finite"
+        return "strategy probabilities must be nonnegative"
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows
+        sums = probs.sum(axis=-1)
+    if not np.isfinite(sums).all() and not np.isfinite(probs).all():
+        return "strategy probabilities must be finite"
+    if not (np.abs(sums - 1.0) <= SUM_TOL).all():
+        return "strategy probabilities must sum to 1"
+    return None
 
-    probs: np.ndarray
 
-    def __post_init__(self):
-        given = np.asarray(self.probs, dtype=float)
-        if given.ndim != 1 or given.size == 0:
-            raise ValueError("strategy must be a non-empty 1-D probability vector")
-        # A NaN or -inf fails the least-entry test and any non-finite entry
-        # makes the sum non-finite, so np.isfinite runs only after a failure.
-        if not given.min() >= -SIMPLEX_TOL:
-            if not np.isfinite(given).all():
-                raise ValueError("strategy probabilities must be finite")
-            raise ValueError("strategy probabilities must be nonnegative")
-        total = float(given.sum())
-        if not math.isfinite(total) and not np.isfinite(given).all():
-            raise ValueError("strategy probabilities must be finite")
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError("strategy probabilities must sum to 1")
-        # A new array, so the caller's array is neither frozen nor aliased.
-        arr = np.maximum(given, 0.0)
-        object.__setattr__(self, "probs", arr)
-        arr.setflags(write=False)
-
-    @property
-    def n_actions(self) -> int:
-        return self.probs.size
-
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum(self.probs)
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` pure action indices at once.
-
-        Each action is the first index whose cumulative probability exceeds
-        a uniform draw. One ``rng.random(n)`` call consumes the generator
-        exactly like ``n`` calls of ``rng.random()``, so the result equals
-        ``n`` single draws bit for bit. The clip covers a cumulative sum that
-        rounds to just below 1.
-        """
-        idx = np.searchsorted(self._cumulative, rng.random(n), side="right")
-        return np.minimum(idx, self.n_actions - 1)
-
-    @classmethod
-    def uniform(cls, n: int) -> "MixedStrategy":
-        return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def pure(cls, n: int, action: int) -> "MixedStrategy":
-        probs = np.zeros(n)
-        probs[action] = 1.0
-        return cls(probs)
+def check_strategy(probs) -> np.ndarray:
+    """``probs`` as a strategy: a new read-only float64 vector with its
+    entries clipped at 0, so the caller's array is neither frozen nor
+    aliased. Anything but a non-empty 1-D probability vector raises
+    ``ValueError``."""
+    given = np.asarray(probs, dtype=float)
+    if given.ndim != 1 or given.size == 0:
+        raise ValueError("strategy must be a non-empty 1-D probability vector")
+    problem = strategy_problem(given)
+    if problem:
+        raise ValueError(problem)
+    strategy = np.maximum(given, 0.0)
+    strategy.setflags(write=False)
+    return strategy
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Mixed-strategy saddle point: optimal strategies, the game value, and the
-    number of simplex pivots the solve took."""
+    """Mixed-strategy saddle point: optimal strategies (read-only float64
+    probability vectors), the game value, and the number of simplex pivots
+    the solve took."""
 
-    row_strategy: MixedStrategy
-    col_strategy: MixedStrategy
+    row_strategy: np.ndarray
+    col_strategy: np.ndarray
     value: float
     pivots: int
 
@@ -200,11 +178,14 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
+    """``weights`` clipped at 0 and scaled to sum to 1, read-only."""
     w = np.maximum(weights, 0.0)
     total = w.sum()
     if total <= SIMPLEX_TOL:
         raise RuntimeError("degenerate LP solution: zero strategy mass")
-    return w / total
+    probs = w / total
+    probs.setflags(write=False)
+    return probs
 
 
 def solve_saddle_point(matrix) -> SaddlePoint:
@@ -256,9 +237,4 @@ def solve_saddle_point(matrix) -> SaddlePoint:
             f"saddle point failed its certificate: value {value:.6g} is {value_error:.3g} "
             f"from mu' M nu, beyond {tol:.3g}, on a {entries.shape[0]}x{entries.shape[1]} game"
         )
-    return SaddlePoint(
-        row_strategy=MixedStrategy(mu),
-        col_strategy=MixedStrategy(nu),
-        value=value,
-        pivots=pivots,
-    )
+    return SaddlePoint(row_strategy=mu, col_strategy=nu, value=value, pivots=pivots)

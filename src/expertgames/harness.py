@@ -173,12 +173,21 @@ def check_workers(workers: int) -> int:
     return workers
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
     """Run all trials, persist per-trial and aggregate outputs, return the manifest.
 
-    Trials run in a pool of ``min(workers, trials)`` processes when that is
-    more than one; the pool starts all of its workers up front, and hands
-    each the config once, so a task is only a trial number. Either way
+    Trials run in a pool of ``min(workers, trials, usable CPUs)`` processes
+    when that is more than one; the pool starts all of its workers up front,
+    and hands each the config once, so a task is only a trial number. Either way
     results arrive in trial order. Each trial's files are written as its
     result arrives, and each learner's report becomes the trial's column of
     that learner's (rows, trials) aggregate array, so across trials a run
@@ -202,7 +211,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     write_metrics = _METRIC_WRITERS[config.output_format]
     keys = series_keys(config.environment.n_episodes)
     aggregates = {spec.name: np.empty((len(keys), config.trials)) for spec in config.learners}
-    workers = min(workers, config.trials)
+    workers = min(workers, config.trials, _usable_cpus())
     pool = None
     if workers > 1:
         import concurrent.futures  # a serial run loads neither the pool nor logging

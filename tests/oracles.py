@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from expertgames.estimator import RidgeEstimator
-from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, MixedStrategy
+from expertgames.game import _MAX_PIVOTS, SIMPLEX_TOL, check_strategy
 from expertgames.harness import read_plot_tables, write_plot_tables
 
 _FEAS_TOL = 1e-8
@@ -191,15 +191,11 @@ def _row_elimination_lp(a: np.ndarray, rule: str):
     return q, tab[-1, n : n + m].copy(), float(tab[-1, -1]), pivots
 
 
-def _probs(strategy) -> np.ndarray:
-    return (strategy if isinstance(strategy, MixedStrategy) else MixedStrategy(strategy)).probs
-
-
 def expected_payoff(matrix, row_strategy, col_strategy) -> float:
     """Bilinear payoff mu' M nu to the row player."""
     m = np.asarray(matrix, dtype=float)
-    mu = _probs(row_strategy)
-    nu = _probs(col_strategy)
+    mu = check_strategy(row_strategy)
+    nu = check_strategy(col_strategy)
     if (mu.size, nu.size) != m.shape:
         raise ValueError(
             f"strategy dimensions ({mu.size}, {nu.size}) do not match game shape {m.shape}"
@@ -215,7 +211,7 @@ def best_response_value(matrix, opponent, side: str) -> float:
     the value is the minimum over pure columns of (opponent @ M).
     """
     m = np.asarray(matrix, dtype=float)
-    probs = _probs(opponent)
+    probs = check_strategy(opponent)
     if side == "row":
         if probs.size != m.shape[1]:
             raise ValueError("opponent strategy length must equal the column count")
@@ -227,11 +223,11 @@ def best_response_value(matrix, opponent, side: str) -> float:
     raise ValueError(f"side must be 'row' or 'col', got {side!r}")
 
 
-def sample_action(strategy: MixedStrategy, rng) -> int:
+def sample_action(strategy: np.ndarray, rng) -> int:
     """One inverse-CDF draw: the first action whose cumulative probability
     exceeds one ``rng.random()``, clipped to the last action."""
-    idx = int(np.searchsorted(np.cumsum(strategy.probs), rng.random(), side="right"))
-    return min(idx, strategy.n_actions - 1)
+    idx = int(np.searchsorted(np.cumsum(strategy), rng.random(), side="right"))
+    return min(idx, strategy.size - 1)
 
 
 def emit_reward(matrix, i: int, j: int, noise_variance: float, rng: np.random.Generator) -> float:

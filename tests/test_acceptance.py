@@ -90,8 +90,8 @@ def test_criterion_1_saddle_solver_matches_support_enumeration():
         gap = abs(saddle.value - oracle_value)
         worst_gap = max(worst_gap, gap)
         assert gap < 1e-7, f"value gap {gap} on {m}"
-        mu = saddle.row_strategy.probs
-        nu = saddle.col_strategy.probs
+        mu = saddle.row_strategy
+        nu = saddle.col_strategy
         assert (mu @ m).min() >= saddle.value - VALUE_TOL
         assert (m @ nu).max() <= saddle.value + VALUE_TOL
     elapsed = time.time() - start

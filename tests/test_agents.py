@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from expertgames.agents import (
     UniformOpponent,
 )
 from expertgames.estimator import EstimatorConfig
-from expertgames.game import MixedStrategy, solve_saddle_point
+from expertgames.game import solve_saddle_point
 
 from oracles import (
     FloatExp3,
@@ -23,6 +25,7 @@ from oracles import (
     entrywise_optimistic_matrix,
     estimator_copy,
     exp3_policy_trace,
+    sample_action,
 )
 
 
@@ -41,8 +44,8 @@ class TestOFULinMatPlanning:
         assert np.allclose(agent.estimator.theta_hat, 0.0)
         spread = agent.optimistic_matrix.max() - agent.optimistic_matrix.min()
         assert spread < 1e-12
-        assert agent.current_strategy.probs.min() >= 0.0
-        assert agent.current_strategy.probs.sum() == pytest.approx(1.0)
+        assert agent.current_strategy.min() >= 0.0
+        assert agent.current_strategy.sum() == pytest.approx(1.0)
 
     def test_single_expert_recovers_scaled_game(self):
         # With one expert and plentiful noiseless data from theta* = 2, the
@@ -59,7 +62,7 @@ class TestOFULinMatPlanning:
         assert agent.estimator.theta_hat[0] == pytest.approx(2.0, abs=1e-3)
         assert np.allclose(agent.optimistic_matrix / expert, agent.optimistic_matrix[0, 0] / expert[0, 0])
         reference = solve_saddle_point(expert)
-        assert np.allclose(agent.current_strategy.probs, reference.row_strategy.probs, atol=1e-7)
+        assert np.allclose(agent.current_strategy, reference.row_strategy, atol=1e-7)
 
     def test_matches_dense_inverse_oracle_at_case_study_scale(self):
         rng = np.random.default_rng(3)
@@ -128,19 +131,19 @@ class TestOFULinMatActObserve:
 
     def test_degenerate_strategy_always_first_action(self):
         agent = self.make_agent()
-        agent.current_strategy = MixedStrategy.pure(3, 0)
+        agent.current_strategy = np.array([1.0, 0.0, 0.0])
         assert all(agent.play_episode(None, 49)[0] == 0)
 
     def test_uniform_sampling_frequencies(self):
         agent = OFULinMatAgent(10, case_study_estimator_config(n_experts=1), seed=7)
-        agent.current_strategy = MixedStrategy.uniform(10)
+        agent.current_strategy = np.full(10, 0.1)
         draws, _ = agent.play_episode(None, 10_000)
         freqs = np.bincount(draws, minlength=10) / 10_000
         se = math.sqrt(0.1 * 0.9 / 10_000)
         assert np.all(np.abs(freqs - 0.1) < 3 * se + 1e-12)
 
     def test_same_seed_same_actions(self):
-        strategy = MixedStrategy(np.array([0.2, 0.5, 0.3]))
+        strategy = np.array([0.2, 0.5, 0.3])
         seq = []
         for _ in range(2):
             agent = self.make_agent(seed=11)
@@ -189,7 +192,7 @@ class TestStrategyConstantWithinEpisode:
             def play_episode(self, reward, n_rounds):
                 # One fingerprint per drawn action: the strategy it came from.
                 actions, mix = super().play_episode(reward, n_rounds)
-                self.fingerprints += [self.current_strategy.probs.tobytes()] * len(actions)
+                self.fingerprints += [self.current_strategy.tobytes()] * len(actions)
                 return actions, mix
 
         env = Environment(
@@ -244,8 +247,8 @@ class TestExp3:
 
     @pytest.mark.parametrize("n_actions", [2, 4, 10])
     def test_stream_equals_numpy_reference(self, n_actions):
-        # Three 300-round episodes cross the agent's block refills of its
-        # uniform draws and two episode boundaries mid-block. The agent's
+        # Three 300-round episodes, each one block of uniform draws, cross
+        # two episode boundaries, where the reference draws on. The agent's
         # Python-float round must give the float oracle's bits; np.exp and
         # numpy's pairwise sum may differ from math.exp and math.fsum in the
         # last bit, so against the numpy round the actions are equal and the
@@ -279,8 +282,8 @@ class TestExp3:
                 assert asked == list(enumerate(expected_rows))
 
     def test_play_episode_equals_stepping(self):
-        # 3 episodes of 200 rounds cross two refills of the 256-draw block and
-        # two episode boundaries mid-block.
+        # 3 episodes of 200 rounds: each episode's block of draws equals the
+        # stepped learner's 200 single draws, across two episode boundaries.
         table = np.random.default_rng(8).uniform(-1.5, 1.5, size=(600, 7)).tolist()
         whole = Exp3Agent(7, seed=8, reward_min=-1.0, reward_max=1.0)
         stepped = Exp3Agent(7, seed=8, reward_min=-1.0, reward_max=1.0)
@@ -306,6 +309,28 @@ class TestExp3:
             assert whole.cumulative_estimates == stepped.cumulative_estimates
             assert whole.last_strategy == stepped.last_strategy
             whole.end_episode(rows, [0] * 200, asked)
+
+    def test_play_episode_then_act_draw_one_stream(self):
+        # An episode of 37 rounds, then 5 stepped rounds, take the uniforms
+        # of one random(42) call: the actions are those uniforms' inverse-CDF
+        # draws, and the generator ends where the single call leaves it.
+        agent = Exp3Agent(4, seed=21, reward_min=-1.0, reward_max=1.0)
+        uniforms = np.random.default_rng(21).random(37 + 5).tolist()
+        fresh = np.random.default_rng(21)
+        fresh.random(37 + 5)
+
+        def inverse_cdf(policy, u):
+            return min(bisect.bisect_right(list(itertools.accumulate(policy)), u), 3)
+
+        agent.begin_episode()
+        rows, policies = agent.play_episode(lambda t, i: math.sin(t + i), 37)
+        assert rows.tolist() == [inverse_cdf(p, u) for p, u in zip(policies.tolist(), uniforms)]
+        agent.begin_episode()
+        for t, u in enumerate(uniforms[37:], 1):
+            action = agent.act(t)
+            assert action == inverse_cdf(agent.last_strategy, u)
+            agent.observe(action, 0, math.cos(t))
+        assert agent.rng.bit_generator.state == fresh.bit_generator.state
 
     def test_policy_respects_uniform_floor(self):
         agent = Exp3Agent(5, seed=4, reward_min=-1.0, reward_max=1.0)
@@ -360,7 +385,7 @@ class TestOpponents:
     def test_saddle_oracle_on_matching_pennies(self):
         opponent = SaddleOracleOpponent(seed=0)
         opponent.begin_episode(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert np.allclose(opponent.current_strategy.probs, [0.5, 0.5], atol=1e-7)
+        assert np.allclose(opponent.current_strategy, [0.5, 0.5], atol=1e-7)
         assert opponent.play_episode(None, 1)[0][0] in (0, 1)
 
     def test_fixed_opponent_always_plays_stored_column(self):
@@ -377,17 +402,33 @@ class TestOpponents:
         opponent = BestResponderOpponent(seed=2)
         game = np.array([[1.0, -1.0], [-1.0, 1.0]])
         opponent.begin_episode(game, learner_previous_strategy=np.array([1.0, 0.0]))
-        assert np.array_equal(opponent.current_strategy.probs, [0.0, 1.0])
+        assert np.array_equal(opponent.current_strategy, [0.0, 1.0])
 
     def test_best_responder_without_history_is_uniform(self):
         opponent = BestResponderOpponent(seed=3)
         opponent.begin_episode(np.zeros((2, 4)))
-        assert np.allclose(opponent.current_strategy.probs, 0.25)
+        assert np.allclose(opponent.current_strategy, 0.25)
 
     def test_uniform_opponent(self):
         opponent = UniformOpponent(seed=4)
         opponent.begin_episode(np.zeros((2, 5)))
-        assert np.allclose(opponent.current_strategy.probs, 0.2)
+        assert np.allclose(opponent.current_strategy, 0.2)
+
+    def test_pure_and_uniform_strategies_are_read_only_arrays(self):
+        # Column 2 is the best response to the row mix (0.5, 0.5).
+        game = np.array([[1.0, 2.0, 0.0, 3.0], [1.0, 0.0, -1.0, 1.0]])
+        responder = BestResponderOpponent(seed=6)
+        responder.begin_episode(game, learner_previous_strategy=np.array([0.5, 0.5]))
+        uniform = UniformOpponent(seed=7)
+        uniform.begin_episode(np.zeros((2, 5)))
+        fixed = FixedOpponent([0.25, 0.75], seed=8)
+        fixed.begin_episode(np.zeros((2, 2)))
+        pure = responder.current_strategy
+        assert pure.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert np.allclose(uniform.current_strategy, 0.2)
+        for player in (responder, uniform, fixed, FixedStrategyAgent.uniform(5)):
+            strategy = player.current_strategy
+            assert strategy.dtype == np.float64 and not strategy.flags.writeable
 
     def test_act_before_begin_raises(self):
         with pytest.raises(AgentProtocolError):
@@ -397,7 +438,7 @@ class TestOpponents:
 class TestFixedStrategyAgent:
     def test_uniform_constructor(self):
         agent = FixedStrategyAgent.uniform(4, seed=0)
-        assert np.allclose(agent.current_strategy.probs, 0.25)
+        assert np.allclose(agent.current_strategy, 0.25)
 
     def test_protocol_is_inert(self):
         agent = FixedStrategyAgent(np.array([1.0, 0.0]), seed=1)
@@ -408,4 +449,45 @@ class TestFixedStrategyAgent:
         assert asked == []  # a committed mix needs no reward within the episode
         agent.end_episode(rows, [0, 0, 0], [0.0, 10.0, 20.0])
         assert np.array_equal(strategy, [1.0, 0.0])
-        assert np.array_equal(agent.current_strategy.probs, [1.0, 0.0])
+        assert np.array_equal(agent.current_strategy, [1.0, 0.0])
+
+    def test_strategy_is_checked_once_as_a_read_only_copy(self):
+        given = np.array([0.5, 0.5 + 1e-12, -1e-12])
+        agent = FixedStrategyAgent(given, seed=0)
+        assert agent.current_strategy.tolist() == [0.5, 0.5 + 1e-12, 0.0]
+        assert not agent.current_strategy.flags.writeable
+        assert not np.shares_memory(given, agent.current_strategy)
+        for player in (FixedStrategyAgent, FixedOpponent):
+            with pytest.raises(ValueError, match="must sum to 1"):
+                player([0.5, 0.4])
+
+    @pytest.mark.parametrize(
+        "probs", [[0.3, 0.5, 0.2], [0.1] * 10, [0.0, 1.0, 0.0], [1.0 / 3] * 3]
+    )
+    def test_play_episode_equals_repeated_sample(self, probs):
+        agent = FixedStrategyAgent(np.array(probs), seed=np.random.default_rng(7))
+        many, mix = agent.play_episode(None, 500)
+        rng = np.random.default_rng(7)
+        assert many.tolist() == [sample_action(mix, rng) for _ in range(500)]
+
+    def test_play_episode_clips_draws_above_a_short_cumulative_sum(self):
+        # Ten 0.1s add up to the largest double below 1, so the top draw
+        # lands past the last cutoff and must be clipped to the last action.
+        agent = FixedStrategyAgent(np.full(10, 0.1))
+        assert np.cumsum(agent.current_strategy)[-1] < 1.0
+        draws = [0.0, 0.55, np.nextafter(1.0, 0.0)]
+
+        class ScriptedDraws:
+            def __init__(self):
+                self.queue = list(draws)
+
+            def random(self, size=None):
+                if size is None:
+                    return self.queue.pop(0)
+                out, self.queue = np.array(self.queue[:size]), self.queue[size:]
+                return out
+
+        agent.rng = ScriptedDraws()
+        many, mix = agent.play_episode(None, 3)
+        rng = ScriptedDraws()
+        assert many.tolist() == [sample_action(mix, rng) for _ in range(3)] == [0, 5, 9]

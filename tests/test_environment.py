@@ -299,6 +299,27 @@ class TestEmitReward:
             emit_reward(np.zeros((2, 2)), 2, 0, 0.0, np.random.default_rng(0))
 
 
+def off_simplex_cases():
+    # The three failed conditions, for a learner mix, for one of five
+    # per-round policies and for an opponent's mix.
+    policies = [[1 / 3] * 3] * 4
+    bad = {"nan": [math.nan, 0.5, 0.5], "negative": [0.6, 0.6, -0.2], "short-sum": [0.5, 0.25, 0.2]}
+    problems = {"nan": "be finite", "negative": "be nonnegative", "short-sum": "sum to 1"}
+    cases = [
+        pytest.param("learner", [2.0, -1.0, 0.0], "be nonnegative", id="negative-mix"),
+        pytest.param("learner", [0.5, 0.5, 0.5], "sum to 1", id="mix-sums-to-1.5"),
+        pytest.param("learner", policies[:3] + [[0.6, 0.6, -0.2]] + policies[:1],
+                     "be nonnegative", id="one-bad-round-policy"),
+    ]
+    for name, mix in bad.items():
+        cases += [
+            pytest.param("learner", mix, problems[name], id=f"{name}-learner-mix"),
+            pytest.param("learner", policies + [mix], problems[name], id=f"{name}-policies"),
+            pytest.param("opponent", mix, problems[name], id=f"{name}-opponent"),
+        ]
+    return cases
+
+
 class TestRunEpisode:
     def test_single_round_scripted(self):
         env = Environment(config(rounds_per_episode=1))
@@ -339,7 +360,7 @@ class TestRunEpisode:
     def test_out_of_range_action_aborts(self):
         class RogueAgent(FixedStrategyAgent):
             def play_episode(self, reward, n_rounds):
-                return np.full(n_rounds, 99), self.current_strategy.probs
+                return np.full(n_rounds, 99), self.current_strategy
 
         env = Environment(config())
         with pytest.raises(SimulationError):
@@ -382,7 +403,7 @@ class TestRunEpisode:
     def test_out_of_range_opponent_column_aborts(self):
         class RogueOpponent(FixedOpponent):
             def play_episode(self, reward, n_rounds):
-                return np.full(n_rounds, -1), self.current_strategy.probs
+                return np.full(n_rounds, -1), self.current_strategy
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="opponent produced column -1"):
@@ -467,25 +488,27 @@ class TestRunEpisode:
         if experts == "fixed":
             assert np.array_equal(spec.matrices, matrices)
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            [2.0, -1.0, 0.0],
-            [0.5, 0.5, 0.5],
-            [math.nan, 0.5, 0.5],
-            [[1 / 3] * 3] * 3 + [[0.6, 0.6, -0.2]] + [[1 / 3] * 3],
-        ],
-        ids=["negative-mix", "mix-sums-to-1.5", "nan-mix", "one-bad-round-policy"],
-    )
-    def test_a_strategy_off_the_simplex_aborts(self, strategy):
+    @pytest.mark.parametrize("role, strategy, problem", off_simplex_cases())
+    def test_a_strategy_off_the_simplex_aborts(self, role, strategy, problem):
         class Liar(FixedStrategyAgent):
             def play_episode(self, reward, n_rounds):
                 rows, _ = super().play_episode(reward, n_rounds)
                 return rows, strategy
 
-        env = Environment(config())
-        with pytest.raises(SimulationError, match="strategy at episode 1 is not a probability"):
-            env.run_episode(Liar.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
+        class LyingOpponent(FixedOpponent):
+            def play_episode(self, reward, n_rounds):
+                cols, _ = super().play_episode(reward, n_rounds)
+                return cols, strategy
+
+        learner, opponent = FixedStrategyAgent.uniform(3, seed=0), FixedOpponent([1.0, 0, 0])
+        if role == "learner":
+            learner = Liar.uniform(3, seed=0)
+        else:
+            opponent = LyingOpponent([1.0, 0, 0])
+        message = (rf"^{role}'s strategy at episode 1 is not a probability vector: "
+                   rf"strategy probabilities must {problem}$")
+        with pytest.raises(SimulationError, match=message):
+            Environment(config()).run_episode(learner, opponent, 1)
 
     @pytest.mark.parametrize(
         "make_rows, dtype",

@@ -3,9 +3,10 @@ import pytest
 
 from expertgames import game
 from expertgames.game import (
-    MixedStrategy,
     VALUE_TOL,
+    check_strategy,
     solve_saddle_point,
+    strategy_problem,
 )
 
 from oracles import (
@@ -21,8 +22,8 @@ from oracles import (
 
 def assert_saddle_invariants(matrix, saddle):
     m = np.asarray(matrix, dtype=float)
-    mu = saddle.row_strategy.probs
-    nu = saddle.col_strategy.probs
+    mu = saddle.row_strategy
+    nu = saddle.col_strategy
     assert abs(float(mu @ m @ nu) - saddle.value) < VALUE_TOL
     # Security levels: mu guarantees the value against every pure column,
     # nu concedes at most the value against every pure row.
@@ -43,11 +44,11 @@ class TestTypes:
 
     def test_strategy_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            MixedStrategy(np.array([0.5, 0.4]))
+            check_strategy(np.array([0.5, 0.4]))
 
     def test_strategy_must_be_nonnegative(self):
         with pytest.raises(ValueError):
-            MixedStrategy(np.array([1.2, -0.2]))
+            check_strategy(np.array([1.2, -0.2]))
 
     @pytest.mark.parametrize(
         "probs, message",
@@ -58,62 +59,39 @@ class TestTypes:
             ([np.inf, 0.0], "must be finite"),
             ([np.inf, -np.inf], "must be finite"),
             ([-1e308, -1e308], "must be nonnegative"),
-            pytest.param(  # finite entries whose sum overflows
-                [1e308, 1e308], "must sum to 1", marks=pytest.mark.filterwarnings("ignore:overflow")
-            ),
+            ([1e308, 1e308], "must sum to 1"),  # finite entries whose sum overflows
         ],
     )
     def test_strategy_checks_and_messages(self, probs, message):
         with pytest.raises(ValueError, match=message):
-            MixedStrategy(np.array(probs, dtype=float))
+            check_strategy(np.array(probs, dtype=float))
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[0.5, 0.5], [np.nan, 1.0]], "must be finite"),
+            ([[0.5, 0.5], [1.0, -1e-8]], "must be nonnegative"),
+            ([[0.5, 0.5], [0.5, 0.4]], "must sum to 1"),
+            ([[0.5, 0.5], [1.0, -1e-12]], None),
+        ],
+    )
+    def test_strategy_problem_reads_each_vector_of_the_last_axis(self, probs, message):
+        problem = strategy_problem(np.array(probs))
+        assert problem is None if message is None else message in problem
 
     def test_strategy_clips_a_copy(self):
         given = np.array([0.5, 0.5 + 1e-12, -1e-12, -0.0])
-        strategy = MixedStrategy(given)
-        assert strategy.probs.tolist() == [0.5, 0.5 + 1e-12, 0.0, 0.0]
-        assert np.signbit(strategy.probs).tolist() == [False] * 4
-        assert not strategy.probs.flags.writeable
-        assert given.flags.writeable and not np.shares_memory(given, strategy.probs)
+        strategy = check_strategy(given)
+        assert strategy.tolist() == [0.5, 0.5 + 1e-12, 0.0, 0.0]
+        assert np.signbit(strategy).tolist() == [False] * 4
+        assert not strategy.flags.writeable and strategy.dtype == np.float64
+        assert given.flags.writeable and not np.shares_memory(given, strategy)
 
     def test_sample_is_reproducible(self):
-        strategy = MixedStrategy(np.array([0.3, 0.5, 0.2]))
+        strategy = np.array([0.3, 0.5, 0.2])
         draws_a = [sample_action(strategy, np.random.default_rng(7)) for _ in range(1)]
         draws_b = [sample_action(strategy, np.random.default_rng(7)) for _ in range(1)]
         assert draws_a == draws_b
-
-    @pytest.mark.parametrize(
-        "probs", [[0.3, 0.5, 0.2], [0.1] * 10, [0.0, 1.0, 0.0], [1.0 / 3] * 3]
-    )
-    def test_sample_many_equals_repeated_sample(self, probs):
-        strategy = MixedStrategy(np.array(probs))
-        many = strategy.sample_many(np.random.default_rng(7), 500)
-        rng = np.random.default_rng(7)
-        assert many.tolist() == [sample_action(strategy, rng) for _ in range(500)]
-
-    def test_sample_many_clips_draws_above_a_short_cumulative_sum(self):
-        # Ten 0.1s add up to the largest double below 1, so the top draw
-        # lands past the last cutoff and must be clipped to the last action.
-        strategy = MixedStrategy(np.full(10, 0.1))
-        assert strategy._cumulative[-1] < 1.0
-        draws = [0.0, 0.55, np.nextafter(1.0, 0.0)]
-
-        class ScriptedDraws:
-            def __init__(self):
-                self.queue = list(draws)
-
-            def random(self, size=None):
-                if size is None:
-                    return self.queue.pop(0)
-                out, self.queue = np.array(self.queue[:size]), self.queue[size:]
-                return out
-
-        many = strategy.sample_many(ScriptedDraws(), 3)
-        rng = ScriptedDraws()
-        assert many.tolist() == [sample_action(strategy, rng) for _ in range(3)] == [0, 5, 9]
-
-    def test_pure_and_uniform_helpers(self):
-        assert MixedStrategy.pure(4, 2).probs[2] == 1.0
-        assert np.allclose(MixedStrategy.uniform(5).probs, 0.2)
 
 
 class TestSolveSaddlePoint:
@@ -126,8 +104,15 @@ class TestSolveSaddlePoint:
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         saddle = solve_saddle_point(m)
         assert abs(saddle.value) < VALUE_TOL
-        assert np.allclose(saddle.row_strategy.probs, [0.5, 0.5], atol=1e-7)
-        assert np.allclose(saddle.col_strategy.probs, [0.5, 0.5], atol=1e-7)
+        assert np.allclose(saddle.row_strategy, [0.5, 0.5], atol=1e-7)
+        assert np.allclose(saddle.col_strategy, [0.5, 0.5], atol=1e-7)
+
+    def test_strategies_are_read_only_probability_vectors(self):
+        saddle = solve_saddle_point(np.array([[3.0, 2.0, 0.5], [1.0, 0.0, 4.0]]))
+        for strategy, size in ((saddle.row_strategy, 2), (saddle.col_strategy, 3)):
+            assert strategy.dtype == np.float64 and strategy.shape == (size,)
+            assert not strategy.flags.writeable
+            assert strategy_problem(strategy) is None and not np.signbit(strategy).any()
 
     def test_dominant_pure_strategy(self):
         m = np.array([[3.0, 2.0], [1.0, 0.0]])
@@ -162,8 +147,8 @@ class TestSolveSaddlePoint:
         first = solve_saddle_point(m)
         second = solve_saddle_point(m)
         assert first.value == second.value
-        assert np.array_equal(first.row_strategy.probs, second.row_strategy.probs)
-        assert np.array_equal(first.col_strategy.probs, second.col_strategy.probs)
+        assert np.array_equal(first.row_strategy, second.row_strategy)
+        assert np.array_equal(first.col_strategy, second.col_strategy)
 
 
 class TestSolverProperties:
@@ -191,8 +176,8 @@ class TestSolverProperties:
         for _ in range(20):
             m = rng.normal(size=rng.integers(2, 7, size=2))
             saddle = solve_saddle_point(m)
-            row_guarantee = (saddle.row_strategy.probs @ m).min()
-            col_concession = (m @ saddle.col_strategy.probs).max()
+            row_guarantee = (saddle.row_strategy @ m).min()
+            col_concession = (m @ saddle.col_strategy).max()
             assert abs(row_guarantee - col_concession) < VALUE_TOL
 
     def test_best_response_brackets_value(self):
@@ -232,7 +217,7 @@ class TestSolverProperties:
         scaled = solve_saddle_point(c * m)
         assert abs(scaled.value - c * base.value) <= 1e-12 * abs(c * base.value)
         np.testing.assert_array_equal(
-            scaled.row_strategy.probs > 0, base.row_strategy.probs > 0
+            scaled.row_strategy > 0, base.row_strategy > 0
         )
 
     @pytest.mark.parametrize(
@@ -255,8 +240,8 @@ class TestSolverProperties:
         saddle = solve_saddle_point(m)
         tol = 1e-12 * np.abs(m).max()
         assert abs(saddle.value - value) <= 1e-12 * abs(value)
-        assert (saddle.row_strategy.probs @ m).min() >= saddle.value - tol
-        assert (m @ saddle.col_strategy.probs).max() <= saddle.value + tol
+        assert (saddle.row_strategy @ m).min() >= saddle.value - tol
+        assert (m @ saddle.col_strategy).max() <= saddle.value + tol
 
     @pytest.mark.parametrize(
         "m, value, mu, nu",
@@ -275,11 +260,11 @@ class TestSolverProperties:
         m = np.array(m)
         saddle = solve_saddle_point(m)
         assert abs(saddle.value - value) <= VALUE_TOL * np.abs(m).max()
-        assert abs(saddle.value - saddle.row_strategy.probs @ m @ saddle.col_strategy.probs) <= (
+        assert abs(saddle.value - saddle.row_strategy @ m @ saddle.col_strategy) <= (
             VALUE_TOL * np.abs(m).max()
         )
-        np.testing.assert_allclose(saddle.row_strategy.probs, mu, atol=1e-12)
-        np.testing.assert_allclose(saddle.col_strategy.probs, nu, atol=1e-12)
+        np.testing.assert_allclose(saddle.row_strategy, mu, atol=1e-12)
+        np.testing.assert_allclose(saddle.col_strategy, nu, atol=1e-12)
 
 
 def _positive(m):

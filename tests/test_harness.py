@@ -962,6 +962,8 @@ class TestRunExperiment:
             return object.__reduce_ex__(self, protocol)
 
         monkeypatch.setattr(ExperimentConfig, "__reduce_ex__", counting_reduce_ex)
+        # Two usable CPUs on any machine, so the run has a pool of two processes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         run_experiment(config, tmp_path / "par", workers=2)
         assert len(pickled) <= 2
         files_seq = tree_files(tmp_path / "seq")
@@ -969,8 +971,9 @@ class TestRunExperiment:
         assert files_seq.pop("manifest.json") and files_par.pop("manifest.json")
         assert files_par == files_seq
 
-    @pytest.mark.parametrize("workers, trials, pool_size", [(8, 2, 2), (8, 1, None)])
-    def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers, trials, pool_size):
+    @staticmethod
+    def recorded_pool_sizes(monkeypatch, cpus):
+        """Pool sizes asked for, with ``cpus`` CPUs usable; the pool is one thread."""
         sizes = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -979,9 +982,36 @@ class TestRunExperiment:
                 super().__init__(max_workers=1, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, trials, cpus, pool_size",
+        [(8, 2, 8, 2), (8, 1, 8, None), (8, 5, 3, 3)],
+        ids=["trials-cap", "one-trial", "cpu-cap"],
+    )
+    def test_pool_never_exceeds_trial_count(self, tmp_path, monkeypatch, workers, trials, cpus,
+                                            pool_size):
+        sizes = self.recorded_pool_sizes(monkeypatch, cpus)
         run_experiment(tiny_config(trials=trials), tmp_path / "run", workers=workers)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert len(list((tmp_path / "run/trials").iterdir())) == trials
+
+    def test_workers_8_on_one_cpu_run_with_no_pool(self, tmp_path, monkeypatch):
+        sizes = self.recorded_pool_sizes(monkeypatch, 1)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(tiny_config(trials=3))))
+        argv = ["run", "--config", str(config_path), "--out", str(tmp_path / "run"), "--workers", "8"]
+        assert cli_main(argv) == 0
+        assert sizes == []
+        assert len(list((tmp_path / "run/trials").iterdir())) == 3
+
+    def test_cpu_count_caps_the_pool_where_affinity_is_missing(self, tmp_path, monkeypatch):
+        sizes = self.recorded_pool_sizes(monkeypatch, 8)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_experiment(tiny_config(trials=4), tmp_path / "run", workers=8)
+        assert sizes == [2]
 
     def test_crashed_run_has_trial_files_but_no_manifest(self, tmp_path, monkeypatch):
         def crash_on_second(config, trial):
