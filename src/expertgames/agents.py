@@ -199,10 +199,6 @@ class Exp3Agent:
         self._last_policy: list[float] | None = None
         self._awaiting_feedback = False
 
-    @property
-    def last_strategy(self) -> list[float] | None:
-        return self._last_policy
-
     def policy(self, t: int) -> list[float]:
         if t < 1:
             raise ValueError("round index must be >= 1")
@@ -238,7 +234,6 @@ class Exp3Agent:
             estimates[i] += min(max((r - low) / span, 0.0), 1.0) / policy[i]
             rows.append(i)
             policies.append(policy)
-        self._last_policy = policies[-1] if policies else None
         return np.array(rows, dtype=int), np.array(policies)
 
     def act(self, t: int) -> int:

@@ -6,7 +6,8 @@ Subcommands:
     plot-data     filter a finished run's aggregate mean/stderr tables by series
     paper-default print the built-in case-study configuration as JSON
 
-Exit codes: 0 success, 1 invalid configuration, 2 unwritable output.
+Exit codes: 0 success, 1 invalid configuration or an output that would
+overwrite its own input, 2 unwritable output or a command line argparse rejects.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def _cmd_replay(args) -> int:
     # Resolved, so a manifest named from inside its run directory still has a run name.
     run = manifest_path.resolve().parent
     out = Path(args.out) if args.out else run.with_name(run.name + "_replay")
+    if out.resolve() == run:
+        # The run would delete the manifest, trials and aggregates it replays.
+        print(f"error: --out {out} is {run}, the directory of the run being replayed",
+              file=sys.stderr)
+        return 1
     _check_writable(out)
     run_experiment(config, out, workers=args.workers)
     print(f"replay complete -> {out}")

@@ -8,13 +8,14 @@ on the same environment see identical noise even when they choose different
 actions. An episode's expert stack is derived from (expert stream, episode)
 when the episode is revealed, so a trial holds one episode's stack and true
 game at a time, not the whole horizon's; fixed experts are the config's own
-array, read without a copy. The learner is handed the (n_experts, rows, cols)
-stack and the opponent the (rows, cols) true game, as read-only float64
-arrays. Every expert entry lies in [0, 1]: ``ExpertSpec`` checks fixed
-experts, and uniform ones are U[0, 1) draws. The environment records the
-rewards it pays, ``M[rows, cols] + noise`` for the rows played; its reward
-closure pays the same floats to a learner that asks within the episode. Both
-players' ``play_episode`` results are checked alike.
+array, read without a copy. A trial reveals each episode once, its true game
+solved once, and plays every learner on that reveal. Each learner is handed
+the (n_experts, rows, cols) stack and each opponent the (rows, cols) true
+game, the same read-only float64 arrays. Every expert entry lies in [0, 1]:
+``ExpertSpec`` checks fixed experts, and uniform ones are U[0, 1) draws. The
+environment records the rewards it pays, ``M[rows, cols] + noise`` for the
+rows played; its reward closure pays the same floats to a learner that asks
+within the episode. Both players' ``play_episode`` results are checked alike.
 """
 
 from __future__ import annotations
@@ -115,9 +116,11 @@ def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, epi
 class Environment:
     """One trial's ground truth: mixing weights, expert reveals, noise table.
 
-    It is a checked config plus a seed, which a run derives for each trial.
-    After construction only the cache of true saddle points changes: every
-    reveal is derived afresh, so episodes may be asked for in any order.
+    It is a checked config plus a seed, which a run derives for each trial,
+    and it never changes after construction: ``reveal`` derives an episode
+    afresh from the seed and the episode number alone, so episodes may be
+    asked for in any order, and ``run_trial`` reveals each one once for
+    every pair of players.
     """
 
     def __init__(self, config: EnvironmentConfig, seed=0):
@@ -135,12 +138,12 @@ class Environment:
             math.sqrt(config.noise_variance),
             size=(config.n_episodes, config.rounds_per_episode),
         )
-        self._saddles: dict[int, SaddlePoint] = {}
 
-    def _reveal(self, episode: int) -> tuple[np.ndarray, np.ndarray]:
-        """Episode ``episode``'s (n_experts, rows, cols) expert stack and
-        (rows, cols) true game, both read-only, so the players can be handed
-        them without a copy.
+    def reveal(self, episode: int) -> tuple[int, np.ndarray, np.ndarray, SaddlePoint]:
+        """Episode ``episode`` as ``run_episode`` plays it: ``(episode, stack,
+        game, saddle)``, with the (n_experts, rows, cols) expert stack and the
+        (rows, cols) true game read-only, so the players can be handed them
+        without a copy, and the true game's saddle point.
 
         Uniform experts are one U[0, 1) stream over the whole horizon, episode
         after episode. Each double takes one 64-bit PCG64 output, so episode k's
@@ -162,17 +165,10 @@ class Environment:
         game = (self.theta_star @ stack.reshape(cfg.n_experts, -1)).reshape(shape[1:])
         stack.setflags(write=False)
         game.setflags(write=False)
-        return stack, game
+        return episode, stack, game, solve_saddle_point(game)
 
-    def true_saddle(self, episode: int, game: np.ndarray) -> SaddlePoint:
-        """The saddle point of ``game``, episode ``episode``'s true game, solved
-        once per trial."""
-        if episode not in self._saddles:
-            self._saddles[episode] = solve_saddle_point(game)
-        return self._saddles[episode]
-
-    def run_episode(self, learner, opponent, episode: int, learner_previous_strategy=None) -> EpisodeTrace:
-        """Play one episode and return its trace.
+    def run_episode(self, learner, opponent, revealed, learner_previous_strategy=None) -> EpisodeTrace:
+        """Play one episode, ``revealed`` as ``reveal`` returns it, and return its trace.
 
         Both players move simultaneously each round. The opponent commits to
         its episode mix from history and the true game only, so it never
@@ -184,8 +180,8 @@ class Environment:
         and the rewards equal those of round-by-round play.
         """
         cfg = self.config
-        stack, m = self._reveal(episode)
-        value = self.true_saddle(episode, m).value
+        episode, stack, m, saddle = revealed
+        value = saddle.value
         n_rounds, n_rows = cfg.rounds_per_episode, cfg.n_rows
 
         learner.begin_episode(stack)
@@ -256,18 +252,18 @@ class Environment:
             diagnostics=diagnostics,
         )
 
-    def run_trial(self, learner, opponent) -> list[EpisodeTrace]:
-        """Play all episodes in order, tracking the learner's previous-episode
-        strategy for opponents that react to it."""
-        traces = []
-        previous_strategy = None
+    def run_trial(self, players) -> list[list[EpisodeTrace]]:
+        """Play every episode in order, revealing each once, and on it every
+        (learner, opponent) pair of ``players`` in turn; return each pair's
+        traces. Each opponent sees its own learner's previous-episode strategy."""
+        traces = [[] for _ in players]
         for k in range(self.config.n_episodes):
-            trace = self.run_episode(learner, opponent, k, previous_strategy)
-            traces.append(trace)
-            if trace.learner_strategy is not None:
-                previous_strategy = trace.learner_strategy
-            else:
-                # Empirical fallback for learners without an episode-level mix.
-                counts = np.bincount(trace.row_actions, minlength=self.config.n_rows)
-                previous_strategy = counts / counts.sum()
+            revealed = self.reveal(k)
+            for (learner, opponent), played in zip(players, traces):
+                previous = played[-1].learner_strategy if played else None
+                if played and previous is None:
+                    # Empirical fallback for learners without an episode-level mix.
+                    counts = np.bincount(played[-1].row_actions, minlength=self.config.n_rows)
+                    previous = counts / counts.sum()
+                played.append(self.run_episode(learner, opponent, revealed, previous))
         return traces

@@ -2,9 +2,10 @@
 
 Trial n's environment is the run's config seeded by (master, n, 0), and each
 learner/opponent pair is seeded by (master, n, 1|2, learner_index), so
-adding or removing learners never perturbs the environment realization, and
-every learner plays the exact same ground truth, expert reveals, and noise
-stream within a trial.
+adding or removing learners never perturbs the environment realization.
+Within a trial ``Environment.run_trial`` reveals each episode once and plays
+every pair on it, so every learner meets the very same expert stack, true
+game, true saddle point and noise.
 
 Outputs under the run directory:
 
@@ -60,18 +61,19 @@ class RunManifest:
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    """Run every configured learner on the same environment realization."""
+    """Seed and build each configured learner and its own opponent, play
+    them all on one environment realization, and report each learner."""
     env = Environment(config.environment, [config.master_seed, trial, 0])
-    learners = {}
+    players = []
     for index, spec in enumerate(config.learners):
         learner_seed = np.random.SeedSequence([config.master_seed, trial, 1, index])
         opponent_seed = np.random.SeedSequence([config.master_seed, trial, 2, index])
-        learner = spec.build(config.environment, np.random.default_rng(learner_seed))
-        opponent = config.opponent.build(np.random.default_rng(opponent_seed))
-        traces = env.run_trial(learner, opponent)
-        learners[spec.name] = {"traces": traces, "report": build_report(traces)}
+        players.append((spec.build(config.environment, np.random.default_rng(learner_seed)),
+                        config.opponent.build(np.random.default_rng(opponent_seed))))
+    traces = env.run_trial(players)
     return {
-        "learners": learners,
+        "learners": {spec.name: {"traces": played, "report": build_report(played)}
+                     for spec, played in zip(config.learners, traces)},
         "environment": {
             "theta_star": env.theta_star.tolist(),
             "theta_rejections": env.theta_rejections,

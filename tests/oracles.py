@@ -14,7 +14,7 @@ add up. The reference helpers
 the closed-form radius) score one entry or one draw at a time, and a trial's
 expert stacks are drawn in one call over the whole horizon; no simulator
 code path calls them. The last helpers are the exception: they read what an
-environment reveals for an episode through its own ``_reveal``, and write
+environment reveals for an episode through its own ``reveal``, and write
 plot tables as ``expertgames plot-data`` does, for tests that only inspect.
 """
 
@@ -257,18 +257,18 @@ def one_shot_reveals(config, seed, theta_star) -> tuple[np.ndarray, np.ndarray]:
 
 
 def episode_stack(env, episode: int) -> np.ndarray:
-    """Episode ``episode``'s expert stack, as ``Environment.run_episode`` reveals it."""
-    return env._reveal(episode)[0]
+    """Episode ``episode``'s expert stack, as ``Environment.reveal`` reveals it."""
+    return env.reveal(episode)[1]
 
 
 def episode_game(env, episode: int) -> np.ndarray:
-    """Episode ``episode``'s true game, as ``Environment.run_episode`` reveals it."""
-    return env._reveal(episode)[1]
+    """Episode ``episode``'s true game, as ``Environment.reveal`` reveals it."""
+    return env.reveal(episode)[2]
 
 
 def episode_saddle(env, episode: int):
-    """The environment's cached saddle point of episode ``episode``'s true game."""
-    return env.true_saddle(episode, episode_game(env, episode))
+    """The saddle point of episode ``episode``'s true game, as ``Environment.reveal`` solves it."""
+    return env.reveal(episode)[3]
 
 
 def emit_plot_data(run_dir, out_dir=None, series=None) -> list:

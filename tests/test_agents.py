@@ -209,7 +209,7 @@ class TestStrategyConstantWithinEpisode:
             seed=12,
         )
         agent = SpyAgent(4, EstimatorConfig(0.1, 2.0, 0.01, 3), seed=13)
-        env.run_trial(agent, SaddleOracleOpponent(seed=14))
+        env.run_trial([(agent, SaddleOracleOpponent(seed=14))])
         per_episode = [agent.fingerprints[k * 50 : (k + 1) * 50] for k in range(3)]
         for hashes in per_episode:
             assert len(set(hashes)) == 1
@@ -301,13 +301,13 @@ class TestExp3:
                 stepped.observe(action, 0, round_rewards[action])
                 stepped_rows.append(action)
                 stepped_rewards.append(round_rewards[action])
-                stepped_policies.append(stepped.last_strategy)
+                stepped_policies.append(stepped._last_policy)
             stepped.end_episode(stepped_rows, [0] * 200, stepped_rewards)
             assert rows.tolist() == stepped_rows
             assert asked == stepped_rewards
             assert policies.tolist() == stepped_policies
             assert whole.cumulative_estimates == stepped.cumulative_estimates
-            assert whole.last_strategy == stepped.last_strategy
+            assert policies.tolist()[-1] == stepped._last_policy
             whole.end_episode(rows, [0] * 200, asked)
 
     def test_play_episode_then_act_draw_one_stream(self):
@@ -328,7 +328,7 @@ class TestExp3:
         agent.begin_episode()
         for t, u in enumerate(uniforms[37:], 1):
             action = agent.act(t)
-            assert action == inverse_cdf(agent.last_strategy, u)
+            assert action == inverse_cdf(agent._last_policy, u)
             agent.observe(action, 0, math.cos(t))
         assert agent.rng.bit_generator.state == fresh.bit_generator.state
 

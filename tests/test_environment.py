@@ -209,7 +209,7 @@ class TestGroundTruth:
         try:
             env = Environment(cfg)
             for k in range(cfg.n_episodes):
-                stack, game = episode_stack(env, k), episode_game(env, k)
+                _, stack, game, _ = env.reveal(k)  # one reveal per episode, as in a trial
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -325,7 +325,7 @@ class TestRunEpisode:
         env = Environment(config(rounds_per_episode=1))
         learner = FixedStrategyAgent(np.array([0.0, 1.0, 0.0]), seed=0)
         opponent = FixedOpponent(np.array([1.0, 0.0, 0.0]), seed=1)
-        trace = env.run_episode(learner, opponent, 0)
+        trace = env.run_episode(learner, opponent, env.reveal(0))
         assert trace.row_actions.tolist() == [1]
         assert trace.col_actions.tolist() == [0]
         assert trace.rewards[0] == episode_game(env, 0)[1, 0]
@@ -334,13 +334,14 @@ class TestRunEpisode:
         env = Environment(config(rounds_per_episode=20))
         learner = FixedStrategyAgent(np.array([1.0, 0.0, 0.0]), seed=0)
         opponent = FixedOpponent(np.array([0.0, 0.0, 1.0]), seed=1)
-        trace = env.run_episode(learner, opponent, 2)
+        trace = env.run_episode(learner, opponent, env.reveal(2))
         assert np.all(trace.rewards == episode_game(env, 2)[0, 2])
 
     def test_trace_has_exactly_t_records(self):
         env = Environment(config(rounds_per_episode=7))
         trace = env.run_episode(
-            FixedStrategyAgent.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0]), seed=1), 0
+            FixedStrategyAgent.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0]), seed=1),
+            env.reveal(0)
         )
         assert len(trace.row_actions) == len(trace.col_actions) == len(trace.rewards) == 7
 
@@ -351,7 +352,7 @@ class TestRunEpisode:
             env = Environment(cfg, seed=5)
             learner = FixedStrategyAgent.uniform(3, seed=10)
             opponent = SaddleOracleOpponent(seed=11)
-            traces.append(env.run_episode(learner, opponent, 1))
+            traces.append(env.run_episode(learner, opponent, env.reveal(1)))
         first, second = traces
         assert np.array_equal(first.row_actions, second.row_actions)
         assert np.array_equal(first.col_actions, second.col_actions)
@@ -364,7 +365,9 @@ class TestRunEpisode:
 
         env = Environment(config())
         with pytest.raises(SimulationError):
-            env.run_episode(RogueAgent.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+            env.run_episode(
+                RogueAgent.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(0)
+            )
 
     def test_out_of_range_per_round_action_aborts(self):
         class RogueExp3(Exp3Agent):
@@ -375,7 +378,9 @@ class TestRunEpisode:
 
         env = Environment(config())
         with pytest.raises(SimulationError, match=r"learner produced row 99 .* round 3$"):
-            env.run_episode(RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+            env.run_episode(
+                RogueExp3(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(0)
+            )
 
     @pytest.mark.parametrize(
         "t, i, message",
@@ -398,7 +403,9 @@ class TestRunEpisode:
 
         env = Environment(config())
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(Peeker.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 2)
+            env.run_episode(
+                Peeker.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(2)
+            )
 
     def test_out_of_range_opponent_column_aborts(self):
         class RogueOpponent(FixedOpponent):
@@ -408,7 +415,8 @@ class TestRunEpisode:
         env = Environment(config())
         with pytest.raises(SimulationError, match="opponent produced column -1"):
             env.run_episode(
-                FixedStrategyAgent.uniform(3, seed=0), RogueOpponent(np.array([1.0, 0, 0])), 0
+                FixedStrategyAgent.uniform(3, seed=0), RogueOpponent(np.array([1.0, 0, 0])),
+                env.reveal(0)
             )
 
     def test_agent_without_strategy_aborts(self):
@@ -419,7 +427,7 @@ class TestRunEpisode:
 
         env = Environment(config())
         with pytest.raises(SimulationError, match="exposes no strategy"):
-            env.run_episode(Blind(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0)
+            env.run_episode(Blind(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(0))
 
     @pytest.mark.parametrize(
         "learner, message",
@@ -435,7 +443,7 @@ class TestRunEpisode:
         # The rows are legal in a 4-row game; only the strategy's shape is wrong.
         env = Environment(config(n_rows=4))
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(learner, FixedOpponent(np.array([1.0, 0, 0])), 0)
+            env.run_episode(learner, FixedOpponent(np.array([1.0, 0, 0])), env.reveal(0))
 
     def test_opponent_strategy_of_the_wrong_shape_is_named(self):
         class Wide(FixedOpponent):
@@ -446,7 +454,7 @@ class TestRunEpisode:
         env = Environment(config())
         message = r"^opponent's strategy at episode 0 has shape \(4,\), not \(3,\)$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Wide([1.0, 0, 0]), 0)
+            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Wide([1.0, 0, 0]), env.reveal(0))
 
     @pytest.mark.parametrize("experts", ["uniform", "fixed"])
     def test_players_get_read_only_arrays(self, experts):
@@ -475,10 +483,10 @@ class TestRunEpisode:
 
         est = EstimatorConfig(0.1, 3.0, 3e-3, 2)
         plain = Environment(cfg, seed=2).run_trial(
-            OFULinMatAgent(3, est, seed=0), SaddleOracleOpponent(seed=1)
-        )
+            [(OFULinMatAgent(3, est, seed=0), SaddleOracleOpponent(seed=1))]
+        )[0]
         env = Environment(cfg, seed=2)
-        scribbled = env.run_trial(Scribbler(3, est, seed=0), Vandal(seed=1))
+        scribbled = env.run_trial([(Scribbler(3, est, seed=0), Vandal(seed=1))])[0]
         assert refused == [(2, 3, 3), (3, 3)] * 4
         for k, (a, b) in enumerate(zip(plain, scribbled)):
             assert a.rewards.tolist() == b.rewards.tolist()
@@ -508,7 +516,8 @@ class TestRunEpisode:
         message = (rf"^{role}'s strategy at episode 1 is not a probability vector: "
                    rf"strategy probabilities must {problem}$")
         with pytest.raises(SimulationError, match=message):
-            Environment(config()).run_episode(learner, opponent, 1)
+            env = Environment(config())
+            env.run_episode(learner, opponent, env.reveal(1))
 
     @pytest.mark.parametrize(
         "make_rows, dtype",
@@ -531,7 +540,9 @@ class TestRunEpisode:
         env = Environment(config())
         message = rf"^learner drew rows of dtype {dtype}, not integers, at episode 1$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 1)
+            env.run_episode(
+                Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(1)
+            )
 
     @pytest.mark.parametrize(
         "strategy, dtype",
@@ -547,7 +558,9 @@ class TestRunEpisode:
         env = Environment(config())
         message = rf"^learner's strategy at episode 2 has dtype {dtype}, not real numbers$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), 2)
+            env.run_episode(
+                Caster.uniform(3, seed=0), FixedOpponent(np.array([1.0, 0, 0])), env.reveal(2)
+            )
 
     def test_non_integer_opponent_columns_abort(self):
         class Caster(FixedOpponent):
@@ -558,7 +571,9 @@ class TestRunEpisode:
         env = Environment(config())
         message = r"^opponent drew columns of dtype float64, not integers, at episode 0$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), 0)
+            env.run_episode(
+                FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), env.reveal(0)
+            )
 
     def test_an_opponent_strategy_of_bools_aborts(self):
         class Caster(FixedOpponent):
@@ -569,7 +584,9 @@ class TestRunEpisode:
         env = Environment(config())
         message = r"^opponent's strategy at episode 0 has dtype bool, not real numbers$"
         with pytest.raises(SimulationError, match=message):
-            env.run_episode(FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), 0)
+            env.run_episode(
+                FixedStrategyAgent.uniform(3, seed=0), Caster(np.array([1.0, 0, 0])), env.reveal(0)
+            )
 
     def test_trace_rewards_are_the_rewards_paid(self):
         # Exp3 asks the closure once per round, and the trace holds the very
@@ -585,11 +602,11 @@ class TestRunEpisode:
         env = Environment(config(noise_variance=0.5, rounds_per_episode=40))
         opponent = SaddleOracleOpponent(seed=1)
         learner = Recorder(3, seed=0, reward_min=-2.0, reward_max=2.0)
-        trace = env.run_episode(learner, opponent, 2)
+        trace = env.run_episode(learner, opponent, env.reveal(2))
         assert trace.rewards.dtype == np.float64
         assert trace.rewards.tolist() == learner.paid and len(learner.paid) == 40
 
-        fixed = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, 1)
+        fixed = env.run_episode(FixedStrategyAgent.uniform(3, seed=0), opponent, env.reveal(1))
         m = episode_game(env, 1)
         paid = m[fixed.row_actions, fixed.col_actions] + env.noise[1]
         assert fixed.rewards.tolist() == paid.tolist()
@@ -602,10 +619,12 @@ class TestRunEpisode:
         env_b = Environment(cfg, seed=8)
         m = episode_game(env_a, 0)
         trace_a = env_a.run_episode(
-            FixedStrategyAgent(np.array([1.0, 0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0
+            FixedStrategyAgent(np.array([1.0, 0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])),
+            env_a.reveal(0)
         )
         trace_b = env_b.run_episode(
-            FixedStrategyAgent(np.array([0, 1.0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])), 0
+            FixedStrategyAgent(np.array([0, 1.0, 0]), seed=0), FixedOpponent(np.array([1.0, 0, 0])),
+            env_b.reveal(0)
         )
         diff = trace_a.rewards - trace_b.rewards
         assert np.allclose(diff, m[0, 0] - m[1, 0])
@@ -614,7 +633,9 @@ class TestRunEpisode:
 class TestRunTrial:
     def test_trial_produces_all_episodes(self):
         env = Environment(config())
-        traces = env.run_trial(FixedStrategyAgent.uniform(3, seed=0), SaddleOracleOpponent(seed=1))
+        traces = env.run_trial(
+            [(FixedStrategyAgent.uniform(3, seed=0), SaddleOracleOpponent(seed=1))]
+        )[0]
         assert [t.episode for t in traces] == [0, 1, 2, 3]
 
     def test_learner_with_only_the_protocol_records_its_mix(self):
@@ -638,7 +659,7 @@ class TestRunTrial:
 
         env = Environment(config())
         learner = Alternator()
-        traces = env.run_trial(learner, BestResponderOpponent(seed=1))
+        traces = env.run_trial([(learner, BestResponderOpponent(seed=1))])[0]
         assert len(learner.records) == len(traces) == 4
         for k, (trace, record) in enumerate(zip(traces, learner.records)):
             assert trace.learner_strategy.tolist() == [0.5, 0.5, 0.0]
@@ -657,7 +678,7 @@ class TestRunTrial:
         env = Environment(config())
         learner = FixedStrategyAgent(np.array([1.0, 0.0, 0.0]), seed=0)
         opponent = BestResponderOpponent(seed=1)
-        traces = env.run_trial(learner, opponent)
+        traces = env.run_trial([(learner, opponent)])[0]
         # First episode: no history, uniform. Later: pure best response.
         assert np.allclose(traces[0].opponent_strategy, 1 / 3)
         for k in (1, 2, 3):
@@ -684,7 +705,7 @@ class TestOFULinMatRecord:
         # and rewards with dense numpy, to 1e-9 relative.
         ridge, bound = self.RIDGE, self.BOUND
         env, learner, opponent = self.players()
-        traces = env.run_trial(learner, opponent)
+        traces = env.run_trial([(learner, opponent)])[0]
         feats, rewards = np.empty((0, 3)), np.empty(0)
         caps = []
         for k, trace in enumerate(traces):
@@ -716,13 +737,13 @@ class TestOFULinMatRecord:
         # Plan, diagnostics and fold all read one confidence set, set by the
         # fold: one back substitution per episode once data exists.
         env, learner, opponent = self.players(n_episodes=3)
-        env.run_episode(learner, opponent, 0)
-        env.run_episode(learner, opponent, 1)
+        env.run_episode(learner, opponent, env.reveal(0))
+        env.run_episode(learner, opponent, env.reveal(1))
         calls = []
         back_solve = estimator_module._back_solve
         monkeypatch.setattr(
             estimator_module, "_back_solve", lambda *args: calls.append(1) or back_solve(*args)
         )
-        trace = env.run_episode(learner, opponent, 2)
+        trace = env.run_episode(learner, opponent, env.reveal(2))
         assert len(calls) == 1
         assert trace.theta_hat is not learner.estimator.theta_hat

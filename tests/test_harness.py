@@ -5,6 +5,7 @@ import filecmp
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import expertgames
-from expertgames import harness
+from expertgames import environment, harness
 from expertgames.cli import main as cli_main
 from expertgames.config import (
     PAYOFF_LIMIT,
@@ -906,6 +907,34 @@ class TestRunExperiment:
             assert np.array_equal(a.row_actions, b.row_actions)
             assert np.array_equal(a.rewards, b.rewards)
 
+    def test_a_trial_reveals_and_solves_each_episode_once(self, monkeypatch):
+        # Three learners play each episode on one reveal, whose true game is
+        # solved once, and the environment is the same object after the trial.
+        built, reveals, solves = [], [], []
+
+        class Recorded(harness.Environment):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append((self, pickle.dumps(vars(self))))
+
+            def reveal(self, episode):
+                reveals.append(episode)
+                return super().reveal(episode)
+
+        solve = environment.solve_saddle_point
+        monkeypatch.setattr(environment, "solve_saddle_point",
+                            lambda game: solves.append(1) or solve(game))
+        monkeypatch.setattr(harness, "Environment", Recorded)
+        config = tiny_config(trials=1, learners=(
+            LearnerSpec("ofulinmat"), LearnerSpec("exp3"), LearnerSpec("uniform")))
+        n_episodes = config.environment.n_episodes
+        learners = run_trial(config, 0)["learners"]
+        assert [len(learners[spec.name]["traces"]) for spec in config.learners] == [n_episodes] * 3
+        assert reveals == list(range(n_episodes))
+        assert len(solves) == n_episodes
+        (env, pickled), = built
+        assert pickle.dumps(vars(env)) == pickled
+
     def test_a_run_holds_one_aggregate_array(self, tmp_path):
         # Across trials a run keeps each learner's (rows, trials) float64
         # array and nothing else per trial. The variance adds one temporary
@@ -1551,6 +1580,26 @@ class TestCli:
         assert filecmp.cmp(
             run / "aggregate/exp3.csv", replayed / "aggregate/exp3.csv", shallow=False
         )
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["run-path", "dot-from-inside"])
+    def test_replay_refuses_to_write_over_the_run_it_replays(
+        self, tmp_path, monkeypatch, capsys, inside
+    ):
+        # Replaying into the run would delete its manifest, trials and
+        # aggregates before rewriting them: the source tree stays as it was.
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        before = tree_files(run)
+        stamps = {p: p.stat().st_mtime_ns for p in run.rglob("*")}
+        manifest, out = run / "manifest.json", run
+        if inside:
+            monkeypatch.chdir(run)
+            manifest, out = Path("manifest.json"), Path(".")
+        assert cli_main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 1
+        message = f"error: --out {out} is {run.resolve()}, the directory of the run being replayed"
+        assert message in capsys.readouterr().err
+        assert tree_files(run) == before
+        assert {p: p.stat().st_mtime_ns for p in run.rglob("*")} == stamps
 
     @pytest.mark.parametrize("form", ["aggregate", "plot/../aggregate"])
     def test_plot_data_refuses_to_write_over_its_runs_aggregate(self, tmp_path, capsys, form):

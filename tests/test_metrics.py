@@ -129,7 +129,7 @@ class TestReport:
         learner = OFULinMatAgent(
             4, EstimatorConfig(ridge=0.1, param_bound=2.0, delta=0.01, n_experts=3), seed=1
         )
-        traces = env.run_trial(learner, SaddleOracleOpponent(seed=2))
+        traces = env.run_trial([(learner, SaddleOracleOpponent(seed=2))])[0]
         return env, traces, by_series(build_report(traces), len(traces))
 
     def test_exploitability_is_exact_sum(self):
@@ -177,7 +177,7 @@ class TestReport:
         env = small_env(seed=6, episodes=1, rounds=1000)
         mu_star = episode_saddle(env, 0).row_strategy
         learner = FixedStrategyAgent(mu_star, seed=3)
-        trace = env.run_episode(learner, SaddleOracleOpponent(seed=4), 0)
+        trace = env.run_episode(learner, SaddleOracleOpponent(seed=4), env.reveal(0))
         mean_inc = trace.metrics["saddle_realized"] / 1000
         se = (0.25 / 1000) ** 0.5
         assert abs(mean_inc) < 3 * se + 5e-3
@@ -189,7 +189,9 @@ class TestReport:
 
     def test_theta_error_nan_for_non_estimating_learner(self):
         env = small_env(seed=8)
-        traces = env.run_trial(FixedStrategyAgent.uniform(4, seed=0), SaddleOracleOpponent(seed=1))
+        traces = env.run_trial(
+            [(FixedStrategyAgent.uniform(4, seed=0), SaddleOracleOpponent(seed=1))]
+        )[0]
         report = by_series(build_report(traces), len(traces))
         assert np.all(np.isnan(report["theta_error"]))
 
@@ -251,7 +253,7 @@ class TestEpisodeMetricsMatchRoundByRound:
     @pytest.mark.parametrize("learner", sorted(LEARNERS))
     def test_trace_metrics_equal_oracle_sums(self, learner, opponent):
         env = small_env(seed=3)
-        traces = env.run_trial(self.LEARNERS[learner](), self.OPPONENTS[opponent](seed=2))
+        traces = env.run_trial([(self.LEARNERS[learner](), self.OPPONENTS[opponent](seed=2))])[0]
         for trace in traces:
             m = episode_game(env, trace.episode)
             if learner == "exp3":

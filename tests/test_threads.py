@@ -57,7 +57,7 @@ def test_ofulinmat_episode_runs_on_one_thread():
         "env = Environment(EnvironmentConfig(n_rows=10, n_cols=10, n_experts=10, n_episodes=1,\n"
         "                                    rounds_per_episode=20, noise_variance=0.5), seed=0)\n"
         "agent = OFULinMatAgent(10, EstimatorConfig(0.1, 3.0, 3e-3, 10), seed=1)\n"
-        "env.run_episode(agent, SaddleOracleOpponent(seed=2), 0)\n"
+        "env.run_episode(agent, SaddleOracleOpponent(seed=2), env.reveal(0))\n"
         "print(len(os.listdir('/proc/self/task')))\n"
     )
     assert run_fresh(code).strip() == "1"
