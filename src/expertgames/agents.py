@@ -66,12 +66,13 @@ def _uniform(n: int) -> np.ndarray:
 
 
 class _EpisodeStrategyPlayer:
-    """Sampling shared by every player that commits to one mixed strategy
-    per episode. Subclasses set ``rng`` and ``current_strategy``, a read-only
-    float64 probability vector."""
+    """Sampling shared by every player that commits to one mixed strategy per
+    episode: ``current_strategy``, a read-only float64 probability vector, or
+    None before the first ``begin_episode``, drawn from with its own ``rng``."""
 
-    rng: np.random.Generator
-    current_strategy: np.ndarray | None
+    def __init__(self, seed=None):
+        self.rng = _rng(seed)
+        self.current_strategy: np.ndarray | None = None
 
     def play_episode(self, reward, n_rounds: int):
         """Draw all of the episode's actions from the committed strategy; a
@@ -103,10 +104,9 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
     """
 
     def __init__(self, n_actions: int, config: EstimatorConfig, seed=None):
+        super().__init__(seed)
         self.n_actions = n_actions
         self.estimator = RidgeEstimator(config)
-        self.rng = _rng(seed)
-        self.current_strategy: np.ndarray | None = None
         self.optimistic_matrix: np.ndarray | None = None
         self.optimistic_value: float | None = None
         self._stack = None
@@ -140,6 +140,15 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         if self._stack is None:
             raise AgentProtocolError("end_episode() called before begin_episode()")
         self.estimator.absorb_batch(self._stack[:, rows, cols].T, rewards)
+
+
+def reward_range_problem(reward_min: float, reward_max: float) -> str | None:
+    """Why Exp3 cannot map rewards from [reward_min, reward_max] into [0, 1], or None."""
+    if not reward_min < reward_max:
+        return "reward_min must be strictly below reward_max"
+    if not math.isfinite(float(reward_max) - float(reward_min)):  # else every reward maps to 0
+        return f"reward_max - reward_min must be finite, got {reward_max!r} - {reward_min!r}"
+    return None
 
 
 def _exp3_policy(estimates: list[float], t: int, n: int, log_n: float) -> list[float]:
@@ -189,8 +198,9 @@ class Exp3Agent:
     """
 
     def __init__(self, n_actions: int, seed=None, reward_min: float = 0.0, reward_max: float = 1.0):
-        if not reward_min < reward_max:
-            raise ValueError("reward_min must be strictly below reward_max")
+        problem = reward_range_problem(reward_min, reward_max)
+        if problem:
+            raise ValueError(problem)
         self.n_actions = n_actions
         self.rng = _rng(seed)
         self.reward_min = float(reward_min)
@@ -278,15 +288,7 @@ class FixedStrategyAgent(_EpisodeStrategyPlayer):
         pass
 
 
-class _ColumnOpponent(_EpisodeStrategyPlayer):
-    """Episode-level column policy: ``begin_episode`` sets the column mix."""
-
-    def __init__(self, seed=None):
-        self.rng = _rng(seed)
-        self.current_strategy: np.ndarray | None = None
-
-
-class SaddleOracleOpponent(_ColumnOpponent):
+class SaddleOracleOpponent(_EpisodeStrategyPlayer):
     """Omniscient attacker: plays the true game's saddle-point column mix,
     recomputed from the revealed true matrix at every episode."""
 
@@ -294,12 +296,12 @@ class SaddleOracleOpponent(_ColumnOpponent):
         self.current_strategy = solve_saddle_point(true_game).col_strategy
 
 
-class UniformOpponent(_ColumnOpponent):
+class UniformOpponent(_EpisodeStrategyPlayer):
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
         self.current_strategy = _uniform(true_game.shape[1])
 
 
-class FixedOpponent(_ColumnOpponent):
+class FixedOpponent(_EpisodeStrategyPlayer):
     def __init__(self, strategy, seed=None):
         super().__init__(seed)
         self._strategy = check_strategy(strategy)
@@ -310,7 +312,7 @@ class FixedOpponent(_ColumnOpponent):
         self.current_strategy = self._strategy
 
 
-class BestResponderOpponent(_ColumnOpponent):
+class BestResponderOpponent(_EpisodeStrategyPlayer):
     """Plays the pure column minimizing the learner's previous-episode payoff.
 
     The current mixed strategy of the learner is unobservable, so the best

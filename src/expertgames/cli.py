@@ -7,7 +7,8 @@ Subcommands:
     paper-default print the built-in case-study configuration as JSON
 
 Exit codes: 0 success, 1 invalid configuration or an output that would
-overwrite its own input, 2 unwritable output or a command line argparse rejects.
+delete or write into its own input, 2 unwritable output or a command line
+argparse rejects.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from .config import (
@@ -25,7 +27,7 @@ from .config import (
     load_config,
     load_manifest_config,
 )
-from .harness import check_workers, read_plot_tables, run_experiment, write_plot_tables
+from .harness import RUN_OUTPUTS, check_workers, read_plot_tables, run_experiment, write_plot_tables
 
 
 def _worker_count(text: str) -> int:
@@ -77,12 +79,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_writable(out_dir: Path) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        with tempfile.TemporaryFile(dir=out_dir):  # a fresh name: no file there is touched
+            pass
     except OSError as exc:
         print(f"error: output directory {out_dir} is not writable: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _overwrites_input(source: Path, role: str, out: Path) -> bool:
+    """Whether a run into ``out`` would delete or write into ``source``, the
+    command's input that ``role`` names, and if so say why on stderr: ``out``
+    is ``source`` or lies inside it, or ``source`` lies in a tree the run replaces."""
+    source, target = source.resolve(), out.resolve()
+    # Not resolved further: the run removes a link by one of these names, not its target.
+    replaced = [target / name for name in RUN_OUTPUTS if source.is_relative_to(target / name)]
+    if target == source:
+        problem = f"--out {out} is {source}, {role}"
+    elif target.is_relative_to(source):
+        problem = f"--out {out} lies inside {source}, {role}"
+    elif replaced:
+        problem = f"{source}, {role}, lies in {replaced[0]}, which a run into --out {out} replaces"
+    else:
+        return False
+    print(f"error: {problem}", file=sys.stderr)
+    return True
 
 
 def _config_errors(exc: ConfigError) -> int:
@@ -100,9 +120,11 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         return _config_errors(exc)
     out = Path(args.out)
+    if _overwrites_input(Path(args.config), "the config file", out):
+        return 1
     _check_writable(out)
     manifest = run_experiment(config, out, workers=args.workers)
-    print(f"run complete: {config.trials} trial(s) -> {out} ({manifest.elapsed_seconds:.1f}s)")
+    print(f"run complete: {config.trials} trial(s) -> {out} ({manifest['elapsed_seconds']:.1f}s)")
     return 0
 
 
@@ -115,10 +137,7 @@ def _cmd_replay(args) -> int:
     # Resolved, so a manifest named from inside its run directory still has a run name.
     run = manifest_path.resolve().parent
     out = Path(args.out) if args.out else run.with_name(run.name + "_replay")
-    if out.resolve() == run:
-        # The run would delete the manifest, trials and aggregates it replays.
-        print(f"error: --out {out} is {run}, the directory of the run being replayed",
-              file=sys.stderr)
+    if _overwrites_input(run, "the directory of the run being replayed", out):
         return 1
     _check_writable(out)
     run_experiment(config, out, workers=args.workers)

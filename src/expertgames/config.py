@@ -30,6 +30,7 @@ from .agents import (
     OFULinMatAgent,
     SaddleOracleOpponent,
     UniformOpponent,
+    reward_range_problem,
 )
 from .estimator import EstimatorConfig
 from .game import check_strategy
@@ -345,8 +346,9 @@ def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
                  f"rounds_per_episode * 2^-52 = {floor:.3g}, got {spec.ridge:.3g}"]
             )
     elif spec.kind == "exp3":
-        if not spec.reward_min < spec.reward_max:
-            raise ConfigError([f"{where}: reward_min must be strictly below reward_max"])
+        problem = reward_range_problem(spec.reward_min, spec.reward_max)
+        if problem:
+            raise ConfigError([f"{where}: {problem}"])
     elif spec.kind == "fixed":
         _check_strategy(spec.strategy, env.n_rows, where)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,12 @@ class EpisodeTrace:
     true_value: float
     metrics: dict[str, float]
     hindsight_row_totals: np.ndarray
-    learner_strategy: np.ndarray | None = None
-    opponent_strategy: np.ndarray | None = None
-    theta_hat: np.ndarray | None = None
-    beta: float | None = None
-    theta_error: float | None = None
-    diagnostics: dict[str, float] = field(default_factory=dict)
-
+    learner_strategy: np.ndarray | None
+    opponent_strategy: np.ndarray | None
+    theta_hat: np.ndarray | None
+    beta: float | None
+    theta_error: float | None
+    diagnostics: dict[str, float]
 
 
 def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:

@@ -36,7 +36,6 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +48,6 @@ from .metrics import build_report, series_keys
 
 # ---------------------------------------------------------------------------
 # Running
-
-
-@dataclass
-class RunManifest:
-    config: dict
-    trial_seeds: list[int]
-    version: str
-    created_at: str
-    elapsed_seconds: float
 
 
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
@@ -162,10 +152,11 @@ def aggregate_series(keys, values) -> list[tuple[str, int, float, float]]:
 _AGGREGATE_HEADER = "series,episode,mean,stderr"
 
 
-def _write_aggregate_csv(path: Path, rows) -> None:
-    lines = [_AGGREGATE_HEADER]
-    lines += [f"{name},{episode},{mean!r},{stderr!r}" for name, episode, mean, stderr in rows]
-    path.write_text("\n".join(lines) + "\n")
+# What a run writes under its directory, each of which it clears first: a
+# stale manifest would mark the run complete, a previous run's trials beyond
+# this run's count or its plot tables would pass for this run's outputs, and
+# a file or a link by one of these names would block them.
+RUN_OUTPUTS = ("manifest.json", "manifest.json.tmp", "trials", "aggregate", "plot")
 
 
 def check_workers(workers: int) -> int:
@@ -184,8 +175,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunManifest:
-    """Run all trials, persist per-trial and aggregate outputs, return the manifest.
+def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
+    """Run all trials, persist per-trial and aggregate outputs, and return the
+    manifest: the dict that ``manifest.json`` holds.
 
     Trials run in a pool of ``min(workers, trials, usable CPUs)`` processes
     when that is more than one; the pool starts all of its workers up front,
@@ -199,12 +191,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
     start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    manifest_path.unlink(missing_ok=True)  # a stale manifest would mark this run complete
-    # A previous run's trials beyond this run's count, or its plot tables,
-    # would otherwise pass for this run's outputs, and a file or a link by one
-    # of these names would block them. Other names are left alone.
-    for stale in (out / "trials", out / "aggregate", out / "plot"):
+    for name in RUN_OUTPUTS:  # the manifest first; other names are left alone
+        stale = out / name
         if stale.is_dir() and not stale.is_symlink():
             shutil.rmtree(stale)
         else:
@@ -241,21 +229,21 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> RunMa
                 aggregates[name][:, n] = report
             del result, payload  # trial n's traces go before trial n + 1 runs
 
-    aggregate_dir = out / "aggregate"
-    aggregate_dir.mkdir(exist_ok=True)
-    for name, values in aggregates.items():
-        _write_aggregate_csv(aggregate_dir / f"{name}.csv", aggregate_series(keys, values))
+    tables = {name: [f"{series},{episode},{mean!r},{stderr!r}"
+                     for series, episode, mean, stderr in aggregate_series(keys, values)]
+              for name, values in aggregates.items()}
+    write_plot_tables(tables, out / "aggregate")
 
-    manifest = RunManifest(
-        config=config_to_dict(config),
-        trial_seeds=[hash_seed(config.master_seed, n) for n in range(config.trials)],
-        version=__version__,
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(start)),
-        elapsed_seconds=time.time() - start,
-    )
+    manifest = {
+        "config": config_to_dict(config),
+        "created_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(start)),
+        "elapsed_seconds": time.time() - start,
+        "trial_seeds": [hash_seed(config.master_seed, n) for n in range(config.trials)],
+        "version": __version__,
+    }
     partial = out / "manifest.json.tmp"
-    partial.write_text(json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True) + "\n")
-    os.replace(partial, manifest_path)
+    partial.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    os.replace(partial, out / "manifest.json")
     return manifest
 
 
@@ -295,7 +283,7 @@ def read_plot_tables(run_dir, series: list[str] | None = None) -> dict[str, list
 
 
 def write_plot_tables(tables: dict[str, list[str]], out: Path) -> list[Path]:
-    """Write each learner's rows from ``read_plot_tables`` to ``<out>/<learner>.csv``."""
+    """Write each learner's aggregate rows under their header to ``<out>/<learner>.csv``."""
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for learner, rows in tables.items():

@@ -8,7 +8,9 @@ realized forms do not (noise breaks it) and are reported separately.
 
 A trial's report is one float64 column, the layout of which ``series_keys``
 states once: the writers label its values with those keys, and the run's
-aggregate stacks the columns of every trial.
+aggregate stacks the columns of every trial. ``SERIES`` names the report's
+series once, in sorted order, for ``series_keys``, ``series_count`` and
+``build_report``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ METRIC_KEYS = (
     "best_response_p2_expected",
     "external",
 )
+# The report's series, sorted by name: the per-episode metrics and exploitability.
+SERIES = tuple(sorted((*METRIC_KEYS, "exploitability")))
 
 
-def episode_metrics(matrix, value: float, cols, rewards, row_strategy, col_strategy):
+def episode_metrics(m, value: float, cols, rewards, row_strategy, col_strategy):
     """The seven per-episode metric sums and the hindsight row totals.
 
     ``row_strategy`` is either the learner's episode mix, shape (n_rows,),
@@ -39,8 +43,6 @@ def episode_metrics(matrix, value: float, cols, rewards, row_strategy, col_strat
 
     Returns (sums keyed by ``METRIC_KEYS``, row_totals).
     """
-    m = np.asarray(matrix, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
     n_rounds = rewards.size
     game_nu = m @ col_strategy
     best_row = game_nu.max()
@@ -66,9 +68,8 @@ def series_keys(n_episodes: int) -> list[tuple[str, int]]:
     ``theta_error``, one row per episode each, and last the terminal
     ``external_single_row``.
     """
-    names = sorted((*METRIC_KEYS, "exploitability"))
     episodes = range(1, n_episodes + 1)
-    keys = [(f"{form}_{name}", k) for form in ("per_episode", "cumulative") for name in names
+    keys = [(f"{form}_{name}", k) for form in ("per_episode", "cumulative") for name in SERIES
             for k in episodes]
     keys += [("theta_error", k) for k in episodes]
     keys.append(("external_single_row", n_episodes))
@@ -77,7 +78,7 @@ def series_keys(n_episodes: int) -> list[tuple[str, int]]:
 
 def series_count(n_episodes: int) -> int:
     """``len(series_keys(n_episodes))``, without building the keys."""
-    return (2 * (len(METRIC_KEYS) + 1) + 1) * n_episodes + 1
+    return (2 * len(SERIES) + 1) * n_episodes + 1
 
 
 def build_report(traces) -> np.ndarray:
@@ -95,7 +96,7 @@ def build_report(traces) -> np.ndarray:
     per_episode["exploitability"] = (
         per_episode["best_response_p1_expected"] + per_episode["best_response_p2_expected"]
     )
-    series = [per_episode[name] for name in sorted(per_episode)]
+    series = [per_episode[name] for name in SERIES]
     theta_error = [np.nan if trace.theta_error is None else trace.theta_error for trace in traces]
     totals = np.sum([trace.hindsight_row_totals for trace in traces], axis=0)
     realized = sum(float(np.sum(trace.rewards)) for trace in traces)

@@ -316,6 +316,11 @@ JOINT_RULE_CASES = {
         lambda: replace_learner(1, LearnerSpec(kind="exp3", reward_min=1.0, reward_max=-1.0)),
         lambda raw: raw["learners"][1].update(reward_min=1.0, reward_max=-1.0),
     ),
+    "exp3-span-overflows": (
+        "learners[1]",
+        lambda: replace_learner(1, LearnerSpec(kind="exp3", reward_min=-1e308, reward_max=1e308)),
+        lambda raw: raw["learners"][1].update(reward_min=-1e308, reward_max=1e308),
+    ),
     "unknown-learner-type": (
         "learners[1].type",
         lambda: replace_learner(1, LearnerSpec(kind="bogus", name="bogus")),
@@ -1597,6 +1602,55 @@ class TestCli:
             manifest, out = Path("manifest.json"), Path(".")
         assert cli_main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 1
         message = f"error: --out {out} is {run.resolve()}, the directory of the run being replayed"
+        assert message in capsys.readouterr().err
+        assert tree_files(run) == before
+        assert {p: p.stat().st_mtime_ns for p in run.rglob("*")} == stamps
+
+    @pytest.mark.parametrize("command, where", [
+        ("run", "plot/cfg.json"), ("run", "trials/trial_000/cfg.json"), ("run", "manifest.json"),
+        ("replay", "plot/source"),
+    ])
+    def test_a_command_refuses_an_input_in_a_tree_its_run_replaces(
+        self, tmp_path, capsys, command, where
+    ):
+        # The run would clear the tree that holds its own config, or the run
+        # being replayed, after reading it: the whole tree stays as it was.
+        out = tmp_path / "run"
+        run_experiment(tiny_config(), out)
+        source = out / where
+        if command == "run":
+            source.parent.mkdir(parents=True, exist_ok=True)
+            source.write_text(json.dumps(config_to_dict(tiny_config())))
+            argv = ["run", "--config", str(source), "--out", str(out)]
+            role = "the config file"
+        else:
+            run_experiment(tiny_config(trials=1), source)
+            argv = ["replay", "--manifest", str(source / "manifest.json"), "--out", str(out)]
+            role = "the directory of the run being replayed"
+        before = tree_files(out)
+        stamps = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        assert cli_main(argv) == 1
+        replaced = out.resolve() / where.split("/")[0]
+        message = (f"error: {source.resolve()}, {role}, lies in {replaced}, "
+                   f"which a run into --out {out} replaces")
+        assert message in capsys.readouterr().err
+        assert tree_files(out) == before
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == stamps
+
+    @pytest.mark.parametrize("inside", ["trials", "aggregate", "new"])
+    def test_replay_refuses_to_write_inside_the_run_it_replays(
+        self, tmp_path, capsys, inside
+    ):
+        # The replay would write a manifest, trials and aggregates among the
+        # run's own files: the source tree stays as it was.
+        run = tmp_path / "run"
+        run_experiment(tiny_config(), run)
+        before = tree_files(run)
+        stamps = {p: p.stat().st_mtime_ns for p in run.rglob("*")}
+        out = run / inside
+        assert cli_main(["replay", "--manifest", str(run / "manifest.json"), "--out", str(out)]) == 1
+        message = (f"error: --out {out} lies inside {run.resolve()}, "
+                   f"the directory of the run being replayed")
         assert message in capsys.readouterr().err
         assert tree_files(run) == before
         assert {p: p.stat().st_mtime_ns for p in run.rglob("*")} == stamps
