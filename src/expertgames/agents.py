@@ -97,10 +97,12 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
 
     At each episode boundary it reads the estimator's ridge estimate of the
     mixing weights and confidence radius, inflates every payoff entry by the
-    confidence-scaled exploration bonus of that entry's expert readings,
-    solves the optimistic game's saddle point, and commits to the resulting
-    row strategy for the whole episode. The episode's plays are absorbed into
-    the estimator at its end, which sets the next confidence set.
+    confidence-scaled exploration bonus of that entry's expert readings, or
+    by the norm-ball bonus ``param_bound * ||z||`` where that is smaller (the
+    share of such entries is ``cap_share``), solves the optimistic game's
+    saddle point, and commits to the resulting row strategy for the whole
+    episode. The episode's plays are absorbed into the estimator at its end,
+    which sets the next confidence set.
     """
 
     def __init__(self, n_actions: int, config: EstimatorConfig, seed=None):
@@ -109,6 +111,7 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         self.estimator = RidgeEstimator(config)
         self.optimistic_matrix: np.ndarray | None = None
         self.optimistic_value: float | None = None
+        self.cap_share: float | None = None
         self._stack = None
 
     def begin_episode(self, stack) -> None:
@@ -123,16 +126,14 @@ class OFULinMatAgent(_EpisodeStrategyPlayer):
         est = self.estimator
         feats = stack.reshape(cfg.n_experts, -1)  # (n_experts, rows*cols)
         mean = est.theta_hat @ feats
-        optimistic = mean + math.sqrt(est.beta) * est.ellipsoid_norms(feats)
-        if est.escapes_ball:
-            # Fall back to the norm-ball payoff cap on every entry.
-            cap = mean + cfg.param_bound * np.linalg.norm(feats, axis=0)
-            optimistic = np.minimum(optimistic, cap)
-        matrix = optimistic.reshape(stack.shape[1:])
+        ellipsoid = mean + math.sqrt(est.beta) * est.ellipsoid_norms(feats)
+        cap = mean + cfg.param_bound * np.linalg.norm(feats, axis=0)
+        matrix = np.minimum(ellipsoid, cap).reshape(stack.shape[1:])
         saddle = solve_saddle_point(matrix)
         self.current_strategy = saddle.row_strategy
         self.optimistic_matrix = matrix
         self.optimistic_value = saddle.value
+        self.cap_share = int(np.count_nonzero(cap < ellipsoid)) / cap.size
         self._stack = stack
 
     def end_episode(self, rows, cols, rewards) -> None:

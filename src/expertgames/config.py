@@ -61,7 +61,8 @@ def type_problem(config, counts=(), reals=(), real_lists=()) -> str | None:
     be finite within the float range: a numpy scalar would fail writing the
     manifest, and a huge int overflows float arithmetic. Each real accepted is
     set to a float, and each list to a tuple of floats, so a config built in
-    Python holds, computes and records what its JSON does."""
+    Python holds, computes and records what its JSON does; ``+ 0.0`` turns a
+    -0.0 into 0.0, so no real is a negative zero (``sqrt(-0.0)`` is -0.0)."""
     for name in real_lists:
         if not isinstance(getattr(config, name), (list, tuple, np.ndarray)):
             return f"{name}: must be a list of numbers, got {getattr(config, name)!r}"
@@ -75,9 +76,9 @@ def type_problem(config, counts=(), reals=(), real_lists=()) -> str | None:
         if not abs(value) <= sys.float_info.max:  # exact for an int; NaN fails too
             return f"{where}: must be finite and within the float range, got {value!r}"
     for name in reals:
-        object.__setattr__(config, name, float(getattr(config, name)))
+        object.__setattr__(config, name, float(getattr(config, name)) + 0.0)
     for name in real_lists:
-        object.__setattr__(config, name, tuple(map(float, getattr(config, name))))
+        object.__setattr__(config, name, tuple(float(v) + 0.0 for v in getattr(config, name)))
     return None
 
 

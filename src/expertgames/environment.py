@@ -227,7 +227,7 @@ class Environment:
             diagnostics["coverage"] = float(estimator.covers(self.theta_star))
             diagnostics["value_optimism_gap"] = float(learner.optimistic_value - value)
             diagnostics["entrywise_optimism_margin"] = float((learner.optimistic_matrix - m).min())
-            diagnostics["cap_active"] = float(estimator.escapes_ball)
+            diagnostics["cap_share"] = learner.cap_share
             log_det_before = estimator.log_det
         learner.end_episode(rows, cols, rewards)
         if estimator is not None:

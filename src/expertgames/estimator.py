@@ -90,9 +90,9 @@ class RidgeEstimator:
     Also maintains the exploration potential sum(min(1, ||z||^2 in the
     inverse-gram norm)) accumulated with the pre-update gram at every
     observation; ``potential_bound`` caps it by the elliptical potential
-    inequality. ``theta_hat``, ``log_det``, ``beta``, ``escapes_ball`` and
-    ``potential_bound`` are computed once per fold. Only ``absorb_batch``
-    changes any of these attributes.
+    inequality. ``theta_hat``, ``log_det``, ``beta`` and ``potential_bound``
+    are computed once per fold. Only ``absorb_batch`` changes any of these
+    attributes.
     """
 
     def __init__(self, config: EstimatorConfig):
@@ -159,11 +159,8 @@ class RidgeEstimator:
     def _set_confidence_set(self) -> None:
         """Set theta_hat = gram^-1 xty, log_det = ln det(gram), the radius
         beta = (sqrt(2 ln(det(gram)^1/2 det(ridge I)^-1/2 / delta)) + sqrt(ridge) B)^2,
-        potential_bound = 2 ln(det(gram) / det(ridge I)), and escapes_ball, the
-        conservative check ||theta_hat|| + sqrt(beta / lambda_min(gram)) > B
-        that sends the plan to the norm-ball payoff cap. gram has no eigenvalue
-        below ridge, though rounding can read one lower. Each call assigns a
-        new theta_hat, so an array read earlier never changes.
+        and potential_bound = 2 ln(det(gram) / det(ridge I)). Each call assigns
+        a new theta_hat, so an array read earlier never changes.
         """
         cfg = self.config
         self.theta_hat = _back_solve(self._chol, _forward_solve(self._chol, self.xty))
@@ -172,10 +169,6 @@ class RidgeEstimator:
         inner = 0.5 * log_growth + math.log(1.0 / cfg.delta)
         self.beta = (math.sqrt(2.0 * inner) + math.sqrt(cfg.ridge) * cfg.param_bound) ** 2
         self.potential_bound = 2.0 * log_growth
-        lam_min = max(float(np.linalg.eigvalsh(self.gram)[0]), cfg.ridge)
-        with np.errstate(over="ignore"):  # a norm beyond the float range is inf: it escapes
-            reach = float(np.linalg.norm(self.theta_hat)) + math.sqrt(self.beta / lam_min)
-        self.escapes_ball = reach > cfg.param_bound
 
     def _fold_error(self, n_rows: int) -> ValueError:
         return ValueError(

@@ -304,15 +304,18 @@ def confidence_radius_from_scratch(
     return (math.sqrt(2.0 * inner) + math.sqrt(ridge) * bound) ** 2
 
 
-def escapes_ball_from_scratch(
-    features: np.ndarray, rewards: np.ndarray, ridge: float, bound: float, delta: float
-) -> bool:
-    """The conservative check ||theta_hat|| + sqrt(beta / lambda_min(gram)) > bound,
-    recomputed from scratch, with lambda_min read no lower than ridge."""
+def cap_share_from_scratch(
+    stack: np.ndarray, features: np.ndarray, rewards: np.ndarray, ridge: float, bound: float,
+    delta: float,
+) -> float:
+    """The share of the plan's entries where the norm-ball cap
+    <theta_hat, z> + bound * ||z|| lies strictly below the ellipsoid bound,
+    recomputed from scratch with an explicit inverse."""
     theta = ridge_solution(features, rewards, ridge)
     beta = confidence_radius_from_scratch(features, ridge, bound, delta)
-    lam_min = max(float(np.linalg.eigvalsh(gram_from_scratch(features, ridge))[0]), ridge)
-    return float(np.linalg.norm(theta)) + math.sqrt(beta / lam_min) > bound
+    ellipsoid = entrywise_optimistic_matrix(stack, theta, gram_from_scratch(features, ridge), beta)
+    cap = np.tensordot(theta, stack, axes=1) + bound * np.linalg.norm(stack, axis=0)
+    return float(np.mean(cap < ellipsoid))
 
 
 def beta_radius_closed_form(estimator: RidgeEstimator) -> float:
@@ -338,7 +341,6 @@ def estimator_copy(estimator: RidgeEstimator) -> RidgeEstimator:
     dup.theta_hat = estimator.theta_hat.copy()
     dup.log_det = estimator.log_det
     dup.beta = estimator.beta
-    dup.escapes_ball = estimator.escapes_ball
     dup.potential_bound = estimator.potential_bound
     return dup
 

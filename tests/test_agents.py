@@ -77,7 +77,7 @@ class TestOFULinMatPlanning:
         agent.estimator.absorb_batch(features, rewards)
         stack = rng.uniform(size=(10, 10, 10))
         agent.begin_episode(stack)
-        assert not agent.estimator.escapes_ball
+        assert agent.cap_share == 0.0
         oracle = entrywise_optimistic_matrix(
             stack,
             agent.estimator.theta_hat,
@@ -94,7 +94,7 @@ class TestOFULinMatPlanning:
         agent = OFULinMatAgent(2, config, seed=5)
         stack = np.random.default_rng(6).uniform(size=(3, 2, 2))
         agent.begin_episode(stack)
-        assert agent.estimator.escapes_ball
+        assert agent.cap_share == 1.0
         norms = np.linalg.norm(stack, axis=0)
         assert np.allclose(agent.optimistic_matrix, 3.0 * norms)
 
@@ -107,8 +107,8 @@ class TestOFULinMatPlanning:
 
     def test_plans_on_a_gram_matrix_whose_eigenvalues_round_below_ridge(self):
         # All-ones experts make every feature the all-ones vector. With a tiny
-        # ridge, eigvalsh reads the Gram matrix's smallest eigenvalue below
-        # ridge, negative from episode 8 on, though it is at least ridge.
+        # ridge, the Gram matrix's smallest eigenvalue reads below ridge in
+        # floating point, negative from episode 8 on, though it is at least ridge.
         config = EstimatorConfig(ridge=2e-12, param_bound=3.0, delta=3e-3, n_experts=10)
         agent = OFULinMatAgent(10, config, seed=0)
         stack = np.ones((10, 10, 10))

@@ -20,17 +20,19 @@ from expertgames.config import (
     ThetaSpec,
     check_payoffs_bounded,
     check_theta_reachable,
+    default_paper_config,
 )
 from expertgames.environment import Environment, SimulationError
 from expertgames.estimator import EstimatorConfig
+from expertgames.harness import run_trial
 
 from oracles import (
+    cap_share_from_scratch,
     confidence_radius_from_scratch,
     emit_reward,
     episode_game,
     episode_saddle,
     episode_stack,
-    escapes_ball_from_scratch,
     expert_features,
     gram_from_scratch,
     one_shot_reveals,
@@ -699,7 +701,7 @@ class TestOFULinMatRecord:
         return env, learner, SaddleOracleOpponent(seed=2)
 
     def test_trace_equals_a_from_scratch_recomputation(self):
-        # theta_hat, beta and the cap flag are the plan's, from the rows before
+        # theta_hat, beta and the cap share are the plan's, from the rows before
         # the episode; det_ratio and the potential sum and bound are from the
         # rows through it. Each is recomputed from the trace's rows, columns
         # and rewards with dense numpy, to 1e-9 relative.
@@ -707,13 +709,13 @@ class TestOFULinMatRecord:
         env, learner, opponent = self.players()
         traces = env.run_trial([(learner, opponent)])[0]
         feats, rewards = np.empty((0, 3)), np.empty(0)
-        caps = []
+        shares = []
         for k, trace in enumerate(traces):
             theta = ridge_solution(feats, rewards, ridge)
             beta = confidence_radius_from_scratch(feats, ridge, bound, self.DELTA)
-            caps.append(float(escapes_ball_from_scratch(feats, rewards, ridge, bound, self.DELTA)))
-            log_det_before = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
             stack = episode_stack(env, k)
+            shares.append(cap_share_from_scratch(stack, feats, rewards, ridge, bound, self.DELTA))
+            log_det_before = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
             feats = np.vstack([feats, stack[:, trace.row_actions, trace.col_actions].T])
             rewards = np.concatenate([rewards, trace.rewards])
             log_det_after = np.linalg.slogdet(gram_from_scratch(feats, ridge))[1]
@@ -722,7 +724,7 @@ class TestOFULinMatRecord:
             error = np.linalg.norm(theta - env.theta_star)
             assert trace.theta_error == pytest.approx(error, rel=1e-9)
             assert trace.beta == pytest.approx(beta, rel=1e-9)
-            assert trace.diagnostics["cap_active"] == caps[-1]
+            assert trace.diagnostics["cap_share"] == shares[-1]
             ratio = math.exp(log_det_after - log_det_before)
             assert trace.diagnostics["det_ratio"] == pytest.approx(ratio, rel=1e-9)
             assert trace.diagnostics["potential_sum"] == pytest.approx(
@@ -730,8 +732,16 @@ class TestOFULinMatRecord:
             )
             growth = log_det_after - 3 * math.log(ridge)
             assert trace.diagnostics["potential_bound"] == pytest.approx(2.0 * growth, rel=1e-9)
-        # Both branches of the plan are on record: the cap holds early, then lifts.
-        assert 0.0 in caps and 1.0 in caps
+        # The cap lowers every entry at first, then some of them, then none.
+        assert shares[0] == 1.0 and any(0.0 < x < 1.0 for x in shares) and shares[-1] == 0.0
+
+    def test_the_cap_lowers_every_entry_at_episode_1_of_the_case_study(self):
+        # With no data the ellipsoid bonus is (sqrt(2 ln(1/delta) / ridge) + B) ||z||,
+        # above the norm ball's B ||z|| on every entry; by the last episode the
+        # ellipsoid lies inside the ball.
+        traces = run_trial(default_paper_config(trials=1), 0)["learners"]["ofulinmat"]["traces"]
+        assert traces[0].diagnostics["cap_share"] == 1.0
+        assert traces[-1].diagnostics["cap_share"] == 0.0
 
     def test_an_episode_solves_for_theta_hat_once(self, monkeypatch):
         # Plan, diagnostics and fold all read one confidence set, set by the

@@ -12,7 +12,6 @@ from oracles import (
     beta_radius_closed_form,
     confidence_radius_from_scratch,
     ellipsoid_norm,
-    escapes_ball_from_scratch,
     estimator_copy,
     gram_from_scratch,
     potential_sum_from_scratch,
@@ -25,7 +24,7 @@ def make(ridge=1.0, bound=1.0, delta=0.05, dim=2):
 
 
 STATE = ("gram", "xty", "_chol", "n_obs", "potential_sum",
-         "theta_hat", "log_det", "beta", "escapes_ball", "potential_bound")
+         "theta_hat", "log_det", "beta", "potential_bound")
 
 
 def state_bytes(est):
@@ -356,9 +355,9 @@ class TestPotentialSum:
 
 
 class TestConfidenceSet:
-    """theta_hat, log_det, beta, escapes_ball and potential_bound are set at
-    init and by each fold; TestAbsorb and TestFoldErrors check that a refused
-    batch leaves them."""
+    """theta_hat, log_det, beta and potential_bound are set at init and by
+    each fold; TestAbsorb and TestFoldErrors check that a refused batch leaves
+    them."""
 
     @staticmethod
     def assert_from_scratch(est, feats, rewards):
@@ -371,27 +370,22 @@ class TestConfidenceSet:
         assert np.allclose(est.theta_hat, theta, rtol=1e-9, atol=1e-12)
         assert est.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
         assert est.beta == pytest.approx(beta, rel=1e-12)
-        assert est.escapes_ball == escapes_ball_from_scratch(
-            feats, rewards, cfg.ridge, cfg.param_bound, cfg.delta
-        )
         growth = log_det - cfg.n_experts * math.log(cfg.ridge)
         assert est.potential_bound == pytest.approx(2.0 * growth, rel=1e-12, abs=1e-12)
-        return est.escapes_ball
 
     def test_every_fold_sets_the_from_scratch_values(self):
         rng = np.random.default_rng(14)
         est = make(ridge=0.1, bound=3.0, delta=3e-3, dim=4)
         feats, rewards = np.empty((0, 4)), np.empty(0)
-        escapes = [self.assert_from_scratch(est, feats, rewards)]
+        self.assert_from_scratch(est, feats, rewards)
         read = [(est.theta_hat, est.theta_hat.tobytes())]
         for size in (0, 1, 5, 70, 3, 130, 1, 400):
             z, r = rng.uniform(size=(size, 4)), rng.normal(0.5, 1.0, size=size)
             est.absorb_batch(z, r)
             feats, rewards = np.vstack([feats, z]), np.concatenate([rewards, r])
-            escapes.append(self.assert_from_scratch(est, feats, rewards))
+            self.assert_from_scratch(est, feats, rewards)
             read.append((est.theta_hat, est.theta_hat.tobytes()))
-        # Both flags occur, and a fold never writes into an estimate read before it.
-        assert True in escapes and False in escapes
+        # A fold never writes into an estimate read before it.
         assert all(theta.tobytes() == bits for theta, bits in read)
 
     def test_a_copy_carries_the_confidence_set(self):

@@ -656,6 +656,13 @@ class TestConfigRoundTrip:
         assert type(config.environment.noise_variance) is float
         assert config_to_dict(config)["learners"][0]["ridge"] == 1.0
 
+    def test_a_negative_zero_real_is_held_as_zero(self):
+        # sqrt(-0.0) is -0.0, a negative scale to a normal draw.
+        theta = ThetaSpec(kind="fixed", values=(-0.0, np.float64(-0.0)))
+        env = dataclasses.replace(tiny_config().environment, noise_variance=-0.0, theta_star=theta)
+        held = [env.noise_variance, *theta.values]
+        assert [math.copysign(1.0, v) for v in held] == [1.0] * 3
+
     @pytest.mark.parametrize("section, cls", [("theta_star", ThetaSpec), ("experts", ExpertSpec)])
     def test_a_bad_kind_names_type_in_both_forms(self, section, cls):
         raw = config_to_dict(tiny_config())
@@ -823,6 +830,67 @@ class TestConfigMutations:
         assert not faults
 
 
+def trace_bits(trace) -> dict:
+    """Every field of an EpisodeTrace, an array as its dtype, shape and bytes."""
+    bits = {}
+    for f in dataclasses.fields(trace):
+        value = getattr(trace, f.name)
+        bits[f.name] = (
+            (value.dtype.str, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+            else repr(value)
+        )
+    return bits
+
+
+class TestHorizonsNest:
+    """A run of K episodes is the first K episodes of the same config run for
+    T > K episodes: theta*, the experts and the noise each draw from a stream
+    of their own, the noise table is one row-major draw, the expert stream
+    advances by episode, and no player reads the horizon."""
+
+    SHORT, LONG = 3, 7
+    LEARNERS = tuple(LearnerSpec.KINDS)
+
+    def config(self, n_episodes, opponent, experts) -> ExperimentConfig:
+        if experts == "fixed":
+            stacks = np.random.default_rng(5).uniform(size=(self.LONG, 2, 3, 3))
+            theta = ThetaSpec(kind="fixed", values=(0.8, -0.3))
+            expert_spec = ExpertSpec(kind="fixed", matrices=stacks[:n_episodes])
+        else:
+            theta, expert_spec = ThetaSpec(kind="gaussian", mean=0.5), ExpertSpec(kind="uniform")
+        strategy = (0.5, 0.25, 0.25)
+        return ExperimentConfig(
+            environment=EnvironmentConfig(
+                n_rows=3, n_cols=3, n_experts=2, n_episodes=n_episodes, rounds_per_episode=10,
+                noise_variance=0.5, theta_star=theta, experts=expert_spec,
+            ),
+            learners=tuple(
+                LearnerSpec(kind, strategy=strategy if kind == "fixed" else None)
+                for kind in self.LEARNERS
+            ),
+            opponent=OpponentSpec(opponent, strategy=strategy if opponent == "fixed" else None),
+            trials=2,
+            master_seed=11,
+        )
+
+    @pytest.mark.parametrize("experts", ["uniform", "fixed"])
+    @pytest.mark.parametrize("opponent", list(OpponentSpec.KINDS))
+    def test_a_short_run_is_a_prefix_of_a_long_one(self, opponent, experts):
+        short = run_trial(self.config(self.SHORT, opponent, experts), 1)
+        long = run_trial(self.config(self.LONG, opponent, experts), 1)
+        assert short["environment"] == long["environment"]
+        for name in self.LEARNERS:
+            played, longer = short["learners"][name], long["learners"][name]
+            assert [trace_bits(t) for t in played["traces"]] == [
+                trace_bits(t) for t in longer["traces"][: self.SHORT]
+            ]
+            # Every per-episode, cumulative and theta_error row of episodes
+            # 1..K; the terminal single-row regret covers the whole run.
+            rows = dict(zip(series_keys(self.LONG), longer["report"]))
+            keys = series_keys(self.SHORT)[:-1]
+            assert np.array([rows[key] for key in keys]).tobytes() == played["report"][:-1].tobytes()
+
+
 class TestRunExperiment:
     def test_trivial_single_round_run(self, tmp_path):
         expert = [[[[0.1, 0.9], [0.4, 0.6]]]]  # one episode, one expert, 2x2
@@ -837,7 +905,8 @@ class TestRunExperiment:
                 theta_star=ThetaSpec(kind="fixed", values=(1.0,)),
                 experts=ExpertSpec(kind="fixed", matrices=tuple(expert)),
             ),
-            learners=(LearnerSpec(kind="fixed", name="fixed", strategy=(0.0, 1.0)),),
+            learners=(LearnerSpec(kind="fixed", name="fixed", strategy=(0.0, 1.0)),
+                      LearnerSpec(kind="ofulinmat")),
             opponent=OpponentSpec(kind="fixed", strategy=(1.0, 0.0)),
             trials=1,
             master_seed=0,
@@ -856,6 +925,14 @@ class TestRunExperiment:
         assert record["row_actions"] == [1]
         assert record["col_actions"] == [0]
         assert record["rewards"] == [0.4]
+        # Only an optimistic learner has diagnostics, and a new one reaches
+        # the output only through an edit here too.
+        trace = (tmp_path / "run/trials/trial_000/ofulinmat/trace.jsonl").read_text()
+        assert list(json.loads(trace)["diagnostics"]) == [
+            "cap_share", "coverage", "det_ratio", "entrywise_optimism_margin",
+            "potential_bound", "potential_sum", "value_optimism_gap",
+        ]
+        assert record["diagnostics"] == {}
 
     def test_outputs_exist_for_each_learner_and_trial(self, tmp_path):
         config = tiny_config()
@@ -1259,6 +1336,16 @@ class TestCli:
                 series, _, mean, stderr = row.split(",")
                 finite = math.isfinite(float(mean)) and math.isfinite(float(stderr))
                 assert finite or (table.stem, series) == ("exp3", "theta_error"), (table, row)
+
+    def test_run_with_a_negative_zero_noise_variance_records_zero(self, tmp_path):
+        raw = config_to_dict(tiny_config(trials=1))
+        raw["environment"]["noise_variance"] = -0.0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        assert '"noise_variance": 0.0,' in text and "-0.0" not in text
 
     def test_noise_beyond_the_payoff_limit_names_the_limit(self):
         raw = config_to_dict(tiny_config())
