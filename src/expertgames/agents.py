@@ -68,7 +68,7 @@ def _uniform(n: int) -> np.ndarray:
 class _EpisodeStrategyPlayer:
     """Sampling shared by every player that commits to one mixed strategy per
     episode: ``current_strategy``, a read-only float64 probability vector, or
-    None before the first ``begin_episode``, drawn from with its own ``rng``."""
+    None until the player first commits, drawn from with its own ``rng``."""
 
     def __init__(self, seed=None):
         self.rng = _rng(seed)
@@ -271,16 +271,15 @@ class Exp3Agent:
 
 
 class FixedStrategyAgent(_EpisodeStrategyPlayer):
-    """Learner that plays one fixed mixed strategy every round."""
+    """Player that plays one fixed mixed strategy every round."""
 
     def __init__(self, strategy, seed=None):
+        super().__init__(seed)
         self.current_strategy = check_strategy(strategy)
-        self.n_actions = self.current_strategy.size
-        self.rng = _rng(seed)
 
     @classmethod
     def uniform(cls, n_actions: int, seed=None) -> "FixedStrategyAgent":
-        return cls(np.full(n_actions, 1.0 / n_actions), seed)
+        return cls(_uniform(n_actions), seed)
 
     def begin_episode(self, stack=None) -> None:
         pass
@@ -302,15 +301,12 @@ class UniformOpponent(_EpisodeStrategyPlayer):
         self.current_strategy = _uniform(true_game.shape[1])
 
 
-class FixedOpponent(_EpisodeStrategyPlayer):
-    def __init__(self, strategy, seed=None):
-        super().__init__(seed)
-        self._strategy = check_strategy(strategy)
+class FixedOpponent(FixedStrategyAgent):
+    """A fixed strategy seated as the column player."""
 
     def begin_episode(self, true_game, learner_previous_strategy=None) -> None:
-        if self._strategy.size != true_game.shape[1]:
+        if self.current_strategy.size != true_game.shape[1]:
             raise ValueError("fixed opponent strategy does not match the game's column count")
-        self.current_strategy = self._strategy
 
 
 class BestResponderOpponent(_EpisodeStrategyPlayer):
@@ -326,7 +322,6 @@ class BestResponderOpponent(_EpisodeStrategyPlayer):
         if learner_previous_strategy is None:
             self.current_strategy = _uniform(n_cols)
             return
-        mu = np.asarray(learner_previous_strategy, dtype=float)
         pure = np.zeros(n_cols)
-        pure[np.argmin(mu @ true_game)] = 1.0
+        pure[np.argmin(learner_previous_strategy @ true_game)] = 1.0
         self.current_strategy = _read_only(pure)

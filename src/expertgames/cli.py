@@ -160,9 +160,6 @@ def _cmd_plot_data(args) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
     # Checked only after the run is read, so a refused run gets no directory.
     _check_writable(out)
     for path in write_plot_tables(tables, out):

@@ -131,6 +131,16 @@ class ThetaSpec:
         if self.norm_bound is not None and not self.norm_bound > 0:
             raise ValueError(f"norm_bound: must be positive, got {self.norm_bound}")
 
+    def draw(self, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """The mixing weights, and how many Gaussian draws the ball rejected before them."""
+        if self.kind == "fixed":
+            return np.asarray(self.values, dtype=float), 0
+        for rejections in range(_THETA_DRAW_LIMIT):
+            theta = rng.normal(self.mean, 1.0, size=n_experts)
+            if self.norm_bound is None or np.linalg.norm(theta) <= self.norm_bound:
+                return theta, rejections
+        raise RuntimeError("rejection sampling of the mixing weights did not terminate")
+
 
 @dataclass(frozen=True)
 class ExpertSpec:

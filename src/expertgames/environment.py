@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .config import _THETA_DRAW_LIMIT, EnvironmentConfig, ThetaSpec
+from .config import EnvironmentConfig
 from .game import SaddlePoint, solve_saddle_point, strategy_problem
 
 
@@ -52,18 +52,6 @@ class EpisodeTrace:
     beta: float | None
     theta_error: float | None
     diagnostics: dict[str, float]
-
-
-def _draw_theta(spec: ThetaSpec, n_experts: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    if spec.kind == "fixed":
-        return np.asarray(spec.values, dtype=float), 0
-    rejections = 0
-    for _ in range(_THETA_DRAW_LIMIT):
-        theta = rng.normal(spec.mean, 1.0, size=n_experts)
-        if spec.norm_bound is None or np.linalg.norm(theta) <= spec.norm_bound:
-            return theta, rejections
-        rejections += 1
-    raise RuntimeError("rejection sampling of the mixing weights did not terminate")
 
 
 def _checked_play(play, n_rounds: int, n_actions: int, role: str, kind: str, episode: int,
@@ -129,9 +117,7 @@ class Environment:
         theta_rng = np.random.default_rng(theta_seq)
         noise_rng = np.random.default_rng(noise_seq)
 
-        self.theta_star, self.theta_rejections = _draw_theta(
-            config.theta_star, config.n_experts, theta_rng
-        )
+        self.theta_star, self.theta_rejections = config.theta_star.draw(config.n_experts, theta_rng)
         self.noise = noise_rng.normal(
             0.0,
             math.sqrt(config.noise_variance),

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import OUTPUT_FORMATS, ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict
 from .config import config_from_dict  # noqa: F401  (the benchmark's traced runs read it here)
 from .environment import Environment, EpisodeTrace
 from .metrics import build_report, series_keys
@@ -114,7 +114,7 @@ def _write_metrics_jsonl(path: Path, rows) -> None:
 
 # The metrics writer of each ``output_format``, which is also the file suffix.
 # Each takes ((series, episode), value) rows: ``series_keys`` zipped with a report.
-_METRIC_WRITERS = dict(zip(OUTPUT_FORMATS, (_write_metrics_csv, _write_metrics_jsonl)))
+_METRIC_WRITERS = {"csv": _write_metrics_csv, "jsonl": _write_metrics_jsonl}
 
 
 def _write_trace_jsonl(path: Path, traces) -> None:
@@ -272,10 +272,10 @@ def read_plot_tables(run_dir, series: list[str] | None = None) -> dict[str, list
         if series is not None:
             missing = sorted(set(series) - {row.split(",", 1)[0] for row in rows})
             if missing:
-                raise KeyError(f"series not present in run outputs: {', '.join(missing)}")
+                raise ValueError(f"series not present in run outputs: {', '.join(missing)}")
             rows = [row for row in rows if row.split(",", 1)[0] in series]
         if not rows:
-            raise KeyError("no series selected")
+            raise ValueError("no series selected")
         tables[path.stem] = rows
     if not tables:
         raise FileNotFoundError(f"no aggregate tables under {run / 'aggregate'}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +17,10 @@ from expertgames.config import (
     _THETA_DRAW_LIMIT,
     PAYOFF_LIMIT,
     EnvironmentConfig,
+    ExperimentConfig,
     ExpertSpec,
+    LearnerSpec,
+    OpponentSpec,
     ThetaSpec,
     check_payoffs_bounded,
     check_theta_reachable,
@@ -24,6 +28,7 @@ from expertgames.config import (
 )
 from expertgames.environment import Environment, SimulationError
 from expertgames.estimator import EstimatorConfig
+from expertgames.game import VALUE_TOL
 from expertgames.harness import run_trial
 
 from oracles import (
@@ -742,6 +747,35 @@ class TestOFULinMatRecord:
         traces = run_trial(default_paper_config(trials=1), 0)["learners"]["ofulinmat"]["traces"]
         assert traces[0].diagnostics["cap_share"] == 1.0
         assert traces[-1].diagnostics["cap_share"] == 0.0
+
+    def test_a_covered_episode_plans_optimistically(self):
+        # The cap is theta_hat'z + B ||z||, not the ball's own B ||z||, so
+        # coverage alone does not make the plan at least the true game; this
+        # pins that it does on the case study (2 trials, against the saddle
+        # oracle) and on 20 many-trials-sized trials against the best
+        # responder. The plan and the true game are summed in different
+        # orders, so a margin may miss 0 by rounding: k = 1 multiple of
+        # VALUE_TOL * max|M|, far above float64 rounding at these scales.
+        k = 1.0
+        paper = default_paper_config(trials=2)
+        paper = dataclasses.replace(paper, learners=(LearnerSpec("ofulinmat"),))
+        env = EnvironmentConfig(n_rows=4, n_cols=4, n_experts=3, n_episodes=5,
+                                rounds_per_episode=25, noise_variance=0.5,
+                                theta_star=ThetaSpec(norm_bound=3.0))
+        small = ExperimentConfig(env, (LearnerSpec("ofulinmat"),), OpponentSpec("best_responder"))
+        covered = 0
+        for cfg, trials in ((paper, 2), (small, 20)):
+            for trial in range(trials):
+                traces = run_trial(cfg, trial)["learners"]["ofulinmat"]["traces"]
+                truth = Environment(cfg.environment, [cfg.master_seed, trial, 0])
+                for trace in traces:
+                    if not trace.diagnostics["coverage"]:
+                        continue
+                    covered += 1
+                    scale = np.abs(episode_game(truth, trace.episode)).max()
+                    margin = trace.diagnostics["entrywise_optimism_margin"]
+                    assert margin >= -k * VALUE_TOL * scale, (trial, trace.episode, margin)
+        assert covered == 2 * 15 + 20 * 5  # every episode was covered at these seeds
 
     def test_an_episode_solves_for_theta_hat_once(self, monkeypatch):
         # Plan, diagnostics and fold all read one confidence set, set by the

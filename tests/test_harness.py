@@ -1258,7 +1258,7 @@ class TestAggregation:
             tmp_path / "run/aggregate/exp3.csv", tmp_path / "run/plot/exp3.csv", shallow=False
         )
 
-    def test_plot_data_series_filter_and_errors(self, tmp_path):
+    def test_plot_data_series_filter_and_errors(self, tmp_path, capsys):
         config = tiny_config(trials=1)
         run_experiment(config, tmp_path / "run")
         written = emit_plot_data(
@@ -1268,8 +1268,11 @@ class TestAggregation:
         assert all(
             line.startswith("cumulative_saddle_pseudo,") for line in content[1:]
         )
-        with pytest.raises(KeyError, match="no_such_series"):
+        with pytest.raises(ValueError, match="no_such_series"):
             emit_plot_data(tmp_path / "run", tmp_path / "missing", ["no_such_series"])
+        argv = ["plot-data", "--run", str(tmp_path / "run"), "--series", "no_such_series"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: series not present in run outputs: no_such_series\n"
 
     def test_plot_data_rejects_bad_metrics_header(self, tmp_path, capsys):
         run_experiment(tiny_config(trials=1), tmp_path / "run")
