@@ -34,7 +34,7 @@ from .agents import (
 )
 from .estimator import EstimatorConfig
 from .game import check_strategy
-from .metrics import series_count
+from .metrics import METRIC_FORMATS, series_count
 
 _THETA_DRAW_LIMIT = 100_000
 # The largest payoff a true game may reach. A run sums payoffs over rounds,
@@ -431,10 +431,6 @@ def _exp3_clip(spec: LearnerSpec, env: EnvironmentConfig) -> LearnerSpec:
     return dataclasses.replace(spec, **{k: v for k, v in bounds.items() if getattr(spec, k) is None})
 
 
-# Each ``output_format``: the suffix of a trial's metric files, one writer each in ``harness``.
-OUTPUT_FORMATS = ("csv", "jsonl")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A whole run. It checks every rule that joins its parts, and every value
@@ -456,8 +452,8 @@ class ExperimentConfig:
             raise ConfigError(["trials: must be at least 1"])
         if self.master_seed < 0:
             raise ConfigError([f"master_seed: must be nonnegative, got {self.master_seed}"])
-        if self.output_format not in OUTPUT_FORMATS:  # a tuple, so an unhashable value is not in it
-            raise ConfigError([f"output_format: must be one of {OUTPUT_FORMATS}"])
+        if self.output_format not in tuple(METRIC_FORMATS):  # an unhashable value is not in it
+            raise ConfigError([f"output_format: must be one of {tuple(METRIC_FORMATS)}"])
         if not self.learners:
             raise ConfigError(["learners: at least one learner is required"])
         env = self.environment

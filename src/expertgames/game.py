@@ -105,13 +105,12 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
     pivot, and Bland's theorem rules out a cycle made only of those, so the
     simplex terminates. The pivot sequence is fully deterministic.
 
-    Each pivot is one in-place rank-1 update of the dense tableau: the pivot
-    row is divided by the pivot, every row's multiple of it is written into a
-    buffer allocated once per solve, the buffer is subtracted from the whole
-    tableau, and the pivot row is then stored. Every other row gets exactly
-    ``x - c * r``, one product and one difference per entry, so the tableau,
-    the pivot sequence and the result are the same bits a row-by-row
-    elimination gives. The pricing squares the tableau into the same buffer.
+    Each pivot is one in-place rank-1 update of the dense tableau: the
+    entering column, copied across a buffer allocated once per solve, is
+    multiplied by the pivot row over the pivot and subtracted from the
+    tableau, and then the pivot row is stored. Every other row gets exactly
+    ``x - c * r``, one product and one difference per entry: the bits of a
+    row-by-row elimination. The pricing squares the tableau into the buffer.
 
     Returns (q, dual multipliers of the row constraints, objective value,
     number of pivots).
@@ -153,7 +152,8 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
         tied = ratios <= lowest + SIMPLEX_TOL
         leave = int(np.where(tied, basis, n + m).argmin())
         pivot_row = tab[leave] / tab[leave, enter]
-        np.multiply(tab[:, enter, None], pivot_row, out=update)
+        np.copyto(update, tab[:, enter, None])  # a broadcast product would allocate buffers
+        update *= pivot_row
         tab -= update
         tab[leave] = pivot_row
         basis[leave] = enter

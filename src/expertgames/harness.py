@@ -9,21 +9,21 @@ game, true saddle point and noise.
 
 Outputs under the run directory:
 
-    manifest.json                           resolved config + per-trial seeds (written last)
-    trials/trial_<n>/<learner>/metrics.csv  long format: series,episode,value
-    trials/trial_<n>/<learner>/trace.jsonl  one JSON object per episode
-    aggregate/<learner>.csv                 series,episode,mean,stderr
-    plot/<learner>.csv                      the aggregate, filtered by ``plot-data``
+    manifest.json                                       config + per-trial seeds (written last)
+    trials/trial_<n>/<learner>/metrics.<output_format>  one row per (series, episode)
+    trials/trial_<n>/<learner>/trace.jsonl              one JSON object per episode
+    aggregate/<learner>.csv                             series,episode,mean,stderr
+    plot/<learner>.csv                                  the aggregate, filtered by ``plot-data``
 
-All floats are written with ``repr`` so replaying a manifest reproduces the
-metric files byte for byte. A learner's report for a trial is one float64
-column whose layout ``metrics.series_keys`` states. Each trial's files are
-written as soon as the trial finishes: the metric file labels the column's
-values with those keys, and the column becomes that trial's column of its
-learner's aggregate array; no trial's report or traces outlive that step.
-The aggregate tables reduce those arrays once the last trial is in.
-``manifest.json`` is written last, through a rename, so a run directory
-without it is an incomplete run.
+Floats are written as ``repr`` or ``json.dumps`` spells them, so replaying a
+manifest reproduces the metric files byte for byte. A learner's report for a
+trial is one float64 column whose layout ``metrics.series_keys`` states. Each
+trial's files are written as soon as the trial finishes: the metric file
+labels the column's values with those keys, and the column becomes that
+trial's column of its learner's aggregate array; no trial's report or traces
+outlive that step. The aggregate tables reduce those arrays once the last
+trial is in. ``manifest.json`` is written last, through a rename, so a run
+directory without it is an incomplete run.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import __version__
 from .config import ExperimentConfig, config_to_dict
 from .config import config_from_dict  # noqa: F401  (the benchmark's traced runs read it here)
 from .environment import Environment, EpisodeTrace
-from .metrics import build_report, series_keys
+from .metrics import METRIC_FORMATS, build_report, series_keys
 
 # ---------------------------------------------------------------------------
 # Running
@@ -83,38 +83,6 @@ def _set_worker_config(config: ExperimentConfig) -> None:
 def _run_worker_trial(trial: int) -> dict:
     """``run_trial`` of the worker's config: a task carries only its trial number."""
     return run_trial(_WORKER_CONFIG, trial)
-
-
-def _write_metrics_csv(path: Path, rows) -> None:
-    lines = ["series,episode,value"]
-    lines += [f"{name},{episode},{value!r}" for (name, episode), value in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _json_float(value: float) -> str:
-    """A float spelled as ``json.dumps`` spells it: its repr, or NaN/Infinity/-Infinity."""
-    if math.isfinite(value):
-        return repr(value)
-    if math.isnan(value):
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
-
-
-def _write_metrics_jsonl(path: Path, rows) -> None:
-    """One ``json.dumps(row, sort_keys=True)`` line per row, formatted without the encoder."""
-    names: dict[str, str] = {}  # each series name repeats once per episode; encode it once
-    lines = []
-    for (name, episode), value in rows:
-        if name not in names:
-            names[name] = json.dumps(name)
-        value_json = _json_float(value)
-        lines.append(f'{{"episode": {episode}, "series": {names[name]}, "value": {value_json}}}')
-    path.write_text("\n".join(lines) + "\n")
-
-
-# The metrics writer of each ``output_format``, which is also the file suffix.
-# Each takes ((series, episode), value) rows: ``series_keys`` zipped with a report.
-_METRIC_WRITERS = {"csv": _write_metrics_csv, "jsonl": _write_metrics_jsonl}
 
 
 def _write_trace_jsonl(path: Path, traces) -> None:
@@ -198,8 +166,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
         else:
             stale.unlink(missing_ok=True)
 
-    write_metrics = _METRIC_WRITERS[config.output_format]
     keys = series_keys(config.environment.n_episodes)
+    metric_format = METRIC_FORMATS[config.output_format]
+    prefixes = [metric_format.prefix(*key) for key in keys]
     aggregates = {spec.name: np.empty((len(keys), config.trials)) for spec in config.learners}
     workers = min(workers, config.trials, _usable_cpus())
     pool = None
@@ -222,8 +191,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> dict:
                 learner_dir = trial_root / name
                 learner_dir.mkdir(exist_ok=True)
                 report = payload["report"]
-                write_metrics(
-                    learner_dir / f"metrics.{config.output_format}", zip(keys, report.tolist())
+                (learner_dir / f"metrics.{config.output_format}").write_text(
+                    metric_format.text(prefixes, report.tolist())
                 )
                 _write_trace_jsonl(learner_dir / "trace.jsonl", payload["traces"])
                 aggregates[name][:, n] = report

@@ -7,13 +7,17 @@ the pointwise ordering pseudo-saddle <= best-response <= exploitability;
 realized forms do not (noise breaks it) and are reported separately.
 
 A trial's report is one float64 column, the layout of which ``series_keys``
-states once: the writers label its values with those keys, and the run's
-aggregate stacks the columns of every trial. ``SERIES`` names the report's
-series once, in sorted order, for ``series_keys``, ``series_count`` and
-``build_report``.
+states once: its metric file labels its values with those keys, in the
+spelling ``METRIC_FORMATS`` gives, and the run's aggregate stacks the columns
+of every trial. ``SERIES`` names the report's series once, in sorted order,
+for ``series_keys``, ``series_count`` and ``build_report``.
 """
 
 from __future__ import annotations
+
+import json
+import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +83,36 @@ def series_keys(n_episodes: int) -> list[tuple[str, int]]:
 def series_count(n_episodes: int) -> int:
     """``len(series_keys(n_episodes))``, without building the keys."""
     return (2 * len(SERIES) + 1) * n_episodes + 1
+
+
+def _json_float(value: float) -> str:
+    """What ``json.dumps(value)`` writes; a finite value's repr is taken directly."""
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+class MetricFormat(NamedTuple):
+    """How a metric file spells a report: the header, then for each
+    ``series_keys`` key its row's prefix, the spelled value and the end."""
+
+    header: str
+    prefix: Callable[[str, int], str]  # a (series, episode) key's row, up to its value
+    spell: Callable[[float], str]
+    end: str
+
+    def text(self, prefixes, values) -> str:
+        """A report's file, given the ``prefix`` of each of its keys."""
+        spell, end = self.spell, self.end
+        return self.header + "".join([p + spell(value) + end for p, value in zip(prefixes, values)])
+
+
+# Each ``output_format``, also the file's suffix. A csv value is its repr; a jsonl
+# row is ``json.dumps`` of its series, episode and value, with sorted keys.
+METRIC_FORMATS = {
+    "csv": MetricFormat("series,episode,value\n", lambda series, k: f"{series},{k},", repr, "\n"),
+    "jsonl": MetricFormat(
+        "", lambda series, k: f'{{"episode": {k}, "series": {json.dumps(series)}, "value": ',
+        _json_float, "}\n"),
+}
 
 
 def build_report(traces) -> np.ndarray:

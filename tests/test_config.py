@@ -26,10 +26,6 @@ def test_config_imports_neither_the_simulator_nor_the_runner():
     assert imported & forbidden == set()
 
 
-def test_output_formats_are_the_metric_writers():
-    assert config.OUTPUT_FORMATS == tuple(harness._METRIC_WRITERS)
-
-
 # bench/spans.py wraps these in place and bench/run.py calls them, so a name
 # moved elsewhere would go unwrapped, or fail only in a traced run.
 BENCH_NAMES = [

@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -37,7 +38,7 @@ from expertgames.config import (
     ridge_floor,
 )
 from expertgames.harness import aggregate_series, run_experiment, run_trial
-from expertgames.metrics import series_keys
+from expertgames.metrics import METRIC_FORMATS, series_keys
 
 from oracles import emit_plot_data, episode_stack
 
@@ -1205,20 +1206,54 @@ class TestRunExperiment:
         record = json.loads(path.read_text().splitlines()[0])
         assert set(record) == {"series", "episode", "value"}
 
-    def test_jsonl_rows_are_the_bytes_of_json_dumps(self, tmp_path):
-        special = [np.nan, np.inf, -np.inf, 0.1, -0.0, 1e-310, 2.5e300, 1 / 3]
-        keys = series_keys(len(special))
-        # Every series holds the special values, the first series in order.
-        rows = list(zip(keys, np.resize(special, len(keys)).tolist()))
-        path = tmp_path / "metrics.jsonl"
-        harness._write_metrics_jsonl(path, rows)
+    # Every series holds these values, the first series in order.
+    SPECIAL = [np.nan, np.inf, -np.inf, 0.1, -0.0, 1e-310, 2.5e300, 1 / 3]
+
+    def special_text(self, output_format):
+        """The rows of SPECIAL values under every series key, and the file
+        ``METRIC_FORMATS[output_format]`` spells of them."""
+        keys = series_keys(len(self.SPECIAL))
+        rows = list(zip(keys, np.resize(self.SPECIAL, len(keys)).tolist()))
+        spelled = METRIC_FORMATS[output_format]
+        return rows, spelled.text([spelled.prefix(*key) for key in keys], [v for _, v in rows])
+
+    def test_jsonl_rows_are_the_bytes_of_json_dumps(self):
+        rows, text = self.special_text("jsonl")
         expected = "".join(
             json.dumps({"series": name, "episode": episode, "value": value}, sort_keys=True)
             + "\n"
             for (name, episode), value in rows
         )
-        assert path.read_text() == expected
+        assert text == expected
         assert "NaN" in expected and "-Infinity" in expected and "e-310" in expected
+
+    def test_csv_rows_are_the_repr_of_each_value(self):
+        rows, text = self.special_text("csv")
+        expected = "".join(f"{name},{episode},{value!r}\n" for (name, episode), value in rows)
+        assert text == "series,episode,value\n" + expected
+        assert "nan" in expected and "-inf" in expected and "-0.0" in expected
+
+    def test_csv_and_jsonl_runs_hold_the_same_rows(self, tmp_path):
+        def rows(output_format):
+            """(learner directory, series, episode, value bits) of every metric row of a run."""
+            run = tmp_path / output_format
+            run_experiment(tiny_config(output_format=output_format), run)
+            found = []
+            for path in sorted(run.glob(f"trials/*/*/metrics.{output_format}")):
+                lines = path.read_text().splitlines()
+                if output_format == "csv":
+                    parsed = [line.split(",") for line in lines[1:]]
+                else:
+                    parsed = [(row["series"], row["episode"], row["value"]) for row in map(json.loads, lines)]
+                found += [(path.parent.relative_to(run), series, int(episode), struct.pack("<d", float(value)))
+                          for series, episode, value in parsed]
+            return found
+
+        csv_rows = rows("csv")
+        assert csv_rows == rows("jsonl")
+        # Exp3's theta_error rows are NaN, which only a comparison of bits counts as equal.
+        assert any(series == "theta_error" and math.isnan(struct.unpack("<d", bits)[0])
+                   for _, series, _, bits in csv_rows)
 
 
 class TestAggregation:
