@@ -34,7 +34,7 @@ from .agents import (
 )
 from .estimator import EstimatorConfig
 from .game import check_strategy
-from .metrics import METRIC_FORMATS, series_count
+from .metrics import METRIC_FORMATS, SERIES, series_count
 
 _THETA_DRAW_LIMIT = 100_000
 # The largest payoff a true game may reach. A run sums payoffs over rounds,
@@ -82,26 +82,19 @@ def type_problem(config, counts=(), reals=(), real_lists=()) -> str | None:
     return None
 
 
-def stray_field(spec, keys) -> str | None:
-    """The first field of ``spec`` off its default that is not ``kind``, ``name``
-    or one of ``keys``, its type's keys, as a message, or None. No JSON config
-    can set such a field, and no run or manifest reads it."""
-    for f in fields(spec):
-        if f.name in ("kind", "name", *keys):
-            continue
-        value = getattr(spec, f.name)
-        if value is not None if f.default is None else value != f.default:
-            return f"{f.name}: not a key of type {spec.kind!r}; leave it at {f.default!r}"
-    return None
-
-
 def kind_problem(spec) -> str | None:
-    """A tagged spec's ``kind`` outside its ``KINDS``, or a field its kind has
-    no key for off its default (``stray_field``), as a message, or None."""
+    """A tagged spec's ``kind`` outside its ``KINDS``, or a field off its
+    default that its kind has no JSON key for (``_keys``), as a message, or
+    None. No JSON config can set such a field, and no run or manifest reads it."""
     kinds = tuple(spec.KINDS)  # a tuple, so an unhashable value is just not in it
     if spec.kind not in kinds:
         return f"type: must be one of {kinds}, got {spec.kind!r}"
-    return stray_field(spec, spec.KINDS[spec.kind])
+    keyed = {f.name for f in _keys(type(spec), spec.kind).values()}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name not in keyed and (value is not None if f.default is None else value != f.default):
+            return f"{f.name}: not a key of type {spec.kind!r}; leave it at {f.default!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -323,30 +316,27 @@ def _build(cls, where: str, **fields):
         raise ConfigError([joined]) from exc
 
 
-def _check_strategy(strategy, n_actions: int, where: str) -> None:
-    """A fixed player's ``n_actions`` probabilities."""
-    if len(strategy) != n_actions:
-        raise ConfigError(
-            [f"{where}.strategy: must list {n_actions} probabilities, got {strategy!r}"]
-        )
-    _build(check_strategy, f"{where}.strategy", probs=strategy)
-
-
-def _check_keys(spec, where: str) -> None:
+def _check_player(spec, where: str, n_actions: int) -> None:
     """A learner's or the opponent's type, and the keys of that type: any other
-    field stays at its default, a fixed player's strategy is a list of reals
-    and every other key a real."""
+    field stays at its default, a fixed player's strategy is a list of
+    ``n_actions`` probabilities and every other key a real."""
     problem = kind_problem(spec)
     if not problem:
         keys = spec.KINDS[spec.kind]
         problem = type_problem(spec, **{"real_lists" if spec.kind == "fixed" else "reals": keys})
     if problem:
         raise ConfigError([f"{where}.{problem}"])
+    if spec.kind == "fixed":
+        if len(spec.strategy) != n_actions:
+            raise ConfigError(
+                [f"{where}.strategy: must list {n_actions} probabilities, got {spec.strategy!r}"]
+            )
+        _build(check_strategy, f"{where}.strategy", probs=spec.strategy)
 
 
 def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
     """The rules that join a learner of each type to the environment."""
-    _check_keys(spec, where)
+    _check_player(spec, where, env.n_rows)
     if spec.kind == "ofulinmat":
         _build(EstimatorConfig, where, ridge=spec.ridge, param_bound=spec.param_bound,
                delta=spec.delta, n_experts=env.n_experts)
@@ -360,8 +350,6 @@ def _check_learner(spec, where: str, env: EnvironmentConfig) -> None:
         problem = reward_range_problem(spec.reward_min, spec.reward_max)
         if problem:
             raise ConfigError([f"{where}: {problem}"])
-    elif spec.kind == "fixed":
-        _check_strategy(spec.strategy, env.n_rows, where)
 
 
 @dataclass(frozen=True)
@@ -401,7 +389,7 @@ class LearnerSpec:
                 env.n_rows, seed=seed, reward_min=self.reward_min, reward_max=self.reward_max
             )
         if self.kind == "fixed":
-            return FixedStrategyAgent(np.asarray(self.strategy), seed=seed)
+            return FixedStrategyAgent(self.strategy, seed=seed)
         return FixedStrategyAgent.uniform(env.n_rows, seed=seed)
 
 
@@ -421,7 +409,7 @@ class OpponentSpec:
             return UniformOpponent(seed=seed)
         if self.kind == "best_responder":
             return BestResponderOpponent(seed=seed)
-        return FixedOpponent(np.asarray(self.strategy), seed=seed)
+        return FixedOpponent(self.strategy, seed=seed)
 
 
 def _exp3_clip(spec: LearnerSpec, env: EnvironmentConfig) -> LearnerSpec:
@@ -434,8 +422,9 @@ def _exp3_clip(spec: LearnerSpec, env: EnvironmentConfig) -> LearnerSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A whole run. It checks every rule that joins its parts, and every value
-    of its learners and opponent, under the JSON path the parser names, so a
-    config built in Python fails as its JSON does."""
+    of its learners and opponent, one check per seat (``_check_player``),
+    under the JSON path the parser names, so a config built in Python fails
+    as its JSON does; an empty ``learners`` is refused here, from either."""
 
     environment: EnvironmentConfig
     learners: tuple[LearnerSpec, ...]
@@ -459,14 +448,16 @@ class ExperimentConfig:
         env = self.environment
         # The manifest records the clip, so it replays without this step.
         object.__setattr__(self, "learners", tuple(_exp3_clip(spec, env) for spec in self.learners))
-        # The aggregate stacks each learner's report columns (17 values per
-        # episode, plus one) over all trials into one float64 array.
+        # The aggregate stacks each learner's report columns (series_count:
+        # 2 * len(SERIES) + 1 values per episode, plus one) over all trials
+        # into one float64 array.
         rows = series_count(env.n_episodes)
         max_trials = ARRAY_BYTE_BUDGET // (8 * len(self.learners) * rows)
         if self.trials > max_trials:
             raise ConfigError(
                 [f"trials: must be at most {max_trials}, so that the aggregate's 8 * trials * "
-                 f"len(learners) * (17 * n_episodes + 1) bytes stay within {ARRAY_BYTE_BUDGET}"]
+                 f"len(learners) * ({2 * len(SERIES) + 1} * n_episodes + 1) bytes stay within "
+                 f"{ARRAY_BYTE_BUDGET}"]
             )
         if self.trial_bytes > ARRAY_BYTE_BUDGET:
             raise ConfigError([f"learners: a trial's arrays and {len(self.learners)} learners' "
@@ -483,9 +474,7 @@ class ExperimentConfig:
                     [f"{where}: names must be unique, {name!r} is also "
                      f"learners[{names.index(name)}].name (set 'name' to disambiguate)"]
                 )
-        _check_keys(self.opponent, "opponent")
-        if self.opponent.kind == "fixed":
-            _check_strategy(self.opponent.strategy, env.n_cols, "opponent")
+        _check_player(self.opponent, "opponent", env.n_cols)
 
     @property
     def trial_bytes(self) -> float:
@@ -560,9 +549,10 @@ def _read(section, where: str, cls):
 
 
 def _learner_list(sections, where: str) -> tuple:
-    """The learner objects of the JSON list ``sections``."""
-    if not isinstance(sections, list) or not sections:
-        raise ConfigError([f"{where}: must be a non-empty list"])
+    """The learner objects of the JSON list ``sections``; ``ExperimentConfig``
+    refuses an empty one."""
+    if not isinstance(sections, list):
+        raise ConfigError([f"{where}: must be a list"])
     return tuple(_read(section, f"{where}[{i}]", LearnerSpec) for i, section in enumerate(sections))
 
 

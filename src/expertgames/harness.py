@@ -238,13 +238,13 @@ def read_plot_tables(run_dir, series: list[str] | None = None) -> dict[str, list
         if header != _AGGREGATE_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         rows = body.splitlines()
+        if not rows:
+            raise ValueError(f"{path}: no rows below its header")
         if series is not None:
             missing = sorted(set(series) - {row.split(",", 1)[0] for row in rows})
             if missing:
                 raise ValueError(f"series not present in run outputs: {', '.join(missing)}")
             rows = [row for row in rows if row.split(",", 1)[0] in series]
-        if not rows:
-            raise ValueError("no series selected")
         tables[path.stem] = rows
     if not tables:
         raise FileNotFoundError(f"no aggregate tables under {run / 'aggregate'}")

@@ -222,6 +222,10 @@ class TestExp3:
         # alpha_1 = min(1, sqrt(10 ln 10)) clamps to 1, wiping the softmax out.
         assert np.allclose(agent.policy(1), 0.1)
 
+    def test_policy_refuses_round_zero(self):
+        with pytest.raises(ValueError, match="^round index must be >= 1$"):
+            Exp3Agent(3, seed=0).policy(0)
+
     def test_zero_rewards_keep_policy_uniform(self):
         agent = Exp3Agent(10, seed=1)
         agent.begin_episode()

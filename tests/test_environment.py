@@ -426,6 +426,22 @@ class TestRunEpisode:
                 env.reveal(0)
             )
 
+    @pytest.mark.parametrize("seat", ["learner", "opponent"])
+    def test_actions_short_of_the_episode_abort(self, seat):
+        players = {"learner": FixedStrategyAgent.uniform(3, seed=0),
+                   "opponent": FixedOpponent(np.array([1.0, 0, 0]), seed=1)}
+        play = players[seat].play_episode
+
+        def one_round_short(reward, n_rounds):
+            actions, strategy = play(reward, n_rounds)
+            return actions[:-1], strategy
+
+        players[seat].play_episode = one_round_short
+        env = Environment(config())
+        message = rf"^{seat} drew \(4,\) actions for a 5-round episode 0$"
+        with pytest.raises(SimulationError, match=message):
+            env.run_episode(players["learner"], players["opponent"], env.reveal(0))
+
     def test_agent_without_strategy_aborts(self):
         class Blind(Exp3Agent):
             def play_episode(self, reward, n_rounds):

@@ -38,7 +38,7 @@ from expertgames.config import (
     ridge_floor,
 )
 from expertgames.harness import aggregate_series, run_experiment, run_trial
-from expertgames.metrics import METRIC_FORMATS, series_keys
+from expertgames.metrics import METRIC_FORMATS, series_count, series_keys
 
 from oracles import emit_plot_data, episode_stack
 
@@ -337,6 +337,7 @@ JOINT_RULE_CASES = {
         lambda: {"opponent": OpponentSpec(kind="fixed", strategy=(0.5, 0.5))},
         lambda raw: raw.update(opponent={"type": "fixed", "strategy": [0.5, 0.5]}),
     ),
+    "no-learners": ("learners", lambda: {"learners": ()}, lambda raw: raw.update(learners=[])),
 }
 
 
@@ -753,6 +754,22 @@ class TestConfigRoundTrip:
             config_from_dict(raw)
         assert info.value.problems == [f"{path}: must be an object"]
 
+    @pytest.mark.parametrize(
+        "learners, problem",
+        [
+            ([], "learners: at least one learner is required"),
+            ({}, "learners: must be a list"),
+            ("ofulinmat", "learners: must be a list"),
+        ],
+        ids=["empty", "object", "string"],
+    )
+    def test_learners_must_be_a_non_empty_list(self, learners, problem):
+        raw = config_to_dict(tiny_config())
+        raw["learners"] = learners
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert info.value.problems == [problem]
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -794,6 +811,13 @@ class TestByteBudget:
         fixed = dataclasses.replace(env, n_episodes=1, experts=ExpertSpec(
             "fixed", matrices=np.full((1, 10, 60, 60), 0.5)))
         assert fixed.array_bytes == 8 * (20 + 21 * 3600)  # with the config's stacks
+
+    def test_the_trials_refusal_counts_the_aggregate_rows(self):
+        n = tiny_config().environment.n_episodes
+        with pytest.raises(ConfigError) as info:
+            tiny_config(trials=10**9)
+        factor = re.search(r"\((\d+) \* n_episodes \+ 1\)", info.value.problems[0]).group(1)
+        assert int(factor) == (series_count(n) - 1) // n
 
 
 class TestConfigMutations:
@@ -1500,6 +1524,8 @@ class TestCli:
                 "learners",
                 lambda raw: raw["environment"].update(rounds_per_episode=12_000_000),
             ),
+            ("learners", lambda raw: raw.update(learners=[])),
+            ("learners", lambda raw: raw.update(learners={})),
             *ENVIRONMENT_RULE_CASES.values(),
         ],
         ids=[
@@ -1535,6 +1561,8 @@ class TestCli:
             "ridge-below-floor",
             "paper-ridge-below-floor",
             "traces-beyond-budget",
+            "empty-learners",
+            "object-learners",
             *ENVIRONMENT_RULE_CASES,
         ],
     )
@@ -1801,3 +1829,30 @@ class TestCli:
         code = cli_main(["plot-data", "--run", str(out), "--series", "nope"])
         assert code == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("series", [[], ["--series", "theta_error"]], ids=["all", "one"])
+    def test_plot_data_refuses_a_table_with_no_rows(self, tmp_path, capsys, series):
+        run, out = tmp_path / "run", tmp_path / "plot"
+        run_experiment(tiny_config(trials=1), run)
+        empty = run / "aggregate/exp3.csv"
+        empty.write_text(empty.read_text().partition("\n")[0] + "\n")
+        assert cli_main(["plot-data", "--run", str(run), "--out", str(out), *series]) == 1
+        assert capsys.readouterr().err == f"error: {empty}: no rows below its header\n"
+        assert not out.exists()
+
+    def test_plot_data_refuses_a_run_without_aggregate_tables(self, tmp_path, capsys):
+        run, out = tmp_path / "run", tmp_path / "plot"
+        run_experiment(tiny_config(trials=1), run)
+        for table in (run / "aggregate").glob("*.csv"):
+            table.unlink()
+        assert cli_main(["plot-data", "--run", str(run), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: no aggregate tables under {run / 'aggregate'}\n"
+        assert not out.exists()
+
+    def test_plot_data_refuses_an_empty_series_name(self, tmp_path, capsys):
+        run, out = tmp_path / "run", tmp_path / "plot"
+        run_experiment(tiny_config(trials=1), run)
+        argv = ["plot-data", "--run", str(run), "--out", str(out), "--series", "theta_error,,external"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "error: empty series name in --series\n"
+        assert not out.exists()
