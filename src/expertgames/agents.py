@@ -38,8 +38,7 @@ let the simulator compute expectation-form metrics exactly.
 
 from __future__ import annotations
 
-import bisect
-import itertools
+import functools
 import math
 
 import numpy as np
@@ -152,24 +151,22 @@ def reward_range_problem(reward_min: float, reward_max: float) -> str | None:
     return None
 
 
-def _exp3_policy(estimates: list[float], t: int, n: int, log_n: float) -> list[float]:
-    """Exp3's round-``t`` policy over ``n`` actions from the cumulative
-    estimates, on Python floats.
-
-    The total of the weights is ``math.fsum``, which is correctly rounded, so
-    it gives the same bits on every Python version (the built-in ``sum`` of
-    floats became compensated in Python 3.12) at the cost of ``sum``.
-    """
+def _exp3_schedule(n: int, t: int) -> tuple[float, float, float]:
+    """Round ``t``'s ``(gamma, floor, mix)`` over ``n`` actions: the softmax
+    scale gamma_t, the uniform floor alpha_t / n and the softmax share
+    1 - alpha_t."""
+    log_n = math.log(n)
     alpha = min(1.0, math.sqrt(n * log_n / t))
-    gamma = math.sqrt(2.0 * log_n / (n * t))
-    # Rounding is monotone and gamma > 0, so this is the largest score.
-    top = gamma * max(estimates)
-    exp = math.exp
-    weights = [exp(gamma * g - top) for g in estimates]
-    total = math.fsum(weights)
-    floor = alpha / n
-    mix = 1.0 - alpha
-    return [floor + mix * w / total for w in weights]
+    return math.sqrt(2.0 * log_n / (n * t)), alpha / n, 1.0 - alpha
+
+
+@functools.lru_cache(maxsize=16)
+def _exp3_horizon(n: int, n_rounds: int):
+    """The schedule of rounds 1..n_rounds, and its floors and mixes as
+    read-only (n_rounds, 1) columns."""
+    rounds = tuple(_exp3_schedule(n, t) for t in range(1, n_rounds + 1))
+    table = _read_only(np.array(rounds).reshape(n_rounds, 3))
+    return rounds, table[:, 1:2], table[:, 2:3]
 
 
 class Exp3Agent:
@@ -187,18 +184,35 @@ class Exp3Agent:
     needs bounded nonnegative rewards). Estimates reset at every episode
     boundary.
 
-    A round touches n numbers, so it runs on Python floats: ``math.exp``
-    and ``math.fsum``. ``play_episode`` runs a whole episode's loop with its
-    locals bound once. ``act``/``observe`` step the same round one call at a
-    time and give the same bits; only the benchmark calls them. Each action
-    is the first one whose cumulative policy mass exceeds one
-    ``rng.random()`` draw. ``play_episode`` takes the episode's draws as one
-    ``rng.random(n_rounds)`` block, which holds the same numbers as that many
-    single draws, so both give one draw per round from the agent's own
-    generator; the harness gives each learner its own.
+    A round touches n numbers, so it runs on Python floats. Round t's
+    schedule ``(gamma, floor, mix)`` is ``(gamma_t, alpha_t / n,
+    1 - alpha_t)``. Its policy entry is ``floor + mix * w / total``, where
+    the weight ``w = math.exp(gamma * G - top)`` with ``top = gamma *
+    max(G)``, and ``total`` is the weights' ``math.fsum``, correctly
+    rounded and so the same bits on every Python version (the built-in
+    ``sum`` of floats is compensated from Python 3.12 on). The action is
+    the first one whose running total of the policy, added in action
+    order, exceeds one ``rng.random()`` draw; the last action when none
+    does.
+
+    ``play_episode`` does per round only the work that depends on the
+    last reward, by the same float operations in the same order. A
+    horizon's schedule is computed once per ``(n, n_rounds)``. The
+    estimates never decrease (each update adds a clipped nonnegative reward
+    over a positive probability), so a running maximum is ``max(G)``. The
+    draw adds entries only until the running total exceeds the uniform, and
+    the update divides by the played entry. The (n_rounds, n) policy stack
+    is built after the loop, in numpy, from the kept weights and totals.
+    The episode's draws are one ``rng.random(n_rounds)`` block, which holds
+    the same numbers as that many single draws. ``act``/``observe`` step
+    the same round one call at a time, with one ``rng.random()`` each, and
+    give the same bits; only the benchmark calls them. The harness gives
+    each learner its own generator.
     """
 
     def __init__(self, n_actions: int, seed=None, reward_min: float = 0.0, reward_max: float = 1.0):
+        if n_actions < 1:
+            raise ValueError(f"n_actions must be at least 1, got {n_actions!r}")
         problem = reward_range_problem(reward_min, reward_max)
         if problem:
             raise ValueError(problem)
@@ -213,8 +227,13 @@ class Exp3Agent:
     def policy(self, t: int) -> list[float]:
         if t < 1:
             raise ValueError("round index must be >= 1")
-        n = self.n_actions
-        return _exp3_policy(self.cumulative_estimates, t, n, math.log(n))
+        gamma, floor, mix = _exp3_schedule(self.n_actions, t)
+        estimates = self.cumulative_estimates
+        # Rounding is monotone and gamma >= 0, so this is the largest score.
+        top = gamma * max(estimates)
+        weights = [math.exp(gamma * g - top) for g in estimates]
+        total = math.fsum(weights)
+        return [floor + mix * w / total for w in weights]
 
     def begin_episode(self, stack=None) -> None:
         self.cumulative_estimates = [0.0] * self.n_actions
@@ -229,30 +248,48 @@ class Exp3Agent:
         the policies the rows were sampled from.
         """
         n = self.n_actions
-        log_n = math.log(n)
-        last = n - 1
+        schedule, floors, mixes = _exp3_horizon(n, n_rounds)
         low = self.reward_min
         span = self.reward_max - low
         estimates = self.cumulative_estimates
-        policy_of = _exp3_policy
-        accumulate, bisect_right = itertools.accumulate, bisect.bisect_right
+        best = max(estimates)
+        exp, fsum = math.exp, math.fsum
         uniforms = self.rng.random(n_rounds).tolist()
-        rows, policies = [], []
-        for t, u in enumerate(uniforms, 1):
-            policy = policy_of(estimates, t, n, log_n)
-            i = min(bisect_right(list(accumulate(policy)), u), last)
-            r = reward(t - 1, i)
-            estimates[i] += min(max((r - low) / span, 0.0), 1.0) / policy[i]
+        rows, weights_flat, totals = [], [], []
+        for t, ((gamma, floor, mix), u) in enumerate(zip(schedule, uniforms)):
+            top = gamma * best
+            weights = [exp(gamma * g - top) for g in estimates]
+            total = fsum(weights)
+            running = 0.0
+            # Without a break, i and p are the last action's.
+            for i, w in enumerate(weights):
+                p = floor + mix * w / total
+                running += p
+                if u < running:
+                    break
+            scaled = (reward(t, i) - low) / span
+            # The selections of min(max(scaled, 0.0), 1.0), without the calls.
+            g = estimates[i] + (0.0 if scaled < 0.0 else 1.0 if scaled > 1.0 else scaled) / p
+            estimates[i] = g
+            if g > best:
+                best = g
             rows.append(i)
-            policies.append(policy)
-        return np.array(rows, dtype=int), np.array(policies)
+            weights_flat += weights
+            totals.append(total)
+        weights = np.array(weights_flat).reshape(n_rounds, n)
+        stack = floors + mixes * weights / np.array(totals)[:, None]
+        return np.array(rows, dtype=int), stack
 
     def act(self, t: int) -> int:
         if self._awaiting_feedback:
             raise AgentProtocolError("act() called twice without observe()")
         policy = self.policy(t)
         u = self.rng.random()
-        action = min(bisect.bisect_right(list(itertools.accumulate(policy)), u), self.n_actions - 1)
+        running = 0.0
+        for action, p in enumerate(policy):
+            running += p
+            if u < running:
+                break
         self._last_policy = policy
         self._awaiting_feedback = True
         return action

@@ -107,10 +107,11 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
 
     Each pivot is one in-place rank-1 update of the dense tableau: the
     entering column, copied across a buffer allocated once per solve, is
-    multiplied by the pivot row over the pivot and subtracted from the
-    tableau, and then the pivot row is stored. Every other row gets exactly
-    ``x - c * r``, one product and one difference per entry: the bits of a
-    row-by-row elimination. The pricing squares the tableau into the buffer.
+    multiplied by the pivot row over the pivot, copied down a second such
+    buffer, and subtracted from the tableau, and then the pivot row is
+    stored. Every other row gets exactly ``x - c * r``, one product and one
+    difference per entry: the bits of a row-by-row elimination. The pricing
+    squares the tableau into the first buffer.
 
     Returns (q, dual multipliers of the row constraints, objective value,
     number of pivots).
@@ -124,6 +125,7 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
     tab[-1, :n] = -1.0
     basis = np.arange(n, n + m)
     update = np.empty_like(tab)
+    rows = np.empty_like(tab)
     ratios = np.empty(m)
     scores = np.empty(n + m + 1)
     rhs = tab[:m, -1]
@@ -152,8 +154,10 @@ def _solve_positive_lp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, in
         tied = ratios <= lowest + SIMPLEX_TOL
         leave = int(np.where(tied, basis, n + m).argmin())
         pivot_row = tab[leave] / tab[leave, enter]
-        np.copyto(update, tab[:, enter, None])  # a broadcast product would allocate buffers
-        update *= pivot_row
+        # Two same-shaped buffers: a product with a broadcast operand allocates.
+        np.copyto(update, tab[:, enter, None])
+        np.copyto(rows, pivot_row)
+        update *= rows
         tab -= update
         tab[leave] = pivot_row
         basis[leave] = enter

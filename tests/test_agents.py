@@ -285,6 +285,105 @@ class TestExp3:
                 # Only the played row's reward is asked, once per round.
                 assert asked == list(enumerate(expected_rows))
 
+    @staticmethod
+    def assert_episode_equals_float_oracle(agent, oracle, table):
+        """One episode on ``table[t][i]`` rewards: the agent's rows and policy
+        stack equal the float oracle's bit for bit. Returns the oracle's
+        leading arm after each round."""
+        agent.begin_episode()
+        rows, policies = agent.play_episode(lambda t, i: table[t][i], len(table))
+        oracle.begin_episode()
+        expected_rows, expected_policies, leaders = [], [], []
+        for t, round_rewards in enumerate(table, 1):
+            action = oracle.act(t)
+            expected_rows.append(action)
+            expected_policies.append(oracle.last_strategy)
+            oracle.observe(action, round_rewards[action])
+            leaders.append(int(oracle.cumulative_estimates.argmax()))
+        assert rows.tolist() == expected_rows
+        assert policies.shape == (len(table), agent.n_actions)
+        assert policies.tobytes() == np.array(expected_policies).tobytes()
+        assert agent.cumulative_estimates == oracle.cumulative_estimates.tolist()
+        return leaders
+
+    def test_one_agent_across_horizons_equals_the_float_oracle(self):
+        # Horizons of 1, 37 and 300 rounds, then 37 again, on one agent and
+        # one generator: each horizon's schedule is its own, and a repeated
+        # horizon reads the one computed before.
+        agent = Exp3Agent(5, seed=13, reward_min=-1.0, reward_max=1.0)
+        oracle = FloatExp3(5, 13, reward_min=-1.0, reward_max=1.0)
+        rng = np.random.default_rng([13, 99])
+        for n_rounds in (1, 37, 300, 37):
+            table = rng.uniform(-1.5, 1.5, size=(n_rounds, 5)).tolist()
+            self.assert_episode_equals_float_oracle(agent, oracle, table)
+
+    @pytest.mark.parametrize("n_actions", [1, 2])
+    def test_fewest_actions_equal_the_float_oracle(self, n_actions):
+        # One action has ln n = 0, so alpha and gamma are 0 and its policy is 1.
+        for seed in range(10):
+            agent = Exp3Agent(n_actions, seed=seed, reward_min=-1.0, reward_max=1.0)
+            oracle = FloatExp3(n_actions, seed, reward_min=-1.0, reward_max=1.0)
+            tables = np.random.default_rng([seed, 98]).uniform(-1.5, 1.5, size=(2, 100, n_actions))
+            for table in tables.tolist():
+                self.assert_episode_equals_float_oracle(agent, oracle, table)
+        if n_actions == 1:
+            assert agent.play_episode(lambda t, i: 1.0, 3)[1].tolist() == [[1.0]] * 3
+
+    @pytest.mark.parametrize("n_actions", [2, 4, 10])
+    def test_rounds_where_alpha_clamps_play_exactly_uniform(self, n_actions):
+        # alpha_t = min(1, sqrt(n ln n / t)) is 1 while t <= n ln n: those
+        # rounds' policy is exactly 1/n, whatever the estimates hold.
+        n_ln_n = n_actions * math.log(n_actions)
+        clamped = sum(math.sqrt(n_ln_n / t) >= 1.0 for t in range(1, 200))
+        assert clamped >= 1
+        agent = Exp3Agent(n_actions, seed=3, reward_min=0.0, reward_max=1.0)
+        oracle = FloatExp3(n_actions, 3, reward_min=0.0, reward_max=1.0)
+        table = np.random.default_rng(4).uniform(0.5, 1.0, size=(200, n_actions)).tolist()
+        self.assert_episode_equals_float_oracle(agent, oracle, table)
+        agent.begin_episode()
+        policies = agent.play_episode(lambda t, i: table[t][i], 200)[1].tolist()
+        assert policies[:clamped] == [[1.0 / n_actions] * n_actions] * clamped
+        assert policies[clamped] != [1.0 / n_actions] * n_actions
+
+    def test_an_episode_whose_leading_arm_changes_equals_the_float_oracle(self):
+        # Arm 0 pays the most for 100 rounds, then arm 2: the arm holding the
+        # largest estimate changes during the episode.
+        table = [[1.0, 0.2, 0.0]] * 100 + [[0.0, 0.2, 1.0]] * 200
+        for seed in range(5):
+            agent = Exp3Agent(3, seed=seed, reward_min=0.0, reward_max=1.0)
+            oracle = FloatExp3(3, seed, reward_min=0.0, reward_max=1.0)
+            leaders = self.assert_episode_equals_float_oracle(agent, oracle, table)
+            assert leaders[99] == 0 and leaders[-1] == 2
+
+    def test_draws_on_and_past_the_running_totals(self):
+        # Rounds 1-3 over ten actions play exactly 0.1 each. A draw equal to
+        # a running total does not exceed it, so the next action plays; ten
+        # 0.1s add up to the largest double below 1, so a draw of that double
+        # exceeds no total and plays the last action. bisect_right over the
+        # cumulative sums gives the same actions.
+        draws = [np.nextafter(0.1, 0.0), 0.1, np.nextafter(1.0, 0.0)]
+        cutoffs = list(itertools.accumulate([0.1] * 10))
+        expected = [min(bisect.bisect_right(cutoffs, u), 9) for u in draws]
+        assert expected == [0, 1, 9]
+
+        class ScriptedDraws:
+            def random(self, size=None):
+                return draws.pop(0) if size is None else np.array(draws[:size])
+
+        agent = Exp3Agent(10)
+        agent.rng = ScriptedDraws()
+        agent.begin_episode()
+        assert agent.play_episode(lambda t, i: 0.0, 3)[0].tolist() == expected
+        agent.begin_episode()
+        for t, action in enumerate(expected, 1):
+            assert agent.act(t) == action
+            agent.observe(action, 0, 0.0)
+
+    @pytest.mark.parametrize("n_actions", [0, -1])
+    def test_refuses_fewer_than_one_action(self, n_actions):
+        with pytest.raises(ValueError, match=f"^n_actions must be at least 1, got {n_actions}$"):
+            Exp3Agent(n_actions, seed=0)
+
     def test_play_episode_equals_stepping(self):
         # 3 episodes of 200 rounds: each episode's block of draws equals the
         # stepped learner's 200 single draws, across two episode boundaries.
